@@ -1,14 +1,21 @@
 """MLS-MPM solver over the six constitutive classes.
 
-One substep is the classic three-phase transfer with quadratic B-spline
-kernels and APIC affine velocities:
+One substep (``step``) evaluates the stress laws once per particle and
+then composes three named phases, the classic transfer with quadratic
+B-spline kernels and APIC affine velocities:
 
-  P2G   scatter mass and momentum (body forces folded in) plus the fused
-        MLS stress contribution to the background grid
-  grid  momentum -> velocity, damping, boundary conditions, colliders
-  G2P   gather velocity and the affine matrix, update F and positions
+  _p2g          scatter mass and momentum (body forces folded in) plus the
+                fused MLS stress contribution to the background grid
+  _grid_update  momentum -> velocity, damping, boundary conditions,
+                colliders
+  _g2p          gather velocity and the affine matrix, update F and
+                positions
 
-Grid reductions run as per-node sums over a fixed offset order
+Both transfers walk the 27 stencil offsets o in {0,1,2}^3 one at a time
+and never hold the vectors of all 27 offsets at once: the node offset is
+h (o - fx), so the affine term splits into h A o - h A fx and the APIC
+matrix into h (sum w v (x) o - v (x) fx), with the fx parts computed once.
+Grid reductions run as per-node sums over that fixed offset order
 (np.bincount on a compact active box), so results are bit-reproducible
 regardless of worker thread count.  Body forces (gravity, wind) enter
 through the particle momentum with per-particle scale factors so
@@ -126,7 +133,6 @@ class SimulationState:
     young_modulus: np.ndarray
     poisson_ratio: np.ndarray
     density: np.ndarray
-    plastic: np.ndarray
     gravity_scale: np.ndarray
     wind_scale: np.ndarray
     # grid
@@ -239,7 +245,6 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
         young_modulus=np.concatenate(es),
         poisson_ratio=np.concatenate(nus),
         density=rho,
-        plastic=np.zeros(n_total),
         gravity_scale=np.ones(n_total),
         wind_scale=np.ones(n_total),
         origin=lo, dims=dims, h=h,
@@ -276,11 +281,11 @@ def stable_dt(state: SimulationState, cfg: SimConfig) -> float:
 
 
 def _bspline_weights(fx):
-    # quadratic B-spline, fx in [0.5, 1.5)
+    # quadratic B-spline, fx (3 axes, N) in [0.5, 1.5)
     w0 = 0.5 * (1.5 - fx) ** 2
     w1 = 0.75 - (fx - 1.0) ** 2
     w2 = 0.5 * (fx - 0.5) ** 2
-    return np.stack([w0, w1, w2], axis=1)  # (N, 3 offsets, 3 axes)
+    return np.stack([w0, w1, w2], axis=1)  # (3 axes, 3 offsets, N)
 
 
 def _apply_bc_component(vel, mask, axis, sign, mode):
@@ -296,65 +301,84 @@ def _apply_bc_component(vel, mask, axis, sign, mode):
         vel[mask, axis] = np.maximum(comp, 0.0) if sign > 0 else np.minimum(comp, 0.0)
 
 
-def step(state: SimulationState, dt: float):
-    """Advance the state by one substep of size dt (<= stable_dt)."""
-    n = state.n_particles
+@dataclass(frozen=True)
+class _Stencil:
+    """Quadratic B-spline stencil of every particle on the active grid box."""
+
+    fx: np.ndarray   # (3, N) position in cells relative to the base node
+    w: np.ndarray    # (3 axes, 3 offsets, N) per-axis weights
+    rel: np.ndarray  # (3, N) base node within the box
+    lo: np.ndarray   # (3,) first node of the box
+    sub: np.ndarray  # (3,) node counts of the box
+
+    def nodes(self):
+        """Yield (offset, flat node index, weight) for the 27 offsets.
+
+        The order is fixed, so every grid sum adds its terms in the same
+        order whatever the thread count.
+        """
+        wx, wy, wz = self.w
+        rx, ry, rz = self.rel
+        _, s1, s2 = self.sub
+        for i in range(3):
+            for j in range(3):
+                w_ij = wx[i] * wy[j]
+                idx_ij = ((rx + i) * s1 + (ry + j)) * s2 + rz
+                for k in range(3):
+                    yield (i, j, k), idx_ij + k, w_ij * wz[k]
+
+
+def _p2g(state: SimulationState, dt: float, kirchhoff):
+    """Scatter mass and momentum, with the fused MLS stress term, to the grid.
+
+    A node at offset o in {0,1,2}^3 sits at dpos = h (o - fx) from the
+    particle, so the affine term A dpos = h A o - h A fx, and only h A o
+    changes with the offset.  Returns (stencil, grid_mass (n_sub,),
+    grid_mom (3, n_sub)).
+    """
     h = state.h
-
-    piola, f_proj, plastic = batch_constitutive(
-        state.f, state.class_id, state.young_modulus, state.poisson_ratio,
-        state.plastic, state.table)
-    state.f = f_proj
-    state.plastic = plastic
-    kirchhoff = piola @ f_proj.transpose(0, 2, 1)
-    affine = (-dt * state.vol0 * 4.0 / (h * h))[:, None, None] * kirchhoff \
-        + state.mass[:, None, None] * state.c_apic
-
     gx = (state.x - state.origin) / h
     base = np.floor(gx - 0.5).astype(np.int64)
     if np.any(base < 0) or np.any(base + 2 > state.dims - 1):
         _check_inside(state)
-    fx = gx - base
-    w = _bspline_weights(fx)
+    fx = (gx - base).T
 
     # compact active box
     lo = base.min(axis=0)
     sub = base.max(axis=0) + 3 - lo
     n_sub = int(sub[0] * sub[1] * sub[2])
-    rel = base - lo
+    stencil = _Stencil(fx, _bspline_weights(fx), (base - lo).T.copy(), lo, sub)
 
+    affine = (-dt * state.vol0 * 4.0 / (h * h))[:, None, None] * kirchhoff \
+        + state.mass[:, None, None] * state.c_apic
+    h_cols = h * affine.transpose(2, 1, 0).copy()  # h_cols[k] = h A e_k, (3, N)
     g_eff = (state.gravity[None, :] * state.gravity_scale[:, None]
              + state.wind[None, :] * state.wind_scale[:, None])
     mom_p = state.mass[:, None] * (state.v + dt * g_eff)
+    q_base = mom_p.T - (h_cols * fx[:, None, :]).sum(axis=0)
+    q_x = [q_base + i * h_cols[0] for i in range(3)]
+    q_y = [j * h_cols[1] for j in range(3)]
+    q_z = [k * h_cols[2] for k in range(3)]
 
     grid_mass = np.zeros(n_sub)
-    grid_mom = np.zeros((n_sub, 3))
-    flat_idx = np.empty((27, n), dtype=np.int64)
-    weights27 = np.empty((27, n))
-    dpos27 = np.empty((27, n, 3))
-    k27 = 0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                wij = w[:, i, 0] * w[:, j, 1] * w[:, k, 2]
-                idx = ((rel[:, 0] + i) * sub[1] + (rel[:, 1] + j)) * sub[2] \
-                    + (rel[:, 2] + k)
-                dpos = (np.array([i, j, k], dtype=np.float64) - fx) * h
-                q = wij[:, None] * (mom_p + np.einsum("nab,nb->na", affine, dpos))
-                grid_mass += np.bincount(idx, weights=wij * state.mass,
-                                         minlength=n_sub)
-                for axis in range(3):
-                    grid_mom[:, axis] += np.bincount(idx, weights=q[:, axis],
-                                                     minlength=n_sub)
-                flat_idx[k27] = idx
-                weights27[k27] = wij
-                dpos27[k27] = dpos
-                k27 += 1
+    grid_mom = np.zeros((3, n_sub))
+    for (i, j, k), idx, w in stencil.nodes():
+        q = w * (q_x[i] + q_y[j] + q_z[k])
+        grid_mass += np.bincount(idx, weights=w * state.mass, minlength=n_sub)
+        for axis in range(3):
+            grid_mom[axis] += np.bincount(idx, weights=q[axis], minlength=n_sub)
+    return stencil, grid_mass, grid_mom
 
-    # grid update
-    grid_v = np.zeros_like(grid_mom)
+
+def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
+                 grid_mass, grid_mom):
+    """Momentum -> velocity, then damping, ground, walls and colliders."""
+    h = state.h
+    lo, sub = stencil.lo, stencil.sub
+    n_sub = grid_mass.shape[0]
+    grid_v = np.zeros((n_sub, 3))
     active = grid_mass > 0
-    grid_v[active] = grid_mom[active] / grid_mass[active, None]
+    grid_v[active] = grid_mom[:, active].T / grid_mass[active, None]
     if state.damping > 0:
         grid_v *= max(0.0, 1.0 - state.damping * dt)
 
@@ -411,21 +435,43 @@ def step(state: SimulationState, dt: float):
                     grid_v[mask] -= np.minimum(vn, 0.0)[:, None] * nvec
         else:
             raise DomainError(f"unknown collider kind {col.kind!r}")
+    return grid_v
 
-    # G2P
-    v_new = np.zeros((n, 3))
-    b_new = np.zeros((n, 3, 3))
-    for k27 in range(27):
-        vg = grid_v[flat_idx[k27]]
-        wij = weights27[k27][:, None]
-        v_new += wij * vg
-        b_new += np.einsum("na,nb->nab", wij * vg, dpos27[k27])
 
-    state.v = v_new
-    state.c_apic = b_new * (4.0 / (h * h))
+def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v):
+    """Gather velocity and the APIC matrix, then update F and positions.
+
+    B = sum_o w v (x) dpos = h (sum_o w v (x) o - v (x) fx), and the
+    affine velocity is C = 4 B / h^2.
+    """
+    n = state.n_particles
+    grid_v = np.ascontiguousarray(grid_v.T)
+    v = np.zeros((3, n))
+    v_o = np.zeros((3, 3, n))  # v_o[b] = sum_o w v o_b
+    for offset, idx, w in stencil.nodes():
+        wv = w * np.take(grid_v, idx, axis=1)
+        v += wv
+        for b, o_b in enumerate(offset):
+            if o_b:
+                v_o[b] += o_b * wv
+
+    state.v = np.ascontiguousarray(v.T)
+    state.c_apic = (4.0 / state.h) * (v_o - v[None, :, :] * stencil.fx[:, None, :]
+                                      ).transpose(2, 1, 0)
     state.f = (np.eye(3)[None] + dt * state.c_apic) @ state.f
-    state.x = state.x + dt * v_new
+    state.x = state.x + dt * state.v
     state.t += dt
+
+
+def step(state: SimulationState, dt: float):
+    """Advance the state by one substep of size dt (<= stable_dt)."""
+    piola, state.f = batch_constitutive(
+        state.f, state.class_id, state.young_modulus, state.poisson_ratio,
+        state.table)
+    kirchhoff = piola @ state.f.transpose(0, 2, 1)
+    stencil, grid_mass, grid_mom = _p2g(state, dt, kirchhoff)
+    grid_v = _grid_update(state, dt, stencil, grid_mass, grid_mom)
+    _g2p(state, dt, stencil, grid_v)
 
     if not (np.isfinite(state.v).all() and np.isfinite(state.x).all()
             and np.isfinite(state.f).all()):

@@ -501,10 +501,8 @@ class ScheduleRuntime:
         if prop == "material_model":
             idx = self._resolve_indices(state, i, iv.target)
             state.class_id[idx] = int(iv.value)
-            state.plastic[idx] = 0.0
             self.done[i] = True
-            return self._record(iv, t, dt, value=MaterialClass(int(iv.value)).name,
-                                plastic_state_reset=True)
+            return self._record(iv, t, dt, value=MaterialClass(int(iv.value)).name)
 
         if prop in ("gravity", "wind"):
             if self.baseline[i] is None:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from physedit.constitutive import (batch_constitutive, constitutive_stress,
-                                   lame_parameters)
+                                   lame_parameters, svd3)
 from physedit.errors import NumericalError
-from physedit.materials import MaterialClass, MaterialModel
+from physedit.materials import (DEFAULT_MATERIAL_MODEL, MaterialClass,
+                                MaterialModel)
 
 
 def corotated_oracle(f, e, nu):
@@ -18,15 +20,15 @@ def corotated_oracle(f, e, nu):
 
 class TestElastic:
     def test_rest_state_zero_stress(self):
-        p, f_new, _ = constitutive_stress(np.eye(3), 0.0,
-                                          MaterialClass.ELASTIC, 1e5, 0.3)
+        p, f_new = constitutive_stress(np.eye(3),
+                                       MaterialClass.ELASTIC, 1e5, 0.3)
         assert np.allclose(p, 0.0, atol=1e-12)
         assert np.array_equal(f_new, np.eye(3))
 
     def test_uniaxial_closed_form(self):
         # F = diag(1.01, 1, 1), nu = 0: P = diag(2 mu 0.01, 0, 0) = diag(1000,0,0)
         f = np.diag([1.01, 1.0, 1.0])
-        p, _, _ = constitutive_stress(f, 0.0, MaterialClass.ELASTIC, 1e5, 0.0)
+        p, _ = constitutive_stress(f, MaterialClass.ELASTIC, 1e5, 0.0)
         assert p[0, 0] == pytest.approx(1000.0, rel=1e-10)
         assert abs(p[1, 1]) < 1e-9 and abs(p[2, 2]) < 1e-9
 
@@ -37,27 +39,27 @@ class TestElastic:
             if np.linalg.det(f) <= 0:
                 continue
             e, nu = 10 ** rng.uniform(4, 7), rng.uniform(0, 0.45)
-            p, _, _ = constitutive_stress(f, 0.0, MaterialClass.ELASTIC, e, nu)
+            p, _ = constitutive_stress(f, MaterialClass.ELASTIC, e, nu)
             assert np.allclose(p, corotated_oracle(f, e, nu), rtol=1e-9,
                                atol=1e-9 * e)
 
     def test_negative_determinant_rejected(self):
         with pytest.raises(NumericalError):
-            constitutive_stress(np.diag([-1.0, 1.0, 1.0]), 0.0,
+            constitutive_stress(np.diag([-1.0, 1.0, 1.0]),
                                 MaterialClass.ELASTIC, 1e5, 0.3)
 
 
 class TestLiquid:
     def test_unit_volume_no_pressure(self):
-        p, f_new, _ = constitutive_stress(np.eye(3), 0.0,
-                                          MaterialClass.LIQUID, 1e5, 0.3)
+        p, f_new = constitutive_stress(np.eye(3),
+                                       MaterialClass.LIQUID, 1e5, 0.3)
         assert np.allclose(p, 0.0, atol=1e-9)
         assert np.allclose(f_new, np.eye(3), atol=1e-12)
 
     def test_shear_carries_no_stress(self):
         f = np.eye(3)
         f[0, 1] = 0.3  # volume-preserving shear
-        p, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.LIQUID, 1e5, 0.3)
+        p, f_new = constitutive_stress(f, MaterialClass.LIQUID, 1e5, 0.3)
         assert np.allclose(p, 0.0, atol=1e-8)
         # deformation resets to the isotropic volume ratio
         assert np.allclose(f_new, np.eye(3), atol=1e-12)
@@ -65,7 +67,7 @@ class TestLiquid:
     def test_compression_gives_isotropic_kirchhoff(self):
         f = 0.95 * np.eye(3)
         e, nu = 2e5, 0.3
-        p, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.LIQUID, e, nu)
+        p, f_new = constitutive_stress(f, MaterialClass.LIQUID, e, nu)
         tau = p @ f_new.T
         j = np.linalg.det(f)
         _, lam = lame_parameters(e, nu)
@@ -77,8 +79,8 @@ class TestPlasticine:
     def test_below_yield_untouched(self):
         table = MaterialModel(yield_stress=1e9)
         f = np.diag([1.02, 1.0, 0.99])
-        _, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.PLASTICINE,
-                                          1e5, 0.3, table)
+        _, f_new = constitutive_stress(f, MaterialClass.PLASTICINE,
+                                       1e5, 0.3, table)
         assert np.allclose(f_new, f, atol=1e-12)
 
     def test_beyond_yield_projects_to_cylinder(self):
@@ -86,8 +88,8 @@ class TestPlasticine:
         e, nu = 1e6, 0.3
         mu, _ = lame_parameters(e, nu)
         f = np.diag([1.3, 1.0, 0.8])
-        _, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.PLASTICINE,
-                                          e, nu, table)
+        _, f_new = constitutive_stress(f, MaterialClass.PLASTICINE,
+                                       e, nu, table)
         eps = np.log(np.linalg.svd(f_new, compute_uv=False))
         dev = eps - eps.mean()
         assert 2 * mu * np.linalg.norm(dev) == pytest.approx(1e3, rel=1e-6)
@@ -96,13 +98,13 @@ class TestPlasticine:
 class TestSand:
     def test_expansion_projects_to_tip(self):
         f = np.diag([1.1, 1.1, 1.1])  # pure expansion, tr(eps) > 0
-        _, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.SAND, 1e6, 0.3)
+        _, f_new = constitutive_stress(f, MaterialClass.SAND, 1e6, 0.3)
         sig = np.linalg.svd(f_new, compute_uv=False)
         assert np.allclose(sig, 1.0, atol=1e-12)
 
     def test_hydrostatic_compression_elastic(self):
         f = np.diag([0.97, 0.97, 0.97])
-        _, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.SAND, 1e6, 0.3)
+        _, f_new = constitutive_stress(f, MaterialClass.SAND, 1e6, 0.3)
         assert np.allclose(f_new, f, atol=1e-12)
 
     def test_shear_under_compression_stays_in_cone(self):
@@ -110,8 +112,8 @@ class TestSand:
         e, nu = 1e6, 0.3
         mu, lam = lame_parameters(e, nu)
         f = np.diag([1.08, 0.85, 0.95])
-        _, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.SAND,
-                                          e, nu, table)
+        _, f_new = constitutive_stress(f, MaterialClass.SAND,
+                                       e, nu, table)
         eps = np.log(np.linalg.svd(f_new, compute_uv=False))
         sin_phi = np.sin(np.deg2rad(30.0))
         alpha = np.sqrt(2 / 3) * 2 * sin_phi / (3 - sin_phi)
@@ -125,15 +127,15 @@ class TestSnow:
     def test_singular_values_clamped(self):
         table = MaterialModel(snow_theta_c=2.5e-2, snow_theta_s=7.5e-3)
         f = np.diag([1.2, 0.8, 1.0])
-        _, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.SNOW,
-                                          1e5, 0.2, table)
+        _, f_new = constitutive_stress(f, MaterialClass.SNOW,
+                                       1e5, 0.2, table)
         sig = np.sort(np.linalg.svd(f_new, compute_uv=False))
         assert sig[0] == pytest.approx(1 - 2.5e-2, rel=1e-12)
         assert sig[-1] == pytest.approx(1 + 7.5e-3, rel=1e-12)
 
     def test_within_limits_untouched(self):
         f = np.diag([1.002, 0.99, 1.0])
-        _, f_new, _ = constitutive_stress(f, 0.0, MaterialClass.SNOW, 1e5, 0.2)
+        _, f_new = constitutive_stress(f, MaterialClass.SNOW, 1e5, 0.2)
         assert np.allclose(np.linalg.svd(f_new, compute_uv=False),
                            np.sort(np.diag(f))[::-1], atol=1e-12)
 
@@ -142,10 +144,10 @@ class TestRigid:
     def test_uses_clamped_stiffness(self):
         table = MaterialModel(rigid_young_modulus=1e9)
         f = np.diag([1.001, 1.0, 1.0])
-        p_rigid, _, _ = constitutive_stress(f, 0.0, MaterialClass.RIGID,
-                                            123.0, 0.3, table)
-        p_ref, _, _ = constitutive_stress(f, 0.0, MaterialClass.ELASTIC,
-                                          1e9, 0.3, table)
+        p_rigid, _ = constitutive_stress(f, MaterialClass.RIGID,
+                                         123.0, 0.3, table)
+        p_ref, _ = constitutive_stress(f, MaterialClass.ELASTIC,
+                                       1e9, 0.3, table)
         assert np.allclose(p_rigid, p_ref, rtol=1e-12)
 
 
@@ -158,9 +160,97 @@ def test_batch_matches_singles():
     class_id = rng.integers(0, 6, n)
     e = 10 ** rng.uniform(4, 6, n)
     nu = rng.uniform(0.0, 0.4, n)
-    p_batch, f_batch, _ = batch_constitutive(f, class_id, e, nu, np.zeros(n))
+    p_batch, f_batch = batch_constitutive(f, class_id, e, nu)
     for i in range(n):
-        p_i, f_i, _ = constitutive_stress(f[i], 0.0, int(class_id[i]),
-                                          e[i], nu[i])
+        p_i, f_i = constitutive_stress(f[i], int(class_id[i]),
+                                       e[i], nu[i])
         assert np.allclose(p_batch[i], p_i, rtol=1e-12, atol=1e-12)
         assert np.allclose(f_batch[i], f_i, rtol=1e-12, atol=1e-12)
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1.0
+    return q
+
+
+def decomposition_cases():
+    rng = np.random.default_rng(7)
+
+    def rot():
+        return random_rotation(rng)
+
+    random_f = np.eye(3) + 0.3 * rng.standard_normal((200, 3, 3))
+    small = np.diag([1.0, 0.5, 1e-4])
+    return {
+        "identity": np.eye(3)[None],
+        "repeated_sigma": np.array([rot() @ np.diag([2.0, 2.0, 0.5]) @ rot().T
+                                    for _ in range(20)]),
+        "diag": np.diag([1.2, 0.7, 3.0])[None],
+        "rotation_by_pi": np.diag([-1.0, -1.0, 1.0])[None],
+        # one-sided rotations: np.linalg.svd is itself accurate only to about
+        # cond(F) * eps relative when both sides rotate a 1e-4 stretch
+        "sigma_1e-4": np.array([rot() @ small for _ in range(10)]
+                               + [small @ rot().T for _ in range(10)]),
+        "stretch_3x": np.array([rot() @ np.diag([3.0, 1.0, 1.0]) @ rot().T
+                                for _ in range(20)]),
+        "random": random_f[np.linalg.det(random_f) > 0.05],
+    }
+
+
+DECOMPOSITION_CASES = decomposition_cases()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSvd3:
+    @pytest.mark.parametrize("name", sorted(DECOMPOSITION_CASES))
+    def test_decomposition(self, name):
+        f = DECOMPOSITION_CASES[name]
+        u, sig, vt = svd3(f)
+        eye = np.eye(3)
+        assert np.abs((u * sig[:, None, :]) @ vt - f).max() <= 1e-13
+        assert np.abs(u.transpose(0, 2, 1) @ u - eye).max() <= 1e-13
+        assert np.abs(vt @ vt.transpose(0, 2, 1) - eye).max() <= 1e-13
+        assert np.allclose(np.linalg.det(u), 1.0, rtol=0, atol=1e-13)
+        assert np.allclose(np.linalg.det(vt), 1.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sig, np.linalg.svd(f, compute_uv=False),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sig.prod(axis=1), np.linalg.det(f),
+                                   rtol=1e-12, atol=0)
+
+    def test_reflection_keeps_rotations_proper(self):
+        u, sig, vt = svd3(np.diag([-2.0, 1.0, 0.5])[None])
+        assert np.allclose(sig, [[2.0, 1.0, -0.5]], rtol=1e-15)
+        assert np.linalg.det(u[0]) == pytest.approx(1.0)
+        assert np.linalg.det(vt[0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        f = np.eye(3)
+        f[1, 2] = bad
+        with pytest.raises(NumericalError):
+            constitutive_stress(f, MaterialClass.ELASTIC, 1e5, 0.3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("material", list(MaterialClass))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perturbation=st.lists(st.floats(-0.3, 0.3), min_size=9, max_size=9),
+       rotation_seed=st.integers(0, 2**32 - 1),
+       log_e=st.floats(4.0, 7.0), nu=st.floats(0.0, 0.45))
+def test_objectivity(material, perturbation, rotation_seed, log_e, nu):
+    """Rotating F after the deformation rotates the stress with it."""
+    f = np.eye(3) + np.reshape(perturbation, (3, 3))
+    assume(np.linalg.det(f) > 0.2)
+    r = random_rotation(np.random.default_rng(rotation_seed))
+    e = 10.0 ** log_e
+    p, f_new = constitutive_stress(f, material, e, nu)
+    p_rot, f_new_rot = constitutive_stress(r @ f, material, e, nu)
+    scale = 1e-10 * (DEFAULT_MATERIAL_MODEL.rigid_young_modulus
+                     if material == MaterialClass.RIGID else e)
+    tau, tau_rot = p @ f_new.T, p_rot @ f_new_rot.T
+    assert np.allclose(tau_rot, r @ tau @ r.T, rtol=0, atol=scale)
+    if material != MaterialClass.LIQUID:
+        assert np.allclose(p_rot, r @ p, rtol=0, atol=scale)
