@@ -13,8 +13,8 @@ from .losses import (LossWeights, SupervisionTargets, assignment_loss,
                      smoothness_loss, task_loss, total_loss)
 from .fill import FillConfig, fill_field, fill_interior, inherit_properties
 from .constitutive import batch_constitutive, constitutive_stress
-from .engine import (KinematicCollider, ObjectInit, SimConfig, SimulationState,
-                     build_state, simulate, stable_dt, step)
+from .engine import (ObjectInit, SimConfig, SimulationState, build_state,
+                     simulate, stable_dt, step)
 from .schedule import (InstructionSchedule, Intervention, ScheduleRuntime,
                        Selector, Trigger, compile_schedule, ramp_value)
 from .trajectory import (Trajectory, export_trajectory, read_trajectory,

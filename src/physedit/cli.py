@@ -72,15 +72,6 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_png(image, path):
-    try:
-        from PIL import Image
-    except ImportError:
-        raise DomainError("png output needs the optional Pillow package; "
-                          "install it or use --image-format pgm") from None
-    Image.fromarray(image, mode="L").save(path)
-
-
 def cmd_fill(args) -> int:
     cfg = FillConfig(particle_spacing=args.spacing,
                      inside_test=args.inside_test,
@@ -148,10 +139,7 @@ def cmd_simulate(args) -> int:
         for k in range(traj.n_frames):
             frame = rasterize_frame(traj.positions[k].astype(np.float64),
                                     camera, object_id=traj.object_id)
-            if args.image_format == "png":
-                _write_png(frame.image, img_dir / f"frame_{k:04d}.png")
-            else:
-                write_pgm(frame.image, img_dir / f"frame_{k:04d}.pgm")
+            write_pgm(frame.image, img_dir / f"frame_{k:04d}.pgm")
     print(f"simulated {traj.n_frames} frames x {traj.n_particles} particles "
           f"-> {out_dir} (config {manifest['config_hash'][:12]})")
     return 0
@@ -312,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(env: PHYSEDIT_THREADS)")
     p.add_argument("--no-images", action="store_true",
                    help="skip conditioning-frame rasterization")
-    p.add_argument("--image-format", choices=("pgm", "png"), default="pgm",
-                   help="conditioning-frame encoding (png needs Pillow)")
     p.add_argument("--frames", type=int, default=None,
                    help="override the scene's frame count")
     p.add_argument("--fps", type=float, default=None,

@@ -6,8 +6,8 @@ B-spline kernels and APIC affine velocities:
 
   _p2g          scatter mass and momentum (body forces folded in) plus the
                 fused MLS stress contribution to the background grid
-  _grid_update  momentum -> velocity, damping, boundary conditions,
-                colliders
+  _grid_update  momentum -> velocity, damping, ground and wall boundary
+                conditions on slabs of whole node layers
   _g2p          gather velocity and the affine matrix, update F and
                 positions
 
@@ -104,19 +104,6 @@ class ObjectInit:
     rotate: Optional[np.ndarray] = None  # 3x3, applied before translation
 
 
-@dataclass(frozen=True)
-class KinematicCollider:
-    """Immovable prop coupled through grid velocities.
-
-    kind "halfspace": params = (nx, ny, nz, offset), inside when
-    n . x <= offset.  kind "sphere": params = (cx, cy, cz, radius).
-    """
-
-    kind: str
-    params: tuple
-    bc: str = "sticky"
-
-
 @dataclass
 class SimulationState:
     # per particle
@@ -148,7 +135,6 @@ class SimulationState:
     damping: float = 0.0
     t: float = 0.0
     table: MaterialModel = DEFAULT_MATERIAL_MODEL
-    colliders: tuple = ()
 
     @property
     def n_particles(self) -> int:
@@ -173,7 +159,7 @@ class SimulationState:
 
 
 def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
-                wind=(0.0, 0.0, 0.0), colliders=(),
+                wind=(0.0, 0.0, 0.0),
                 table: MaterialModel = DEFAULT_MATERIAL_MODEL) -> SimulationState:
     """Assemble particles from filled fields and size the background grid.
 
@@ -253,7 +239,6 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
         ground_height=cfg.ground_height,
         ground_bc=cfg.ground_bc, wall_bc=_normalize_wall_bc(cfg.wall_bc),
         damping=cfg.damping, table=table,
-        colliders=tuple(colliders),
     )
     _check_inside(state, build=True)
     return state
@@ -288,17 +273,20 @@ def _bspline_weights(fx):
     return np.stack([w0, w1, w2], axis=1)  # (3 axes, 3 offsets, N)
 
 
-def _apply_bc_component(vel, mask, axis, sign, mode):
-    """Wall with inward normal sign*e_axis; mode per _BC_MODES."""
-    if not np.any(mask):
-        return
+def _apply_bc_slab(vel, axis, sign, layers, mode):
+    """Wall with inward normal sign*e_axis; mode per _BC_MODES.
+
+    vel is the (3, *sub) grid velocity and layers the boolean selection of
+    node layers along axis that the wall constrains.
+    """
+    slab = (slice(None),) * axis + (layers,)
     if mode == "sticky":
-        vel[mask] = 0.0
+        vel[(slice(None),) + slab] = 0.0
     elif mode == "slip":
-        vel[mask, axis] = 0.0
+        vel[axis][slab] = 0.0
     else:  # separate: remove only the into-the-wall component
-        comp = vel[mask, axis]
-        vel[mask, axis] = np.maximum(comp, 0.0) if sign > 0 else np.minimum(comp, 0.0)
+        comp = vel[axis][slab]
+        vel[axis][slab] = np.maximum(comp, 0.0) if sign > 0 else np.minimum(comp, 0.0)
 
 
 @dataclass(frozen=True)
@@ -372,25 +360,24 @@ def _p2g(state: SimulationState, dt: float, kirchhoff):
 
 def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
                  grid_mass, grid_mom):
-    """Momentum -> velocity, then damping, ground, walls and colliders."""
+    """Momentum -> velocity, then damping, the ground and the domain walls.
+
+    Every boundary constrains whole node layers along one axis, chosen by
+    comparing that axis's node coordinates with the boundary's threshold.
+    Returns grid_v in the (3, n_sub) layout of grid_mom.
+    """
     h = state.h
-    lo, sub = stencil.lo, stencil.sub
-    n_sub = grid_mass.shape[0]
-    grid_v = np.zeros((n_sub, 3))
-    active = grid_mass > 0
-    grid_v[active] = grid_mom[:, active].T / grid_mass[active, None]
+    grid_v = np.divide(grid_mom, grid_mass, out=np.zeros_like(grid_mom),
+                       where=grid_mass > 0)
     if state.damping > 0:
         grid_v *= max(0.0, 1.0 - state.damping * dt)
-
-    node_coord = np.stack(np.meshgrid(
-        state.origin[0] + h * np.arange(lo[0], lo[0] + sub[0]),
-        state.origin[1] + h * np.arange(lo[1], lo[1] + sub[1]),
-        state.origin[2] + h * np.arange(lo[2], lo[2] + sub[2]),
-        indexing="ij"), axis=-1).reshape(n_sub, 3)
+    vel = grid_v.reshape(3, *stencil.sub)
+    coord = [state.origin[a] + h * np.arange(lo, lo + n)
+             for a, (lo, n) in enumerate(zip(stencil.lo, stencil.sub))]
 
     # ground plane (inward normal +y); the y_min wall is the ground side
-    _apply_bc_component(grid_v, node_coord[:, 1] <= state.ground_height + 1e-12,
-                        axis=1, sign=+1, mode=state.ground_bc)
+    _apply_bc_slab(vel, 1, +1, coord[1] <= state.ground_height + 1e-12,
+                   state.ground_bc)
     # domain walls within the margin band
     top = state.origin + (state.dims - 1) * h
     band = GRID_MARGIN * h + 1e-12
@@ -399,42 +386,10 @@ def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
                                    (1, None, "y_max"),
                                    (2, "z_min", "z_max")):
         if lo_name is not None:
-            _apply_bc_component(grid_v,
-                                node_coord[:, axis] <= state.origin[axis] + band,
-                                axis=axis, sign=+1, mode=walls[lo_name])
-        _apply_bc_component(grid_v,
-                            node_coord[:, axis] >= top[axis] - band,
-                            axis=axis, sign=-1, mode=walls[hi_name])
-
-    for col in state.colliders:
-        if col.kind == "halfspace":
-            nvec = np.asarray(col.params[:3], dtype=np.float64)
-            nvec = nvec / np.linalg.norm(nvec)
-            mask = node_coord @ nvec <= col.params[3]
-            if col.bc == "sticky":
-                grid_v[mask] = 0.0
-            else:
-                vn = grid_v[mask] @ nvec
-                if col.bc == "slip":
-                    grid_v[mask] -= vn[:, None] * nvec
-                else:
-                    grid_v[mask] -= np.minimum(vn, 0.0)[:, None] * nvec
-        elif col.kind == "sphere":
-            center = np.asarray(col.params[:3], dtype=np.float64)
-            d = node_coord - center
-            dist = np.linalg.norm(d, axis=1)
-            mask = dist <= col.params[3]
-            if col.bc == "sticky":
-                grid_v[mask] = 0.0
-            else:
-                nvec = d[mask] / np.maximum(dist[mask], 1e-12)[:, None]
-                vn = np.sum(grid_v[mask] * nvec, axis=1)
-                if col.bc == "slip":
-                    grid_v[mask] -= vn[:, None] * nvec
-                else:
-                    grid_v[mask] -= np.minimum(vn, 0.0)[:, None] * nvec
-        else:
-            raise DomainError(f"unknown collider kind {col.kind!r}")
+            _apply_bc_slab(vel, axis, +1, coord[axis] <= state.origin[axis] + band,
+                           walls[lo_name])
+        _apply_bc_slab(vel, axis, -1, coord[axis] >= top[axis] - band,
+                       walls[hi_name])
     return grid_v
 
 
@@ -445,7 +400,6 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v):
     affine velocity is C = 4 B / h^2.
     """
     n = state.n_particles
-    grid_v = np.ascontiguousarray(grid_v.T)
     v = np.zeros((3, n))
     v_o = np.zeros((3, 3, n))  # v_o[b] = sum_o w v o_b
     for offset, idx, w in stencil.nodes():

@@ -324,8 +324,3 @@ def validate_field(f: MaterialField) -> ValidationReport:
               (f.class_id < 0) | (f.class_id >= MATERIAL_CLASS_COUNT),
               f"class index outside [0, {MATERIAL_CLASS_COUNT})")
     return ValidationReport(violations=tuple(violations))
-
-
-def field_wave_speeds(f: MaterialField):
-    """(c_p, c_s) arrays for every point of the field."""
-    return wave_speeds(f.young_modulus, f.poisson_ratio, f.density)

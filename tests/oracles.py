@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here is written as plain scalar loops (or per-pixel loops) so
-the library's vectorized kernels are checked against code that shares no
-implementation path with them.
+Everything here is written as plain scalar loops (or per-pixel loops, or
+per-node masks over a whole grid box) so the library's vectorized kernels
+are checked against code that shares no implementation path with them.
 """
 
 import math
@@ -132,3 +132,48 @@ def pixel_oracle(positions, cam):
                     depth[py, px] = z
                     index[py, px] = i
     return depth, index
+
+
+def grid_update_oracle(state, dt, lo, sub, grid_mass, grid_mom, margin):
+    """Grid velocity with damping, ground and walls by full-box node masks.
+
+    Every node of the active box (first node lo, node counts sub) gets its
+    world coordinate, and each boundary selects its nodes by comparing
+    those coordinates with its threshold, in the order ground, x_min,
+    x_max, y_max, z_min, z_max; walls reach margin cells in from the grid
+    faces.  Returns grid_v as (n_sub, 3).
+    """
+    h = state.h
+    n_sub = grid_mass.shape[0]
+    grid_v = np.zeros((n_sub, 3))
+    active = grid_mass > 0
+    grid_v[active] = grid_mom[:, active].T / grid_mass[active, None]
+    if state.damping > 0:
+        grid_v *= max(0.0, 1.0 - state.damping * dt)
+
+    node_coord = np.stack(np.meshgrid(
+        *[state.origin[a] + h * np.arange(lo[a], lo[a] + sub[a]) for a in range(3)],
+        indexing="ij"), axis=-1).reshape(n_sub, 3)
+
+    def constrain(mask, axis, sign, mode):
+        if mode == "sticky":
+            grid_v[mask] = 0.0
+        elif mode == "slip":
+            grid_v[mask, axis] = 0.0
+        else:
+            comp = grid_v[mask, axis]
+            grid_v[mask, axis] = (np.maximum(comp, 0.0) if sign > 0
+                                  else np.minimum(comp, 0.0))
+
+    constrain(node_coord[:, 1] <= state.ground_height + 1e-12, 1, +1,
+              state.ground_bc)
+    top = state.origin + (state.dims - 1) * h
+    band = margin * h + 1e-12
+    for axis, lo_name, hi_name in ((0, "x_min", "x_max"), (1, None, "y_max"),
+                                   (2, "z_min", "z_max")):
+        if lo_name is not None:
+            constrain(node_coord[:, axis] <= state.origin[axis] + band, axis, +1,
+                      state.wall_bc[lo_name])
+        constrain(node_coord[:, axis] >= top[axis] - band, axis, -1,
+                  state.wall_bc[hi_name])
+    return grid_v

@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from physedit.engine import (GRID_MARGIN, ObjectInit, SimConfig, build_state,
+from oracles import grid_update_oracle
+from physedit.engine import (_BC_MODES, _WALL_NAMES, GRID_MARGIN, ObjectInit,
+                             SimConfig, _grid_update, _Stencil, build_state,
                              object_events, simulate, stable_dt, step)
 from physedit.errors import DomainError, EmptyScene, GridOverflow
 from physedit.fill import FillConfig, fill_field
@@ -66,6 +71,23 @@ class TestBuildState:
         bad = f.with_(poisson_ratio=np.array([0.7]))
         with pytest.raises(DomainError):
             build_state([ObjectInit(field=bad, h_fill=0.05)], free_cfg())
+
+
+class TestConfig:
+    @pytest.mark.parametrize("wall_bc", ["bouncy", {"floor": "slip"},
+                                         {"y_min": "slip"}, {"x_min": "bouncy"}])
+    def test_invalid_wall_bc_rejected(self, wall_bc):
+        # y_min is the ground side, set by ground_bc, not a wall
+        with pytest.raises(DomainError):
+            free_cfg(wall_bc=wall_bc).validate()
+
+    def test_partial_wall_mapping_defaults_to_separate(self):
+        st = build_state([ObjectInit(field=particle_field([[0, 0, 0]]),
+                                     h_fill=0.05)],
+                         free_cfg(wall_bc={"x_min": "sticky"}))
+        assert st.wall_bc == {"x_min": "sticky", "x_max": "separate",
+                              "y_max": "separate", "z_min": "separate",
+                              "z_max": "separate"}
 
 
 class TestStableDt:
@@ -171,6 +193,92 @@ class TestStep:
             step(st, 1e-3)
         assert st.v[0, 1] < -0.04
         assert st.v[1, 1] == 0.0
+
+
+def grid_box(h, origin, dims, lo, sub, ground_height, ground_bc, wall_bc,
+             damping=0.0):
+    """The state fields and the stencil box that _grid_update reads."""
+    state = SimpleNamespace(h=h, origin=np.asarray(origin, dtype=float),
+                            dims=np.asarray(dims), ground_height=ground_height,
+                            ground_bc=ground_bc, wall_bc=wall_bc, damping=damping)
+    return state, _Stencil(None, None, None, np.asarray(lo), np.asarray(sub))
+
+
+@hst.composite
+def grid_cases(draw):
+    h = draw(hst.sampled_from([0.01, 0.025, 0.03, 0.1 / 3, 0.1]))
+    origin = [draw(hst.floats(-1.0, 1.0)) for _ in range(3)]
+    dims = [draw(hst.integers(7, 14)) for _ in range(3)]
+    sub = [draw(hst.integers(1, d)) for d in dims]
+    lo = [draw(hst.integers(0, d - s)) for d, s in zip(dims, sub)]
+    # ground on a node layer, just off it, at the 1e-12 tolerance, or between
+    ground = origin[1] + h * draw(hst.integers(-2, dims[1] + 1)) + draw(
+        hst.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 0.5 * h]))
+    damping = draw(hst.sampled_from([0.0, 3.0, 400.0]))
+    walls = {name: draw(hst.sampled_from(_BC_MODES)) for name in _WALL_NAMES}
+    state, stencil = grid_box(h, origin, dims, lo, sub, ground,
+                              draw(hst.sampled_from(_BC_MODES)), walls, damping)
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    n_sub = int(np.prod(sub))
+    mass = np.where(rng.random(n_sub) < 0.3, 0.0, rng.random(n_sub))
+    mom = rng.normal(size=(3, n_sub)) * (mass > 0)
+    return state, stencil, draw(hst.sampled_from([1e-4, 4e-3])), mass, mom
+
+
+class TestGridUpdate:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=grid_cases())
+    def test_matches_node_mask_oracle_bitwise(self, case):
+        state, stencil, dt, mass, mom = case
+        grid_v = _grid_update(state, dt, stencil, mass, mom)
+        ref = grid_update_oracle(state, dt, stencil.lo, stencil.sub, mass, mom,
+                                 GRID_MARGIN)
+        assert grid_v.shape == mom.shape and grid_v.flags.c_contiguous
+        assert grid_v.tobytes() == np.ascontiguousarray(ref.T).tobytes()
+
+    @pytest.mark.parametrize("mode", _BC_MODES)
+    @pytest.mark.parametrize("boundary, node, axis, sign", [
+        ("ground", (5, 5, 5), 1, +1),
+        ("x_min", (1, 5, 5), 0, +1), ("x_max", (10, 5, 5), 0, -1),
+        ("y_max", (5, 10, 5), 1, -1),
+        ("z_min", (5, 5, 1), 2, +1), ("z_max", (5, 5, 10), 2, -1),
+    ])
+    def test_boundary_modes(self, boundary, node, axis, sign, mode):
+        # 12^3 nodes, h = 0.1: margin bands hold layers 0-3 and 8-11, so
+        # layers 4-7 are free; the ground, when tested, holds layers 0-5
+        walls = {name: mode if name == boundary else "separate"
+                 for name in _WALL_NAMES}
+        state, stencil = grid_box(0.1, (0, 0, 0), (12, 12, 12), (0, 0, 0),
+                                  (12, 12, 12),
+                                  0.5 if boundary == "ground" else -1.0,
+                                  mode if boundary == "ground" else "sticky",
+                                  walls)
+        away = list(node)
+        away[(axis + 1) % 3] += 1  # a tangential neighbour in the same slab
+        away, free = tuple(away), (6, 6, 6)
+        mass = np.zeros((12, 12, 12))
+        mom = np.zeros((3, 12, 12, 12))
+        v_in, v_away, v_free = (np.full(3, 0.5) for _ in range(3))
+        v_in[axis], v_away[axis], v_free[axis] = -sign, sign, -sign
+        for n, v in ((node, v_in), (away, v_away), (free, v_free)):
+            mass[n] = 1.0
+            mom[(slice(None),) + n] = v
+        grid_v = _grid_update(state, 1e-3, stencil, mass.ravel(),
+                              mom.reshape(3, -1)).reshape(3, 12, 12, 12)
+
+        def normal_zeroed(v):
+            out = v.copy()
+            out[axis] = 0.0
+            return out
+
+        expect_in, expect_away = {
+            "sticky": (np.zeros(3), np.zeros(3)),
+            "slip": (normal_zeroed(v_in), normal_zeroed(v_away)),
+            "separate": (normal_zeroed(v_in), v_away),
+        }[mode]
+        assert np.array_equal(grid_v[(slice(None),) + node], expect_in)
+        assert np.array_equal(grid_v[(slice(None),) + away], expect_away)
+        assert np.array_equal(grid_v[(slice(None),) + free], v_free)
 
 
 class TestSimulate:
