@@ -107,7 +107,7 @@ def _scene_hashes(scene_json_path, extras, cfg, seed):
 
 
 def cmd_simulate(args) -> int:
-    _resolve_threads(args.threads)  # validated; kernels are deterministic
+    _resolve_threads(args.threads)  # validated only; kernels are single-threaded
     out_dir = Path(args.out)
     if args.bundled:
         scene_path = build_scene(args.bundled, out_dir / "scene_src")
@@ -296,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="overrides scene seed (env: PHYSEDIT_SEED)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker-thread cap; never changes results "
-                        "(env: PHYSEDIT_THREADS)")
+                   help="validated (must be >= 1) but has no effect: the "
+                        "kernels are single-threaded (env: PHYSEDIT_THREADS)")
     p.add_argument("--no-images", action="store_true",
                    help="skip conditioning-frame rasterization")
     p.add_argument("--frames", type=int, default=None,

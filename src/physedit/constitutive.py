@@ -9,8 +9,9 @@ P = U diag(p) V^T for a vector p of principal stresses:
 
   Elastic     fixed corotated  P = 2 mu (F - R) + lambda (J - 1) J F^-T,
               p = 2 mu (sigma - 1) + lambda (J - 1) J / sigma
-  Rigid       fixed corotated with E replaced by the rigid stiffness,
-              no plasticity
+  Rigid       fixed corotated with the particle's own E; the solver
+              keeps a rigid particle's F = I (each rigid group moves as
+              one rigid body), where the stress is exactly 0
   Liquid      mu = 0; F reset to the isotropic J^(1/3) I so only volume
               change carries stress, P = lambda (J - 1) J^(2/3) I
   Plasticine  corotated elasticity, von Mises return mapping on the
@@ -168,9 +169,7 @@ def batch_constitutive(f, class_id, e, nu,
     if not np.isfinite(f).all():
         raise NumericalError("non-finite deformation gradient")
     class_id = np.asarray(class_id)
-    e_eff = np.where(class_id == MaterialClass.RIGID,
-                     table.rigid_young_modulus, e)
-    mu, lam = lame_parameters(e_eff, nu)
+    mu, lam = lame_parameters(e, nu)
     mu = np.where(class_id == MaterialClass.LIQUID, 0.0, mu)
 
     u, sig, vt = svd3(f)

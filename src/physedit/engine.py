@@ -1,15 +1,18 @@
 """MLS-MPM solver over the six constitutive classes.
 
 One substep (``step``) evaluates the stress laws once per particle and
-then composes three named phases, the classic transfer with quadratic
+then composes four named phases, the classic transfer with quadratic
 B-spline kernels and APIC affine velocities:
 
   _p2g          scatter mass and momentum (body forces folded in) plus the
                 fused MLS stress contribution to the background grid
   _grid_update  momentum -> velocity, damping, ground and wall boundary
                 conditions on slabs of whole node layers
+  _couple_rigid give the support nodes of each rigid group one rigid
+                motion, fitted to their momentum under the ground and
+                wall constraints
   _g2p          gather velocity and the affine matrix, update F and
-                positions
+                positions; rigid groups move by their fitted motion
 
 Both transfers walk the 27 stencil offsets o in {0,1,2}^3 one at a time
 and never hold the vectors of all 27 offsets at once: the node offset is
@@ -20,6 +23,17 @@ Grid reductions run as per-node sums over that fixed offset order
 regardless of worker thread count.  Body forces (gravity, wind) enter
 through the particle momentum with per-particle scale factors so
 schedules can manipulate single objects.
+
+A rigid group is the RIGID-class particles that share an object id and
+a part label; it carries no stress, and its F stays I.  Its motion
+V + omega x (x - c) is the mass-weighted least-squares fit to the grid
+velocities of its support nodes (every node in a member's stencil),
+which keeps their linear momentum and their angular momentum about
+their centroid c.  Other objects that share those nodes move with the
+group there, which is how the two exchange momentum (a simplified form
+of the two-way rigid coupling of Hu et al. 2018).  The group's
+particles take that motion exactly, and their positions advance by the
+rotation exp(dt [omega]x) about c, so the shape holds to round-off.
 """
 
 from __future__ import annotations
@@ -38,6 +52,9 @@ from .materials import (DEFAULT_MATERIAL_MODEL, MaterialClass, MaterialField,
 _BC_MODES = ("sticky", "slip", "separate")
 _WALL_NAMES = ("x_min", "x_max", "y_max", "z_min", "z_max")  # y_min is the ground
 GRID_MARGIN = 3  # cells kept clear between particles and the grid faces
+# singular values of a rigid group's contact rows below this fraction of the
+# largest count as 0, so repeated or dependent contacts leave no spurious dof
+_RANK_RTOL = 1e-12
 
 
 def _normalize_wall_bc(wall_bc):
@@ -153,9 +170,7 @@ class SimulationState:
         return (self.mass[:, None] * self.v).sum(axis=0)
 
     def live_wave_speeds(self):
-        e_eff = np.where(self.class_id == MaterialClass.RIGID,
-                         self.table.rigid_young_modulus, self.young_modulus)
-        return wave_speeds(e_eff, self.poisson_ratio, self.density)
+        return wave_speeds(self.young_modulus, self.poisson_ratio, self.density)
 
 
 def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
@@ -259,10 +274,28 @@ def _check_inside(state: SimulationState, build=False):
 
 
 def stable_dt(state: SimulationState, cfg: SimConfig) -> float:
-    """CFL bound: dt = cfl * h / (max c_p + max |v|), from live parameters."""
+    """CFL bound from live parameters.
+
+    dt = cfl h / (max c_p + max |v|), with c_p over the non-RIGID
+    particles only (rigid ones carry no stress), and at most
+    sqrt(cfl h / g_max), the time a particle starting at rest takes to
+    fall cfl h / 2 under g_max = |gravity| max |gravity_scale| + |wind|
+    max |wind_scale|, which bounds every particle's body force; so a scene
+    where nothing deformable moves still gets a finite step.  Returns
+    inf when neither bound applies (no deformable particle, nothing
+    moving and no body force); simulate then steps to the next frame.
+    """
     c_p, _ = state.live_wave_speeds()
+    c_max = float(c_p[state.class_id != MaterialClass.RIGID].max(initial=0.0))
     v_max = float(np.sqrt((state.v ** 2).sum(axis=1).max(initial=0.0)))
-    return cfg.cfl_number * state.h / (float(c_p.max()) + v_max)
+    reach = cfg.cfl_number * state.h
+    speed = c_max + v_max
+    dt = reach / speed if speed > 0 else np.inf
+    g_max = (np.linalg.norm(state.gravity) * np.abs(state.gravity_scale).max()
+             + np.linalg.norm(state.wind) * np.abs(state.wind_scale).max())
+    if g_max > 0:
+        dt = min(dt, float(np.sqrt(reach / g_max)))
+    return dt
 
 
 def _bspline_weights(fx):
@@ -315,6 +348,14 @@ class _Stencil:
                 for k in range(3):
                     yield (i, j, k), idx_ij + k, w_ij * wz[k]
 
+    def support(self, group):
+        """Sorted flat indices of the nodes in the stencils of ``group``."""
+        rx, ry, rz = self.rel[:, group]
+        _, s1, s2 = self.sub
+        return np.unique([((rx + i) * s1 + (ry + j)) * s2 + rz + k
+                          for i in range(3) for j in range(3)
+                          for k in range(3)])
+
 
 def _p2g(state: SimulationState, dt: float, kirchhoff):
     """Scatter mass and momentum, with the fused MLS stress term, to the grid.
@@ -358,26 +399,18 @@ def _p2g(state: SimulationState, dt: float, kirchhoff):
     return stencil, grid_mass, grid_mom
 
 
-def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
-                 grid_mass, grid_mom):
-    """Momentum -> velocity, then damping, the ground and the domain walls.
+def _boundaries(state: SimulationState, stencil: _Stencil):
+    """Yield (axis, inward sign, layers, mode) for the ground and the walls.
 
-    Every boundary constrains whole node layers along one axis, chosen by
-    comparing that axis's node coordinates with the boundary's threshold.
-    Returns grid_v in the (3, n_sub) layout of grid_mom.
+    layers is the boolean selection of the box's node layers along axis
+    that the boundary constrains, found by comparing that axis's node
+    coordinates with the boundary's threshold.
     """
     h = state.h
-    grid_v = np.divide(grid_mom, grid_mass, out=np.zeros_like(grid_mom),
-                       where=grid_mass > 0)
-    if state.damping > 0:
-        grid_v *= max(0.0, 1.0 - state.damping * dt)
-    vel = grid_v.reshape(3, *stencil.sub)
     coord = [state.origin[a] + h * np.arange(lo, lo + n)
              for a, (lo, n) in enumerate(zip(stencil.lo, stencil.sub))]
-
     # ground plane (inward normal +y); the y_min wall is the ground side
-    _apply_bc_slab(vel, 1, +1, coord[1] <= state.ground_height + 1e-12,
-                   state.ground_bc)
+    yield 1, +1, coord[1] <= state.ground_height + 1e-12, state.ground_bc
     # domain walls within the margin band
     top = state.origin + (state.dims - 1) * h
     band = GRID_MARGIN * h + 1e-12
@@ -386,18 +419,170 @@ def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
                                    (1, None, "y_max"),
                                    (2, "z_min", "z_max")):
         if lo_name is not None:
-            _apply_bc_slab(vel, axis, +1, coord[axis] <= state.origin[axis] + band,
-                           walls[lo_name])
-        _apply_bc_slab(vel, axis, -1, coord[axis] >= top[axis] - band,
-                       walls[hi_name])
+            yield (axis, +1, coord[axis] <= state.origin[axis] + band,
+                   walls[lo_name])
+        yield axis, -1, coord[axis] >= top[axis] - band, walls[hi_name]
+
+
+def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
+                 grid_mass, grid_mom):
+    """Momentum -> velocity, then damping, the ground and the domain walls.
+
+    Every boundary constrains whole node layers along one axis
+    (``_boundaries``).  Returns grid_v in the (3, n_sub) layout of
+    grid_mom.
+    """
+    grid_v = np.divide(grid_mom, grid_mass, out=np.zeros_like(grid_mom),
+                       where=grid_mass > 0)
+    if state.damping > 0:
+        grid_v *= max(0.0, 1.0 - state.damping * dt)
+    vel = grid_v.reshape(3, *stencil.sub)
+    for axis, sign, layers, mode in _boundaries(state, stencil):
+        _apply_bc_slab(vel, axis, sign, layers, mode)
     return grid_v
 
 
-def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v):
+def _rigid_groups(state: SimulationState):
+    """Particle indices of each rigid group, in (object id, part) order."""
+    rigid = np.flatnonzero(state.class_id == MaterialClass.RIGID)
+    if rigid.size == 0:
+        return []
+    keys = np.stack([state.object_id[rigid], state.part[rigid]], axis=1)
+    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    order = np.argsort(inverse, kind="stable")
+    return np.split(rigid[order], np.cumsum(np.bincount(inverse))[:-1])
+
+
+def _rigid_fit(mass, r, v, rows):
+    """Mass-weighted least-squares rigid velocity u = (V, omega) of points.
+
+    Minimizes sum m |V + omega x r - v|^2 over offsets r from the points'
+    centroid, subject to rows @ u = 0 for constraint rows (k, 6).  About
+    the centroid the normal matrix is diag(M I, inertia), so without
+    constraints V = sum m v / M and omega = inertia^-1 sum m r x v.  The
+    points here are a support, which always holds a 2x2x2 block of nodes
+    with mass, so the inertia is invertible.  Constraints restrict u to
+    the null space of rows.
+    """
+    inertia = ((mass * (r * r).sum(axis=1)).sum() * np.eye(3)
+               - (mass[:, None] * r).T @ r)
+    normal = np.zeros((6, 6))
+    normal[:3, :3] = mass.sum() * np.eye(3)
+    normal[3:, 3:] = inertia
+    rhs = np.concatenate([mass @ v, mass @ np.cross(r, v)])
+    basis = np.eye(6)
+    if len(rows):
+        _, s, vt = np.linalg.svd(rows)
+        basis = vt[np.count_nonzero(s > _RANK_RTOL * s[0]):].T
+    return basis @ np.linalg.solve(basis.T @ normal @ basis, basis.T @ rhs)
+
+
+def _contact_rows(r, rel, boundaries):
+    """Constraint rows of the particles whose stencil meets a constrained layer.
+
+    A row (e_a, r x e_a) . (V, omega) is the velocity component a of the
+    rigid motion at offset r.  Sticky fixes all three components, slip the
+    normal one; separate gives one-sided rows, with the boundary's inward
+    sign, that bind only where the motion goes into the wall.  rel holds
+    the particles' (3, n) base nodes in the box.  Returns (rows, one-sided
+    rows, their signs).
+    """
+    rows, one_sided, signs = [np.zeros((0, 6))], [np.zeros((0, 6))], [[]]
+    for axis, sign, layers, mode in boundaries:
+        base = rel[axis]
+        touch = layers[base] | layers[base + 1] | layers[base + 2]
+        if not touch.any():
+            continue
+        for a in (0, 1, 2) if mode == "sticky" else (axis,):
+            e = np.eye(3)[a]
+            block = np.hstack([np.broadcast_to(e, (touch.sum(), 3)),
+                               np.cross(r[touch], e)])
+            if mode == "separate":
+                one_sided.append(block)
+                signs.append(np.full(len(block), float(sign)))
+            else:
+                rows.append(block)
+    return np.vstack(rows), np.vstack(one_sided), np.concatenate(signs)
+
+
+def _skew(w):
+    """[w]x, the matrix of the cross product w x ."""
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+def _couple_rigid(state: SimulationState, stencil: _Stencil, grid_mass,
+                  grid_v, groups):
+    """Give the support nodes of each rigid group one rigid motion.
+
+    The support is every node in the stencil of one of the group's
+    particles.  The fit weighs each node by its whole mass, so the group
+    exchanges momentum with any object that shares those nodes, and that
+    object moves with the group there instead of through it.  A member
+    whose stencil meets a node layer that the ground or a wall constrains
+    turns that boundary's mode into a constraint on the fit at the
+    member (``_contact_rows``); one-sided rows join while any of them
+    moves into its wall (an active set that only grows, so it ends
+    within one pass per row).  Groups are fitted in turn, so a node two
+    supports share ends with the later group's motion.  Returns
+    (centroid, (V, omega)) for each group.
+    """
+    if not groups:
+        return []
+    boundaries = list(_boundaries(state, stencil))
+    motions = []
+    for group in groups:
+        nodes = stencil.support(group)
+        layer = np.array(np.unravel_index(nodes, stencil.sub))
+        x = (state.origin[:, None]
+             + state.h * (stencil.lo[:, None] + layer)).T
+        mass = grid_mass[nodes]
+        centroid = mass @ x / mass.sum()
+        r = x - centroid
+        v = grid_v[:, nodes].T
+        rows, one_sided, signs = _contact_rows(state.x[group] - centroid,
+                                               stencil.rel[:, group],
+                                               boundaries)
+        u = _rigid_fit(mass, r, v, rows)
+        active = np.zeros(len(signs), dtype=bool)
+        while True:
+            into = ~active & (signs * (one_sided @ u) < 0)
+            if not into.any():
+                break
+            active |= into
+            u = _rigid_fit(mass, r, v, np.vstack([rows, one_sided[active]]))
+        grid_v[:, nodes] = (u[:3] + r @ _skew(u[3:]).T).T
+        motions.append((centroid, u))
+    return motions
+
+
+def _move_rigid(state: SimulationState, dt: float, group, centroid, u):
+    """Set a rigid group to the motion u = (V, omega) about centroid.
+
+    Its velocities become V + omega x (x - centroid), its APIC matrix
+    [omega]x and its F the identity (what the gather of a rigid grid
+    motion gives, up to round-off), and its positions move by dt V plus
+    the rotation exp(dt [omega]x) about the centroid (Rodrigues), so its
+    pairwise distances hold to round-off.  Returns the new positions.
+    """
+    r = state.x[group] - centroid
+    w = _skew(u[3:])
+    state.v[group] = u[:3] + r @ w.T
+    state.c_apic[group] = w
+    state.f[group] = np.eye(3)
+    theta = dt * float(np.linalg.norm(u[3:]))
+    # exp(dt W) = I + sin(t)/t dt W + (1 - cos t)/t^2 dt^2 W^2, t = dt |omega|
+    rot = (np.eye(3) + dt * np.sinc(theta / np.pi) * w
+           + 0.5 * (dt * np.sinc(theta / (2.0 * np.pi))) ** 2 * (w @ w))
+    return centroid + dt * u[:3] + r @ rot.T
+
+
+def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
     """Gather velocity and the APIC matrix, then update F and positions.
 
     B = sum_o w v (x) dpos = h (sum_o w v (x) o - v (x) fx), and the
-    affine velocity is C = 4 B / h^2.
+    affine velocity is C = 4 B / h^2.  rigid pairs each rigid group with
+    its motion from ``_couple_rigid``, which ``_move_rigid`` applies.
     """
     n = state.n_particles
     v = np.zeros((3, n))
@@ -413,7 +598,10 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v):
     state.c_apic = (4.0 / state.h) * (v_o - v[None, :, :] * stencil.fx[:, None, :]
                                       ).transpose(2, 1, 0)
     state.f = (np.eye(3)[None] + dt * state.c_apic) @ state.f
-    state.x = state.x + dt * state.v
+    x = state.x + dt * state.v
+    for group, (centroid, u) in rigid:
+        x[group] = _move_rigid(state, dt, group, centroid, u)
+    state.x = x
     state.t += dt
 
 
@@ -425,7 +613,9 @@ def step(state: SimulationState, dt: float):
     kirchhoff = piola @ state.f.transpose(0, 2, 1)
     stencil, grid_mass, grid_mom = _p2g(state, dt, kirchhoff)
     grid_v = _grid_update(state, dt, stencil, grid_mass, grid_mom)
-    _g2p(state, dt, stencil, grid_v)
+    groups = _rigid_groups(state)
+    motions = _couple_rigid(state, stencil, grid_mass, grid_v, groups)
+    _g2p(state, dt, stencil, grid_v, zip(groups, motions))
 
     if not (np.isfinite(state.v).all() and np.isfinite(state.x).all()
             and np.isfinite(state.f).all()):

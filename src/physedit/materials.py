@@ -47,18 +47,16 @@ class MaterialModel:
     friction_angle_deg   Drucker-Prager friction angle [deg], sand
     snow_theta_c         critical compression, snow singular-value clamp
     snow_theta_s         critical stretch, snow singular-value clamp
-    rigid_young_modulus  E used for the stiff-elastic rigid approximation [Pa]
     """
 
     yield_stress: float = 1e4
     friction_angle_deg: float = 30.0
     snow_theta_c: float = 2.5e-2
     snow_theta_s: float = 7.5e-3
-    rigid_young_modulus: float = 1e9
 
     def validate(self):
         for name in ("yield_stress", "friction_angle_deg", "snow_theta_c",
-                     "snow_theta_s", "rigid_young_modulus"):
+                     "snow_theta_s"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"MaterialModel.{name} must be positive")
 

@@ -501,6 +501,8 @@ class ScheduleRuntime:
         if prop == "material_model":
             idx = self._resolve_indices(state, i, iv.target)
             state.class_id[idx] = int(iv.value)
+            if int(iv.value) == MaterialClass.RIGID:
+                state.f[idx] = np.eye(3)  # rigid from the shape it has now
             self.done[i] = True
             return self._record(iv, t, dt, value=MaterialClass(int(iv.value)).name)
 

@@ -177,3 +177,35 @@ def grid_update_oracle(state, dt, lo, sub, grid_mass, grid_mom, margin):
         constrain(node_coord[:, axis] >= top[axis] - band, axis, -1,
                   state.wall_bc[hi_name])
     return grid_v
+
+
+def rigid_fit_oracle(points, masses, velocities):
+    """Mass-weighted least-squares rigid motion of weighted points.
+
+    Loops over the points for M, the centroid c, V = sum m v / M, the
+    angular momentum L = sum m r x v and the inertia I about c, then
+    solves omega = I^-1 L (I must be invertible).  Returns (c, V, omega).
+    """
+    m_tot = 0.0
+    c = [0.0, 0.0, 0.0]
+    mom = [0.0, 0.0, 0.0]
+    for x, m, v in zip(points, masses, velocities):
+        m_tot += m
+        for a in range(3):
+            c[a] += m * x[a]
+            mom[a] += m * v[a]
+    c = [ca / m_tot for ca in c]
+    vel = [pa / m_tot for pa in mom]
+    ang = [0.0, 0.0, 0.0]
+    inertia = [[0.0] * 3 for _ in range(3)]
+    for x, m, v in zip(points, masses, velocities):
+        r = [x[a] - c[a] for a in range(3)]
+        ang[0] += m * (r[1] * v[2] - r[2] * v[1])
+        ang[1] += m * (r[2] * v[0] - r[0] * v[2])
+        ang[2] += m * (r[0] * v[1] - r[1] * v[0])
+        rr = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+        for a in range(3):
+            for b in range(3):
+                inertia[a][b] += m * ((rr if a == b else 0.0) - r[a] * r[b])
+    omega = np.linalg.solve(np.array(inertia), np.array(ang))
+    return np.array(c), np.array(vel), omega

@@ -5,6 +5,8 @@ import pytest
 
 from physedit.cli import main
 from physedit.fieldio import read_field, write_field
+from physedit.fill import FillConfig, fill_field
+from physedit.trajectory import read_trajectory
 from physedit.materials import MaterialClass
 from physedit.scenes import (build_analyze_fixture, build_scene,
                              cube_shell_positions, uniform_field)
@@ -80,6 +82,40 @@ class TestSimulateCommand:
         rc = main(["simulate", str(scene), str(tmp_path / "out"),
                    "--no-images"])
         assert rc == 0
+
+    def test_rigid_scene_deterministic_across_threads(self, tmp_path):
+        # a rigid block dropped on an elastic pad that turns rigid mid-run
+        src = tmp_path / "src"
+        src.mkdir()
+        objects = []
+        for oid, (name, size, n, material, y) in enumerate([
+                ("pad", 0.12, 5, MaterialClass.ELASTIC, 0.015),
+                ("block", 0.09, 4, MaterialClass.RIGID, 0.2)]):
+            shell = uniform_field(cube_shell_positions(size, n), material,
+                                  5e4, 0.3, 800.0)
+            write_field(fill_field(shell, FillConfig(particle_spacing=0.03)),
+                        src / f"{name}.mfield")
+            objects.append({"id": oid, "field": f"{name}.mfield",
+                            "h_fill": 0.03, "translate": [0.0, y, 0.0]})
+        (src / "schedule.txt").write_text(
+            "at t=0.1 set object 0 material_model rigid\n")
+        (src / "scene.json").write_text(json.dumps({
+            "format": "scene", "version": 1, "objects": objects,
+            "schedule": "schedule.txt", "gravity": [0.0, -9.8, 0.0],
+            "sim": {"h_grid": 0.03, "frames": 5, "fps": 24.0,
+                    "domain_lo": [-0.3, -0.09, -0.3],
+                    "domain_hi": [0.45, 0.6, 0.45],
+                    "ground_height": 0.0, "ground_bc": "sticky"}}))
+        manifests = []
+        for run, threads in enumerate(["1", "1", "4"]):
+            out = tmp_path / f"r{run}"
+            assert main(["simulate", str(src / "scene.json"), str(out),
+                         "--threads", threads, "--no-images"]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1] == manifests[2]
+        assert main(["verify", str(tmp_path / "r0")]) == 0
+        edits = read_trajectory(tmp_path / "r0").edit_log
+        assert [e["value"] for e in edits] == ["RIGID"]
 
     def test_missing_scene_errors(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "ghost.json"),

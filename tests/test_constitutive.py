@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from physedit.constitutive import (batch_constitutive, constitutive_stress,
                                    lame_parameters, svd3)
 from physedit.errors import NumericalError
-from physedit.materials import (DEFAULT_MATERIAL_MODEL, MaterialClass,
-                                MaterialModel)
+from physedit.materials import MaterialClass, MaterialModel
 
 
 def corotated_oracle(f, e, nu):
@@ -141,14 +140,13 @@ class TestSnow:
 
 
 class TestRigid:
-    def test_uses_clamped_stiffness(self):
-        table = MaterialModel(rigid_young_modulus=1e9)
-        f = np.diag([1.001, 1.0, 1.0])
-        p_rigid, _ = constitutive_stress(f, MaterialClass.RIGID,
-                                         123.0, 0.3, table)
-        p_ref, _ = constitutive_stress(f, MaterialClass.ELASTIC,
-                                       1e9, 0.3, table)
-        assert np.allclose(p_rigid, p_ref, rtol=1e-12)
+    def test_zero_stress_at_identity(self):
+        eye = np.tile(np.eye(3), (3, 1, 1))
+        p, f_new = batch_constitutive(eye, np.full(3, MaterialClass.RIGID),
+                                      np.array([1e2, 1e6, 1e12]),
+                                      np.array([-0.45, 0.3, 0.499]))
+        assert np.array_equal(p, np.zeros((3, 3, 3)))
+        assert np.array_equal(f_new, eye)
 
 
 def test_batch_matches_singles():
@@ -248,8 +246,7 @@ def test_objectivity(material, perturbation, rotation_seed, log_e, nu):
     e = 10.0 ** log_e
     p, f_new = constitutive_stress(f, material, e, nu)
     p_rot, f_new_rot = constitutive_stress(r @ f, material, e, nu)
-    scale = 1e-10 * (DEFAULT_MATERIAL_MODEL.rigid_young_modulus
-                     if material == MaterialClass.RIGID else e)
+    scale = 1e-10 * e
     tau, tau_rot = p @ f_new.T, p_rot @ f_new_rot.T
     assert np.allclose(tau_rot, r @ tau @ r.T, rtol=0, atol=scale)
     if material != MaterialClass.LIQUID:

@@ -1,16 +1,21 @@
+import math
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy.spatial.distance import pdist
 
-from oracles import grid_update_oracle
+import physedit.engine as engine
+from oracles import grid_update_oracle, rigid_fit_oracle
 from physedit.engine import (_BC_MODES, _WALL_NAMES, GRID_MARGIN, ObjectInit,
-                             SimConfig, _grid_update, _Stencil, build_state,
+                             SimConfig, _couple_rigid, _grid_update, _p2g,
+                             _rigid_groups, _Stencil, build_state,
                              object_events, simulate, stable_dt, step)
 from physedit.errors import DomainError, EmptyScene, GridOverflow
 from physedit.fill import FillConfig, fill_field
-from physedit.materials import MaterialClass, MaterialModel, wave_speeds
+from physedit.materials import MaterialClass
 from physedit.scenes import cube_shell_positions, uniform_field
 
 
@@ -26,9 +31,10 @@ def particle_field(points, material=MaterialClass.ELASTIC, e=1e4, nu=0.2,
     return uniform_field(np.asarray(points, dtype=float), material, e, nu, rho)
 
 
-def small_cube(size=0.12, n=5, e=2e4, nu=0.3, rho=400.0):
+def small_cube(size=0.12, n=5, e=2e4, nu=0.3, rho=400.0,
+               material=MaterialClass.ELASTIC):
     shell = cube_shell_positions(size, n)
-    surface = uniform_field(shell, MaterialClass.ELASTIC, e, nu, rho)
+    surface = uniform_field(shell, material, e, nu, rho)
     return fill_field(surface, FillConfig(particle_spacing=size / (n - 1)))
 
 
@@ -98,14 +104,32 @@ class TestStableDt:
         assert stable_dt(st, cfg) == pytest.approx(0.003 / np.sqrt(2.0),
                                                    rel=1e-12)
 
-    def test_rigid_uses_clamped_speed(self):
-        table = MaterialModel(rigid_young_modulus=1e9)
-        f = particle_field([[0, 0, 0]], material=MaterialClass.RIGID,
-                           e=50.0, nu=0.3, rho=1000.0)
-        cfg = free_cfg()
-        st = build_state([ObjectInit(field=f, h_fill=0.1)], cfg, table=table)
-        c_p, _ = wave_speeds(1e9, 0.3, 1000.0)
-        assert stable_dt(st, cfg) == pytest.approx(0.3 * 0.01 / c_p, rel=1e-12)
+    def test_rigid_left_out_of_wave_speed(self):
+        cfg = free_cfg(h_grid=0.01, cfl_number=0.3)
+        soft = particle_field([[0, 0, 0]], e=2.0, nu=0.0, rho=1.0)
+        stiff = particle_field([[0.2, 0, 0]], material=MaterialClass.RIGID,
+                               e=1e12, nu=0.3, rho=1.0)
+        st = build_state([ObjectInit(field=soft, h_fill=0.1),
+                          ObjectInit(field=stiff, h_fill=0.1)], cfg)
+        assert stable_dt(st, cfg) == pytest.approx(0.003 / np.sqrt(2.0),
+                                                   rel=1e-12)
+
+    def test_all_rigid_gravity_bound(self):
+        cfg = free_cfg(h_grid=0.01, cfl_number=0.3)
+        f = particle_field([[0, 0, 0], [0.05, 0, 0]],
+                           material=MaterialClass.RIGID, e=1e12, nu=0.3)
+        st = build_state([ObjectInit(field=f, h_fill=0.05)], cfg,
+                         gravity=(0, -9.8, 0), wind=(0, 0, 0))
+        assert stable_dt(st, cfg) == pytest.approx(np.sqrt(0.003 / 9.8),
+                                                   rel=1e-12)
+        # nothing deformable, nothing moving and no body force: no bound,
+        # so simulate takes one substep per frame and nothing moves
+        st.gravity = np.zeros(3)
+        assert stable_dt(st, cfg) == np.inf
+        x0 = st.x.copy()
+        simulate(st, None, free_cfg(frames=4, fps=10.0))
+        assert st.t == pytest.approx(0.3, abs=1e-12)
+        assert np.array_equal(st.x, x0) and np.all(st.v == 0)
 
     def test_doubling_speed_halves_dt(self):
         cfg = free_cfg()
@@ -374,3 +398,182 @@ class TestEvents:
 
     def test_margin_constant(self):
         assert GRID_MARGIN == 3
+
+
+def count_substeps(monkeypatch):
+    """Patch engine.step to count the substeps simulate takes."""
+    calls = []
+    inner = engine.step
+
+    def counted(state, dt):
+        calls.append(dt)
+        inner(state, dt)
+
+    monkeypatch.setattr(engine, "step", counted)
+    return calls
+
+
+def support_oracle(state, particles, lo, sub):
+    """Flat box indices of the nodes in the particles' stencils, by loops."""
+    nodes = set()
+    for p in particles:
+        base = [math.floor((state.x[p][a] - state.origin[a]) / state.h - 0.5)
+                for a in range(3)]
+        for off in product(range(3), repeat=3):
+            n = [base[a] + off[a] - lo[a] for a in range(3)]
+            nodes.add((n[0] * sub[1] + n[1]) * sub[2] + n[2])
+    return sorted(nodes)
+
+
+@hst.composite
+def rigid_group_cases(draw):
+    """Up to three rigid groups apart in free space, plus elastic particles."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    sizes = draw(hst.lists(hst.integers(1, 12), min_size=1, max_size=3))
+    n_soft = draw(hst.integers(0, 6))
+    x, oid, part, cls = [], [], [], []
+    for g, n in enumerate(sizes):
+        # objects 0, 0, 1 with parts 0, 1, 0, each group 0.3 m from the next
+        x.append([-0.3 + 0.3 * g, -1.0, 0.0] + 0.02 * rng.standard_normal((n, 3)))
+        oid += [g // 2] * n
+        part += [g % 2] * n
+        cls += [MaterialClass.RIGID] * n
+    # elastic particles of object 0 inside the first group's support
+    x.append([-0.3, -1.0, 0.0] + 0.02 * rng.standard_normal((n_soft, 3)))
+    oid += [0] * n_soft
+    part += [0] * n_soft
+    cls += [MaterialClass.ELASTIC] * n_soft
+    st = build_state([ObjectInit(field=particle_field(np.concatenate(x)),
+                                 h_fill=0.01)], free_cfg(), gravity=(0, 0, 0))
+    st.object_id = np.array(oid, dtype=np.int32)
+    st.part = np.array(part, dtype=np.int32)
+    st.class_id = np.array(cls, dtype=np.int32)
+    st.v = rng.standard_normal(st.x.shape)
+    st.c_apic = 0.5 * rng.standard_normal(st.f.shape)
+    return st
+
+
+class TestRigid:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st=rigid_group_cases())
+    def test_fit_matches_oracle_and_conserves_momentum(self, st):
+        stencil, grid_mass, grid_mom = _p2g(st, 0.0, np.zeros_like(st.f))
+        grid_v = np.divide(grid_mom, grid_mass, out=np.zeros_like(grid_mom),
+                           where=grid_mass > 0)
+        before = grid_v.copy()
+        groups = _rigid_groups(st)
+        motions = _couple_rigid(st, stencil, grid_mass, grid_v, groups)
+
+        by_key = {}
+        for p in range(st.n_particles):
+            if st.class_id[p] == MaterialClass.RIGID:
+                by_key.setdefault((st.object_id[p], st.part[p]), []).append(p)
+        assert [list(g) for g in groups] == [by_key[k] for k in sorted(by_key)]
+        touched = np.zeros(grid_mass.shape, dtype=bool)
+        for key, (centroid, u) in zip(sorted(by_key), motions):
+            nodes = support_oracle(st, by_key[key], stencil.lo, stencil.sub)
+            touched[nodes] = True
+            layer = np.array(np.unravel_index(nodes, stencil.sub)).T
+            x = st.origin + st.h * (stencil.lo + layer)
+            m = grid_mass[nodes]
+            c, vel, omega = rigid_fit_oracle(x, m, before[:, nodes].T)
+            want = vel + np.cross(omega, x - c)
+            got = grid_v[:, nodes].T
+            scale = np.abs(want).max()
+            assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)
+            assert np.allclose(centroid, c, rtol=0, atol=1e-12)
+            assert np.allclose(u[:3], vel, rtol=0, atol=1e-12 * scale)
+            assert np.allclose(np.cross(u[3:] - omega, x - c), 0.0, rtol=0,
+                               atol=1e-12 * scale)
+            # the fit keeps the nodes' momentum and angular momentum about c
+            mom = m @ before[:, nodes].T
+            assert np.allclose(m @ got, mom, rtol=0,
+                               atol=1e-12 * (m @ np.abs(before[:, nodes].T)).max())
+            r = x - c
+            ang = m @ np.cross(r, before[:, nodes].T)
+            ang_scale = m @ (np.linalg.norm(r, axis=1)
+                             * np.linalg.norm(before[:, nodes], axis=0))
+            assert np.allclose(m @ np.cross(r, got), ang, rtol=0,
+                               atol=1e-12 * ang_scale)
+        assert np.array_equal(grid_v[:, ~touched], before[:, ~touched])
+
+    @pytest.mark.parametrize("mode", _BC_MODES)
+    def test_dropped_cube_rests_on_ground(self, mode, monkeypatch):
+        cube = small_cube(rho=500.0, material=MaterialClass.RIGID)
+        cfg = SimConfig(h_grid=0.03, frames=11, fps=10.0,
+                        domain_lo=(-0.4, -0.09, -0.4),
+                        domain_hi=(0.5, 0.8, 0.5),
+                        ground_height=0.0, ground_bc=mode)
+        st = build_state([ObjectInit(field=cube, h_fill=0.03,
+                                     translate=(0.0, 0.1, 0.0))], cfg)
+        d0 = pdist(st.x)
+        calls = count_substeps(monkeypatch)
+        traj = simulate(st, None, cfg)  # raises ParticleEscape if it falls through
+        assert len(calls) < 200
+        bottoms = traj.positions[:, :, 1].min(axis=1)
+        assert bottoms[-1] < bottoms[0] - 0.05  # it fell
+        assert bottoms.min() > 0.0
+        assert np.abs(st.v).max() < 1e-12
+        assert np.abs(pdist(st.x) - d0).max() < 1e-12
+        assert np.array_equal(st.f, np.broadcast_to(np.eye(3), st.f.shape))
+
+    @pytest.mark.parametrize("mode", _BC_MODES)
+    @pytest.mark.parametrize("v_y", [-0.5, 0.5])
+    def test_ground_modes_constrain_the_fit(self, mode, v_y):
+        # a cube resting on the ground, sliding in x and moving in y
+        cube = small_cube(material=MaterialClass.RIGID)
+        cfg = SimConfig(h_grid=0.03, frames=1, domain_lo=(-0.4, -0.09, -0.4),
+                        domain_hi=(0.5, 0.8, 0.5), ground_bc=mode)
+        st = build_state([ObjectInit(field=cube, h_fill=0.03,
+                                     translate=(0.0, 0.04, 0.0),
+                                     velocity=(0.5, v_y, 0.0))], cfg,
+                         gravity=(0, 0, 0))
+        step(st, 1e-3)
+        want = {"sticky": (0.0, 0.0),
+                "slip": (0.5, 0.0),
+                "separate": (0.5, max(v_y, 0.0))}[mode]
+        assert np.allclose(st.v, [want[0], want[1], 0.0], rtol=0, atol=1e-12)
+
+    def test_block_on_elastic_pad_stays_above_it(self):
+        pad = small_cube(0.15, 6, e=5e4, rho=800.0)
+        block = small_cube(0.09, 4, e=1e6, rho=1500.0,
+                           material=MaterialClass.RIGID)
+        cfg = SimConfig(h_grid=0.03, frames=11, fps=10.0, damping=5.0,
+                        domain_lo=(-0.3, -0.09, -0.3),
+                        domain_hi=(0.45, 0.6, 0.45),
+                        ground_height=0.0, ground_bc="sticky")
+        # the block starts one cell above the pad
+        st = build_state([ObjectInit(field=pad, h_fill=0.03,
+                                     translate=(0.0, 0.015, 0.0)),
+                          ObjectInit(field=block, h_fill=0.03,
+                                     translate=(0.03, 0.195, 0.03))], cfg)
+        traj = simulate(st, None, cfg)
+        on_pad = traj.object_id == 0
+        pad_top = traj.positions[:, on_pad, 1].max(axis=1)
+        block_bottom = traj.positions[:, ~on_pad, 1].min(axis=1)
+        assert np.all(block_bottom - pad_top > 0.5 * cfg.h_grid)
+        # settled: the block's last 0.2 s move it by under a millimetre
+        y = traj.positions[:, ~on_pad, 1].mean(axis=1)
+        assert abs(float(y[-1] - y[-3])) < 1e-3
+
+
+@pytest.mark.parametrize("material", list(MaterialClass))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), log_e=hst.floats(3.0, 6.0))
+def test_free_space_conservation(material, seed, log_e):
+    """Away from walls and without body forces, mass is exact and momentum kept."""
+    rng = np.random.default_rng(seed)
+    cube = small_cube(0.08, 5, e=10.0 ** log_e, material=material)
+    cfg = free_cfg(h_grid=0.02)
+    st = build_state([ObjectInit(field=cube, h_fill=0.02,
+                                 translate=(-0.04, -1.0, -0.04))], cfg,
+                     gravity=(0, 0, 0))
+    st.v = rng.normal(0.0, 0.3, st.x.shape)
+    m0, p0, d0 = st.total_mass(), st.total_momentum(), pdist(st.x)
+    scale = float((st.mass * np.abs(st.v).sum(axis=1)).sum())
+    for _ in range(4):
+        step(st, stable_dt(st, cfg))
+    assert st.total_mass() == m0
+    assert np.allclose(st.total_momentum(), p0, rtol=0, atol=1e-13 * scale)
+    if material == MaterialClass.RIGID:  # it spins, and keeps its shape
+        assert np.abs(pdist(st.x) - d0).max() < 1e-12

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from physedit.engine import ObjectInit, SimConfig, build_state, step
+from scipy.spatial.distance import pdist
+
+from physedit.engine import ObjectInit, SimConfig, build_state, stable_dt, step
 from physedit.errors import (ClampViolation, DomainError, ParseError,
                              UnknownTarget)
 from physedit.materials import MaterialClass
 from physedit.schedule import (DEFAULT_MAX_LOG_RATE, InstructionSchedule,
                                ScheduleRuntime, compile_schedule, ramp_value)
-from physedit.scenes import uniform_field
+from physedit.fill import FillConfig, fill_field
+from physedit.scenes import cube_shell_positions, uniform_field
 
 
 def scene_map():
@@ -278,3 +281,31 @@ class TestApply:
         state, _ = make_state()
         rt = ScheduleRuntime(InstructionSchedule())
         assert rt.apply(state, 0.0, 1e-3) == []
+
+
+def test_rigid_switch_mid_run():
+    """A drop_cube-like cube turned rigid on landing keeps its shape from then on."""
+    surface = uniform_field(cube_shell_positions(0.12, 5), MaterialClass.ELASTIC,
+                            2e4, 0.3, 400.0)
+    cube = fill_field(surface, FillConfig(particle_spacing=0.03))
+    cfg = SimConfig(h_grid=0.03, frames=1, domain_lo=(-0.4, -0.09, -0.4),
+                    domain_hi=(0.5, 0.8, 0.5), ground_height=0.0,
+                    ground_bc="sticky")
+    state = build_state([ObjectInit(field=cube, h_fill=0.03,
+                                    translate=(0.0, 0.2, 0.0))], cfg)
+    rt = ScheduleRuntime(compile_schedule(
+        "on ground_contact set object 0 material_model rigid once", state))
+    eye = np.broadcast_to(np.eye(3), state.f.shape)
+    switched = None
+    while state.t < 0.5:
+        dt = stable_dt(state, cfg)
+        if rt.apply(state, state.t, dt):
+            assert np.all(state.class_id == int(MaterialClass.RIGID))
+            assert np.array_equal(state.f, eye)
+            switched = pdist(state.x)
+            dt = min(dt, stable_dt(state, cfg))
+        step(state, dt)
+    assert switched is not None
+    assert np.array_equal(state.f, eye)
+    assert np.abs(pdist(state.x) - switched).max() < 1e-12
+    assert state.x[:, 1].min() > 0.0
