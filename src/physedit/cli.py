@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conditioning import bundle_from_dict, soft_assign
+from .conditioning import DEFAULT_TAU, bundle_from_dict, soft_assign
 from .engine import build_state, simulate
 from .errors import DomainError, IoError, PhysEditError
-from .fieldio import read_field, write_field
+from .fieldio import read_field, read_json, write_field
 from .fill import FillConfig, fill_field
 from .losses import (LossWeights, SupervisionTargets, finite_diff_check,
                      sample_triplets, total_loss)
@@ -38,6 +38,8 @@ from .schedule import compile_schedule
 from .trajectory import canonical_json, export_trajectory, verify_trajectory
 
 GRADCHECK_THRESHOLD = 1e-4
+REPORTED_WEIGHTS = ("lambda_reg", "lambda_cls", "lambda_smooth", "lambda_con",
+                    "lambda_assign", "margin", "huber_delta", "smooth_k")
 
 
 def _env_int(name):
@@ -146,12 +148,13 @@ def cmd_simulate(args) -> int:
 
 
 def _load_targets(path):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise IoError(f"cannot read targets {path}: {exc}") from exc
+    doc = read_json(path, "targets")
     if doc.get("format") != "supervision-targets":
         raise IoError(f"{path}: not a supervision-targets document")
+    for key in ("class_labels", "param_targets", "part_labels",
+                "prompt_of_part"):
+        if key not in doc:
+            raise IoError(f"{path}: missing required key {key!r}")
     return doc
 
 
@@ -172,7 +175,7 @@ def cmd_analyze(args) -> int:
         part_labels=doc["part_labels"],
         prompt_of_part={int(k): int(v)
                         for k, v in doc["prompt_of_part"].items()})
-    tau = float(doc.get("tau", 0.07))
+    tau = float(doc.get("tau", DEFAULT_TAU))
     weights = LossWeights(
         lambda_reg=args.lambda_reg, lambda_cls=args.lambda_cls,
         lambda_smooth=args.lambda_smooth, lambda_con=args.lambda_con,
@@ -197,8 +200,8 @@ def cmd_analyze(args) -> int:
         # from, so no further scaling is applied here
         bundle_doc = doc["bundle"]
         if isinstance(bundle_doc, str):
-            bundle_doc = json.loads(
-                (Path(targets_path).parent / bundle_doc).read_text())
+            bundle_doc = read_json(Path(targets_path).parent / bundle_doc,
+                                   "bundle")
         logits = soft_assign(bundle_from_dict(bundle_doc)).logits
         assign_tau = 1.0
     else:
@@ -218,8 +221,7 @@ def cmd_analyze(args) -> int:
     for key in ("task", "smoothness", "contrastive", "assignment", "total"):
         lines.append(f"  {key:<12} {breakdown[key]:.12g}")
     lines.append("weights")
-    for key in ("lambda_reg", "lambda_cls", "lambda_smooth", "lambda_con",
-                "lambda_assign", "margin", "huber_delta", "smooth_k"):
+    for key in REPORTED_WEIGHTS:
         lines.append(f"  {key:<13} {getattr(weights, key):g}")
 
     grad_report = {}
@@ -244,10 +246,7 @@ def cmd_analyze(args) -> int:
     print(report_text)
     if args.json:
         payload = {"breakdown": breakdown,
-                   "weights": {k: getattr(weights, k) for k in
-                               ("lambda_reg", "lambda_cls", "lambda_smooth",
-                                "lambda_con", "lambda_assign", "margin",
-                                "huber_delta", "smooth_k")},
+                   "weights": {k: getattr(weights, k) for k in REPORTED_WEIGHTS},
                    "tau": tau,
                    "assignment_tau": assign_tau,
                    "gradient_checks": grad_report}

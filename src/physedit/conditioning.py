@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, IoError, ShapeError
+from .fieldio import read_json
 
 DEFAULT_TAU = 0.07
 
@@ -229,10 +230,7 @@ def write_bundle(bundle: FeatureBundle, path):
 
 
 def read_bundle(path) -> FeatureBundle:
-    try:
-        return bundle_from_dict(json.loads(Path(path).read_text()))
-    except OSError as exc:
-        raise IoError(f"cannot read bundle from {path}: {exc}") from exc
+    return bundle_from_dict(read_json(path, "bundle"))
 
 
 def synthetic_segmentation_prior(part_label, d_s=96, seed=0):

@@ -16,6 +16,7 @@ Two equivalent on-disk forms:
 * ``.json`` -- the same content as human-readable structured text.
 
 ``read_field``/``write_field`` dispatch on the file extension.
+``read_json`` is the one reader of every JSON document the package loads.
 """
 
 from __future__ import annotations
@@ -32,6 +33,18 @@ from .materials import MaterialField, ParamNormalization
 MAGIC = b"MFLD"
 VERSION = 1
 _FLAG_PART_LABEL = 1
+
+
+def read_json(path, what):
+    """Parse the JSON object in ``path``; IoError naming ``what`` and the
+    path if the file cannot be read, is not JSON or is not an object."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: JSON or Unicode decode
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise IoError(f"{path}: {what} is not a JSON object")
+    return doc
 
 
 def write_field_binary(f: MaterialField, path):
@@ -137,11 +150,7 @@ def write_field_json(f: MaterialField, path):
 
 
 def read_field_json(path) -> MaterialField:
-    path = Path(path)
-    try:
-        return field_from_dict(json.loads(path.read_text()))
-    except OSError as exc:
-        raise IoError(f"cannot read field from {path}: {exc}") from exc
+    return field_from_dict(read_json(path, "field"))
 
 
 def write_field(f: MaterialField, path):

@@ -6,13 +6,17 @@ Four scalar terms and their weighted total:
                  cross-entropy, averaged over points
 * smoothness  -- discrete Dirichlet energy of the wave-speed fields
                  (c_p, c_s) on a kNN graph, neighbors restricted to the
-                 same semantic part by default
+                 same semantic part by default; neighbors rank by
+                 (squared distance, index), so ties go to the lower index
 * contrastive -- triplet hinge on L2-normalized log-(mu, K) embeddings
 * assignment  -- cross-entropy between the temperature-scaled softmax of
                  point-to-prompt logits and the prompt of each point's part
 
 Analytic gradients exist for every term solely so central finite
 differences can verify the implementations; nothing here is trained.
+The kNN graph depends only on positions and part labels, so it is built
+once per field and shared by the smoothness value, its gradient and
+every central-difference probe of that gradient.
 Cross-entropy uses the natural logarithm throughout.
 """
 
@@ -156,37 +160,41 @@ def task_loss_grad_params(pred_params, targets: SupervisionTargets,
 # ---------------------------------------------------------------------------
 # smoothness loss
 
-def _knn_edges(positions, part_labels, k, within_part=True):
-    """Directed kNN edges (src, dst) plus per-point neighbor counts.
+def _knn_graph(f: MaterialField, k, within_part=True):
+    """Directed kNN edges (src, dst), per-point neighbor counts and the
+    squared edge lengths d2 = ||x_dst - x_src||^2.
 
     Neighbors of a point come from its own part when labels are present
-    and within_part is set; points with no candidate neighbors are
-    returned as isolated.
+    and within_part is set.  Candidates rank by (||x_j - x_i||^2, j), so
+    ties go to the lower index: the k + 1 nearest fix a radius, and every
+    point within it (plus 1e-9 relative slack) is re-ranked exactly.
+    Points with no candidate neighbor get a count of 0.
     """
-    pos = np.asarray(positions, dtype=np.float64)
+    pos = f.positions
     n = pos.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    src, dst = [], []
-    if within_part and part_labels is not None:
-        groups = [np.nonzero(np.asarray(part_labels) == lab)[0]
-                  for lab in np.unique(part_labels)]
-    else:
-        groups = [np.arange(n)]
-    for idx in groups:
+    if n < 2:
+        raise DegenerateInput("smoothness needs at least two points")
+    labels = (f.part_label if within_part and f.part_label is not None
+              else np.zeros(n, dtype=np.int32))
+    src, dst, d2 = [], [], []
+    for lab in np.unique(labels):
+        idx = np.nonzero(labels == lab)[0]
         if idx.size < 2:
             continue
-        tree = cKDTree(pos[idx])
         kk = min(k, idx.size - 1)
-        _, nb = tree.query(pos[idx], k=kk + 1)
-        nb = np.atleast_2d(nb)
-        for row, i in enumerate(idx):
-            neigh = idx[nb[row][nb[row] != row]][:kk]
-            counts[i] = neigh.size
-            src.extend([i] * neigh.size)
-            dst.extend(neigh.tolist())
-    isolated = np.nonzero(counts == 0)[0]
-    return (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-            counts, isolated)
+        tree = cKDTree(pos[idx])
+        radius = tree.query(pos[idx], k=kk + 1)[0][:, -1] * (1.0 + 1e-9)
+        for i, ball in zip(idx, tree.query_ball_point(pos[idx], radius)):
+            j = idx[ball]
+            j = j[j != i]
+            dd = np.sum((pos[j] - pos[i]) ** 2, axis=1)
+            near = np.lexsort((j, dd))[:kk]
+            src.extend([i] * kk)
+            dst.extend(j[near])
+            d2.extend(dd[near])
+    src = np.asarray(src, dtype=np.int64)
+    return (src, np.asarray(dst, dtype=np.int64), np.bincount(src, minlength=n),
+            np.asarray(d2, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -194,6 +202,17 @@ class SmoothnessBreakdown:
     value: float
     per_point: np.ndarray
     isolated: np.ndarray  # points with no same-part neighbor; contribute 0
+
+
+def _smoothness_per_point(f: MaterialField, graph, eps):
+    src, dst, counts, d2 = graph
+    c_p, c_s = wave_speeds(f.young_modulus, f.poisson_ratio, f.density)
+    per_point = np.zeros(f.n_points, dtype=np.float64)
+    num = (c_p[dst] - c_p[src]) ** 2 + (c_s[dst] - c_s[src]) ** 2
+    np.add.at(per_point, src, num / (d2 + eps))
+    nz = counts > 0
+    per_point[nz] /= counts[nz]
+    return per_point
 
 
 def smoothness_breakdown(f: MaterialField, w: LossWeights,
@@ -206,21 +225,11 @@ def smoothness_breakdown(f: MaterialField, w: LossWeights,
     The loss is the mean over all N points; isolated points contribute 0
     and are flagged (DegenerateInput is data here, not an error).
     """
-    n = f.n_points
-    if n < 2:
-        raise DegenerateInput("smoothness needs at least two points")
-    c_p, c_s = wave_speeds(f.young_modulus, f.poisson_ratio, f.density)
-    src, dst, counts, isolated = _knn_edges(f.positions, f.part_label,
-                                            w.smooth_k, within_part)
-    per_point = np.zeros(n, dtype=np.float64)
-    if src.size:
-        d2 = np.sum((f.positions[dst] - f.positions[src]) ** 2, axis=1)
-        num = (c_p[dst] - c_p[src]) ** 2 + (c_s[dst] - c_s[src]) ** 2
-        np.add.at(per_point, src, num / (d2 + w.smooth_eps))
-        nz = counts > 0
-        per_point[nz] /= counts[nz]
+    graph = _knn_graph(f, w.smooth_k, within_part)
+    per_point = _smoothness_per_point(f, graph, w.smooth_eps)
     return SmoothnessBreakdown(value=float(per_point.mean()),
-                               per_point=per_point, isolated=isolated)
+                               per_point=per_point,
+                               isolated=np.nonzero(graph[2] == 0)[0])
 
 
 def smoothness_loss(f: MaterialField, w: LossWeights,
@@ -244,33 +253,26 @@ def _wave_speed_param_jacobians(e, nu, rho):
     return c_p, c_s, dcp, dcs
 
 
-def smoothness_loss_grad(f: MaterialField, w: LossWeights,
-                         within_part: bool = True) -> np.ndarray:
-    """d smoothness / d (ln E, nu, ln rho), (N, 3)."""
+def _smoothness_grad(f: MaterialField, graph, eps) -> np.ndarray:
+    """d smoothness / d (ln E, nu, ln rho) on a fixed graph, (N, 3)."""
     n = f.n_points
-    e, nu, rho = f.young_modulus, f.poisson_ratio, f.density
-    c_p, c_s, dcp, dcs = _wave_speed_param_jacobians(e, nu, rho)
-    src, dst, counts, _ = _knn_edges(f.positions, f.part_label,
-                                     w.smooth_k, within_part)
-    g_cp = np.zeros(n)
-    g_cs = np.zeros(n)
-    if src.size:
-        d2 = np.sum((f.positions[dst] - f.positions[src]) ** 2, axis=1)
-        coef = 1.0 / (n * counts[src] * (d2 + w.smooth_eps))
-        dp = c_p[dst] - c_p[src]
-        ds = c_s[dst] - c_s[src]
-        np.add.at(g_cp, src, -2.0 * coef * dp)
-        np.add.at(g_cp, dst, 2.0 * coef * dp)
-        np.add.at(g_cs, src, -2.0 * coef * ds)
-        np.add.at(g_cs, dst, 2.0 * coef * ds)
-    return g_cp[:, None] * dcp + g_cs[:, None] * dcs
+    src, dst, counts, d2 = graph
+    c_p, c_s, dcp, dcs = _wave_speed_param_jacobians(
+        f.young_modulus, f.poisson_ratio, f.density)
+    coef = 2.0 / (n * counts[src] * (d2 + eps))
+    edge = coef[:, None] * np.stack([c_p[dst] - c_p[src],
+                                     c_s[dst] - c_s[src]], axis=1)
+    g = np.zeros((n, 2))  # d smoothness / d (c_p, c_s)
+    np.add.at(g, src, -edge)
+    np.add.at(g, dst, edge)
+    return g[:, :1] * dcp + g[:, 1:] * dcs
 
 
 # ---------------------------------------------------------------------------
 # contrastive loss
 
-def log_moduli_embeddings(e, nu):
-    """L2-normalized [ln mu, ln K] rows; raises if a modulus is non-positive."""
+def _log_moduli(e, nu):
+    """[ln mu, ln K] rows and their norms; raises if a modulus is non-positive."""
     e = np.asarray(e, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     mu = e / (2.0 * (1.0 + nu))
@@ -281,6 +283,12 @@ def log_moduli_embeddings(e, nu):
     norms = np.linalg.norm(u, axis=-1)
     if np.any(norms == 0):
         raise DomainError("zero-magnitude log-moduli embedding (mu = K = 1)")
+    return u, norms
+
+
+def log_moduli_embeddings(e, nu):
+    """L2-normalized [ln mu, ln K] rows; raises if a modulus is non-positive."""
+    u, norms = _log_moduli(e, nu)
     return u / norms[..., None]
 
 
@@ -293,44 +301,39 @@ def _check_triplets(triplets, n):
     return t
 
 
-def contrastive_loss(f: MaterialField, triplets, w: LossWeights) -> float:
-    """Mean triplet hinge over (anchor, positive, negative) index rows."""
-    t = _check_triplets(triplets, f.n_points)
-    emb = log_moduli_embeddings(f.young_modulus, f.poisson_ratio)
+def _hinges(emb, t, margin):
     d_pos = np.sum((emb[t[:, 0]] - emb[t[:, 1]]) ** 2, axis=1)
     d_neg = np.sum((emb[t[:, 0]] - emb[t[:, 2]]) ** 2, axis=1)
-    return float(np.mean(np.maximum(0.0, d_pos - d_neg + w.margin)))
+    return d_pos - d_neg + margin
 
 
 def contrastive_hinge_values(f: MaterialField, triplets, w: LossWeights):
     """Raw hinge arguments per triplet (before max with 0)."""
     t = _check_triplets(triplets, f.n_points)
     emb = log_moduli_embeddings(f.young_modulus, f.poisson_ratio)
-    d_pos = np.sum((emb[t[:, 0]] - emb[t[:, 1]]) ** 2, axis=1)
-    d_neg = np.sum((emb[t[:, 0]] - emb[t[:, 2]]) ** 2, axis=1)
-    return d_pos - d_neg + w.margin
+    return _hinges(emb, t, w.margin)
+
+
+def contrastive_loss(f: MaterialField, triplets, w: LossWeights) -> float:
+    """Mean triplet hinge over (anchor, positive, negative) index rows."""
+    hinge = contrastive_hinge_values(f, triplets, w)
+    return float(np.mean(np.maximum(0.0, hinge)))
 
 
 def contrastive_loss_grad(f: MaterialField, triplets, w: LossWeights) -> np.ndarray:
     """d contrastive / d (ln E, nu, ln rho), (N, 3)."""
     t = _check_triplets(triplets, f.n_points)
-    e, nu = f.young_modulus, f.poisson_ratio
-    mu = e / (2.0 * (1.0 + nu))
-    kappa = e / (3.0 * (1.0 - 2.0 * nu))
-    u = np.stack([np.log(mu), np.log(kappa)], axis=-1)
-    r = np.linalg.norm(u, axis=-1)
+    nu = f.poisson_ratio
+    u, r = _log_moduli(f.young_modulus, nu)
     emb = u / r[:, None]
 
-    hinge = contrastive_hinge_values(f, triplets, w)
-    active = hinge > 0
+    ta = t[_hinges(emb, t, w.margin) > 0]
+    ei, ep, en = emb[ta[:, 0]], emb[ta[:, 1]], emb[ta[:, 2]]
+    coef = 1.0 / t.shape[0]
     g_emb = np.zeros_like(emb)
-    if np.any(active):
-        ta = t[active]
-        ei, ep, en = emb[ta[:, 0]], emb[ta[:, 1]], emb[ta[:, 2]]
-        coef = 1.0 / t.shape[0]
-        np.add.at(g_emb, ta[:, 0], coef * 2.0 * (en - ep))
-        np.add.at(g_emb, ta[:, 1], coef * (-2.0) * (ei - ep))
-        np.add.at(g_emb, ta[:, 2], coef * 2.0 * (ei - en))
+    np.add.at(g_emb, ta[:, 0], coef * 2.0 * (en - ep))
+    np.add.at(g_emb, ta[:, 1], coef * (-2.0) * (ei - ep))
+    np.add.at(g_emb, ta[:, 2], coef * 2.0 * (ei - en))
 
     # back through e = u / |u|:  J = (I - e e^T) / |u|
     g_u = (g_emb - emb * np.sum(g_emb * emb, axis=-1, keepdims=True)) / r[:, None]
@@ -483,43 +486,36 @@ def finite_diff_check(loss_name: str, inputs: dict, epsilon: float = 1e-5) -> fl
 
     if loss_name == "task":
         targets = inputs["targets"]
-        params = np.asarray(inputs["pred_params"], dtype=np.float64)
-        resid = np.abs(params - targets.param_targets)
+        x = np.asarray(inputs["pred_params"], dtype=np.float64)
+        resid = np.abs(x - targets.param_targets)
         if np.any(np.abs(resid - w.huber_delta) < boundary):
             raise NonSmoothPoint("residual sits on the Huber kink")
         probs = inputs["pred_probs"]
-        analytic = task_loss_grad_params(params, targets, w)
-        fd = _central_diff(lambda p: task_loss(probs, p, targets, w),
-                           params, epsilon)
-        return _max_rel_err(analytic, fd)
-
-    if loss_name == "smoothness":
+        analytic = task_loss_grad_params(x, targets, w)
+        fn = lambda p: task_loss(probs, p, targets, w)
+    elif loss_name == "smoothness":
         f = inputs["field"]
-        within = inputs.get("within_part", True)
-        analytic = smoothness_loss_grad(f, w, within)
-        fd = _central_diff(
-            lambda p: smoothness_loss(_field_with_params(f, p), w, within),
-            _field_params(f), epsilon)
-        return _max_rel_err(analytic, fd)
-
-    if loss_name == "contrastive":
+        x = _field_params(f)
+        # no probe moves a position or a label, so one graph serves them all
+        graph = _knn_graph(f, w.smooth_k, inputs.get("within_part", True))
+        analytic = _smoothness_grad(f, graph, w.smooth_eps)
+        fn = lambda p: _smoothness_per_point(
+            _field_with_params(f, p), graph, w.smooth_eps).mean()
+    elif loss_name == "contrastive":
         f = inputs["field"]
+        x = _field_params(f)
         triplets = inputs["triplets"]
         if np.any(np.abs(contrastive_hinge_values(f, triplets, w)) < boundary):
             raise NonSmoothPoint("a triplet sits on the hinge boundary")
         analytic = contrastive_loss_grad(f, triplets, w)
-        fd = _central_diff(
-            lambda p: contrastive_loss(_field_with_params(f, p), triplets, w),
-            _field_params(f), epsilon)
-        return _max_rel_err(analytic, fd)
-
-    if loss_name == "assignment":
+        fn = lambda p: contrastive_loss(
+            _field_with_params(f, p), triplets, w)
+    elif loss_name == "assignment":
         targets = inputs["targets"]
         tau = inputs.get("tau", DEFAULT_TAU)
-        logits = np.asarray(inputs["logits"], dtype=np.float64)
-        analytic = assignment_loss_grad(logits, targets, tau)
-        fd = _central_diff(lambda s: assignment_loss(s, targets, tau),
-                           logits, epsilon)
-        return _max_rel_err(analytic, fd)
-
-    raise DomainError(f"unknown loss name {loss_name!r}")
+        x = np.asarray(inputs["logits"], dtype=np.float64)
+        analytic = assignment_loss_grad(x, targets, tau)
+        fn = lambda s: assignment_loss(s, targets, tau)
+    else:
+        raise DomainError(f"unknown loss name {loss_name!r}")
+    return _max_rel_err(analytic, _central_diff(fn, x, epsilon))

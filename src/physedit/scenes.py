@@ -23,7 +23,7 @@ from .conditioning import (FeatureBundle, bundle_to_dict,
                            synthetic_segmentation_prior)
 from .engine import ObjectInit, SimConfig
 from .errors import DomainError, IoError
-from .fieldio import write_field, read_field
+from .fieldio import read_field, read_json, write_field
 from .fill import FillConfig, fill_field
 from .materials import MaterialClass, MaterialField
 from .raster import CameraSpec
@@ -202,10 +202,7 @@ def build_scene(name: str, out_dir) -> Path:
 def load_scene(scene_path):
     """Load a scene.json; returns (objects, cfg, extras dict)."""
     scene_path = Path(scene_path)
-    try:
-        doc = json.loads(scene_path.read_text())
-    except OSError as exc:
-        raise IoError(f"cannot read scene {scene_path}: {exc}") from exc
+    doc = read_json(scene_path, "scene")
     if doc.get("format") != "scene":
         raise IoError(f"{scene_path}: not a scene document")
     root = scene_path.parent

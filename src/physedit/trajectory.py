@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, ShapeError
+from .fieldio import read_json
 
 FRAME_MAGIC = b"TRJF"
 FRAME_VERSION = 1
@@ -164,10 +165,7 @@ def export_trajectory(traj: Trajectory, out_dir) -> dict:
 def read_trajectory(in_dir) -> Trajectory:
     """Round-trip loader; positions come back bit-exactly."""
     root = Path(in_dir)
-    try:
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-    except OSError as exc:
-        raise IoError(f"cannot read manifest in {root}: {exc}") from exc
+    manifest = read_json(root / MANIFEST_NAME, "manifest")
     frames = []
     for name in manifest["files"]:
         try:

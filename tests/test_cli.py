@@ -21,6 +21,12 @@ def surface_file(tmp_path_factory):
     return path
 
 
+def single_error_record(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 class TestFillCommand:
     def test_fill_roundtrip(self, surface_file, tmp_path, capsys):
         out = tmp_path / "filled.mfield"
@@ -124,6 +130,15 @@ class TestSimulateCommand:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "IoError"
 
+    def test_malformed_scene_io_error(self, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text('{"format": "scene", "objects": [')
+        rc = main(["simulate", str(scene), str(tmp_path / "o")])
+        assert rc == 50
+        record = single_error_record(capsys)
+        assert record["error"] == "IoError"
+        assert str(scene) in record["message"]
+
 
 class TestAnalyzeCommand:
     def test_fixture_report_echoes_weights(self, tmp_path, capsys):
@@ -151,6 +166,33 @@ class TestAnalyzeCommand:
         assert set(payload["breakdown"]) == {"task", "smoothness",
                                              "contrastive", "assignment",
                                              "total"}
+
+    def test_malformed_targets_io_error(self, tmp_path, capsys):
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        doc = json.loads(targets_path.read_text())
+        del doc["part_labels"]
+        for text, named in (("{not json", "targets"), ("[]", "targets"),
+                            (json.dumps(doc), "'part_labels'")):
+            targets_path.write_text(text)
+            rc = main(["analyze", str(field_path), str(targets_path),
+                       "--no-gradcheck"])
+            assert rc == 50
+            record = single_error_record(capsys)
+            assert record["error"] == "IoError"
+            assert str(targets_path) in record["message"]
+            assert named in record["message"]
+
+    def test_missing_bundle_file_io_error(self, tmp_path, capsys):
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        doc = json.loads(targets_path.read_text())
+        doc["bundle"] = "ghost_bundle.json"
+        targets_path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(field_path), str(targets_path),
+                   "--no-gradcheck"])
+        assert rc == 50
+        record = single_error_record(capsys)
+        assert record["error"] == "IoError"
+        assert "ghost_bundle.json" in record["message"]
 
     def test_missing_args_error(self, capsys):
         rc = main(["analyze"])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from physedit import losses
 from physedit.errors import DomainError, NonSmoothPoint
 from physedit.losses import (LossWeights, SupervisionTargets,
                              contrastive_hinge_values, finite_diff_check,
-                             sample_triplets)
+                             sample_triplets, smoothness_breakdown)
 from physedit.materials import MaterialField
 
 TOL = 1e-4
@@ -71,6 +72,37 @@ def test_smoothness_gradient_without_part_restriction():
     f = random_field(rng, n=12)
     err = finite_diff_check("smoothness", {"field": f, "weights": LossWeights(),
                                            "within_part": False})
+    assert err < TOL
+
+
+def test_smoothness_check_builds_one_tree_per_part(monkeypatch):
+    # the graph depends only on positions and labels, which no probe moves
+    built = []
+    real_tree = losses.cKDTree
+
+    def counting_tree(*args, **kwargs):
+        built.append(args)
+        return real_tree(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "cKDTree", counting_tree)
+    rng = np.random.default_rng(2)
+    f = random_field(rng, n=20)
+    assert np.bincount(f.part_label).min() >= 2
+    err = finite_diff_check("smoothness", {"field": f,
+                                           "weights": LossWeights()})
+    assert err < TOL
+    assert len(built) == 2
+
+
+def test_smoothness_gradient_with_isolated_point():
+    rng = np.random.default_rng(7)
+    f = random_field(rng, n=12)
+    part = f.part_label.copy()
+    part[5] = 2  # a one-member part: point 5 has no neighbor
+    f = f.with_(part_label=part)
+    assert smoothness_breakdown(f, LossWeights()).isolated.tolist() == [5]
+    err = finite_diff_check("smoothness", {"field": f,
+                                           "weights": LossWeights()})
     assert err < TOL
 
 

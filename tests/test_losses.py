@@ -28,6 +28,21 @@ def make_field(rng, n=12, parts=2, spread=1.0):
     )
 
 
+def shuffled_lattice(rng, side=4, spacing=0.05):
+    """A side^3 lattice in shuffled order, as fill produces: many
+    neighbor distances tie exactly, so the kNN tie rule decides."""
+    axis = spacing * np.arange(side)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+    n = side ** 3
+    return MaterialField(
+        positions=grid.reshape(-1, 3)[rng.permutation(n)],
+        class_id=np.zeros(n, dtype=np.int32),
+        young_modulus=10 ** rng.uniform(3, 6, n),
+        poisson_ratio=np.full(n, 0.3),
+        density=np.full(n, 1000.0),
+    )
+
+
 def make_targets(rng, field, k_prompts=2):
     n = field.n_points
     return SupervisionTargets(
@@ -127,8 +142,9 @@ class TestSmoothness:
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            f = make_field(rng, n=11)
+        fields = [make_field(rng, n=11) for _ in range(5)]
+        fields.append(shuffled_lattice(np.random.default_rng(19)))
+        for f in fields:
             got = smoothness_loss(f, PAPER_WEIGHTS)
             want = smoothness_oracle(f, PAPER_WEIGHTS)
             assert got == pytest.approx(want, rel=1e-10)
