@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, IoError, ShapeError
-from .fieldio import read_json
+from .fieldio import read_json, require_key
 
 DEFAULT_TAU = 0.07
 
@@ -213,13 +213,11 @@ def bundle_to_dict(bundle: FeatureBundle) -> dict:
 def bundle_from_dict(d: dict) -> FeatureBundle:
     if d.get("format") != "feature-bundle":
         raise IoError("not a feature-bundle document")
-    return FeatureBundle(
-        point_features=d["point_features"],
-        global_token=d["global_token"],
-        part_tokens=d["part_tokens"],
-        phi=d["phi"], psi=d["psi"], w_val=d["w_val"],
-        tau=float(d.get("tau", DEFAULT_TAU)),
-    ).validate()
+    arrays = {key: require_key(d, key, "feature-bundle") for key in
+              ("point_features", "global_token", "part_tokens", "phi", "psi",
+               "w_val")}
+    return FeatureBundle(tau=float(d.get("tau", DEFAULT_TAU)),
+                         **arrays).validate()
 
 
 def write_bundle(bundle: FeatureBundle, path):

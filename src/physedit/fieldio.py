@@ -35,16 +35,25 @@ VERSION = 1
 _FLAG_PART_LABEL = 1
 
 
-def read_json(path, what):
-    """Parse the JSON object in ``path``; IoError naming ``what`` and the
-    path if the file cannot be read, is not JSON or is not an object."""
+def read_json(path, what, kind=dict):
+    """Parse the JSON document in ``path``; IoError naming ``what`` and the
+    path if the file cannot be read, is not JSON or is not a ``kind``
+    (dict for an object, list for an array)."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: JSON or Unicode decode
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise IoError(f"{path}: {what} is not a JSON object")
+    if not isinstance(doc, kind):
+        name = "object" if kind is dict else "array"
+        raise IoError(f"{path}: {what} is not a JSON {name}")
     return doc
+
+
+def require_key(doc, key, what):
+    """``doc[key]``; IoError naming ``what`` and the key if it is absent."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise IoError(f"{what}: missing required key {key!r}")
+    return doc[key]
 
 
 def write_field_binary(f: MaterialField, path):
@@ -128,16 +137,22 @@ def field_from_dict(d: dict) -> MaterialField:
         raise IoError("not a material-field document")
     if d.get("version") != VERSION:
         raise IoError(f"unsupported material-field version {d.get('version')}")
+
+    def col(key, dtype):
+        return np.asarray(require_key(d, key, "material-field"), dtype=dtype)
+
     part = d.get("part_label")
     return MaterialField(
-        positions=np.asarray(d["positions"], dtype=np.float64),
-        class_id=np.asarray(d["class_id"], dtype=np.int32),
-        young_modulus=np.asarray(d["young_modulus"], dtype=np.float64),
-        poisson_ratio=np.asarray(d["poisson_ratio"], dtype=np.float64),
-        density=np.asarray(d["density"], dtype=np.float64),
+        positions=col("positions", np.float64),
+        class_id=col("class_id", np.int32),
+        young_modulus=col("young_modulus", np.float64),
+        poisson_ratio=col("poisson_ratio", np.float64),
+        density=col("density", np.float64),
         part_label=None if part is None else np.asarray(part, dtype=np.int32),
-        interior_flag=np.asarray(d["interior_flag"], dtype=bool),
-        normalization=ParamNormalization(tuple(d["norm_mean"]), tuple(d["norm_std"])),
+        interior_flag=col("interior_flag", bool),
+        normalization=ParamNormalization(
+            tuple(require_key(d, "norm_mean", "material-field")),
+            tuple(require_key(d, "norm_std", "material-field"))),
     )
 
 

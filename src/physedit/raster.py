@@ -1,13 +1,22 @@
 """Pinhole point-splat rasterization of trajectory frames.
 
 Frames are z-buffered splats of the particle positions, written as binary
-portable graymaps (P5).  Depth ties go to the lower point index, and the
-far-to-near write order makes the result independent of input ordering.
+portable graymaps (P5).  Each pixel shows the nearest point whose disc of
+radius splat_radius covers it, with depth ties to the lower point index.
+
+``rasterize_frame`` is array code with no loop over points.  Points off
+the image, behind the near plane or not finite are culled in floating
+point.  The rest are ranked once by (depth, index).  Each point is
+expanded into its (2*ceil(r)+1)^2 pixel stencil (no wider than the image)
+and masked by the disc.  A pixel keeps the lowest rank that hits it
+(``np.minimum.at``).  The points are expanded in rank order, in chunks of
+at most max(_CHUNK_CELLS, one stencil) cells, so extra memory is bounded
+by that for any point count; the stencil is clipped to the image, so a
+huge radius costs at most the image size.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -17,6 +26,7 @@ import numpy as np
 from .errors import DomainError, IoError, ShapeError
 
 _Z_NEAR = 1e-9
+_CHUNK_CELLS = 1 << 18  # stencil cells expanded at once
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,7 @@ class CameraSpec:
             raise ShapeError("rotation must be 3x3 and translation length 3")
         if self.color_mode not in ("depth", "object_id"):
             raise DomainError(f"unknown color mode {self.color_mode!r}")
-        if self.splat_radius <= 0:
+        if not self.splat_radius > 0:  # NaN fails too
             raise DomainError("splat_radius must be positive")
         return self
 
@@ -98,42 +108,41 @@ def rasterize_frame(positions, cam: CameraSpec, object_id=None) -> RasterFrame:
         raise DomainError("object_id color mode needs per-point object ids")
 
     h, wd = cam.height, cam.width
+    r = cam.splat_radius
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_cam = pos @ cam.rotation.T + cam.translation
+        z = x_cam[:, 2]
+        u = cam.fx * x_cam[:, 0] / z + cam.cx
+        v = cam.fy * x_cam[:, 1] / z + cam.cy
+    # cull in floating point: NaN, inf and far off-image points fail here,
+    # before any integer cast
+    ids = np.flatnonzero((z > _Z_NEAR) & (u > -r - 1) & (u < wd + r)
+                         & (v > -r - 1) & (v < h + r))
+    # rank = position in (z, index) order, so the lowest rank wins a pixel
+    order = ids[np.argsort(z[ids], kind="stable")]
+    u, v = u[order], v[order]
+    x0 = np.maximum(np.ceil(u - r), 0).astype(np.intp)
+    y0 = np.maximum(np.ceil(v - r), 0).astype(np.intp)
+    span = 2 * np.ceil(r) + 1
+    ox, oy = np.arange(int(min(span, wd))), np.arange(int(min(span, h)))
+    best = np.full(h * wd, order.size)
+    step = max(1, _CHUNK_CELLS // (ox.size * oy.size))
+    for lo in range(0, order.size, step):
+        sl = np.arange(lo, min(lo + step, order.size))
+        px = x0[sl, None] + ox
+        py = y0[sl, None] + oy
+        du2 = (px - u[sl, None]) ** 2
+        dv2 = (py - v[sl, None]) ** 2
+        hit = ((dv2[:, :, None] + du2[:, None, :] <= r * r)
+               & (py < h)[:, :, None] & (px < wd)[:, None, :])
+        cell = py[:, :, None] * wd + px[:, None, :]
+        rank = np.broadcast_to(sl[:, None, None], hit.shape)
+        np.minimum.at(best, cell[hit], rank[hit])
+    won = np.flatnonzero(best < order.size)
     depth = np.full((h, wd), np.inf)
     index = np.full((h, wd), -1, dtype=np.int32)
-
-    x_cam = pos @ cam.rotation.T + cam.translation
-    z = x_cam[:, 2]
-    visible = z > _Z_NEAR
-    ids = np.nonzero(visible)[0]
-    u = cam.fx * x_cam[visible, 0] / z[visible] + cam.cx
-    v = cam.fy * x_cam[visible, 1] / z[visible] + cam.cy
-
-    # far-to-near, ties by higher index first, so the final write at any
-    # pixel is the nearest point with the lowest index
-    order = np.lexsort((ids, z[visible]))[::-1]
-    r = cam.splat_radius
-    r2 = r * r
-    ir = int(math.ceil(r))
-    for row in order:
-        uu, vv, pid = u[row], v[row], ids[row]
-        px_lo = max(int(math.ceil(uu - r)), 0)
-        px_hi = min(int(math.floor(uu + r)), wd - 1)
-        py_lo = max(int(math.ceil(vv - r)), 0)
-        py_hi = min(int(math.floor(vv + r)), h - 1)
-        if px_lo > px_hi or py_lo > py_hi:
-            continue
-        px = np.arange(px_lo, px_hi + 1)
-        py = np.arange(py_lo, py_hi + 1)
-        du2 = (px - uu) ** 2
-        dv2 = (py - vv) ** 2
-        mask = dv2[:, None] + du2[None, :] <= r2
-        if not mask.any():
-            continue
-        zz = z[pid]
-        sub_d = depth[py_lo:py_hi + 1, px_lo:px_hi + 1]
-        sub_i = index[py_lo:py_hi + 1, px_lo:px_hi + 1]
-        sub_d[mask] = zz
-        sub_i[mask] = pid
+    index.flat[won] = order[best[won]]
+    depth.flat[won] = z[index.flat[won]]
 
     occupied = index >= 0
     image = np.zeros((h, wd), dtype=np.uint8)

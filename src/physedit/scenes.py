@@ -23,7 +23,7 @@ from .conditioning import (FeatureBundle, bundle_to_dict,
                            synthetic_segmentation_prior)
 from .engine import ObjectInit, SimConfig
 from .errors import DomainError, IoError
-from .fieldio import read_field, read_json, write_field
+from .fieldio import read_field, read_json, require_key, write_field
 from .fill import FillConfig, fill_field
 from .materials import MaterialClass, MaterialField
 from .raster import CameraSpec
@@ -208,11 +208,12 @@ def load_scene(scene_path):
     root = scene_path.parent
 
     objects = []
-    for obj in doc["objects"]:
-        fld = read_field(root / obj["field"])
+    for k, obj in enumerate(require_key(doc, "objects", scene_path)):
+        what = f"{scene_path} objects[{k}]"
+        fld = read_field(root / require_key(obj, "field", what))
         rotate = obj.get("rotate")
         objects.append(ObjectInit(
-            field=fld, h_fill=float(obj["h_fill"]),
+            field=fld, h_fill=float(require_key(obj, "h_fill", what)),
             velocity=tuple(obj.get("velocity", (0.0, 0.0, 0.0))),
             translate=tuple(obj.get("translate", (0.0, 0.0, 0.0))),
             rotate=None if rotate is None else np.asarray(rotate)))
@@ -221,7 +222,7 @@ def load_scene(scene_path):
     lo = sim.pop("domain_lo", None)
     hi = sim.pop("domain_hi", None)
     cfg = SimConfig(
-        h_grid=float(sim["h_grid"]),
+        h_grid=float(require_key(sim, "h_grid", f"{scene_path} sim")),
         cfl_number=float(sim.get("cfl_number", 0.3)),
         frames=int(sim.get("frames", 24)),
         fps=float(sim.get("fps", 24.0)),

@@ -175,10 +175,7 @@ def read_trajectory(in_dir) -> Trajectory:
         _, pos = parse_frame_bytes(raw)
         frames.append(pos)
     positions = np.stack(frames)
-    try:
-        edit_log = json.loads((root / manifest["edit_log_file"]).read_text())
-    except OSError:
-        edit_log = []
+    edit_log = read_json(root / manifest["edit_log_file"], "edit log", list)
     n = positions.shape[1]
     object_id = np.zeros(n, dtype=np.int32)
     offset = 0

@@ -139,6 +139,24 @@ class TestSimulateCommand:
         assert record["error"] == "IoError"
         assert str(scene) in record["message"]
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"format": "scene"}, "objects"),
+        ({"format": "scene", "objects": [], "sim": {}}, "h_grid"),
+        ({"format": "scene", "objects": [{"h_fill": 0.03}]}, "field"),
+        ({"format": "scene", "objects": [{"field": "cube.mfield"}]}, "h_fill"),
+    ], ids=["objects", "h_grid", "field", "h_fill"])
+    def test_scene_missing_key_io_error(self, tmp_path, capsys, surface_file,
+                                        doc, key):
+        scene = tmp_path / "scene.json"
+        (tmp_path / "cube.mfield").write_bytes(surface_file.read_bytes())
+        scene.write_text(json.dumps(doc))
+        rc = main(["simulate", str(scene), str(tmp_path / "o")])
+        assert rc == 50
+        record = single_error_record(capsys)
+        assert record["error"] == "IoError"
+        assert f"missing required key '{key}'" in record["message"]
+        assert str(scene) in record["message"]
+
 
 class TestAnalyzeCommand:
     def test_fixture_report_echoes_weights(self, tmp_path, capsys):

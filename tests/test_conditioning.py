@@ -5,7 +5,7 @@ from physedit.conditioning import (AttentionWeights, FeatureBundle,
                                    bundle_from_dict, bundle_to_dict,
                                    cross_attention, hierarchical_condition,
                                    read_bundle, soft_assign, write_bundle)
-from physedit.errors import DomainError, ShapeError
+from physedit.errors import DomainError, IoError, ShapeError
 
 
 def random_bundle(rng, n=5, d=8, d_t=6, d_a=4, k=3, tau=0.07):
@@ -231,3 +231,12 @@ def test_bundle_file_roundtrip(tmp_path):
     res_a = soft_assign(bundle_from_dict(bundle_to_dict(b)))
     res_b = soft_assign(back)
     assert np.allclose(res_a.weights, res_b.weights)
+
+
+@pytest.mark.parametrize("key", ["point_features", "global_token",
+                                 "part_tokens", "phi", "psi", "w_val"])
+def test_bundle_missing_key_io_error(key):
+    doc = bundle_to_dict(random_bundle(np.random.default_rng(11)))
+    del doc[key]
+    with pytest.raises(IoError, match=f"missing required key '{key}'"):
+        bundle_from_dict(doc)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from physedit.errors import IoError
-from physedit.fieldio import (read_field, read_field_binary, read_field_json,
-                              write_field, write_field_binary, write_field_json)
+from physedit.fieldio import (field_from_dict, field_to_dict, read_field,
+                              read_field_binary, read_field_json, write_field,
+                              write_field_binary, write_field_json)
 from physedit.materials import MaterialField, ParamNormalization
 
 
@@ -75,3 +76,13 @@ def test_deterministic_bytes(field, tmp_path):
     write_field(field, tmp_path / "two.mfield")
     assert (tmp_path / "one.mfield").read_bytes() == \
         (tmp_path / "two.mfield").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["positions", "class_id", "young_modulus",
+                                 "poisson_ratio", "density", "interior_flag",
+                                 "norm_mean", "norm_std"])
+def test_missing_key_io_error(field, key):
+    doc = field_to_dict(field)
+    del doc[key]
+    with pytest.raises(IoError, match=f"missing required key '{key}'"):
+        field_from_dict(doc)

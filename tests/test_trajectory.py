@@ -1,9 +1,13 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from physedit.errors import DomainError, ShapeError
+from physedit import raster
+from physedit.errors import DomainError, IoError, ShapeError
 from physedit.raster import CameraSpec, rasterize_frame, read_pgm, write_pgm
 from physedit.trajectory import (Trajectory, export_trajectory, frame_bytes,
                                  parse_frame_bytes, read_trajectory,
@@ -88,6 +92,52 @@ class TestExport:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             Trajectory.from_frames(np.zeros((2, 3)), 24.0, np.zeros(3))
+
+    @pytest.mark.parametrize("text, message", [
+        ("{broken", "cannot read edit log"),
+        ('{"t": 0.1}', "edit log is not a JSON array"),
+        (None, "cannot read edit log"),
+    ], ids=["malformed", "object", "missing"])
+    def test_bad_edit_log_io_error(self, tmp_path, text, message):
+        export_trajectory(make_traj(np.random.default_rng(10)), tmp_path)
+        edits = tmp_path / "edits.json"
+        if text is None:
+            edits.unlink()
+        else:
+            edits.write_text(text)
+        with pytest.raises(IoError, match=message) as info:
+            read_trajectory(tmp_path)
+        assert str(edits) in str(info.value)
+
+
+@hst.composite
+def raster_cases(draw):
+    """Small axis-camera frames whose projections are exact dyadic numbers.
+
+    u = 8 x / z + cx with z a power of two, so with quarter-pixel u, v and
+    integer or half-integer radii some pixels lie exactly at distance r.
+    Points straddle every image edge, some repeat earlier ones exactly (depth
+    ties), some lie behind the camera, and the chunk size ranges from one
+    point per chunk to the whole frame.
+    """
+    w, h = draw(hst.integers(16, 24)), draw(hst.integers(16, 20))
+    r = draw(hst.one_of(hst.floats(0.3, 4.0),
+                        hst.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])))
+    reach = int(np.ceil(r)) + 2
+    cam = CameraSpec(fx=8.0, fy=8.0, cx=w / 2, cy=h / 2, width=w, height=h,
+                     splat_radius=r)
+    pts = []
+    for _ in range(draw(hst.integers(1, 40))):
+        if pts and draw(hst.integers(0, 3)) == 0:
+            pts.append(pts[draw(hst.integers(0, len(pts) - 1))])
+            continue
+        qu = draw(hst.integers(-4 * reach, 4 * (w + reach))) / 4
+        qv = draw(hst.integers(-4 * reach, 4 * (h + reach))) / 4
+        z = draw(hst.sampled_from([0.5, 1.0, 2.0, 4.0, -1.0, 0.0]))
+        scale = abs(z) if z else 1.0
+        pts.append(((qu - cam.cx) * scale / 8, (qv - cam.cy) * scale / 8, z))
+    cells = draw(hst.sampled_from([1, 30, 200, raster._CHUNK_CELLS]))
+    return np.array(pts), cam, cells
 
 
 class TestRaster:
@@ -189,6 +239,58 @@ class TestRaster:
         frame = rasterize_frame(np.array([[0.0, 0.0, 2.0]]), cam)
         hit = frame.index >= 0
         assert np.all(frame.image[hit] == 1 + round(254 * 0.5))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=raster_cases())
+    def test_matches_pixel_oracle_bitwise(self, case):
+        pts, cam, cells = case
+        with mock.patch.object(raster, "_CHUNK_CELLS", cells):
+            frame = rasterize_frame(pts, cam)
+        depth, index = pixel_oracle(pts, cam)
+        assert frame.index.dtype == np.int32
+        assert np.array_equal(frame.index, index)
+        assert frame.depth.tobytes() == depth.tobytes()
+
+    def test_non_finite_and_far_points_dropped(self):
+        rng = np.random.default_rng(11)
+        cam = self.axis_cam(width=24, height=20, cx=12.0, cy=10.0,
+                            splat_radius=2.0)
+        finite = rng.uniform(-0.1, 0.1, size=(30, 3)) + [0, 0, 1.0]
+        bad = np.array([[np.nan, np.nan, np.nan], [np.inf, 0.0, 1.0],
+                        [0.0, -np.inf, 1.0], [0.0, 0.0, np.inf],
+                        [1e10, 0.0, 2e-9]])
+        pts = np.concatenate([finite[:10], bad, finite[10:]])
+        frame = rasterize_frame(pts, cam)
+        depth, index = pixel_oracle(finite, cam)
+        keep = np.r_[0:10, 15:35]
+        assert np.array_equal(frame.index,
+                              np.where(index >= 0, keep[index], -1))
+        assert frame.depth.tobytes() == depth.tobytes()
+        with pytest.raises(DomainError):
+            rasterize_frame(finite, self.axis_cam(splat_radius=np.nan))
+
+    def test_huge_radius_clamped_and_chunked(self):
+        # r = 500 on 64x64: each stencil is clipped to the image, so with
+        # one 64^2 stencil per chunk the extra memory stays near 4096 cells;
+        # an unclamped 1001^2 stencil would allocate about 18 MB
+        rng = np.random.default_rng(12)
+        cam = self.axis_cam(splat_radius=500.0)
+        u = rng.uniform(-495.0, -460.0, 300)
+        v = rng.uniform(0.0, 64.0, 300)
+        z = rng.uniform(1.0, 2.0, 300)
+        pts = np.stack([(u - cam.cx) * z / cam.fx, (v - cam.cy) * z / cam.fy,
+                        z], axis=1)
+        with mock.patch.object(raster, "_CHUNK_CELLS", 64 * 64):
+            tracemalloc.start()
+            try:
+                frame = rasterize_frame(pts, cam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 ** 20
+        depth, index = pixel_oracle(pts, cam)
+        assert np.array_equal(frame.index, index)
+        assert frame.depth.tobytes() == depth.tobytes()
 
     def test_camera_validation(self):
         with pytest.raises(DomainError):
