@@ -6,6 +6,7 @@ Subcommands:
   simulate  scene file (or bundled scene) -> trajectory dir + images
   analyze   labeled field + targets -> loss breakdown and gradient checks
   verify    trajectory dir -> integrity report
+  compare   two trajectory dirs -> largest centroid and AABB deviation
 
 Configuration layering is file < environment < flags; recognized
 environment variables are PHYSEDIT_SEED and PHYSEDIT_THREADS.  Every
@@ -35,7 +36,8 @@ from .losses import (LossWeights, SupervisionTargets, finite_diff_check,
 from .raster import rasterize_frame, write_pgm
 from .scenes import BUNDLED_SCENES, build_scene, build_analyze_fixture, load_scene
 from .schedule import compile_schedule
-from .trajectory import canonical_json, export_trajectory, verify_trajectory
+from .trajectory import (canonical_json, compare_trajectories,
+                         export_trajectory, read_trajectory, verify_trajectory)
 
 GRADCHECK_THRESHOLD = 1e-4
 REPORTED_WEIGHTS = ("lambda_reg", "lambda_cls", "lambda_smooth", "lambda_con",
@@ -266,6 +268,13 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def cmd_compare(args) -> int:
+    report = compare_trajectories(read_trajectory(args.run_a),
+                                  read_trajectory(args.run_b))
+    print(json.dumps(report, sort_keys=True))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="physedit",
@@ -325,6 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-hash a trajectory directory")
     p.add_argument("dir")
     p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("compare",
+                       help="largest per-frame centroid and AABB deviation "
+                            "between two trajectory dirs")
+    p.add_argument("run_a", metavar="RUN_A")
+    p.add_argument("run_b", metavar="RUN_B")
+    p.set_defaults(func=cmd_compare)
     return parser
 
 

@@ -23,6 +23,10 @@ P = U diag(p) V^T for a vector p of principal stresses:
               [1 - theta_c, 1 + theta_s]
 
 The solver forms the Kirchhoff product P F^T itself.
+
+``svd3`` runs its Jacobi sweeps on F^T F / tr(F^T F), whose entries lie
+in [-1, 1] at any scale of F, so each rotation is a plain sqrt of squares
+rather than the much slower overflow-safe np.hypot.
 """
 
 from __future__ import annotations
@@ -53,19 +57,35 @@ def svd3(f):
     Jacobi rotations on F^T F (McAdams et al. 2011), U and sigma from a
     Gram-Schmidt QR of F V, which keeps every sigma accurate relative to
     itself even when F is badly conditioned.  Returns (u, sigma, vt) in
-    the layout of np.linalg.svd.
+    the layout of np.linalg.svd, all C-contiguous.
+
+    The sweeps run on F^T F / tr(F^T F): V and the order of the
+    eigenvalues do not depend on that scale, and sigma comes from F
+    itself.  Every entry of the scaled matrix lies in [-1, 1] (|a_pq| <=
+    sqrt(a_pp a_qq) <= tr), so the rotation's sqrt(d^2 + 4 a_pq^2) and
+    cos = 1 / sqrt(1 + t^2), with |t| <= 1, cannot overflow at any scale
+    of F; squares underflow only for entries below about 1e-154 of the
+    trace, far under round-off.  So no np.hypot (several times the cost
+    of a sqrt) is needed.
     """
     f = np.asarray(f, dtype=np.float64)
     n = f.shape[0]
-    cols = f.transpose(2, 1, 0)  # cols[k] is column k of every F, (3, N)
+    # cols[k] is column k of every F, (3, N)
+    cols = np.ascontiguousarray(f.transpose(2, 1, 0))
     zero = np.zeros(n)
 
-    # a[i][j] = (F^T F)_ij; a[i][j] and a[j][i] are the same array
+    # a[i][j] = (F^T F)_ij / tr(F^T F); a[i][j] and a[j][i] are the same array
     a = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
             a[i][j] = a[j][i] = (cols[i] * cols[j]).sum(axis=0)
-    v = [[np.full(n, float(i == j)) for j in range(3)] for i in range(3)]
+    trace = a[0][0] + a[1][1] + a[2][2]
+    scale = np.divide(1.0, trace, out=np.ones(n), where=trace > 0)
+    for i in range(3):
+        for j in range(i, 3):
+            a[i][j] = a[j][i] = a[i][j] * scale
+    # v[c] is column c of every V, (3, N)
+    v = [np.repeat(np.eye(3)[:, c, None], n, axis=1) for c in range(3)]
     for _ in range(_JACOBI_SWEEPS):
         for p, q in _PAIRS:
             r = 3 - p - q
@@ -74,9 +94,10 @@ def svd3(f):
             # t = tan of the rotation that zeroes a_pq, the smaller root of
             # t^2 + t d / a_pq - 1 = 0, in a form that never divides by a_pq;
             # the denominator is 0 only when a_pq = 0, and then t = 0
-            denom = d + np.copysign(np.hypot(d, 2.0 * apq), d)
-            t = np.divide(2.0 * apq, denom, out=np.zeros(n), where=denom != 0)
-            c = 1.0 / np.hypot(1.0, t)
+            two_apq = 2.0 * apq
+            denom = d + np.copysign(np.sqrt(d * d + two_apq * two_apq), d)
+            t = np.divide(two_apq, denom, out=np.zeros(n), where=denom != 0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             ta = t * apq
             a[p][p] = a[p][p] - ta
@@ -85,23 +106,21 @@ def svd3(f):
             arp, arq = a[r][p], a[r][q]
             a[r][p] = a[p][r] = c * arp - s * arq
             a[r][q] = a[q][r] = s * arp + c * arq
-            for k in range(3):
-                vkp, vkq = v[k][p], v[k][q]
-                v[k][p] = c * vkp - s * vkq
-                v[k][q] = s * vkp + c * vkq
+            vp, vq = v[p], v[q]
+            v[p] = c * vp - s * vq
+            v[q] = s * vp + c * vq
 
     # sort by decreasing eigenvalue; negating the moved column keeps det V = +1
     lam = [a[0][0], a[1][1], a[2][2]]
     for p, q in _PAIRS:
         swap = lam[p] < lam[q]
         lam[p], lam[q] = np.where(swap, lam[q], lam[p]), np.where(swap, lam[p], lam[q])
-        for k in range(3):
-            vkp, vkq = v[k][p], v[k][q]
-            v[k][p] = np.where(swap, vkq, vkp)
-            v[k][q] = np.where(swap, -vkp, vkq)
+        vp, vq = v[p], v[q]
+        v[p] = np.where(swap, vq, vp)
+        v[q] = np.where(swap, -vp, vq)
 
     # QR of B = F V: B = U diag(sigma) up to round-off in its off-diagonal
-    b = [cols[0] * v[0][c] + cols[1] * v[1][c] + cols[2] * v[2][c]
+    b = [cols[0] * v[c][0] + cols[1] * v[c][1] + cols[2] * v[c][2]
          for c in range(3)]
     n1 = np.sqrt((b[0] * b[0]).sum(axis=0))
     u1 = b[0] / np.where(n1 > 0, n1, 1.0)
@@ -113,9 +132,11 @@ def svd3(f):
                    u1[0] * u2[1] - u1[1] * u2[0]])
     s3 = (u3 * b[2]).sum(axis=0)
 
-    u = np.stack([u1, u2, u3]).transpose(2, 1, 0)
+    u = np.empty((n, 3, 3))
+    vt = np.empty((n, 3, 3))
+    np.stack([u1, u2, u3], out=u.transpose(2, 1, 0))
+    np.stack(v, out=vt.transpose(1, 2, 0))
     sig = np.stack([n1, n2, s3], axis=1)
-    vt = np.array(v).transpose(2, 1, 0)
     return u, sig, vt
 
 
@@ -167,7 +188,9 @@ def batch_constitutive(f, class_id, e, nu,
     """
     f = np.asarray(f, dtype=np.float64)
     if not np.isfinite(f).all():
-        raise NumericalError("non-finite deformation gradient")
+        i = int(np.flatnonzero(~np.isfinite(f).all(axis=(1, 2)))[0])
+        raise NumericalError(f"particle {i}: non-finite deformation gradient",
+                             particle=i)
     class_id = np.asarray(class_id)
     mu, lam = lame_parameters(e, nu)
     mu = np.where(class_id == MaterialClass.LIQUID, 0.0, mu)
@@ -175,7 +198,10 @@ def batch_constitutive(f, class_id, e, nu,
     u, sig, vt = svd3(f)
     j = sig.prod(axis=1)
     if not np.all(j > 0):  # also catches NaN
-        raise NumericalError("deformation gradient lost positive determinant")
+        i = int(np.flatnonzero(~(j > 0))[0])
+        raise NumericalError(
+            f"particle {i}: deformation gradient lost positive determinant",
+            particle=i)
 
     return_mapped = np.isin(class_id, (MaterialClass.PLASTICINE,
                                        MaterialClass.SAND,

@@ -270,7 +270,7 @@ def _check_inside(state: SimulationState, build=False):
                f"(origin {state.origin}, dims {state.dims}, h {state.h})")
         if build:
             raise GridOverflow(msg)
-        raise ParticleEscape(msg)
+        raise ParticleEscape(msg, particle=i)
 
 
 def stable_dt(state: SimulationState, cfg: SimConfig) -> float:
@@ -595,8 +595,11 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
                 v_o[b] += o_b * wv
 
     state.v = np.ascontiguousarray(v.T)
-    state.c_apic = (4.0 / state.h) * (v_o - v[None, :, :] * stencil.fx[:, None, :]
-                                      ).transpose(2, 1, 0)
+    # C-contiguous, so the F update below and the next P2G read it in order
+    state.c_apic = np.multiply(
+        4.0 / state.h,
+        (v_o - v[None, :, :] * stencil.fx[:, None, :]).transpose(2, 1, 0),
+        out=np.empty((n, 3, 3)))
     state.f = (np.eye(3)[None] + dt * state.c_apic) @ state.f
     x = state.x + dt * state.v
     for group, (centroid, u) in rigid:
@@ -610,16 +613,20 @@ def step(state: SimulationState, dt: float):
     piola, state.f = batch_constitutive(
         state.f, state.class_id, state.young_modulus, state.poisson_ratio,
         state.table)
-    kirchhoff = piola @ state.f.transpose(0, 2, 1)
+    # a contiguous F^T keeps the batched product on numpy's fast path
+    kirchhoff = piola @ np.ascontiguousarray(state.f.transpose(0, 2, 1))
     stencil, grid_mass, grid_mom = _p2g(state, dt, kirchhoff)
     grid_v = _grid_update(state, dt, stencil, grid_mass, grid_mom)
     groups = _rigid_groups(state)
     motions = _couple_rigid(state, stencil, grid_mass, grid_v, groups)
     _g2p(state, dt, stencil, grid_v, zip(groups, motions))
 
-    if not (np.isfinite(state.v).all() and np.isfinite(state.x).all()
-            and np.isfinite(state.f).all()):
-        raise NumericalError("non-finite particle state after substep")
+    for name, arr in (("v", state.v), ("x", state.x), ("F", state.f)):
+        if not np.isfinite(arr).all():
+            bad = ~np.isfinite(arr.reshape(state.n_particles, -1)).all(axis=1)
+            i = int(np.flatnonzero(bad)[0])
+            raise NumericalError(f"particle {i}: non-finite {name} after substep",
+                                 particle=i)
     _check_inside(state)
 
 
@@ -674,9 +681,11 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
             try:
                 step(state, dt)
             except (ParticleEscape, NumericalError) as exc:
-                raise type(exc)(
-                    f"frame {frame}, substep {substep}, t={t_before:.6g}: {exc}"
-                ) from exc
+                where = f"frame {frame}, substep {substep}, t={t_before:.6g}"
+                if exc.particle is not None:
+                    where += f", object {int(state.object_id[exc.particle])}"
+                raise type(exc)(f"{where}: {exc}",
+                                particle=exc.particle) from exc
             substep += 1
         state.t = target_t
         frames[frame] = state.x.astype(np.float32)

@@ -65,13 +65,21 @@ class EmptyScene(PhysEditError):
     code = 31
 
 
-class NumericalError(PhysEditError):
+class _ParticleError(PhysEditError):
+    """An error about one particle; ``particle`` is its index, if known."""
+
+    def __init__(self, message, particle=None):
+        self.particle = particle
+        super().__init__(message)
+
+
+class NumericalError(_ParticleError):
     """A matrix decomposition or similar numeric kernel failed."""
 
     code = 32
 
 
-class ParticleEscape(PhysEditError):
+class ParticleEscape(_ParticleError):
     """A particle left the grid margin during stepping."""
 
     code = 33

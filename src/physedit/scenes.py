@@ -246,18 +246,21 @@ def load_scene(scene_path):
     camera = None
     cam = doc.get("camera")
     if cam:
-        kwargs = {k: cam[k] for k in
+        what = f"{scene_path} camera"
+        kwargs = {k: require_key(cam, k, what) for k in
                   ("fx", "fy", "cx", "cy", "width", "height")}
         kwargs["splat_radius"] = cam.get("splat_radius", 1.0)
         kwargs["color_mode"] = cam.get("color_mode", "depth")
         if cam.get("depth_range"):
             kwargs["depth_range"] = tuple(cam["depth_range"])
         if "eye" in cam:
-            camera = CameraSpec.look_at(cam["eye"], cam["target"], **kwargs)
+            camera = CameraSpec.look_at(
+                cam["eye"], require_key(cam, "target", what), **kwargs)
         else:
-            camera = CameraSpec(rotation=np.asarray(cam["rotation"]),
-                                translation=np.asarray(cam["translation"]),
-                                **kwargs)
+            camera = CameraSpec(
+                rotation=np.asarray(require_key(cam, "rotation", what)),
+                translation=np.asarray(require_key(cam, "translation", what)),
+                **kwargs)
         camera.validate()
 
     extras = {

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, ShapeError
-from .fieldio import read_json
+from .fieldio import read_json, require_key
 
 FRAME_MAGIC = b"TRJF"
 FRAME_VERSION = 1
@@ -165,9 +165,10 @@ def export_trajectory(traj: Trajectory, out_dir) -> dict:
 def read_trajectory(in_dir) -> Trajectory:
     """Round-trip loader; positions come back bit-exactly."""
     root = Path(in_dir)
+    what = f"manifest {root / MANIFEST_NAME}"
     manifest = read_json(root / MANIFEST_NAME, "manifest")
     frames = []
-    for name in manifest["files"]:
+    for name in require_key(manifest, "files", what):
         try:
             raw = (root / name).read_bytes()
         except OSError as exc:
@@ -175,14 +176,18 @@ def read_trajectory(in_dir) -> Trajectory:
         _, pos = parse_frame_bytes(raw)
         frames.append(pos)
     positions = np.stack(frames)
-    edit_log = read_json(root / manifest["edit_log_file"], "edit log", list)
+    edit_log = read_json(root / require_key(manifest, "edit_log_file", what),
+                         "edit log", list)
     n = positions.shape[1]
     object_id = np.zeros(n, dtype=np.int32)
     offset = 0
-    for entry in manifest["objects"]:
-        object_id[offset:offset + entry["count"]] = entry["id"]
-        offset += entry["count"]
-    return Trajectory.from_frames(positions, manifest["fps"], object_id,
+    for k, entry in enumerate(require_key(manifest, "objects", what)):
+        count = require_key(entry, "count", f"{what} objects[{k}]")
+        object_id[offset:offset + count] = require_key(
+            entry, "id", f"{what} objects[{k}]")
+        offset += count
+    fps = require_key(manifest, "fps", what)
+    return Trajectory.from_frames(positions, fps, object_id,
                                   edit_log=edit_log,
                                   scene_hash=manifest.get("scene_hash", ""),
                                   config_hash=manifest.get("config_hash", ""))
@@ -193,9 +198,9 @@ def verify_trajectory(in_dir) -> dict:
     root = Path(in_dir)
     report = {"ok": True, "files": [], "errors": []}
     try:
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return {"ok": False, "files": [], "errors": [f"manifest unreadable: {exc}"]}
+        manifest = read_json(root / MANIFEST_NAME, "manifest")
+    except IoError as exc:
+        return {"ok": False, "files": [], "errors": [str(exc)]}
 
     for name, want in zip(manifest.get("files", []),
                           manifest.get("frame_sha256", [])):
@@ -222,3 +227,20 @@ def verify_trajectory(in_dir) -> dict:
         report["errors"].append("manifest frame count does not match file list")
     report["ok"] = not report["errors"]
     return report
+
+
+def compare_trajectories(a: Trajectory, b: Trajectory) -> dict:
+    """Largest per-frame centroid and AABB deviation of b from a.
+
+    Deviations are the largest absolute coordinate difference, in metres,
+    over every frame and object.  IoError if the two runs differ in frame
+    count or object table.
+    """
+    if a.n_frames != b.n_frames:
+        raise IoError(f"frame counts differ: {a.n_frames} against {b.n_frames}")
+    if not np.array_equal(a.object_table, b.object_table):
+        raise IoError(f"object tables differ: {a.object_table.tolist()} "
+                      f"against {b.object_table.tolist()}")
+    return {"frames": a.n_frames,
+            "max_centroid_dev_m": float(np.abs(a.centroids - b.centroids).max()),
+            "max_aabb_dev_m": float(np.abs(a.aabbs - b.aabbs).max())}

@@ -231,6 +231,34 @@ class TestVerifyCommand:
         assert rc == 1
         assert "CORRUPT" in capsys.readouterr().out
 
+    def test_array_manifest_reported(self, tmp_path, capsys):
+        main(["simulate", "--bundled", "drop_cube", str(tmp_path / "v"),
+              "--no-images", "--frames", "2"])
+        (tmp_path / "v" / "manifest.json").write_text("[]")
+        rc = main(["verify", str(tmp_path / "v")])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT" in out
+        assert "manifest is not a JSON object" in out
+
+
+class TestCompareCommand:
+    def test_identical_and_mismatched_runs(self, tmp_path, capsys):
+        for name, frames in (("a", "3"), ("b", "3"), ("c", "2")):
+            assert main(["simulate", "--bundled", "drop_cube",
+                         str(tmp_path / name), "--no-images",
+                         "--frames", frames]) == 0
+        capsys.readouterr()
+        rc = main(["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "frames": 3, "max_centroid_dev_m": 0.0, "max_aabb_dev_m": 0.0}
+        rc = main(["compare", str(tmp_path / "a"), str(tmp_path / "c")])
+        assert rc == 50
+        record = single_error_record(capsys)
+        assert record["error"] == "IoError"
+        assert "frame counts differ" in record["message"]
+
 
 class TestParser:
     def test_help_lists_subcommands(self, capsys):

@@ -231,6 +231,36 @@ class TestSvd3:
         with pytest.raises(NumericalError):
             constitutive_stress(f, MaterialClass.ELASTIC, 1e5, 0.3)
 
+    @pytest.mark.parametrize("s", [1e100, 1e-100, 1e150])
+    def test_scale_invariant(self, s):
+        """Jacobi runs on the trace-normalized F^T F, so neither overflow
+        nor underflow touches F at extreme scales."""
+        rng = np.random.default_rng(11)
+        f = s * np.array([random_rotation(rng) @ np.diag([3.0, 2.0, 1.0])
+                          @ random_rotation(rng).T for _ in range(20)])
+        u, sig, vt = svd3(f)
+        assert np.abs((u * sig[:, None, :]) @ vt - f).max() <= 1e-13 * s
+        assert np.abs(sig / s - [3.0, 2.0, 1.0]).max() <= 1e-13
+
+    def test_outputs_c_contiguous(self):
+        u, sig, vt = svd3(DECOMPOSITION_CASES["random"])
+        assert u.flags.c_contiguous and vt.flags.c_contiguous
+
+
+def test_errors_name_the_particle():
+    f = np.tile(np.eye(3), (6, 1, 1))
+    args = (np.zeros(6, dtype=int), np.full(6, 1e5), np.full(6, 0.3))
+    f[3, 0, 1] = np.nan
+    with pytest.raises(NumericalError, match="particle 3: non-finite") as info:
+        batch_constitutive(f, *args)
+    assert info.value.particle == 3
+    f[3] = np.eye(3)
+    f[4] = np.diag([-1.0, 1.0, 1.0])
+    with pytest.raises(NumericalError,
+                       match="particle 4: deformation gradient lost") as info:
+        batch_constitutive(f, *args)
+    assert info.value.particle == 4
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("material", list(MaterialClass))

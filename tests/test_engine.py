@@ -13,7 +13,8 @@ from physedit.engine import (_BC_MODES, _WALL_NAMES, GRID_MARGIN, ObjectInit,
                              SimConfig, _couple_rigid, _grid_update, _p2g,
                              _rigid_groups, _Stencil, build_state,
                              object_events, simulate, stable_dt, step)
-from physedit.errors import DomainError, EmptyScene, GridOverflow
+from physedit.errors import (DomainError, EmptyScene, GridOverflow,
+                             NumericalError, ParticleEscape)
 from physedit.fill import FillConfig, fill_field
 from physedit.materials import MaterialClass
 from physedit.scenes import cube_shell_positions, uniform_field
@@ -380,6 +381,51 @@ class TestSimulate:
         traj = simulate(st, None, cfg)
         assert np.isfinite(traj.positions).all()
         assert np.isfinite(st.v).all() and np.isfinite(st.f).all()
+
+
+def two_cube_state():
+    cube = small_cube()
+    cfg = SimConfig(h_grid=0.03, frames=2, fps=24.0,
+                    domain_lo=(-0.6, -0.09, -0.4), domain_hi=(0.6, 0.8, 0.5))
+    st = build_state([ObjectInit(field=cube, h_fill=0.03,
+                                 translate=(dx, 0.2, 0.0))
+                      for dx in (-0.25, 0.25)], cfg)
+    return st, cfg, int(np.flatnonzero(st.object_id == 1)[3])
+
+
+class TestErrorContext:
+    """Substep errors name frame, substep, particle and object."""
+
+    def test_lost_determinant(self):
+        st, cfg, i = two_cube_state()
+        st.f[i] = np.diag([-1.0, 1.0, 1.0])
+        with pytest.raises(NumericalError) as info:
+            simulate(st, None, cfg)
+        assert str(info.value).startswith(
+            f"frame 1, substep 0, t=0, object 1: particle {i}: "
+            "deformation gradient lost positive determinant")
+        assert info.value.particle == i
+
+    def test_escape(self):
+        st, cfg, i = two_cube_state()
+        st.x[i] = st.origin - 1.0
+        with pytest.raises(ParticleEscape) as info:
+            simulate(st, None, cfg)
+        assert str(info.value).startswith(
+            f"frame 1, substep 0, t=0, object 1: particle {i} at ")
+        assert info.value.particle == i
+
+    def test_non_finite_state_names_the_array(self):
+        st, cfg, i = two_cube_state()
+        st.c_apic[i] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+            simulate(st, None, cfg)
+        k = info.value.particle
+        assert str(info.value).startswith(
+            f"frame 1, substep 0, t=0, object {st.object_id[k]}: "
+            f"particle {k}: non-finite v after substep")
+        assert not np.isfinite(st.v[k]).all()
+        assert np.isfinite(st.v[:k]).all()
 
 
 class TestEvents:

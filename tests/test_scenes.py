@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from physedit.cli import main
-from physedit.errors import DomainError
+from physedit.errors import DomainError, IoError
 from physedit.scenes import (BUNDLED_SCENES, build_analyze_fixture, build_scene,
                              cube_shell_positions, load_scene,
                              sphere_shell_positions)
@@ -50,3 +50,20 @@ def test_analyze_fixture_with_bundle_path(tmp_path, capsys):
                "--no-gradcheck"])
     assert rc == 0
     assert "assignment" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["fx", "fy", "cx", "cy", "width", "height",
+                                 "target", "rotation", "translation"])
+def test_camera_missing_key_io_error(tmp_path, key):
+    scene = build_scene("drop_cube", tmp_path)
+    doc = json.loads(scene.read_text())
+    cam = doc["camera"]
+    if key in ("rotation", "translation"):  # a camera without "eye"
+        del cam["eye"], cam["target"]
+        cam["rotation"] = np.eye(3).tolist()
+        cam["translation"] = [0.0, 0.0, 1.0]
+    del cam[key]
+    scene.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match=f"missing required key '{key}'") as info:
+        load_scene(scene)
+    assert f"{scene} camera" in str(info.value)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as hst
 from physedit import raster
 from physedit.errors import DomainError, IoError, ShapeError
 from physedit.raster import CameraSpec, rasterize_frame, read_pgm, write_pgm
-from physedit.trajectory import (Trajectory, export_trajectory, frame_bytes,
+from physedit.trajectory import (Trajectory, compare_trajectories,
+                                 export_trajectory, frame_bytes,
                                  parse_frame_bytes, read_trajectory,
                                  verify_trajectory)
 from oracles import pixel_oracle
@@ -108,6 +109,66 @@ class TestExport:
         with pytest.raises(IoError, match=message) as info:
             read_trajectory(tmp_path)
         assert str(edits) in str(info.value)
+
+
+class TestManifestKeys:
+    @pytest.mark.parametrize("path", [
+        ("files",), ("fps",), ("objects",), ("edit_log_file",),
+        ("objects", 0, "id"), ("objects", 1, "count"),
+    ], ids=["files", "fps", "objects", "edit_log_file", "id", "count"])
+    def test_missing_key_io_error(self, tmp_path, path):
+        export_trajectory(make_traj(np.random.default_rng(12)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        doc = manifest
+        for step in path[:-1]:
+            doc = doc[step]
+        del doc[path[-1]]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IoError,
+                           match=f"missing required key '{path[-1]}'") as info:
+            read_trajectory(tmp_path)
+        assert str(manifest_path) in str(info.value)
+
+    @pytest.mark.parametrize("text", ["[]", "3", "{broken"],
+                             ids=["array", "number", "malformed"])
+    def test_unusable_manifest_reported(self, tmp_path, text):
+        export_trajectory(make_traj(np.random.default_rng(13)), tmp_path)
+        (tmp_path / "manifest.json").write_text(text)
+        report = verify_trajectory(tmp_path)
+        assert not report["ok"]
+        assert len(report["errors"]) == 1
+        assert "manifest" in report["errors"][0]
+
+
+class TestCompare:
+    def test_identical_runs(self):
+        traj = make_traj(np.random.default_rng(14))
+        assert compare_trajectories(traj, traj) == {
+            "frames": 3, "max_centroid_dev_m": 0.0, "max_aabb_dev_m": 0.0}
+
+    def test_known_shift(self):
+        rng = np.random.default_rng(15)
+        # dyadic coordinates, so the shifted float32 positions are exact
+        pos = rng.integers(-512, 512, size=(4, 20, 3)) / 1024.0
+        oid = np.repeat([0, 1], 10)
+        shifted = pos.copy()
+        shifted[2, :10, 1] += 0.125    # object 0 moves in frame 2
+        shifted[3, 10:, 0] -= 0.0625   # object 1 moves less in frame 3
+        a = Trajectory.from_frames(pos, 24.0, oid)
+        b = Trajectory.from_frames(shifted, 24.0, oid)
+        assert compare_trajectories(a, b) == {
+            "frames": 4, "max_centroid_dev_m": 0.125, "max_aabb_dev_m": 0.125}
+
+    def test_mismatch_io_error(self):
+        rng = np.random.default_rng(16)
+        traj = make_traj(rng)
+        with pytest.raises(IoError, match="frame counts differ"):
+            compare_trajectories(traj, make_traj(rng, frames=4))
+        other = Trajectory.from_frames(traj.positions, 24.0,
+                                       traj.object_id + 1)
+        with pytest.raises(IoError, match="object tables differ"):
+            compare_trajectories(traj, other)
 
 
 @hst.composite
