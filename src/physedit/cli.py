@@ -29,7 +29,7 @@ from . import __version__
 from .conditioning import DEFAULT_TAU, bundle_from_dict, soft_assign
 from .engine import build_state, simulate
 from .errors import DomainError, IoError, PhysEditError
-from .fieldio import read_field, read_json, write_field
+from .fieldio import read_field, read_json, require_key, write_field
 from .fill import FillConfig, fill_field
 from .losses import (LossWeights, SupervisionTargets, finite_diff_check,
                      sample_triplets, total_loss)
@@ -126,7 +126,6 @@ def cmd_simulate(args) -> int:
     if args.fps is not None:
         cfg.fps = args.fps
     cfg.validate()
-    np.random.seed(cfg.seed % (2 ** 32))
 
     state = build_state(objects, cfg, gravity=extras["gravity"],
                         wind=extras["wind"])
@@ -155,8 +154,7 @@ def _load_targets(path):
         raise IoError(f"{path}: not a supervision-targets document")
     for key in ("class_labels", "param_targets", "part_labels",
                 "prompt_of_part"):
-        if key not in doc:
-            raise IoError(f"{path}: missing required key {key!r}")
+        require_key(doc, key, path)
     return doc
 
 

@@ -251,22 +251,3 @@ def batch_constitutive(f, class_id, e, nu,
                            * cbrt_j * cbrt_j)[:, None, None] * np.eye(3)
 
     return piola, f_new
-
-
-def constitutive_stress(f, model, e, nu,
-                        table: MaterialModel = DEFAULT_MATERIAL_MODEL):
-    """Single-particle stress evaluation.
-
-    Returns (piola 3x3, f_new 3x3).
-    """
-    f = np.asarray(f, dtype=np.float64)
-    single = f.ndim == 2
-    if single:
-        f = f[None]
-    n = f.shape[0]
-    p, f_new = batch_constitutive(
-        f, np.full(n, int(model)), np.full(n, float(e)), np.full(n, float(nu)),
-        table)
-    if single:
-        return p[0], f_new[0]
-    return p, f_new

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# Validity ranges enforced when decoding raw predictions into a field.
+# Validity ranges: the default clamps of scheduled parameter edits.
 E_MIN, E_MAX = 1e2, 1e12
 NU_MIN, NU_MAX = -0.45, 0.499
 RHO_MIN, RHO_MAX = 1.0, 2e4
@@ -101,12 +101,6 @@ class ParamNormalization:
                         np.log10(rho)], axis=-1)
         return (raw - mean) / std
 
-    def denormalize(self, params):
-        """Inverse of :meth:`normalize`; returns (E, nu, rho) arrays."""
-        mean, std = self.as_arrays()
-        raw = np.asarray(params, dtype=np.float64) * std + mean
-        return 10.0 ** raw[..., 0], raw[..., 1], 10.0 ** raw[..., 2]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -146,7 +140,7 @@ class MaterialField:
     density         (N,) float64 kg/m^3
     part_label      (N,) int32 or None
     interior_flag   (N,) bool, True for volumetrically filled points
-    normalization   constants used to (de)normalize continuous parameters
+    normalization   constants used to normalize continuous parameters
     """
 
     positions: np.ndarray
@@ -233,48 +227,6 @@ def wave_speeds(e, nu, rho):
     if np.ndim(c_p) == 0:
         return float(c_p), float(c_s)
     return c_p, c_s
-
-
-def decode_material_field(class_probs, params, positions,
-                          normalization: ParamNormalization | None = None,
-                          part_label=None) -> MaterialField:
-    """Turn per-point class probabilities and normalized parameters into a field.
-
-    class_probs   (N, C) rows summing to 1 within 1e-6
-    params        (N, 3) normalized (log10 E, nu, log10 rho)
-    positions     (N, 3) point coordinates carried into the field
-
-    Class choice is the row argmax with ties broken by the lowest class
-    index.  Continuous values are de-normalized and clamped into the
-    validity ranges (E in [1e2, 1e12], nu in [-0.45, 0.499],
-    rho in [1, 2e4]).
-    """
-    probs = np.asarray(class_probs, dtype=np.float64)
-    params = np.asarray(params, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ShapeError(f"class_probs must be 2-D, got {probs.shape}")
-    n, c = probs.shape
-    if c != MATERIAL_CLASS_COUNT:
-        raise ShapeError(f"expected {MATERIAL_CLASS_COUNT} classes, got {c}")
-    if params.shape != (n, 3):
-        raise ShapeError(f"params must be ({n}, 3), got {params.shape}")
-    if positions.shape != (n, 3):
-        raise ShapeError(f"positions must be ({n}, 3), got {positions.shape}")
-    row_sums = probs.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6) or np.any(probs < -1e-12):
-        raise DomainError("class_probs rows must be simplex rows (sum 1, entries >= 0)")
-
-    norm = normalization or ParamNormalization()
-    # np.argmax picks the first maximal entry, i.e. the lowest class index.
-    class_id = np.argmax(probs, axis=1).astype(np.int32)
-    e, nu, rho = norm.denormalize(params)
-    e = np.clip(e, E_MIN, E_MAX)
-    nu = np.clip(nu, NU_MIN, NU_MAX)
-    rho = np.clip(rho, RHO_MIN, RHO_MAX)
-    return MaterialField(positions=positions, class_id=class_id,
-                         young_modulus=e, poisson_ratio=nu, density=rho,
-                         part_label=part_label, normalization=norm)
 
 
 def validate_field(f: MaterialField) -> ValidationReport:

@@ -167,8 +167,11 @@ def read_trajectory(in_dir) -> Trajectory:
     root = Path(in_dir)
     what = f"manifest {root / MANIFEST_NAME}"
     manifest = read_json(root / MANIFEST_NAME, "manifest")
+    files = require_key(manifest, "files", what)
+    if not files:
+        raise IoError(f"{what}: lists no frame files")
     frames = []
-    for name in require_key(manifest, "files", what):
+    for name in files:
         try:
             raw = (root / name).read_bytes()
         except OSError as exc:
@@ -186,6 +189,9 @@ def read_trajectory(in_dir) -> Trajectory:
         object_id[offset:offset + count] = require_key(
             entry, "id", f"{what} objects[{k}]")
         offset += count
+    if offset != n:
+        raise IoError(f"{what}: object counts add up to {offset}, "
+                      f"frames hold {n} particles")
     fps = require_key(manifest, "fps", what)
     return Trajectory.from_frames(positions, fps, object_id,
                                   edit_log=edit_log,
@@ -225,6 +231,17 @@ def verify_trajectory(in_dir) -> dict:
 
     if len(manifest.get("files", [])) != manifest.get("frames"):
         report["errors"].append("manifest frame count does not match file list")
+    if not manifest.get("files"):
+        report["errors"].append("manifest lists no frame files")
+    try:
+        counted = sum(entry["count"] for entry in manifest["objects"])
+    except (KeyError, TypeError):
+        report["errors"].append("manifest object table is unreadable")
+    else:
+        if counted != manifest.get("n_particles"):
+            report["errors"].append(
+                f"object counts add up to {counted}, manifest has "
+                f"n_particles {manifest.get('n_particles')}")
     report["ok"] = not report["errors"]
     return report
 

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from physedit.constitutive import (batch_constitutive, constitutive_stress,
-                                   lame_parameters, svd3)
+from physedit.constitutive import batch_constitutive, lame_parameters, svd3
 from physedit.errors import NumericalError
 from physedit.materials import MaterialClass, MaterialModel
+
+
+def constitutive_stress(f, model, e, nu, table=MaterialModel()):
+    """One particle through batch_constitutive: (piola 3x3, f_new 3x3)."""
+    p, f_new = batch_constitutive(np.asarray(f, dtype=np.float64)[None],
+                                  np.array([int(model)]), np.array([float(e)]),
+                                  np.array([float(nu)]), table)
+    return p[0], f_new[0]
 
 
 def corotated_oracle(f, e, nu):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from physedit.errors import DomainError, ShapeError
+from physedit.errors import DomainError
 from physedit.materials import (MATERIAL_CLASS_COUNT, MaterialClass,
-                                MaterialField, MaterialModel,
-                                ParamNormalization, decode_material_field,
-                                derive_moduli, validate_field, wave_speeds)
+                                MaterialField, MaterialModel, derive_moduli,
+                                validate_field, wave_speeds)
 
 
 def lame_oracle(e, nu):
@@ -90,66 +89,6 @@ class TestWaveSpeeds:
     def test_ratio_identity(self):
         c_p, c_s = wave_speeds(3.7e6, 0.22, 850.0)
         assert c_p / c_s == pytest.approx(np.sqrt(2 * 0.78 / 0.56), rel=1e-12)
-
-
-class TestDecode:
-    def _probs(self, rows):
-        return np.asarray(rows, dtype=np.float64)
-
-    def test_one_hot(self):
-        probs = np.zeros((1, 6))
-        probs[0, 3] = 1.0
-        fld = decode_material_field(probs, np.zeros((1, 3)), np.zeros((1, 3)))
-        assert fld.class_id[0] == 3
-
-    def test_uniform_tie_breaks_low(self):
-        probs = np.full((1, 6), 1.0 / 6.0)
-        fld = decode_material_field(probs, np.zeros((1, 3)), np.zeros((1, 3)))
-        assert fld.class_id[0] == 0
-
-    def test_denormalization(self):
-        norm = ParamNormalization()
-        target = norm.normalize(1e5, 0.2, 500.0)
-        probs = self._probs([[0.1, 0.5, 0.4, 0.0, 0.0, 0.0]])
-        fld = decode_material_field(probs, target[None, :], np.zeros((1, 3)),
-                                    normalization=norm)
-        assert fld.class_id[0] == 1  # brute-force argmax of the row
-        assert fld.young_modulus[0] == pytest.approx(1e5, rel=1e-12)
-        assert fld.poisson_ratio[0] == pytest.approx(0.2, rel=1e-12)
-        assert fld.density[0] == pytest.approx(500.0, rel=1e-12)
-
-    def test_clamped_into_validity(self):
-        norm = ParamNormalization()
-        params = np.stack([norm.normalize(1e20, 0.7, 1e9)])
-        probs = np.full((1, 6), 1.0 / 6.0)
-        fld = decode_material_field(probs, params, np.zeros((1, 3)))
-        assert fld.young_modulus[0] == 1e12
-        assert fld.poisson_ratio[0] == 0.499
-        assert fld.density[0] == 2e4
-        assert validate_field(fld).ok
-
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(2)
-        n = 40
-        probs = rng.dirichlet(np.ones(6), size=n)
-        params = rng.normal(size=(n, 3))
-        pos = rng.normal(size=(n, 3))
-        perm = rng.permutation(n)
-        a = decode_material_field(probs, params, pos)
-        b = decode_material_field(probs[perm], params[perm], pos[perm])
-        assert np.array_equal(a.class_id[perm], b.class_id)
-        assert np.array_equal(a.young_modulus[perm], b.young_modulus)
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            decode_material_field(np.full((2, 4), 0.25), np.zeros((2, 3)),
-                                  np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            decode_material_field(np.full((2, 6), 1 / 6), np.zeros((3, 3)),
-                                  np.zeros((2, 3)))
-        with pytest.raises(DomainError):
-            decode_material_field(np.full((1, 6), 0.5), np.zeros((1, 3)),
-                                  np.zeros((1, 3)))
 
 
 class TestValidateField:

@@ -141,6 +141,53 @@ class TestManifestKeys:
         assert "manifest" in report["errors"][0]
 
 
+    def test_empty_file_list_io_error(self, tmp_path):
+        export_trajectory(make_traj(np.random.default_rng(17)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(files=[], frame_sha256=[], frames=0)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IoError, match="lists no frame files") as info:
+            read_trajectory(tmp_path)
+        assert str(manifest_path) in str(info.value)
+        report = verify_trajectory(tmp_path)
+        assert not report["ok"]
+        assert report["errors"] == ["manifest lists no frame files"]
+
+    @pytest.mark.parametrize("counts", [(10, 9), (10, 11), (1,)],
+                             ids=["short", "long", "one-object"])
+    def test_object_counts_must_add_up(self, tmp_path, counts):
+        export_trajectory(make_traj(np.random.default_rng(18)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["objects"] = [{"id": k, "count": c}
+                               for k, c in enumerate(counts)]
+        manifest_path.write_text(json.dumps(manifest))
+        total = sum(counts)
+        with pytest.raises(IoError, match=f"object counts add up to {total}, "
+                                          "frames hold 20 particles") as info:
+            read_trajectory(tmp_path)
+        assert str(manifest_path) in str(info.value)
+        report = verify_trajectory(tmp_path)
+        assert not report["ok"]
+        assert report["errors"] == [f"object counts add up to {total}, "
+                                    "manifest has n_particles 20"]
+
+
+    @pytest.mark.parametrize("objects", [None, 3, [{"id": 0}]],
+                             ids=["missing", "number", "no-count"])
+    def test_unreadable_object_table_reported(self, tmp_path, objects):
+        export_trajectory(make_traj(np.random.default_rng(19)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["objects"] = objects
+        if objects is None:
+            del manifest["objects"]
+        manifest_path.write_text(json.dumps(manifest))
+        report = verify_trajectory(tmp_path)
+        assert report["errors"] == ["manifest object table is unreadable"]
+
+
 class TestCompare:
     def test_identical_runs(self):
         traj = make_traj(np.random.default_rng(14))
