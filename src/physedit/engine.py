@@ -46,8 +46,8 @@ import numpy as np
 from .constitutive import batch_constitutive
 from .errors import (DomainError, EmptyScene, GridOverflow, NumericalError,
                      ParticleEscape)
-from .materials import (DEFAULT_MATERIAL_MODEL, MaterialClass, MaterialField,
-                        MaterialModel, validate_field, wave_speeds)
+from .materials import (MaterialClass, MaterialField, validate_field,
+                        wave_speeds)
 
 _BC_MODES = ("sticky", "slip", "separate")
 _WALL_NAMES = ("x_min", "x_max", "y_max", "z_min", "z_max")  # y_min is the ground
@@ -151,7 +151,6 @@ class SimulationState:
     wall_bc: dict = dc_field(default_factory=lambda: _normalize_wall_bc("separate"))
     damping: float = 0.0
     t: float = 0.0
-    table: MaterialModel = DEFAULT_MATERIAL_MODEL
 
     @property
     def n_particles(self) -> int:
@@ -174,8 +173,7 @@ class SimulationState:
 
 
 def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
-                wind=(0.0, 0.0, 0.0),
-                table: MaterialModel = DEFAULT_MATERIAL_MODEL) -> SimulationState:
+                wind=(0.0, 0.0, 0.0)) -> SimulationState:
     """Assemble particles from filled fields and size the background grid.
 
     Particle volume is h_fill^3; mass is density * volume; deformation
@@ -249,11 +247,12 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
         gravity_scale=np.ones(n_total),
         wind_scale=np.ones(n_total),
         origin=lo, dims=dims, h=h,
-        gravity=np.asarray(gravity, dtype=np.float64),
-        wind=np.asarray(wind, dtype=np.float64),
+        # copies: schedule edits write the scene vectors in place
+        gravity=np.array(gravity, dtype=np.float64),
+        wind=np.array(wind, dtype=np.float64),
         ground_height=cfg.ground_height,
         ground_bc=cfg.ground_bc, wall_bc=_normalize_wall_bc(cfg.wall_bc),
-        damping=cfg.damping, table=table,
+        damping=cfg.damping,
     )
     _check_inside(state, build=True)
     return state
@@ -611,8 +610,7 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
 def step(state: SimulationState, dt: float):
     """Advance the state by one substep of size dt (<= stable_dt)."""
     piola, state.f = batch_constitutive(
-        state.f, state.class_id, state.young_modulus, state.poisson_ratio,
-        state.table)
+        state.f, state.class_id, state.young_modulus, state.poisson_ratio)
     # a contiguous F^T keeps the batched product on numpy's fast path
     kirchhoff = piola @ np.ascontiguousarray(state.f.transpose(0, 2, 1))
     stencil, grid_mass, grid_mom = _p2g(state, dt, kirchhoff)

@@ -19,6 +19,7 @@ are instantaneous and fire once.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -29,13 +30,18 @@ from .errors import (ClampViolation, DomainError, ParseError, UnknownTarget)
 from .materials import (E_MAX, E_MIN, MaterialClass, NU_MAX, NU_MIN,
                         RHO_MAX, RHO_MIN)
 
-SCALAR_LOG_PROPS = ("young_modulus", "density")
-SCALAR_LINEAR_PROPS = ("poisson_ratio", "gravity_scale", "wind_scale")
-VECTOR_PROPS = ("gravity", "wind", "velocity_impulse")
-CLASS_PROPS = ("material_model",)
-ALL_PROPS = SCALAR_LOG_PROPS + SCALAR_LINEAR_PROPS + VECTOR_PROPS + CLASS_PROPS
-
-INSTANT_PROPS = ("material_model", "velocity_impulse")
+# property -> (value kind, ramp scale or None if instantaneous, scene-wide)
+_PROPS = {
+    "young_modulus": ("scalar", "log", False),
+    "density": ("scalar", "log", False),
+    "poisson_ratio": ("scalar", "linear", False),
+    "gravity_scale": ("scalar", "linear", False),
+    "wind_scale": ("scalar", "linear", False),
+    "gravity": ("vector", "linear", True),
+    "wind": ("vector", "linear", True),
+    "velocity_impulse": ("vector", None, False),
+    "material_model": ("class", None, False),
+}
 
 DEFAULT_CLAMPS = {
     "young_modulus": (E_MIN, E_MAX),
@@ -82,7 +88,6 @@ class Intervention:
     value: object  # float, 3-tuple, or MaterialClass
     trigger: Trigger
     ramp_duration: float = 0.0
-    one_shot: bool = False
     source_line: int = 0
 
 
@@ -147,13 +152,21 @@ class _LineParser:
         self.pos += 1
         return tok, col
 
+    def number(self, text, col, what):
+        """The finite float that text spells; ParseError otherwise."""
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"expected {what} (a number), got {text!r}",
+                             line=self.line_no, column=col) from None
+        if not math.isfinite(value):
+            raise ParseError(f"{what} must be finite, got {text!r}",
+                             line=self.line_no, column=col)
+        return value
+
     def expect_float(self, what):
         tok, col = self.next(what)
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(f"expected {what} (a number), got {tok!r}",
-                             line=self.line_no, column=col) from None
+        return self.number(tok, col, what)
 
     def expect_int(self, what):
         tok, col = self.next(what)
@@ -172,11 +185,8 @@ class _LineParser:
         if len(parts) != 3:
             raise ParseError(f"{what} needs exactly 3 components",
                              line=self.line_no, column=col)
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"non-numeric component in {what}: {tok!r}",
-                             line=self.line_no, column=col) from None
+        return tuple(self.number(part, col, f"{what} component")
+                     for part in parts)
 
     def done(self):
         if self.pos < len(self.tokens):
@@ -191,11 +201,7 @@ def _parse_trigger(p: _LineParser):
         t_tok, t_col = p.next("time")
         if t_tok.startswith("t="):
             t_tok = t_tok[2:]
-        try:
-            t = float(t_tok)
-        except ValueError:
-            raise ParseError(f"expected time like t=1.0, got {t_tok!r}",
-                             line=p.line_no, column=t_col) from None
+        t = p.number(t_tok, t_col, "trigger time")
         if t < 0:
             raise ParseError("trigger time must be >= 0",
                              line=p.line_no, column=t_col)
@@ -236,76 +242,60 @@ def _parse_target(p: _LineParser):
     return Selector(object_id=oid, part=part, interior_only=interior)
 
 
-def _parse_material_class(tok, p, col):
+def _parse_material_class(p: _LineParser):
+    tok, col = p.next("material class")
     name = tok.upper()
-    if name.isdigit():
-        value = int(name)
-        if 0 <= value < len(MaterialClass):
-            return MaterialClass(value)
-    elif name in MaterialClass.__members__:
-        return MaterialClass[name]
-    raise ParseError(
-        f"unknown material class {tok!r}; expected one of "
-        f"{[m.name.lower() for m in MaterialClass]}",
-        line=p.line_no, column=col)
+    try:
+        return (MaterialClass(int(name)) if name.isdecimal()
+                else MaterialClass[name])
+    except (KeyError, ValueError):
+        raise ParseError(
+            f"unknown material class {tok!r}; expected one of "
+            f"{[m.name.lower() for m in MaterialClass]}",
+            line=p.line_no, column=col) from None
 
 
 def _parse_entry(p: _LineParser, line_no: int):
     trigger = _parse_trigger(p)
     verb, verb_col = p.next("'set' or 'impulse'")
-    if verb == "impulse":
-        target = _parse_target(p)
-        if target.object_id is None:
-            raise ParseError("impulse needs an object target",
-                             line=line_no, column=verb_col)
-        value = p.expect_vector("impulse vector")
-        prop = "velocity_impulse"
-        ramp = 0.0
-        once = True
-        if p.peek() == "once":
-            p.next()
-        p.done()
-        return Intervention(target=target, property=prop, value=value,
-                            trigger=trigger, ramp_duration=ramp, one_shot=once,
-                            source_line=line_no)
-    if verb != "set":
+    if verb not in ("set", "impulse"):
         raise ParseError(f"expected 'set' or 'impulse', got {verb!r}",
                          line=line_no, column=verb_col)
     target = _parse_target(p)
-    prop, prop_col = p.next("property name")
-    if prop not in ALL_PROPS:
-        raise ParseError(f"unknown property {prop!r}; expected one of {ALL_PROPS}",
-                         line=line_no, column=prop_col)
-    if prop in VECTOR_PROPS:
+    if verb == "impulse":  # sugar for: set <target> velocity_impulse <vector>
+        prop, prop_col = "velocity_impulse", verb_col
+    else:
+        prop, prop_col = p.next("property name")
+    if prop not in _PROPS:
+        raise ParseError(f"unknown property {prop!r}; expected one of "
+                         f"{tuple(_PROPS)}", line=line_no, column=prop_col)
+    kind, scale, scene_wide = _PROPS[prop]
+    if kind == "vector":
         value = p.expect_vector(prop)
-    elif prop in CLASS_PROPS:
-        tok, col = p.next("material class")
-        value = _parse_material_class(tok, p, col)
+    elif kind == "class":
+        value = _parse_material_class(p)
     else:
         value = p.expect_float(prop)
     ramp = 0.0
-    once = prop == "velocity_impulse"
-    while p.peek() in ("ramp", "once"):
+    while p.peek() in ("ramp", "once"):  # once: every trigger latches anyway
         tok, col = p.next()
         if tok == "ramp":
             ramp = p.expect_float("ramp duration")
             if ramp < 0:
                 raise ParseError("ramp duration must be >= 0",
                                  line=line_no, column=col)
-            if prop in INSTANT_PROPS and ramp != 0:
+            if scale is None and ramp != 0:
                 raise ParseError(f"{prop} cannot ramp; it is instantaneous",
                                  line=line_no, column=col)
-        else:
-            once = True
-    if prop in ("gravity", "wind") and target.object_id is not None:
+    if scene_wide and target.object_id is not None:
         raise ParseError(f"{prop} is scene-wide; use gravity_scale/wind_scale "
                          "for per-object control", line=line_no, column=prop_col)
-    if prop not in ("gravity", "wind") and target.object_id is None:
+    if not scene_wide and target.object_id is None:
         raise ParseError(f"{prop} needs an object target",
                          line=line_no, column=prop_col)
     p.done()
     return Intervention(target=target, property=prop, value=value,
-                        trigger=trigger, ramp_duration=ramp, one_shot=once,
+                        trigger=trigger, ramp_duration=ramp,
                         source_line=line_no)
 
 
@@ -432,7 +422,7 @@ class ScheduleRuntime:
             self.indices[i] = np.nonzero(mask)[0]
         return self.indices[i]
 
-    def _check_fire(self, state, i, iv: Intervention, t, events):
+    def _check_fire(self, i, iv: Intervention, t, events):
         if self.fired[i]:
             return True
         trig = iv.trigger
@@ -473,7 +463,7 @@ class ScheduleRuntime:
         events = object_events(state) if needs_events else {}
         records = []
         for i, iv in enumerate(schedule.interventions):
-            if not self._check_fire(state, i, iv, t, events):
+            if not self._check_fire(i, iv, t, events):
                 continue
             if self.done[i]:
                 continue
@@ -491,6 +481,7 @@ class ScheduleRuntime:
     def _apply_one(self, state, i, iv: Intervention, t, dt):
         t0 = self.fire_time[i]
         prop = iv.property
+        kind, scale, scene_wide = _PROPS[prop]
 
         if prop == "velocity_impulse":
             idx = self._resolve_indices(state, i, iv.target)
@@ -506,67 +497,43 @@ class ScheduleRuntime:
             self.done[i] = True
             return self._record(iv, t, dt, value=MaterialClass(int(iv.value)).name)
 
-        if prop in ("gravity", "wind"):
-            if self.baseline[i] is None:
-                self.baseline[i] = getattr(state, prop).copy()
-            new = ramp_value(self.baseline[i], np.asarray(iv.value), t - t0,
-                             iv.ramp_duration, "linear")
-            old = getattr(state, prop)
-            if np.array_equal(new, old):
-                if t - t0 >= iv.ramp_duration:
-                    self.done[i] = True
-                return None
-            setattr(state, prop, np.asarray(new, dtype=np.float64))
-            return self._record(iv, t, dt, value=np.asarray(new).tolist())
-
-        idx = self._resolve_indices(state, i, iv.target)
-        if idx.size == 0:
+        arr = getattr(state, prop)
+        idx = slice(None) if scene_wide else \
+            self._resolve_indices(state, i, iv.target)
+        old = arr[idx]
+        if old.size == 0:
             self.done[i] = True
             return None
-
-        if prop in ("gravity_scale", "wind_scale", "poisson_ratio"):
-            arr = {"gravity_scale": state.gravity_scale,
-                   "wind_scale": state.wind_scale,
-                   "poisson_ratio": state.poisson_ratio}[prop]
-            if self.baseline[i] is None:
-                self.baseline[i] = arr[idx].copy()
-            new = ramp_value(self.baseline[i], float(iv.value), t - t0,
-                             iv.ramp_duration, "linear")
-            new = np.broadcast_to(np.asarray(new), idx.shape)
-            if np.array_equal(new, arr[idx]):
-                if t - t0 >= iv.ramp_duration:
-                    self.done[i] = True
-                return None
-            arr[idx] = new
-            return self._record(iv, t, dt, value=float(iv.value),
-                                applied_min=float(new.min()),
-                                applied_max=float(new.max()))
-
-        # log-scaled scalars: young_modulus, density
-        arr = state.young_modulus if prop == "young_modulus" else state.density
         if self.baseline[i] is None:
-            self.baseline[i] = arr[idx].copy()
-        desired = ramp_value(self.baseline[i], float(iv.value), t - t0,
-                             iv.ramp_duration, "log")
-        desired = np.broadcast_to(np.asarray(desired, dtype=np.float64),
-                                  idx.shape)
-        if self.last_t[i] is None or self.last_t[i] != t:
-            self.last_values[i] = arr[idx].copy()
-            self.last_t[i] = t
-        rate = self.schedule.max_log_rate * dt
-        bound_lo = self.last_values[i] * 10.0 ** (-rate)
-        bound_hi = self.last_values[i] * 10.0 ** (rate)
-        new = np.clip(desired, bound_lo, bound_hi)
-        capped = bool(np.any(new != desired))
-        if np.array_equal(new, arr[idx]):
+            self.baseline[i] = old.copy()
+        new = ramp_value(self.baseline[i], iv.value, t - t0,
+                         iv.ramp_duration, scale)
+        new = np.broadcast_to(np.asarray(new, dtype=np.float64), old.shape)
+        capped = False
+        if scale == "log":
+            # per-substep rate cap, measured from the values at the first
+            # application at this t so that repeating t is idempotent
+            if self.last_t[i] != t:
+                self.last_values[i] = old.copy()
+                self.last_t[i] = t
+            rate = self.schedule.max_log_rate * dt
+            desired = new
+            new = np.clip(desired, self.last_values[i] * 10.0 ** (-rate),
+                          self.last_values[i] * 10.0 ** rate)
+            capped = bool(np.any(new != desired))
+        if np.array_equal(new, old):
             if t - t0 >= iv.ramp_duration and not capped:
                 self.done[i] = True
             return None
-        max_dlog10 = float(np.max(np.abs(np.log10(new / self.last_values[i]))))
         arr[idx] = new
         if prop == "density":
             state.mass[idx] = state.density[idx] * state.vol0[idx]
-        return self._record(iv, t, dt, value=float(iv.value),
-                            applied_min=float(new.min()),
-                            applied_max=float(new.max()),
-                            max_dlog10=max_dlog10, capped=capped)
+        if kind == "vector":
+            return self._record(iv, t, dt, value=new.tolist())
+        rec = self._record(iv, t, dt, value=float(iv.value),
+                           applied_min=float(new.min()),
+                           applied_max=float(new.max()))
+        if scale == "log":
+            rec.update(max_dlog10=float(np.max(np.abs(
+                np.log10(new / self.last_values[i])))), capped=capped)
+        return rec

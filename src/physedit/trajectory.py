@@ -208,8 +208,12 @@ def verify_trajectory(in_dir) -> dict:
     except IoError as exc:
         return {"ok": False, "files": [], "errors": [str(exc)]}
 
-    for name, want in zip(manifest.get("files", []),
-                          manifest.get("frame_sha256", [])):
+    files = manifest.get("files", [])
+    hashes = manifest.get("frame_sha256", [])
+    if len(hashes) != len(files):
+        report["errors"].append(f"manifest lists {len(files)} frame files "
+                                f"and {len(hashes)} frame hashes")
+    for name, want in zip(files, hashes):
         entry = {"file": name, "ok": False}
         try:
             got = _sha256((root / name).read_bytes())
@@ -229,9 +233,9 @@ def verify_trajectory(in_dir) -> dict:
         except OSError as exc:
             report["errors"].append(f"{edits_file}: {exc}")
 
-    if len(manifest.get("files", [])) != manifest.get("frames"):
+    if len(files) != manifest.get("frames"):
         report["errors"].append("manifest frame count does not match file list")
-    if not manifest.get("files"):
+    if not files:
         report["errors"].append("manifest lists no frame files")
     try:
         counted = sum(entry["count"] for entry in manifest["objects"])

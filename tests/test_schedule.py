@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as hst
 from scipy.spatial.distance import pdist
 
 from physedit.engine import ObjectInit, SimConfig, build_state, stable_dt, step
@@ -133,14 +136,78 @@ class TestCompile:
         assert iv.trigger.value == 2.5
         assert iv.trigger.probe_object == 0
         assert iv.value == (0.0, 1.5, 0.0)
-        assert iv.one_shot
+        assert sched == compile_schedule(text.removesuffix(" once"),
+                                         scene_map())
 
     def test_impulse_sugar(self):
         sched = compile_schedule("at t=1.0 impulse object 0 (0,2,0)",
                                  scene_map())
         (iv,) = sched.interventions
         assert iv.property == "velocity_impulse"
-        assert iv.one_shot
+        assert sched == compile_schedule(
+            "at t=1.0 impulse object 0 (0,2,0) once", scene_map())
+
+    @pytest.mark.parametrize("line", [
+        "at t=0 set object 0 young_modulus 1e5 ramp nan",
+        "at t=nan set object 0 density 500",
+        "at t=inf set object 0 density 500",
+        "max_log_rate nan",
+        "max_log_rate inf",
+        "at t=0 set scene gravity (nan,0,0)",
+        "at t=0 impulse object 0 (inf,0,0)",
+        "on height_below nan set object 0 density 500",
+        "at t=0 set object 0 gravity_scale 1e999",
+    ])
+    def test_non_finite_numbers_rejected(self, line):
+        bad = next(tok for tok in ("nan", "inf", "1e999") if tok in line)
+        with pytest.raises(ParseError, match="must be finite") as err:
+            compile_schedule("# first line\n" + line, scene_map())
+        assert err.value.line == 2
+        assert line[err.value.column - 1:].startswith(
+            ("t=" + bad, bad, "(" + bad))
+
+    @pytest.mark.parametrize("word", ["\u00b2", "6", "elastic_", "-1"])
+    def test_unknown_material_class_is_a_parse_error(self, word):
+        with pytest.raises(ParseError, match="unknown material class") as err:
+            compile_schedule(f"at t=0 set object 0 material_model {word}",
+                             scene_map())
+        assert err.value.column == 36
+
+
+# words of the schedule grammar, valid and not, for the parser property test
+_TRIGGERS = ("at t=0", "at 1.5", "at t=-1", "at t=nan", "on ground_contact",
+             "on height_below 0.5 object 1", "on speed_above inf", "on sliding")
+_ACTIONS = ("set object 0 young_modulus 1e3", "set object 9 density 500",
+            "set object 1 part 0 poisson_ratio 0.7",
+            "set object 0 interior part 2 density 0",
+            "set object 0 material_model liquid", "set object 0 material_model 7",
+            "set object 0 material_model \u00b2", "impulse object 0 (0,1,0)",
+            "impulse scene (0,1,0)", "set scene gravity (1,2)",
+            "set scene wind (a,0,0)", "set object 0 wind (0,0,0)",
+            "set object 1 gravity_scale 1e999", "set scene bogus 1")
+_TAILS = ("", "ramp 0.5", "ramp -1", "ramp inf", "once", "ramp 1 once", "junk",
+          "# note")
+_DECLS = ("clamp young_modulus 1e3 1e9", "clamp density 1 1e9", "clamp wind 0 1",
+          "clamp poisson_ratio 0.4 0.1", "max_log_rate 0", "max_log_rate nan")
+_WORDS = sorted({word for line in _TRIGGERS + _ACTIONS + _TAILS + _DECLS
+                 for word in line.split()})
+_SCHEDULE_LINES = hst.one_of(
+    hst.tuples(*map(hst.sampled_from, (_TRIGGERS, _ACTIONS, _TAILS)))
+    .map(" ".join),
+    hst.sampled_from(_DECLS),
+    hst.lists(hst.sampled_from(_WORDS), max_size=10).map(" ".join),
+    hst.text(max_size=60),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(text=hst.lists(_SCHEDULE_LINES, max_size=4).map("\n".join))
+def test_compile_raises_only_schedule_errors(text):
+    """Any text either compiles or fails with one of the schedule's errors."""
+    try:
+        compile_schedule(text, scene_map())
+    except (ParseError, ClampViolation, UnknownTarget):
+        pass
 
 
 class TestApply:
@@ -281,6 +348,40 @@ class TestApply:
         state, _ = make_state()
         rt = ScheduleRuntime(InstructionSchedule())
         assert rt.apply(state, 0.0, 1e-3) == []
+
+
+GOLDEN_EDITS = Path(__file__).parent / "data" / "schedule_golden_edits.json"
+GOLDEN_SCHEDULE = """
+max_log_rate 100
+at t=0 set object 0 young_modulus 3e4 ramp 0.002
+at t=0.001 set object 0 density 400
+at t=0 set object 0 poisson_ratio 0.35 ramp 0.002
+at t=0.001 set object 0 gravity_scale 0.5 ramp 0.001
+on height_below 1.0 set object 0 wind_scale 2 ramp 0.002
+at t=0 set scene wind (1,0,-0.5) ramp 0.002
+at t=0.001 set scene gravity (0,-4.9,0)
+at t=0.002 impulse object 0 (0,1,0) once
+at t=0.003 set object 0 material_model sand
+"""
+
+
+def golden_edit_records():
+    """Edit records of a run that fires one intervention of every kind."""
+    state, _ = make_state()
+    rt = ScheduleRuntime(compile_schedule(GOLDEN_SCHEDULE, state))
+    records = []
+    for k in range(6):
+        records += rt.apply(state, k * 1e-3, 1e-3)
+    return records
+
+
+def test_edit_records_match_golden_log():
+    """Every record kind, field for field, against a checked-in log."""
+    records = golden_edit_records()
+    assert {rec["property"] for rec in records} == {
+        "young_modulus", "density", "poisson_ratio", "gravity_scale",
+        "wind_scale", "wind", "gravity", "velocity_impulse", "material_model"}
+    assert records == json.loads(GOLDEN_EDITS.read_text())
 
 
 def test_rigid_switch_mid_run():

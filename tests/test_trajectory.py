@@ -174,6 +174,19 @@ class TestManifestKeys:
                                     "manifest has n_particles 20"]
 
 
+    def test_short_hash_list_reported(self, tmp_path):
+        export_trajectory(make_traj(np.random.default_rng(20)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["frame_sha256"] = manifest["frame_sha256"][:1]
+        manifest_path.write_text(json.dumps(manifest))
+        victim = tmp_path / "frames" / "frame_0002.trjf"
+        victim.write_bytes(victim.read_bytes() + b"\x00\x00")
+        report = verify_trajectory(tmp_path)
+        assert not report["ok"]
+        assert report["errors"] == ["manifest lists 3 frame files and 1 frame "
+                                    "hashes"]
+
     @pytest.mark.parametrize("objects", [None, 3, [{"id": 0}]],
                              ids=["missing", "number", "no-count"])
     def test_unreadable_object_table_reported(self, tmp_path, objects):
