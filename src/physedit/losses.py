@@ -18,6 +18,19 @@ The kNN graph depends only on positions and part labels, so it is built
 once per field and shared by the smoothness value, its gradient and
 every central-difference probe of that gradient.
 Cross-entropy uses the natural logarithm throughout.
+
+Each term has one arithmetic core that accepts leading batch axes; the
+public functions validate their inputs and call it without one.  A
+gradient check evaluates the core on blocks of probes: a block is a
+stack of 2B copies of the probed input, each with one coordinate moved
+to x_i + epsilon or x_i - epsilon, and B is set so that a block holds at
+most _BLOCK_VALUES values.  Inputs no probe moves (simplex rows, shapes,
+triplet indices, the prompt of each part) are validated once before the
+probes; the range checks on perturbed values (the Poisson ratio range of
+wave_speeds, the positive moduli of the contrastive embedding) run on
+every block.  Every batched reduction runs over a C-ordered last axis,
+so each probe's loss, and hence the gradient, equals the one-probe-at-a-
+time value bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +44,11 @@ from .conditioning import DEFAULT_TAU, softmax_rows
 from .errors import (DegenerateInput, DomainError, MissingMapping,
                      NonSmoothPoint, ShapeError)
 from .materials import MaterialField, wave_speeds
+
+# A block of central-difference probes holds at most this many perturbed
+# values (and never less than one probe's pair), so the extra memory of a
+# gradient check does not grow with the size of what it probes.
+_BLOCK_VALUES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -91,18 +109,24 @@ class SupervisionTargets:
                            np.asarray(self.part_labels, dtype=np.int64))
 
     def prompt_index(self, n_prompts: int) -> np.ndarray:
-        """Map every point's part label through prompt_of_part."""
-        out = np.empty(self.part_labels.shape[0], dtype=np.int64)
-        for i, part in enumerate(self.part_labels):
-            part = int(part)
+        """Map every point's part label through prompt_of_part.
+
+        MissingMapping names the part of the first point whose part has
+        no prompt or maps outside [0, n_prompts).
+        """
+        parts, first, inverse = np.unique(self.part_labels, return_index=True,
+                                          return_inverse=True)
+        prompt = np.full(parts.shape, -1, dtype=np.int64)
+        for j in np.argsort(first):  # parts in order of first appearance
+            part = int(parts[j])
             if part not in self.prompt_of_part:
                 raise MissingMapping(f"part label {part} has no prompt index")
             k = int(self.prompt_of_part[part])
             if not (0 <= k < n_prompts):
                 raise MissingMapping(
                     f"part {part} maps to prompt {k}, outside [0, {n_prompts})")
-            out[i] = k
-        return out
+            prompt[j] = k
+        return prompt[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +150,9 @@ def _check_simplex(probs):
     return probs
 
 
-def task_loss(pred_probs, pred_params, targets: SupervisionTargets,
-              w: LossWeights) -> float:
-    """Mean over points of reg-weighted Huber plus cls-weighted cross-entropy.
-
-    The Huber term is summed over the three parameter channels per point.
-    """
+def _task_cross_entropy(pred_probs, params, targets: SupervisionTargets):
+    """Validate the task inputs; the per-point cross-entropy, (N,)."""
     probs = _check_simplex(pred_probs)
-    params = np.asarray(pred_params, dtype=np.float64)
     n, c = probs.shape
     if params.shape != (n, 3):
         raise ShapeError(f"pred_params must be ({n}, 3), got {params.shape}")
@@ -141,11 +160,25 @@ def task_loss(pred_probs, pred_params, targets: SupervisionTargets,
         raise ShapeError("targets do not match prediction shapes")
     if np.any(targets.class_labels < 0) or np.any(targets.class_labels >= c):
         raise DomainError(f"class labels must lie in [0, {c})")
-
-    huber = _huber(params - targets.param_targets, w.huber_delta).sum(axis=1)
     with np.errstate(divide="ignore"):
-        ce = -np.log(probs[np.arange(n), targets.class_labels])
-    return float(np.mean(w.lambda_reg * huber + w.lambda_cls * ce))
+        return -np.log(probs[np.arange(n), targets.class_labels])
+
+
+def _task_core(params, param_targets, ce, w: LossWeights):
+    """Task loss over the last two axes of params, (..., N, 3) -> (...)."""
+    huber = _huber(params - param_targets, w.huber_delta).sum(axis=-1)
+    return np.mean(w.lambda_reg * huber + w.lambda_cls * ce, axis=-1)
+
+
+def task_loss(pred_probs, pred_params, targets: SupervisionTargets,
+              w: LossWeights) -> float:
+    """Mean over points of reg-weighted Huber plus cls-weighted cross-entropy.
+
+    The Huber term is summed over the three parameter channels per point.
+    """
+    params = np.asarray(pred_params, dtype=np.float64)
+    ce = _task_cross_entropy(pred_probs, params, targets)
+    return float(_task_core(params, targets.param_targets, ce, w))
 
 
 def task_loss_grad_params(pred_params, targets: SupervisionTargets,
@@ -204,14 +237,25 @@ class SmoothnessBreakdown:
     isolated: np.ndarray  # points with no same-part neighbor; contribute 0
 
 
-def _smoothness_per_point(f: MaterialField, graph, eps):
+def _smoothness_per_point(e, nu, rho, graph, eps):
+    """Per-point energy over the last axis of (E, nu, rho), (..., N).
+
+    Edge terms are summed into (probe, point) bins by one bincount, in
+    edge order, so each row equals the unbatched sum bit for bit.
+    """
     src, dst, counts, d2 = graph
-    c_p, c_s = wave_speeds(f.young_modulus, f.poisson_ratio, f.density)
-    per_point = np.zeros(f.n_points, dtype=np.float64)
-    num = (c_p[dst] - c_p[src]) ** 2 + (c_s[dst] - c_s[src]) ** 2
-    np.add.at(per_point, src, num / (d2 + eps))
+    c_p, c_s = wave_speeds(e, nu, rho)
+    n = counts.shape[0]
+    lead = c_p.shape[:-1]
+    rows = int(np.prod(lead))
+    dp = np.take(c_p, dst, axis=-1) - np.take(c_p, src, axis=-1)
+    ds = np.take(c_s, dst, axis=-1) - np.take(c_s, src, axis=-1)
+    edge = (dp * dp + ds * ds) / (d2 + eps)
+    bins = (np.arange(rows)[:, None] * n + src).reshape(-1)
+    per_point = np.bincount(bins, weights=edge.reshape(-1),
+                            minlength=rows * n).reshape(*lead, n)
     nz = counts > 0
-    per_point[nz] /= counts[nz]
+    per_point[..., nz] /= counts[nz]
     return per_point
 
 
@@ -226,7 +270,8 @@ def smoothness_breakdown(f: MaterialField, w: LossWeights,
     and are flagged (DegenerateInput is data here, not an error).
     """
     graph = _knn_graph(f, w.smooth_k, within_part)
-    per_point = _smoothness_per_point(f, graph, w.smooth_eps)
+    per_point = _smoothness_per_point(f.young_modulus, f.poisson_ratio,
+                                      f.density, graph, w.smooth_eps)
     return SmoothnessBreakdown(value=float(per_point.mean()),
                                per_point=per_point,
                                isolated=np.nonzero(graph[2] == 0)[0])
@@ -302,9 +347,21 @@ def _check_triplets(triplets, n):
 
 
 def _hinges(emb, t, margin):
-    d_pos = np.sum((emb[t[:, 0]] - emb[t[:, 1]]) ** 2, axis=1)
-    d_neg = np.sum((emb[t[:, 0]] - emb[t[:, 2]]) ** 2, axis=1)
+    """Hinge arguments per triplet over embeddings (..., N, 2) -> (..., T).
+
+    np.take keeps the result C-ordered, so a row mean over T adds in the
+    same order as the mean of one unbatched row.
+    """
+    anchor = np.take(emb, t[:, 0], axis=-2)
+    d_pos = np.sum((anchor - np.take(emb, t[:, 1], axis=-2)) ** 2, axis=-1)
+    d_neg = np.sum((anchor - np.take(emb, t[:, 2], axis=-2)) ** 2, axis=-1)
     return d_pos - d_neg + margin
+
+
+def _contrastive_core(e, nu, t, margin):
+    """Mean triplet hinge over the last axis of (E, nu), (..., N) -> (...)."""
+    hinge = _hinges(log_moduli_embeddings(e, nu), t, margin)
+    return np.mean(np.maximum(0.0, hinge), axis=-1)
 
 
 def contrastive_hinge_values(f: MaterialField, triplets, w: LossWeights):
@@ -316,8 +373,9 @@ def contrastive_hinge_values(f: MaterialField, triplets, w: LossWeights):
 
 def contrastive_loss(f: MaterialField, triplets, w: LossWeights) -> float:
     """Mean triplet hinge over (anchor, positive, negative) index rows."""
-    hinge = contrastive_hinge_values(f, triplets, w)
-    return float(np.mean(np.maximum(0.0, hinge)))
+    t = _check_triplets(triplets, f.n_points)
+    return float(_contrastive_core(f.young_modulus, f.poisson_ratio, t,
+                                   w.margin))
 
 
 def contrastive_loss_grad(f: MaterialField, triplets, w: LossWeights) -> np.ndarray:
@@ -375,10 +433,8 @@ def sample_triplets(part_labels, n_triplets, seed=0):
 # ---------------------------------------------------------------------------
 # assignment loss
 
-def assignment_loss(logits, targets: SupervisionTargets,
-                    tau: float = DEFAULT_TAU) -> float:
-    """Cross-entropy of softmax_k(s_ik / tau) against each part's prompt."""
-    s = np.asarray(logits, dtype=np.float64)
+def _assignment_prompts(s, targets: SupervisionTargets, tau):
+    """Validate the assignment inputs; each point's prompt column, (N,)."""
     if s.ndim != 2:
         raise ShapeError(f"logits must be (N, K), got {s.shape}")
     n, k = s.shape
@@ -386,12 +442,24 @@ def assignment_loss(logits, targets: SupervisionTargets,
         raise ShapeError("part labels do not match logits row count")
     if not (tau > 0):
         raise DomainError("tau must be positive")
-    y = targets.prompt_index(k)
+    return targets.prompt_index(k)
+
+
+def _assignment_core(s, y, tau):
+    """Mean cross-entropy over the last two axes of s, (..., N, K) -> (...)."""
     scaled = s / tau
     # log-softmax, numerically stable
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(log_z - shifted[np.arange(n), y]))
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    return np.mean(log_z - shifted[..., np.arange(y.shape[0]), y], axis=-1)
+
+
+def assignment_loss(logits, targets: SupervisionTargets,
+                    tau: float = DEFAULT_TAU) -> float:
+    """Cross-entropy of softmax_k(s_ik / tau) against each part's prompt."""
+    s = np.asarray(logits, dtype=np.float64)
+    y = _assignment_prompts(s, targets, tau)
+    return float(_assignment_core(s, y, tau))
 
 
 def assignment_loss_grad(logits, targets: SupervisionTargets,
@@ -430,31 +498,38 @@ def total_loss(pred_probs, pred_params, f: MaterialField, triplets, logits,
 # ---------------------------------------------------------------------------
 # finite-difference verification
 
-def _field_with_params(f: MaterialField, p):
-    """Rebuild a field from packed (ln E, nu, ln rho) rows."""
-    return f.with_(young_modulus=np.exp(p[:, 0]), poisson_ratio=p[:, 1].copy(),
-                   density=np.exp(p[:, 2]))
-
-
 def _field_params(f: MaterialField):
+    """Packed (ln E, nu, ln rho) rows, the coordinates the field probes move."""
     return np.stack([np.log(f.young_modulus), f.poisson_ratio,
                      np.log(f.density)], axis=1)
 
 
+def _probes_per_block(size):
+    """Probes per block for an input of `size` coordinates (at least one)."""
+    return max(1, _BLOCK_VALUES // (2 * max(size, 1)))
+
+
 def _central_diff(fn, x, epsilon):
-    x = x.astype(np.float64).copy()
-    g = np.zeros_like(x)
+    """Central-difference gradient of fn at x, one block of probes per call.
+
+    fn maps a stack of inputs shaped (M, *x.shape) to M loss values.  A
+    block of B probes is the stack of x with coordinate i set to
+    x_i + epsilon (rows 0..B-1) and to x_i - epsilon (rows B..2B-1).
+    """
+    x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + epsilon
-        hi = fn(x)
-        flat[i] = keep - epsilon
-        lo = fn(x)
-        flat[i] = keep
-        gf[i] = (hi - lo) / (2.0 * epsilon)
-    return g
+    g = np.empty(flat.size)
+    per_block = _probes_per_block(flat.size)
+    for start in range(0, flat.size, per_block):
+        idx = np.arange(start, min(start + per_block, flat.size))
+        b = idx.size
+        block = np.tile(flat, (2 * b, 1))
+        rows = np.arange(b)
+        block[rows, idx] = flat[idx] + epsilon
+        block[rows + b, idx] = flat[idx] - epsilon
+        values = fn(block.reshape(2 * b, *x.shape))
+        g[idx] = (values[:b] - values[b:]) / (2.0 * epsilon)
+    return g.reshape(x.shape)
 
 
 def _max_rel_err(analytic, fd):
@@ -466,6 +541,55 @@ def _max_rel_err(analytic, fd):
         return 0.0
     denom = np.maximum(np.maximum(a, f), 1e-3 * gmax)
     return float(np.max(diff / denom))
+
+
+def _gradient_probe(loss_name: str, inputs: dict, epsilon: float):
+    """(x, analytic gradient at x, block loss) for one finite_diff_check probe.
+
+    The block loss maps a stack of perturbed copies of x to their loss
+    values.  Inputs no probe moves are validated here, once; the checks
+    on perturbed values run inside the block loss, on every block.
+    """
+    w = inputs.get("weights", LossWeights())
+    boundary = 10.0 * epsilon
+
+    if loss_name == "task":
+        targets = inputs["targets"]
+        x = np.asarray(inputs["pred_params"], dtype=np.float64)
+        ce = _task_cross_entropy(inputs["pred_probs"], x, targets)
+        resid = np.abs(x - targets.param_targets)
+        if np.any(np.abs(resid - w.huber_delta) < boundary):
+            raise NonSmoothPoint("residual sits on the Huber kink")
+        analytic = task_loss_grad_params(x, targets, w)
+        fn = lambda p: _task_core(p, targets.param_targets, ce, w)
+    elif loss_name == "smoothness":
+        f = inputs["field"]
+        x = _field_params(f)
+        # no probe moves a position or a label, so one graph serves them all
+        graph = _knn_graph(f, w.smooth_k, inputs.get("within_part", True))
+        analytic = _smoothness_grad(f, graph, w.smooth_eps)
+        fn = lambda p: _smoothness_per_point(
+            np.exp(p[..., 0]), p[..., 1], np.exp(p[..., 2]), graph,
+            w.smooth_eps).mean(axis=-1)
+    elif loss_name == "contrastive":
+        f = inputs["field"]
+        x = _field_params(f)
+        t = _check_triplets(inputs["triplets"], f.n_points)
+        if np.any(np.abs(contrastive_hinge_values(f, t, w)) < boundary):
+            raise NonSmoothPoint("a triplet sits on the hinge boundary")
+        analytic = contrastive_loss_grad(f, t, w)
+        fn = lambda p: _contrastive_core(np.exp(p[..., 0]), p[..., 1], t,
+                                         w.margin)
+    elif loss_name == "assignment":
+        targets = inputs["targets"]
+        tau = inputs.get("tau", DEFAULT_TAU)
+        x = np.asarray(inputs["logits"], dtype=np.float64)
+        y = _assignment_prompts(x, targets, tau)
+        analytic = assignment_loss_grad(x, targets, tau)
+        fn = lambda s: _assignment_core(s, y, tau)
+    else:
+        raise DomainError(f"unknown loss name {loss_name!r}")
+    return x, analytic, fn
 
 
 def finite_diff_check(loss_name: str, inputs: dict, epsilon: float = 1e-5) -> float:
@@ -481,41 +605,5 @@ def finite_diff_check(loss_name: str, inputs: dict, epsilon: float = 1e-5) -> fl
     Raises NonSmoothPoint when the probe sits on a Huber kink or an
     inactive/active hinge boundary (within 10 * epsilon).
     """
-    w = inputs.get("weights", LossWeights())
-    boundary = 10.0 * epsilon
-
-    if loss_name == "task":
-        targets = inputs["targets"]
-        x = np.asarray(inputs["pred_params"], dtype=np.float64)
-        resid = np.abs(x - targets.param_targets)
-        if np.any(np.abs(resid - w.huber_delta) < boundary):
-            raise NonSmoothPoint("residual sits on the Huber kink")
-        probs = inputs["pred_probs"]
-        analytic = task_loss_grad_params(x, targets, w)
-        fn = lambda p: task_loss(probs, p, targets, w)
-    elif loss_name == "smoothness":
-        f = inputs["field"]
-        x = _field_params(f)
-        # no probe moves a position or a label, so one graph serves them all
-        graph = _knn_graph(f, w.smooth_k, inputs.get("within_part", True))
-        analytic = _smoothness_grad(f, graph, w.smooth_eps)
-        fn = lambda p: _smoothness_per_point(
-            _field_with_params(f, p), graph, w.smooth_eps).mean()
-    elif loss_name == "contrastive":
-        f = inputs["field"]
-        x = _field_params(f)
-        triplets = inputs["triplets"]
-        if np.any(np.abs(contrastive_hinge_values(f, triplets, w)) < boundary):
-            raise NonSmoothPoint("a triplet sits on the hinge boundary")
-        analytic = contrastive_loss_grad(f, triplets, w)
-        fn = lambda p: contrastive_loss(
-            _field_with_params(f, p), triplets, w)
-    elif loss_name == "assignment":
-        targets = inputs["targets"]
-        tau = inputs.get("tau", DEFAULT_TAU)
-        x = np.asarray(inputs["logits"], dtype=np.float64)
-        analytic = assignment_loss_grad(x, targets, tau)
-        fn = lambda s: assignment_loss(s, targets, tau)
-    else:
-        raise DomainError(f"unknown loss name {loss_name!r}")
+    x, analytic, fn = _gradient_probe(loss_name, inputs, epsilon)
     return _max_rel_err(analytic, _central_diff(fn, x, epsilon))

@@ -224,9 +224,10 @@ def _parse_trigger(p: _LineParser):
 
 
 def _parse_target(p: _LineParser):
+    """The target selector and the column of its first token."""
     tok, col = p.next("target")
     if tok == "scene":
-        return Selector()
+        return Selector(), col
     if tok != "object":
         raise ParseError(f"expected 'scene' or 'object', got {tok!r}",
                          line=p.line_no, column=col)
@@ -239,7 +240,7 @@ def _parse_target(p: _LineParser):
             part = p.expect_int("part label")
         else:
             interior = True
-    return Selector(object_id=oid, part=part, interior_only=interior)
+    return Selector(object_id=oid, part=part, interior_only=interior), col
 
 
 def _parse_material_class(p: _LineParser):
@@ -261,7 +262,7 @@ def _parse_entry(p: _LineParser, line_no: int):
     if verb not in ("set", "impulse"):
         raise ParseError(f"expected 'set' or 'impulse', got {verb!r}",
                          line=line_no, column=verb_col)
-    target = _parse_target(p)
+    target, target_col = _parse_target(p)
     if verb == "impulse":  # sugar for: set <target> velocity_impulse <vector>
         prop, prop_col = "velocity_impulse", verb_col
     else:
@@ -293,6 +294,11 @@ def _parse_entry(p: _LineParser, line_no: int):
     if not scene_wide and target.object_id is None:
         raise ParseError(f"{prop} needs an object target",
                          line=line_no, column=prop_col)
+    if trigger.kind != "at_time" and trigger.probe_object is None \
+            and target.object_id is None:
+        raise ParseError("an event trigger on a scene target needs an "
+                         "explicit 'object N' probe after the event",
+                         line=line_no, column=target_col)
     p.done()
     return Intervention(target=target, property=prop, value=value,
                         trigger=trigger, ramp_duration=ramp,
@@ -431,10 +437,11 @@ class ScheduleRuntime:
                 self.fired[i] = True
                 self.fire_time[i] = trig.value
         else:
+            # compile_schedule gives every scene-target trigger a probe
             probe = trig.probe_object
             if probe is None:
                 probe = iv.target.object_id
-            ev = events.get(int(probe)) if probe is not None else None
+            ev = events.get(int(probe))
             if ev is None:
                 return False
             hit = False

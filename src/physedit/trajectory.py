@@ -168,6 +168,9 @@ def read_trajectory(in_dir) -> Trajectory:
     what = f"manifest {root / MANIFEST_NAME}"
     manifest = read_json(root / MANIFEST_NAME, "manifest")
     files = require_key(manifest, "files", what)
+    if not isinstance(files, list) or not all(isinstance(name, str)
+                                              for name in files):
+        raise IoError(f"{what}: files is not a list of file names")
     if not files:
         raise IoError(f"{what}: lists no frame files")
     frames = []
@@ -208,6 +211,11 @@ def verify_trajectory(in_dir) -> dict:
     except IoError as exc:
         return {"ok": False, "files": [], "errors": [str(exc)]}
 
+    for key in ("files", "frame_sha256"):
+        if not isinstance(manifest.get(key, []), list):
+            report["errors"].append(f"manifest {key} is not a list")
+    if report["errors"]:
+        return {**report, "ok": False}
     files = manifest.get("files", [])
     hashes = manifest.get("frame_sha256", [])
     if len(hashes) != len(files):
@@ -215,6 +223,11 @@ def verify_trajectory(in_dir) -> dict:
                                 f"and {len(hashes)} frame hashes")
     for name, want in zip(files, hashes):
         entry = {"file": name, "ok": False}
+        if not isinstance(name, str):
+            report["errors"].append(f"frame file entry {name!r} is not a "
+                                    "file name")
+            report["files"].append(entry)
+            continue
         try:
             got = _sha256((root / name).read_bytes())
             entry["ok"] = got == want

@@ -96,6 +96,23 @@ def assignment_oracle(logits, prompt_idx, tau):
     return total / n
 
 
+def central_diff_oracle(fn, x, epsilon):
+    """Central differences one probe at a time: fn sees a single input."""
+    x = np.array(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gf = g.reshape(-1)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + epsilon
+        hi = fn(x)
+        flat[i] = keep - epsilon
+        lo = fn(x)
+        flat[i] = keep
+        gf[i] = (hi - lo) / (2.0 * epsilon)
+    return g
+
+
 def softmax_oracle(row):
     exps = [math.exp(v) for v in row]
     s = sum(exps)

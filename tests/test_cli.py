@@ -6,7 +6,8 @@ import pytest
 from physedit.cli import main
 from physedit.fieldio import read_field, write_field
 from physedit.fill import FillConfig, fill_field
-from physedit.trajectory import read_trajectory
+from physedit.trajectory import (Trajectory, export_trajectory,
+                                 read_trajectory)
 from physedit.materials import MaterialClass
 from physedit.scenes import (build_analyze_fixture, build_scene,
                              cube_shell_positions, uniform_field)
@@ -240,6 +241,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "CORRUPT" in out
         assert "manifest is not a JSON object" in out
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("files", 3), ("frame_sha256", 3), ("files", [7])],
+        ids=["files-number", "hashes-number", "file-entry-number"])
+    def test_unreadable_frame_list_is_corrupt(self, tmp_path, capsys, key,
+                                              value):
+        pos = np.zeros((2, 4, 3), dtype=np.float32)
+        export_trajectory(Trajectory.from_frames(
+            pos, 24.0, np.zeros(4, dtype=np.int32)), tmp_path / "v")
+        manifest_path = tmp_path / "v" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        rc = main(["verify", str(tmp_path / "v")])
+        assert rc == 1
+        assert "CORRUPT" in capsys.readouterr().out
 
 
 class TestCompareCommand:

@@ -1,14 +1,21 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from physedit import losses
 from physedit.errors import DomainError, NonSmoothPoint
-from physedit.losses import (LossWeights, SupervisionTargets,
-                             contrastive_hinge_values, finite_diff_check,
-                             sample_triplets, smoothness_breakdown)
+from physedit.losses import (LossWeights, SupervisionTargets, assignment_loss,
+                             contrastive_hinge_values, contrastive_loss,
+                             finite_diff_check, sample_triplets,
+                             smoothness_breakdown, smoothness_loss, task_loss)
 from physedit.materials import MaterialField
+from oracles import central_diff_oracle
 
 TOL = 1e-4
+EPS = 1e-5
+PROBE_NAMES = ("task", "smoothness", "contrastive", "assignment")
 
 
 def random_field(rng, n=10):
@@ -159,3 +166,111 @@ def test_assignment_gradient_default_tau():
 def test_unknown_loss_name():
     with pytest.raises(DomainError):
         finite_diff_check("bogus", {})
+
+
+# ---------------------------------------------------------------------------
+# blocked central differences against the per-probe loop
+
+
+def field_with_params(f, p):
+    """f with its parameters replaced by packed (ln E, nu, ln rho) rows."""
+    return f.with_(young_modulus=np.exp(p[:, 0]), poisson_ratio=p[:, 1],
+                   density=np.exp(p[:, 2]))
+
+
+def gradient_probe_inputs(nu_of_point_3=None):
+    """Inputs of the four probes, and each probe's public scalar loss.
+
+    45 points give 135 coordinates per probe (45 x 3 parameters, 45 x 3
+    logits), which neither a 7-probe block nor the default block divides.
+    """
+    rng = np.random.default_rng(11)
+    n = 45
+    f = random_field(rng, n=n)
+    if nu_of_point_3 is not None:
+        nu = f.poisson_ratio.copy()
+        nu[3] = nu_of_point_3
+        f = f.with_(poisson_ratio=nu)
+    targets = SupervisionTargets(class_labels=rng.integers(0, 6, n),
+                                 param_targets=rng.normal(size=(n, 3)),
+                                 part_labels=f.part_label,
+                                 prompt_of_part={0: 2, 1: 0})
+    probs = rng.dirichlet(np.ones(6), size=n)
+    params = targets.param_targets + rng.uniform(-0.6, 0.6, size=(n, 3))
+    w = LossWeights(margin=0.5)
+    trips = sample_triplets(f.part_label, 16, seed=3)
+    logits = rng.normal(size=(n, 3))
+    return {
+        "task": ({"pred_probs": probs, "pred_params": params,
+                  "targets": targets, "weights": w},
+                 lambda p: task_loss(probs, p, targets, w)),
+        "smoothness": ({"field": f, "weights": w},
+                       lambda p: smoothness_loss(field_with_params(f, p), w)),
+        "contrastive": ({"field": f, "triplets": trips, "weights": w},
+                        lambda p: contrastive_loss(field_with_params(f, p),
+                                                   trips, w)),
+        "assignment": ({"logits": logits, "targets": targets, "tau": 0.07},
+                       lambda s: assignment_loss(s, targets, 0.07)),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def per_probe_gradient(name):
+    inputs, scalar_loss = gradient_probe_inputs()[name]
+    x, _, _ = losses._gradient_probe(name, inputs, EPS)
+    return central_diff_oracle(scalar_loss, x, EPS)
+
+
+@pytest.mark.parametrize("probes", [1, 7, None],
+                         ids=["1-probe", "7-probes", "default"])
+@pytest.mark.parametrize("name", PROBE_NAMES)
+def test_blocked_central_differences_match_per_probe_loop(monkeypatch, name,
+                                                          probes):
+    inputs, _ = gradient_probe_inputs()[name]
+    x, analytic, block_loss = losses._gradient_probe(name, inputs, EPS)
+    assert x.size == 135
+    if probes is not None:
+        monkeypatch.setattr(losses, "_BLOCK_VALUES", 2 * x.size * probes + 1)
+    per_block = losses._probes_per_block(x.size)
+    assert per_block == (probes or losses._BLOCK_VALUES // (2 * x.size))
+    assert per_block == 1 or (per_block < x.size and x.size % per_block)
+
+    blocks = []
+
+    def counted(stack):
+        blocks.append(stack.shape)
+        return block_loss(stack)
+
+    got = losses._central_diff(counted, x, EPS)
+    assert len(blocks) == math.ceil(x.size / per_block)
+    assert blocks[0] == (2 * per_block, *x.shape)
+    assert blocks[-1][0] == 2 * (x.size - per_block * (len(blocks) - 1))
+    # bit-equal for all four losses: every batched reduction runs over a
+    # C-ordered last axis, so it adds in the order of the unbatched loss
+    want = per_probe_gradient(name)
+    np.testing.assert_array_equal(got, want)
+    assert finite_diff_check(name, inputs, EPS) == \
+        losses._max_rel_err(analytic, want)
+    assert finite_diff_check(name, inputs, EPS) < TOL
+
+
+@pytest.mark.parametrize("probes", [1, 7, None],
+                         ids=["1-probe", "7-probes", "default"])
+@pytest.mark.parametrize("name, message", [
+    ("smoothness", "Poisson's ratio must lie strictly"),
+    ("contrastive", "shear and bulk moduli must be positive"),
+], ids=["smoothness", "contrastive"])
+def test_perturbed_values_still_range_checked(monkeypatch, name, message,
+                                              probes):
+    # nu is valid at the field itself; only the nu + epsilon probe of
+    # point 3 crosses 0.5, and the per-probe loop raises on that probe
+    inputs, scalar_loss = gradient_probe_inputs(
+        nu_of_point_3=0.5 - 5e-6)[name]
+    x, _, _ = losses._gradient_probe(name, inputs, EPS)
+    assert np.isfinite(scalar_loss(x))
+    with pytest.raises(DomainError, match=message):
+        central_diff_oracle(scalar_loss, x, EPS)
+    if probes is not None:
+        monkeypatch.setattr(losses, "_BLOCK_VALUES", 2 * x.size * probes)
+    with pytest.raises(DomainError, match=message):
+        finite_diff_check(name, inputs, EPS)

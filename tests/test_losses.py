@@ -332,6 +332,28 @@ class TestAssignment:
         with pytest.raises(MissingMapping):
             assignment_loss(np.zeros((2, 2)), targets, tau=0.07)
 
+    def test_prompt_index_maps_every_point(self):
+        targets = self._targets(np.array([2, 0, 1, 1, 2, 0]),
+                                {0: 1, 1: 0, 2: 2, 7: 0})
+        assert targets.prompt_index(3).tolist() == [2, 1, 0, 0, 2, 1]
+        assert self._targets(np.zeros(0, dtype=int), {}).prompt_index(2) \
+            .tolist() == []
+
+    @pytest.mark.parametrize("parts, mapping, message", [
+        ([4, 1, 0], {0: 0}, "part label 4 has no prompt index"),
+        ([0, 5, 1], {0: 0, 1: 3, 5: 1},
+         "part 1 maps to prompt 3, outside [0, 2)"),
+        ([0, 3, 1], {0: 0, 1: -1}, "part label 3 has no prompt index"),
+        ([0, 1, 3], {0: 0, 1: -1}, "part 1 maps to prompt -1, outside [0, 2)"),
+    ], ids=["missing-before-lower-part", "out-of-range", "missing-first",
+            "negative-first"])
+    def test_prompt_index_names_first_bad_point(self, parts, mapping,
+                                                message):
+        targets = self._targets(np.array(parts), mapping)
+        with pytest.raises(MissingMapping) as err:
+            targets.prompt_index(2)
+        assert str(err.value) == message
+
 
 class TestTotal:
     def _everything(self, rng, n=10):

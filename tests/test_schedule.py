@@ -89,6 +89,25 @@ class TestCompile:
         assert err.value.line == 1
         assert err.value.column == 23
 
+    @pytest.mark.parametrize("line, column", [
+        ("on ground_contact set scene gravity (0,1,0)", 23),
+        ("on height_below 0.1 set scene wind (1,0,0) ramp 0.5", 25),
+        ("on speed_above 2 set scene gravity (0,0,0) once", 22),
+    ], ids=["ground_contact", "height_below", "speed_above"])
+    def test_scene_event_needs_probe_object(self, line, column):
+        # without a probe the trigger could never fire: a scene has no
+        # object whose events it would watch
+        with pytest.raises(ParseError, match="explicit 'object N' probe") \
+                as err:
+            compile_schedule("at t=0 set scene wind (0,0,0)\n" + line,
+                             scene_map())
+        assert (err.value.line, err.value.column) == (2, column)
+        assert line[column - 1:].startswith("scene ")
+        probed = line.replace(" set", " object 0 set", 1)
+        (_, iv) = compile_schedule("at t=0 set scene wind (0,0,0)\n" + probed,
+                                   scene_map()).interventions
+        assert iv.trigger.probe_object == 0
+
     def test_unknown_object_and_part(self):
         with pytest.raises(UnknownTarget):
             compile_schedule("at t=0 set object 7 density 100", scene_map())

@@ -187,6 +187,26 @@ class TestManifestKeys:
         assert report["errors"] == ["manifest lists 3 frame files and 1 frame "
                                     "hashes"]
 
+    @pytest.mark.parametrize("key, value, error", [
+        ("files", 3, "manifest files is not a list"),
+        ("frame_sha256", 3, "manifest frame_sha256 is not a list"),
+        ("files", [7], "frame file entry 7 is not a file name"),
+    ], ids=["files-number", "hashes-number", "file-entry-number"])
+    def test_unreadable_frame_list_reported(self, tmp_path, key, value, error):
+        export_trajectory(make_traj(np.random.default_rng(21)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        report = verify_trajectory(tmp_path)
+        assert not report["ok"]
+        assert error in report["errors"]
+        if key == "files":
+            with pytest.raises(IoError, match="files is not a list of file "
+                                              "names") as info:
+                read_trajectory(tmp_path)
+            assert str(manifest_path) in str(info.value)
+
     @pytest.mark.parametrize("objects", [None, 3, [{"id": 0}]],
                              ids=["missing", "number", "no-count"])
     def test_unreadable_object_table_reported(self, tmp_path, objects):
