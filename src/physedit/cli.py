@@ -17,6 +17,7 @@ exits with the error's stable code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,7 +30,8 @@ from . import __version__
 from .conditioning import DEFAULT_TAU, bundle_from_dict, soft_assign
 from .engine import build_state, simulate
 from .errors import DomainError, IoError, PhysEditError
-from .fieldio import read_field, read_json, require_key, write_field
+from .fieldio import (convert_key, read_field, read_json, require_key,
+                      write_field)
 from .fill import FillConfig, fill_field
 from .losses import (LossWeights, SupervisionTargets, finite_diff_check,
                      sample_triplets, total_loss)
@@ -40,6 +42,9 @@ from .trajectory import (canonical_json, compare_trajectories,
                          export_trajectory, read_trajectory, verify_trajectory)
 
 GRADCHECK_THRESHOLD = 1e-4
+# LossWeights fields settable from analyze flags (--lambda-reg, ...)
+WEIGHT_FLAGS = ("lambda_reg", "lambda_cls", "lambda_smooth", "lambda_con",
+                "lambda_assign", "margin", "smooth_k")
 REPORTED_WEIGHTS = ("lambda_reg", "lambda_cls", "lambda_smooth", "lambda_con",
                     "lambda_assign", "margin", "huber_delta", "smooth_k")
 
@@ -97,14 +102,10 @@ def _scene_hashes(scene_json_path, extras, cfg, seed):
                     for obj in doc["objects"]}
     scene_hash = _sha256_bytes(canonical_json(
         {"doc": doc, "fields": field_hashes}).encode())
+    sim = dataclasses.asdict(cfg)
+    del sim["seed"]  # hashed below as the resolved seed
     config_hash = _sha256_bytes(canonical_json({
-        "sim": {"h_grid": cfg.h_grid, "cfl_number": cfg.cfl_number,
-                "frames": cfg.frames, "fps": cfg.fps,
-                "domain_lo": cfg.domain_lo, "domain_hi": cfg.domain_hi,
-                "ground_height": cfg.ground_height,
-                "ground_bc": cfg.ground_bc, "wall_bc": cfg.wall_bc,
-                "damping": cfg.damping},
-        "gravity": extras["gravity"], "wind": extras["wind"],
+        "sim": sim, "gravity": extras["gravity"], "wind": extras["wind"],
         "schedule": extras["schedule_text"], "seed": seed,
     }).encode())
     return scene_hash, config_hash
@@ -148,13 +149,43 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _prompt_map(value):
+    if not isinstance(value, dict):
+        raise TypeError("expected an object of part label -> prompt index")
+    return {int(k): int(v) for k, v in value.items()}
+
+
+def _array(dtype):
+    return lambda value: np.asarray(value, dtype=dtype)
+
+
+# optional targets keys -> value when absent or null
+_TARGET_DEFAULTS = {"tau": DEFAULT_TAU, "n_triplets": 64, "triplet_seed": 0}
+# targets key -> conversion _load_targets applies when the key is not null
+_TARGET_VALUES = {
+    "class_labels": _array(np.int64), "param_targets": _array(np.float64),
+    "part_labels": _array(np.int64), "prompt_of_part": _prompt_map,
+    "tau": float, "pred_probs": _array(np.float64),
+    "logits": _array(np.float64), "triplets": _array(np.int64),
+    "n_triplets": int, "triplet_seed": int,
+}
+
+
 def _load_targets(path):
+    """The targets document with every value in ``_TARGET_VALUES``
+    converted; IoError naming the file and the key if one cannot be."""
     doc = read_json(path, "targets")
     if doc.get("format") != "supervision-targets":
         raise IoError(f"{path}: not a supervision-targets document")
     for key in ("class_labels", "param_targets", "part_labels",
                 "prompt_of_part"):
         require_key(doc, key, path)
+    for key, default in _TARGET_DEFAULTS.items():
+        if doc.get(key) is None:
+            doc[key] = default
+    for key, convert in _TARGET_VALUES.items():
+        if doc.get(key) is not None:
+            doc[key] = convert_key(doc, key, convert, path)
     return doc
 
 
@@ -173,27 +204,22 @@ def cmd_analyze(args) -> int:
         class_labels=doc["class_labels"],
         param_targets=doc["param_targets"],
         part_labels=doc["part_labels"],
-        prompt_of_part={int(k): int(v)
-                        for k, v in doc["prompt_of_part"].items()})
-    tau = float(doc.get("tau", DEFAULT_TAU))
+        prompt_of_part=doc["prompt_of_part"])
+    tau = doc["tau"]
     weights = LossWeights(
-        lambda_reg=args.lambda_reg, lambda_cls=args.lambda_cls,
-        lambda_smooth=args.lambda_smooth, lambda_con=args.lambda_con,
-        lambda_assign=args.lambda_assign, margin=args.margin,
-        smooth_k=args.smooth_k).validate()
+        **{name: getattr(args, name) for name in WEIGHT_FLAGS}).validate()
 
     pred_params = fld.normalization.normalize(
         fld.young_modulus, fld.poisson_ratio, fld.density)
-    if "pred_probs" in doc:
-        pred_probs = np.asarray(doc["pred_probs"], dtype=np.float64)
-    else:
+    pred_probs = doc.get("pred_probs")
+    if pred_probs is None:
         pred_probs = np.zeros((fld.n_points, 6))
         pred_probs[np.arange(fld.n_points), fld.class_id] = 1.0
 
     assign_tau = tau
     if doc.get("logits") is not None:
         # raw similarities from the file: the stated tau scales them
-        logits = np.asarray(doc["logits"], dtype=np.float64)
+        logits = doc["logits"]
     elif doc.get("bundle") is not None:
         # soft-assign logits already carry the 1/tau scaling, and the
         # assignment loss must see exactly the distribution A was built
@@ -207,12 +233,11 @@ def cmd_analyze(args) -> int:
     else:
         raise DomainError("targets must supply either logits or a bundle")
 
-    if doc.get("triplets") is not None:
-        triplets = np.asarray(doc["triplets"], dtype=np.int64)
-    else:
+    triplets = doc.get("triplets")
+    if triplets is None:
         triplets = sample_triplets(targets.part_labels,
-                                   int(doc.get("n_triplets", 64)),
-                                   seed=int(doc.get("triplet_seed", 0)))
+                                   doc["n_triplets"],
+                                   seed=doc["triplet_seed"])
 
     total, breakdown = total_loss(pred_probs, pred_params, fld, triplets,
                                   logits, targets, weights, tau=assign_tau)
@@ -320,13 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build the bundled labeled fixture into DIR and analyze it")
     p.add_argument("--json", help="also write the report as JSON")
     p.add_argument("--no-gradcheck", action="store_true")
-    p.add_argument("--lambda-reg", type=float, default=1.0)
-    p.add_argument("--lambda-cls", type=float, default=0.3)
-    p.add_argument("--lambda-smooth", type=float, default=0.02)
-    p.add_argument("--lambda-con", type=float, default=5e-4)
-    p.add_argument("--lambda-assign", type=float, default=0.1)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--smooth-k", type=int, default=8)
+    for name in WEIGHT_FLAGS:
+        default = getattr(LossWeights, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=default)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="re-hash a trajectory directory")

@@ -14,9 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IoError, ShapeError
-from .fieldio import require_key
+from .fieldio import convert_key
 
 DEFAULT_TAU = 0.07
+# the FeatureBundle matrices, in document order
+_ARRAYS = ("point_features", "global_token", "part_tokens", "phi", "psi",
+           "w_val")
+
+
+def _float_array(value):
+    return np.asarray(value, dtype=np.float64)
 
 
 def softmax_rows(x):
@@ -49,10 +56,8 @@ class FeatureBundle:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        for name in ("point_features", "global_token", "part_tokens",
-                     "phi", "psi", "w_val"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=np.float64))
+        for name in _ARRAYS:
+            object.__setattr__(self, name, _float_array(getattr(self, name)))
 
     def validate(self):
         h, t0, t = self.point_features, self.global_token, self.part_tokens
@@ -101,27 +106,18 @@ def soft_assign(bundle: FeatureBundle) -> AssignmentResult:
 
 
 def bundle_to_dict(bundle: FeatureBundle) -> dict:
-    return {
-        "format": "feature-bundle",
-        "version": 1,
-        "tau": bundle.tau,
-        "point_features": bundle.point_features.tolist(),
-        "global_token": bundle.global_token.tolist(),
-        "part_tokens": bundle.part_tokens.tolist(),
-        "phi": bundle.phi.tolist(),
-        "psi": bundle.psi.tolist(),
-        "w_val": bundle.w_val.tolist(),
-    }
+    return {"format": "feature-bundle", "version": 1, "tau": bundle.tau,
+            **{name: getattr(bundle, name).tolist() for name in _ARRAYS}}
 
 
 def bundle_from_dict(d: dict) -> FeatureBundle:
     if d.get("format") != "feature-bundle":
         raise IoError("not a feature-bundle document")
-    arrays = {key: require_key(d, key, "feature-bundle") for key in
-              ("point_features", "global_token", "part_tokens", "phi", "psi",
-               "w_val")}
-    return FeatureBundle(tau=float(d.get("tau", DEFAULT_TAU)),
-                         **arrays).validate()
+    arrays = {name: convert_key(d, name, _float_array, "feature-bundle")
+              for name in _ARRAYS}
+    tau = convert_key(d, "tau", float, "feature-bundle") if "tau" in d \
+        else DEFAULT_TAU
+    return FeatureBundle(tau=tau, **arrays).validate()
 
 
 def synthetic_segmentation_prior(part_label, d_s=96, seed=0):

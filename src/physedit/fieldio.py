@@ -2,18 +2,12 @@
 
 Two equivalent on-disk forms:
 
-* ``.mfield`` -- column-oriented binary container.  Layout (little-endian):
-
-    magic    4 bytes  b"MFLD"
-    version  uint32   currently 1
-    n        uint64   point count
-    flags    uint32   bit 0 = part_label column present
-    norm     6 float64  normalization mean[3] then std[3]
-    columns  positions float32 n*3, class_id int32 n,
-             young_modulus float64 n, poisson_ratio float64 n,
-             density float64 n, [part_label int32 n], interior_flag uint8 n
-
-* ``.json`` -- the same content as human-readable structured text.
+* ``.mfield`` -- little-endian binary container: the ``_HEADER`` record,
+  then each of ``_COLUMNS`` in order (docs/file_formats.md has the table).
+  Readers reject a file whose length differs from the size its header
+  implies.
+* ``.json`` -- the same columns, holding the stored values, as
+  human-readable structured text.
 
 ``read_field``/``write_field`` dispatch on the file extension.
 ``read_json`` is the one reader of every JSON document the package loads.
@@ -33,6 +27,16 @@ from .materials import MaterialField, ParamNormalization
 MAGIC = b"MFLD"
 VERSION = 1
 _FLAG_PART_LABEL = 1
+# magic, version, point count, flags, normalization mean[3] then std[3]
+_HEADER = struct.Struct("<4sIQI6d")
+# (name, stored dtype, values per point) in file order; a field without
+# part labels stores no part_label column.  The JSON form holds the stored
+# values too, so both forms carry equal precision.
+_COLUMNS = (("positions", "<f4", 3), ("class_id", "<i4", 1),
+            ("young_modulus", "<f8", 1), ("poisson_ratio", "<f8", 1),
+            ("density", "<f8", 1), ("part_label", "<i4", 1),
+            ("interior_flag", "u1", 1))
+_OPTIONAL = "part_label"
 
 
 def read_json(path, what, kind=dict):
@@ -56,25 +60,32 @@ def require_key(doc, key, what):
     return doc[key]
 
 
+def convert_key(doc, key, convert, what):
+    """``convert(doc[key])``; IoError naming ``what`` and the key if the key
+    is absent or its value cannot be converted."""
+    value = require_key(doc, key, what)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise IoError(f"{what}: bad value for key {key!r}: {exc}") from None
+
+
+def _stored(has_part: bool):
+    """The ``_COLUMNS`` entries a field holds, in file order."""
+    return [col for col in _COLUMNS if has_part or col[0] != _OPTIONAL]
+
+
 def write_field_binary(f: MaterialField, path):
     path = Path(path)
-    n = f.n_points
-    flags = _FLAG_PART_LABEL if f.part_label is not None else 0
     mean, std = f.normalization.as_arrays()
+    has_part = f.part_label is not None
     try:
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<IQI", VERSION, n, flags))
-            fh.write(mean.astype("<f8").tobytes())
-            fh.write(std.astype("<f8").tobytes())
-            fh.write(f.positions.astype("<f4").tobytes())
-            fh.write(f.class_id.astype("<i4").tobytes())
-            fh.write(f.young_modulus.astype("<f8").tobytes())
-            fh.write(f.poisson_ratio.astype("<f8").tobytes())
-            fh.write(f.density.astype("<f8").tobytes())
-            if f.part_label is not None:
-                fh.write(f.part_label.astype("<i4").tobytes())
-            fh.write(f.interior_flag.astype("u1").tobytes())
+            fh.write(_HEADER.pack(MAGIC, VERSION, f.n_points,
+                                  _FLAG_PART_LABEL if has_part else 0,
+                                  *mean, *std))
+            for name, dtype, _ in _stored(has_part):
+                fh.write(getattr(f, name).astype(dtype).tobytes())
     except OSError as exc:
         raise IoError(f"cannot write field to {path}: {exc}") from exc
 
@@ -87,48 +98,32 @@ def read_field_binary(path) -> MaterialField:
         raise IoError(f"cannot read field from {path}: {exc}") from exc
     if raw[:4] != MAGIC:
         raise IoError(f"{path}: bad magic, not a material field container")
-    version, n, flags = struct.unpack_from("<IQI", raw, 4)
+    if len(raw) < _HEADER.size:
+        raise IoError(f"{path}: {len(raw)} bytes, shorter than the header")
+    _, version, n, flags, *norm = _HEADER.unpack_from(raw)
     if version != VERSION:
         raise IoError(f"{path}: unsupported container version {version}")
-    off = 4 + struct.calcsize("<IQI")
-
-    def take(dtype, count):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+    stored = _stored(bool(flags & _FLAG_PART_LABEL))
+    size = _HEADER.size + n * sum(np.dtype(dtype).itemsize * per
+                                  for _, dtype, per in stored)
+    if len(raw) != size:
+        raise IoError(f"{path}: {len(raw)} bytes, the header implies {size}")
+    cols, off = {}, _HEADER.size
+    for name, dtype, per in stored:
+        arr = np.frombuffer(raw, dtype=dtype, count=n * per, offset=off)
+        cols[name] = arr.reshape(n, per) if per > 1 else arr
         off += arr.nbytes
-        return arr
-
-    mean = take("<f8", 3)
-    std = take("<f8", 3)
-    positions = take("<f4", n * 3).astype(np.float64).reshape(n, 3)
-    class_id = take("<i4", n)
-    e = take("<f8", n)
-    nu = take("<f8", n)
-    rho = take("<f8", n)
-    part = take("<i4", n) if flags & _FLAG_PART_LABEL else None
-    interior = take("u1", n).astype(bool)
-    return MaterialField(positions=positions, class_id=class_id,
-                         young_modulus=e, poisson_ratio=nu, density=rho,
-                         part_label=part, interior_flag=interior,
-                         normalization=ParamNormalization(tuple(mean), tuple(std)))
+    return MaterialField(**cols, normalization=ParamNormalization(
+        tuple(norm[:3]), tuple(norm[3:])))
 
 
 def field_to_dict(f: MaterialField) -> dict:
     mean, std = f.normalization.as_arrays()
-    d = {
-        "format": "material-field",
-        "version": VERSION,
-        "norm_mean": mean.tolist(),
-        "norm_std": std.tolist(),
-        # Coordinates round through float32 so both forms carry equal precision.
-        "positions": f.positions.astype(np.float32).astype(np.float64).tolist(),
-        "class_id": f.class_id.tolist(),
-        "young_modulus": f.young_modulus.tolist(),
-        "poisson_ratio": f.poisson_ratio.tolist(),
-        "density": f.density.tolist(),
-        "part_label": None if f.part_label is None else f.part_label.tolist(),
-        "interior_flag": f.interior_flag.astype(int).tolist(),
-    }
+    d = {"format": "material-field", "version": VERSION,
+         "norm_mean": mean.tolist(), "norm_std": std.tolist()}
+    for name, dtype, _ in _COLUMNS:
+        values = getattr(f, name)
+        d[name] = None if values is None else values.astype(dtype).tolist()
     return d
 
 
@@ -137,23 +132,12 @@ def field_from_dict(d: dict) -> MaterialField:
         raise IoError("not a material-field document")
     if d.get("version") != VERSION:
         raise IoError(f"unsupported material-field version {d.get('version')}")
-
-    def col(key, dtype):
-        return np.asarray(require_key(d, key, "material-field"), dtype=dtype)
-
-    part = d.get("part_label")
-    return MaterialField(
-        positions=col("positions", np.float64),
-        class_id=col("class_id", np.int32),
-        young_modulus=col("young_modulus", np.float64),
-        poisson_ratio=col("poisson_ratio", np.float64),
-        density=col("density", np.float64),
-        part_label=None if part is None else np.asarray(part, dtype=np.int32),
-        interior_flag=col("interior_flag", bool),
-        normalization=ParamNormalization(
-            tuple(require_key(d, "norm_mean", "material-field")),
-            tuple(require_key(d, "norm_std", "material-field"))),
-    )
+    cols = {name: d.get(name) if name == _OPTIONAL
+            else require_key(d, name, "material-field")
+            for name, _, _ in _COLUMNS}
+    return MaterialField(**cols, normalization=ParamNormalization(
+        tuple(require_key(d, "norm_mean", "material-field")),
+        tuple(require_key(d, "norm_std", "material-field"))))
 
 
 def write_field_json(f: MaterialField, path):

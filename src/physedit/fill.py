@@ -227,16 +227,26 @@ def _query_2d(tree, queries, k):
 
 
 def _nearest_lowest_index(surface_pos, queries, window=8):
-    """Index of the nearest surface point, exact ties to the lowest index."""
+    """Index of the nearest surface point, exact ties to the lowest index.
+
+    A row whose whole window ties may have more ties beyond it, so those
+    rows are queried again with twice the window until one does not.
+    """
     tree = cKDTree(surface_pos)
-    k = min(window, surface_pos.shape[0])
+    n = surface_pos.shape[0]
+    k = min(window, n)
     dist, idx = _query_2d(tree, queries, k)
-    best = np.empty(queries.shape[0], dtype=np.int64)
     d_min = dist[:, 0]
-    for row in range(queries.shape[0]):
-        tied = idx[row][dist[row] == d_min[row]]
-        best[row] = tied.min()
-    return d_min, best
+    best = np.empty(queries.shape[0], dtype=np.int64)
+    rows = np.arange(queries.shape[0])
+    while True:
+        tied = dist == d_min[rows, None]
+        best[rows] = np.where(tied, idx, n).min(axis=1)
+        rows = rows[tied[:, -1]] if k < n else rows[:0]
+        if rows.size == 0:
+            return d_min, best
+        k = min(2 * k, n)
+        dist, idx = _query_2d(tree, queries[rows], k)
 
 
 def inherit_properties(interior, surface: MaterialField,

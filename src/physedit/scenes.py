@@ -14,6 +14,7 @@ builds are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from .conditioning import (FeatureBundle, bundle_to_dict,
                            synthetic_segmentation_prior)
 from .engine import ObjectInit, SimConfig
 from .errors import DomainError, IoError
-from .fieldio import read_field, read_json, require_key, write_field
+from .fieldio import (convert_key, read_field, read_json, require_key,
+                      write_field)
 from .fill import FillConfig, fill_field
 from .materials import MaterialClass, MaterialField
 from .raster import CameraSpec
@@ -65,115 +67,72 @@ def uniform_field(positions, material: MaterialClass, e, nu, rho,
     )
 
 
-def _scene_drop_cube():
-    shell = cube_shell_positions(0.24, 9)
-    surface = uniform_field(shell, MaterialClass.ELASTIC, 2e4, 0.3, 400.0)
-    filled = fill_field(surface, FillConfig(particle_spacing=0.03))
+_CAMERA = {"fx": 110.0, "fy": 110.0, "cx": 48.0, "cy": 48.0,
+           "width": 96, "height": 96, "splat_radius": 1.0,
+           "color_mode": "depth"}
+
+
+def _one_object_scene(name, surface, spacing, schedule, translate, h_grid,
+                      frames, domain, eye, target, ground_bc="sticky"):
+    """One filled object at rest under gravity, seen by the ``_CAMERA`` rig.
+
+    ``domain`` is ``(domain_lo, domain_hi)``; the frame rate, ground,
+    walls and seed are the same for every bundled scene.
+    """
     return {
-        "fields": {"cube.mfield": filled},
-        "schedule": "# no interventions: a plain drop\n",
+        "fields": {name: fill_field(surface,
+                                    FillConfig(particle_spacing=spacing))},
+        "schedule": schedule,
         "scene": {
-            "objects": [{"id": 0, "field": "cube.mfield", "h_fill": 0.03,
-                         "translate": [-0.12, 0.3, -0.12],
+            "objects": [{"id": 0, "field": name, "h_fill": spacing,
+                         "translate": translate,
                          "velocity": [0.0, 0.0, 0.0]}],
             "gravity": [0.0, -9.8, 0.0],
-            "sim": {"h_grid": 0.03, "frames": 16, "fps": 24.0,
-                    "domain_lo": [-0.48, -0.09, -0.48],
-                    "domain_hi": [0.48, 0.87, 0.48],
-                    "ground_height": 0.0, "ground_bc": "sticky",
+            "sim": {"h_grid": h_grid, "frames": frames, "fps": 24.0,
+                    "domain_lo": domain[0], "domain_hi": domain[1],
+                    "ground_height": 0.0, "ground_bc": ground_bc,
                     "wall_bc": "separate", "seed": 42},
-            "camera": {"eye": [0.55, 0.45, 1.0], "target": [0.0, 0.2, 0.0],
-                       "fx": 110.0, "fy": 110.0, "cx": 48.0, "cy": 48.0,
-                       "width": 96, "height": 96, "splat_radius": 1.0,
-                       "color_mode": "depth"},
-        },
-    }
-
-
-def _scene_liquefy_on_contact():
-    shell = sphere_shell_positions(0.09, 480)
-    surface = uniform_field(shell, MaterialClass.PLASTICINE, 3e4, 0.35, 600.0)
-    filled = fill_field(surface, FillConfig(particle_spacing=0.025))
-    return {
-        "fields": {"ball.mfield": filled},
-        "schedule": "on ground_contact set object 0 material_model liquid once\n",
-        "scene": {
-            "objects": [{"id": 0, "field": "ball.mfield", "h_fill": 0.025,
-                         "translate": [0.0, 0.34, 0.0],
-                         "velocity": [0.0, 0.0, 0.0]}],
-            "gravity": [0.0, -9.8, 0.0],
-            "sim": {"h_grid": 0.025, "frames": 16, "fps": 24.0,
-                    "domain_lo": [-0.45, -0.075, -0.45],
-                    "domain_hi": [0.45, 0.75, 0.45],
-                    "ground_height": 0.0, "ground_bc": "sticky",
-                    "wall_bc": "separate", "seed": 42},
-            "camera": {"eye": [0.5, 0.4, 0.95], "target": [0.0, 0.15, 0.0],
-                       "fx": 110.0, "fy": 110.0, "cx": 48.0, "cy": 48.0,
-                       "width": 96, "height": 96, "splat_radius": 1.0,
-                       "color_mode": "depth"},
-        },
-    }
-
-
-def _scene_hollow_deflate():
-    shell = sphere_shell_positions(0.1, 560)
-    surface = uniform_field(shell, MaterialClass.ELASTIC, 1.5e4, 0.3, 800.0)
-    filled = fill_field(surface, FillConfig(particle_spacing=0.025))
-    return {
-        "fields": {"ball.mfield": filled},
-        "schedule": (
-            "at t=0.15 set object 0 interior density 0 ramp 0.3\n"
-            "at t=0.15 set object 0 interior young_modulus 300 ramp 0.3\n"
-        ),
-        "scene": {
-            "objects": [{"id": 0, "field": "ball.mfield", "h_fill": 0.025,
-                         "translate": [0.0, 0.112, 0.0],
-                         "velocity": [0.0, 0.0, 0.0]}],
-            "gravity": [0.0, -9.8, 0.0],
-            "sim": {"h_grid": 0.025, "frames": 20, "fps": 24.0,
-                    "domain_lo": [-0.4, -0.075, -0.4],
-                    "domain_hi": [0.4, 0.55, 0.4],
-                    "ground_height": 0.0, "ground_bc": "sticky",
-                    "wall_bc": "separate", "seed": 42},
-            "camera": {"eye": [0.45, 0.35, 0.85], "target": [0.0, 0.1, 0.0],
-                       "fx": 110.0, "fy": 110.0, "cx": 48.0, "cy": 48.0,
-                       "width": 96, "height": 96, "splat_radius": 1.0,
-                       "color_mode": "depth"},
-        },
-    }
-
-
-def _scene_zero_g_bounce():
-    shell = sphere_shell_positions(0.07, 400)
-    surface = uniform_field(shell, MaterialClass.ELASTIC, 4e4, 0.3, 300.0)
-    filled = fill_field(surface, FillConfig(particle_spacing=0.022))
-    return {
-        "fields": {"ball.mfield": filled},
-        "schedule": ("on ground_contact object 0 "
-                     "set scene gravity (0,2.5,0) ramp 0.2 once\n"),
-        "scene": {
-            "objects": [{"id": 0, "field": "ball.mfield", "h_fill": 0.022,
-                         "translate": [0.0, 0.3, 0.0],
-                         "velocity": [0.0, 0.0, 0.0]}],
-            "gravity": [0.0, -9.8, 0.0],
-            "sim": {"h_grid": 0.025, "frames": 18, "fps": 24.0,
-                    "domain_lo": [-0.4, -0.075, -0.4],
-                    "domain_hi": [0.4, 0.85, 0.4],
-                    "ground_height": 0.0, "ground_bc": "separate",
-                    "wall_bc": "separate", "seed": 42},
-            "camera": {"eye": [0.5, 0.4, 0.9], "target": [0.0, 0.25, 0.0],
-                       "fx": 110.0, "fy": 110.0, "cx": 48.0, "cy": 48.0,
-                       "width": 96, "height": 96, "splat_radius": 1.0,
-                       "color_mode": "depth"},
+            "camera": {"eye": eye, "target": target, **_CAMERA},
         },
     }
 
 
 SCENE_BUILDERS = {
-    "drop_cube": _scene_drop_cube,
-    "liquefy_on_contact": _scene_liquefy_on_contact,
-    "hollow_deflate": _scene_hollow_deflate,
-    "zero_g_bounce": _scene_zero_g_bounce,
+    "drop_cube": lambda: _one_object_scene(
+        "cube.mfield",
+        uniform_field(cube_shell_positions(0.24, 9), MaterialClass.ELASTIC,
+                      2e4, 0.3, 400.0),
+        0.03, "# no interventions: a plain drop\n",
+        translate=[-0.12, 0.3, -0.12], h_grid=0.03, frames=16,
+        domain=([-0.48, -0.09, -0.48], [0.48, 0.87, 0.48]),
+        eye=[0.55, 0.45, 1.0], target=[0.0, 0.2, 0.0]),
+    "liquefy_on_contact": lambda: _one_object_scene(
+        "ball.mfield",
+        uniform_field(sphere_shell_positions(0.09, 480),
+                      MaterialClass.PLASTICINE, 3e4, 0.35, 600.0),
+        0.025, "on ground_contact set object 0 material_model liquid once\n",
+        translate=[0.0, 0.34, 0.0], h_grid=0.025, frames=16,
+        domain=([-0.45, -0.075, -0.45], [0.45, 0.75, 0.45]),
+        eye=[0.5, 0.4, 0.95], target=[0.0, 0.15, 0.0]),
+    "hollow_deflate": lambda: _one_object_scene(
+        "ball.mfield",
+        uniform_field(sphere_shell_positions(0.1, 560), MaterialClass.ELASTIC,
+                      1.5e4, 0.3, 800.0),
+        0.025, ("at t=0.15 set object 0 interior density 0 ramp 0.3\n"
+                "at t=0.15 set object 0 interior young_modulus 300 ramp 0.3\n"),
+        translate=[0.0, 0.112, 0.0], h_grid=0.025, frames=20,
+        domain=([-0.4, -0.075, -0.4], [0.4, 0.55, 0.4]),
+        eye=[0.45, 0.35, 0.85], target=[0.0, 0.1, 0.0]),
+    "zero_g_bounce": lambda: _one_object_scene(
+        "ball.mfield",
+        uniform_field(sphere_shell_positions(0.07, 400), MaterialClass.ELASTIC,
+                      4e4, 0.3, 300.0),
+        0.022, ("on ground_contact object 0 "
+                "set scene gravity (0,2.5,0) ramp 0.2 once\n"),
+        translate=[0.0, 0.3, 0.0], h_grid=0.025, frames=18,
+        domain=([-0.4, -0.075, -0.4], [0.4, 0.85, 0.4]),
+        eye=[0.5, 0.4, 0.9], target=[0.0, 0.25, 0.0],
+        ground_bc="separate"),
 }
 
 BUNDLED_SCENES = tuple(sorted(SCENE_BUILDERS))
@@ -190,13 +149,29 @@ def build_scene(name: str, out_dir) -> Path:
     for fname, fld in spec["fields"].items():
         write_field(fld, out / fname)
     (out / "schedule.txt").write_text(spec["schedule"])
-    doc = dict(spec["scene"])
-    doc["format"] = "scene"
-    doc["version"] = 1
-    doc["schedule"] = "schedule.txt"
+    doc = {**spec["scene"], "format": "scene", "version": 1,
+           "schedule": "schedule.txt"}
     path = out / "scene.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
+
+
+def _domain_bound(value):
+    if value is None:
+        return None
+    bound = tuple(value)
+    if len(bound) != 3:
+        raise ValueError(f"expected 3 coordinates, got {len(bound)}")
+    return bound
+
+
+_SIM_KEYS = frozenset(f.name for f in dataclasses.fields(SimConfig))
+# how load_scene coerces the sim values it reads; ground_bc and wall_bc
+# pass through as written and SimConfig.validate checks them
+_SIM_VALUES = {"h_grid": float, "cfl_number": float, "frames": int,
+               "fps": float, "domain_lo": _domain_bound,
+               "domain_hi": _domain_bound, "ground_height": float,
+               "damping": float, "seed": int}
 
 
 def load_scene(scene_path):
@@ -218,22 +193,15 @@ def load_scene(scene_path):
             translate=tuple(obj.get("translate", (0.0, 0.0, 0.0))),
             rotate=None if rotate is None else np.asarray(rotate)))
 
-    sim = dict(doc.get("sim", {}))
-    lo = sim.pop("domain_lo", None)
-    hi = sim.pop("domain_hi", None)
-    cfg = SimConfig(
-        h_grid=float(require_key(sim, "h_grid", f"{scene_path} sim")),
-        cfl_number=float(sim.get("cfl_number", 0.3)),
-        frames=int(sim.get("frames", 24)),
-        fps=float(sim.get("fps", 24.0)),
-        domain_lo=None if lo is None else tuple(lo),
-        domain_hi=None if hi is None else tuple(hi),
-        ground_height=float(sim.get("ground_height", 0.0)),
-        ground_bc=sim.get("ground_bc", "sticky"),
-        wall_bc=sim.get("wall_bc", "separate"),
-        damping=float(sim.get("damping", 0.0)),
-        seed=int(sim.get("seed", 0)),
-    ).validate()
+    what = f"{scene_path} sim"
+    sim = doc.get("sim", {})
+    require_key(sim, "h_grid", what)  # also rejects a sim that is no object
+    for key in sim:
+        if key not in _SIM_KEYS:
+            raise IoError(f"{what}: unknown key {key!r}")
+    cfg = SimConfig(**{key: convert_key(sim, key, _SIM_VALUES[key], what)
+                       if key in _SIM_VALUES else value
+                       for key, value in sim.items()}).validate()
 
     schedule_text = ""
     if doc.get("schedule"):
@@ -249,8 +217,8 @@ def load_scene(scene_path):
         what = f"{scene_path} camera"
         kwargs = {k: require_key(cam, k, what) for k in
                   ("fx", "fy", "cx", "cy", "width", "height")}
-        kwargs["splat_radius"] = cam.get("splat_radius", 1.0)
-        kwargs["color_mode"] = cam.get("color_mode", "depth")
+        kwargs.update((k, cam[k]) for k in ("splat_radius", "color_mode")
+                      if k in cam)
         if cam.get("depth_range"):
             kwargs["depth_range"] = tuple(cam["depth_range"])
         if "eye" in cam:

@@ -417,14 +417,12 @@ class ScheduleRuntime:
 
     def _resolve_indices(self, state, i, sel: Selector):
         if self.indices[i] is None:
-            if sel.object_id is None:
-                mask = np.ones(state.n_particles, dtype=bool)
-            else:
-                mask = state.object_id == sel.object_id
-                if sel.part is not None:
-                    mask &= state.part == sel.part
-                if sel.interior_only:
-                    mask &= state.interior
+            # per-particle properties reject scene targets at parse time
+            mask = state.object_id == sel.object_id
+            if sel.part is not None:
+                mask &= state.part == sel.part
+            if sel.interior_only:
+                mask &= state.interior
             self.indices[i] = np.nonzero(mask)[0]
         return self.indices[i]
 

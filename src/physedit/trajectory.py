@@ -34,6 +34,7 @@ from .fieldio import read_json, require_key
 
 FRAME_MAGIC = b"TRJF"
 FRAME_VERSION = 1
+_FRAME_HEADER = struct.Struct("<4sIIQ")  # magic, version, frame index, n
 MANIFEST_NAME = "manifest.json"
 EDITS_NAME = "edits.json"
 
@@ -94,20 +95,26 @@ def canonical_json(obj) -> str:
 
 def frame_bytes(positions, frame_index) -> bytes:
     pos = np.ascontiguousarray(positions, dtype="<f4")
-    header = FRAME_MAGIC + struct.pack("<IIQ", FRAME_VERSION, frame_index,
-                                       pos.shape[0])
-    return header + pos.tobytes()
+    return _FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, frame_index,
+                              pos.shape[0]) + pos.tobytes()
 
 
-def parse_frame_bytes(raw: bytes):
+def parse_frame_bytes(raw: bytes, source="frame"):
+    """``(frame index, positions)``; IoError naming ``source`` if ``raw`` is
+    not a frame file or its length differs from the size its header
+    implies."""
     if raw[:4] != FRAME_MAGIC:
-        raise IoError("bad frame magic")
-    version, frame_index, n = struct.unpack_from("<IIQ", raw, 4)
+        raise IoError(f"{source}: bad frame magic")
+    if len(raw) < _FRAME_HEADER.size:
+        raise IoError(f"{source}: {len(raw)} bytes, shorter than the header")
+    _, version, frame_index, n = _FRAME_HEADER.unpack_from(raw)
     if version != FRAME_VERSION:
-        raise IoError(f"unsupported frame version {version}")
-    off = 4 + struct.calcsize("<IIQ")
-    pos = np.frombuffer(raw, dtype="<f4", count=n * 3, offset=off).reshape(n, 3)
-    return frame_index, pos
+        raise IoError(f"{source}: unsupported frame version {version}")
+    size = _FRAME_HEADER.size + 12 * n
+    if len(raw) != size:
+        raise IoError(f"{source}: {len(raw)} bytes, the header implies {size}")
+    pos = np.frombuffer(raw, dtype="<f4", offset=_FRAME_HEADER.size)
+    return frame_index, pos.reshape(n, 3)
 
 
 def export_trajectory(traj: Trajectory, out_dir) -> dict:
@@ -179,7 +186,7 @@ def read_trajectory(in_dir) -> Trajectory:
             raw = (root / name).read_bytes()
         except OSError as exc:
             raise IoError(f"cannot read {root / name}: {exc}") from exc
-        _, pos = parse_frame_bytes(raw)
+        _, pos = parse_frame_bytes(raw, root / name)
         frames.append(pos)
     positions = np.stack(frames)
     edit_log = read_json(root / require_key(manifest, "edit_log_file", what),

@@ -124,6 +124,22 @@ class TestSimulateCommand:
         edits = read_trajectory(tmp_path / "r0").edit_log
         assert [e["value"] for e in edits] == ["RIGID"]
 
+    def test_null_domain_bounds_are_derived(self, tmp_path, surface_file):
+        (tmp_path / "cube.mfield").write_bytes(surface_file.read_bytes())
+        positions = []
+        for run, bounds in enumerate([{}, {"domain_lo": None,
+                                           "domain_hi": None}]):
+            scene = tmp_path / f"scene{run}.json"
+            scene.write_text(json.dumps({
+                "format": "scene",
+                "objects": [{"field": "cube.mfield", "h_fill": 0.05}],
+                "sim": {"h_grid": 0.05, "frames": 2, **bounds}}))
+            out = tmp_path / f"o{run}"
+            assert main(["simulate", str(scene), str(out),
+                         "--no-images"]) == 0
+            positions.append(read_trajectory(out).positions)
+        assert np.array_equal(positions[0], positions[1])
+
     def test_missing_scene_errors(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "ghost.json"),
                    str(tmp_path / "o")])
@@ -157,6 +173,34 @@ class TestSimulateCommand:
         assert record["error"] == "IoError"
         assert f"missing required key '{key}'" in record["message"]
         assert str(scene) in record["message"]
+
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("h_grid", "x", "bad value for key 'h_grid'"),
+        ("frames", "abc", "bad value for key 'frames'"),
+        ("domain_lo", 5, "bad value for key 'domain_lo'"),
+        ("domain_hi", [0.5, 0.5], "bad value for key 'domain_hi'"),
+        ("fps", [1], "bad value for key 'fps'"),
+        ("dampng", 5.0, "unknown key 'dampng'")],
+        ids=["h_grid", "frames", "domain_lo", "domain_hi-length", "fps",
+             "misspelled"])
+    def test_scene_sim_value_io_error(self, tmp_path, capsys, surface_file,
+                                      key, value, message):
+        scene = tmp_path / "scene.json"
+        (tmp_path / "cube.mfield").write_bytes(surface_file.read_bytes())
+        sim = {"h_grid": 0.05, "frames": 1, "fps": 24.0,
+               "domain_lo": [-0.5, -0.1, -0.5], "domain_hi": [0.9, 0.9, 0.9],
+               key: value}
+        scene.write_text(json.dumps({
+            "format": "scene", "sim": sim,
+            "objects": [{"field": "cube.mfield", "h_fill": 0.05}]}))
+        rc = main(["simulate", str(scene), str(tmp_path / "o"),
+                   "--no-images"])
+        assert rc == 50
+        record = single_error_record(capsys)
+        assert record["error"] == "IoError"
+        assert message in record["message"]
+        assert f"{scene} sim" in record["message"]
 
 
 class TestAnalyzeCommand:
@@ -200,6 +244,46 @@ class TestAnalyzeCommand:
             assert record["error"] == "IoError"
             assert str(targets_path) in record["message"]
             assert named in record["message"]
+
+    @pytest.mark.parametrize("path, value", [
+        (("prompt_of_part",), [0, 1]), (("prompt_of_part",), {"x": 0}),
+        (("prompt_of_part",), {"0": "a"}), (("tau",), "hot"),
+        (("triplets",), [["a", 0, 1]]), (("n_triplets",), "many"),
+        (("class_labels",), "abc"), (("bundle", "phi"), "abc"),
+        (("bundle", "tau"), "hot")],
+        ids=["prompts-list", "prompts-key", "prompts-value", "tau",
+             "triplets", "n_triplets", "class_labels", "bundle-array",
+             "bundle-tau"])
+    def test_bad_targets_value_io_error(self, tmp_path, capsys, path, value):
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        doc = json.loads(targets_path.read_text())
+        owner = doc["bundle"] if path[0] == "bundle" else doc
+        owner[path[-1]] = value
+        targets_path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(field_path), str(targets_path),
+                   "--no-gradcheck"])
+        assert rc == 50
+        record = single_error_record(capsys)
+        assert record["error"] == "IoError"
+        assert f"bad value for key '{path[-1]}'" in record["message"]
+        owner_name = "feature-bundle" if owner is not doc else targets_path
+        assert str(owner_name) in record["message"]
+
+    def test_null_optional_targets_take_defaults(self, tmp_path):
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        doc = json.loads(targets_path.read_text())
+        assert (doc["tau"], doc["n_triplets"], doc["triplet_seed"]) == \
+            (0.07, 64, 0)
+        reports = []
+        for run, value in enumerate(["keep", None]):
+            if value is None:
+                doc.update(tau=None, n_triplets=None, triplet_seed=None)
+                targets_path.write_text(json.dumps(doc))
+            report = tmp_path / f"report{run}.json"
+            assert main(["analyze", str(field_path), str(targets_path),
+                         "--json", str(report), "--no-gradcheck"]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_missing_bundle_file_io_error(self, tmp_path, capsys):
         field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
@@ -258,6 +342,26 @@ class TestVerifyCommand:
         rc = main(["verify", str(tmp_path / "v")])
         assert rc == 1
         assert "CORRUPT" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("damage", ["altered", "missing"])
+    def test_edit_log_damage_is_corrupt(self, tmp_path, capsys, damage):
+        pos = np.zeros((2, 4, 3), dtype=np.float32)
+        export_trajectory(Trajectory.from_frames(
+            pos, 24.0, np.zeros(4, dtype=np.int32),
+            edit_log=[{"t": 0.0, "property": "gravity"}]), tmp_path / "v")
+        edits = tmp_path / "v" / "edits.json"
+        if damage == "missing":
+            edits.unlink()
+        else:
+            edits.write_text(edits.read_text().replace("gravity", "wind"))
+        rc = main(["verify", str(tmp_path / "v")])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT" in out
+        assert "edits.json" in out
+        if damage == "altered":
+            assert "hash mismatch" in out
 
 
 class TestCompareCommand:

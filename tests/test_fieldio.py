@@ -86,3 +86,20 @@ def test_missing_key_io_error(field, key):
     del doc[key]
     with pytest.raises(IoError, match=f"missing required key '{key}'"):
         field_from_dict(doc)
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["labeled", "bare"])
+@pytest.mark.parametrize("cut", ["inside-header", "header-only", "half",
+                                 "one-byte-short", "padded"])
+def test_container_length_must_match_header(field, tmp_path, labels, cut):
+    path = tmp_path / "f.mfield"
+    write_field(field if labels else field.with_(part_label=None), path)
+    raw = path.read_bytes()
+    damaged = {"inside-header": raw[:30], "header-only": raw[:68],
+               "half": raw[:len(raw) // 2], "one-byte-short": raw[:-1],
+               "padded": raw + b"\x00" * 4}[cut]
+    path.write_bytes(damaged)
+    with pytest.raises(IoError, match="header") as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+

@@ -153,6 +153,28 @@ class TestInheritProperties:
                                  FillConfig(particle_spacing=0.1))
         assert out.young_modulus[-1] == 111.0
 
+    def test_tie_beyond_nearest_window_takes_lowest_index(self):
+        # the 12 points (+-1, +-1, 0) and their permutations lie exactly
+        # sqrt(2) from the origin: more ties than one kNN window holds
+        signs = np.array([[a, b] for a in (-1.0, 1.0) for b in (-1.0, 1.0)])
+        ring = np.concatenate([np.insert(signs, axis, 0.0, axis=1)
+                               for axis in range(3)])
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            far = rng.uniform(5, 10, size=(2000, 3)) * \
+                rng.choice([-1.0, 1.0], size=(2000, 3))
+            pos = rng.permutation(np.concatenate([ring, far]))
+            f = uniform_field(pos, MaterialClass.ELASTIC, 1e5, 0.3, 1000.0)
+            f = f.with_(young_modulus=1e3 + np.arange(pos.shape[0]))
+            queries = np.concatenate([np.zeros((1, 3)),
+                                      rng.uniform(-9, 9, size=(50, 3))])
+            out = inherit_properties(queries, f,
+                                     FillConfig(particle_spacing=0.1))
+            nearest = brute_force_nearest(pos, queries)
+            assert np.abs(pos[nearest[0]]).sum() == 2.0
+            assert np.array_equal(out.young_modulus[pos.shape[0]:],
+                                  f.young_modulus[nearest]), seed
+
     def test_values_drawn_from_surface_set(self):
         rng = np.random.default_rng(2)
         f = cube_field()

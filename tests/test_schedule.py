@@ -363,6 +363,43 @@ class TestApply:
             assert np.all(state.poisson_ratio < 0.5)
             assert np.all(state.density <= 2e4)
 
+    def test_part_ramp_edits_only_that_part(self):
+        state, _ = make_state()
+        state.part[2:] = 1
+        sched = compile_schedule(
+            "at t=0 set object 0 part 1 poisson_ratio 0.4 ramp 0", state)
+        rt = ScheduleRuntime(sched)
+        (rec,) = rt.apply(state, 0.0, 1e-3)
+        assert rec["target"] == "object 0 part 1"
+        assert np.all(state.poisson_ratio[2:] == 0.4)
+        assert np.all(state.poisson_ratio[:2] == 0.2)
+
+    def test_speed_above_trigger_fires(self):
+        state, _ = make_state(gravity=(0, 0, 0))
+        sched = compile_schedule(
+            "on speed_above 1.5 set object 0 gravity_scale 0 ramp 0", state)
+        rt = ScheduleRuntime(sched)
+        assert rt.apply(state, 0.0, 1e-3) == []
+        assert rt.fired == [False]
+        state.v[1] = (0.0, 2.0, 0.0)
+        (rec,) = rt.apply(state, 0.01, 1e-3)
+        assert rt.fired == [True]
+        assert rt.fire_time == [0.01]
+        assert rec["property"] == "gravity_scale"
+        assert np.all(state.gravity_scale == 0.0)
+
+    def test_empty_selection_ramp_finishes_without_record(self):
+        state, _ = make_state()
+        assert not state.interior.any()
+        sched = compile_schedule(
+            "at t=0 set object 0 interior density 500 ramp 0.1", state)
+        rt = ScheduleRuntime(sched)
+        rho0 = state.density.copy()
+        assert rt.apply(state, 0.0, 1e-3) == []
+        assert rt.done == [True]
+        assert rt.apply(state, 0.05, 1e-3) == []
+        assert np.array_equal(state.density, rho0)
+
     def test_runtime_with_empty_schedule(self):
         state, _ = make_state()
         rt = ScheduleRuntime(InstructionSchedule())

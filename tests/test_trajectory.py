@@ -94,6 +94,19 @@ class TestExport:
         with pytest.raises(ShapeError):
             Trajectory.from_frames(np.zeros((2, 3)), 24.0, np.zeros(3))
 
+    @pytest.mark.parametrize("cut", ["inside-header", "header-only", "short",
+                                     "padded"])
+    def test_frame_length_must_match_header(self, tmp_path, cut):
+        export_trajectory(make_traj(np.random.default_rng(13)), tmp_path)
+        victim = tmp_path / "frames" / "frame_0001.trjf"
+        raw = victim.read_bytes()
+        victim.write_bytes({"inside-header": raw[:10], "header-only": raw[:20],
+                            "short": raw[:-12],
+                            "padded": raw + b"\x00" * 12}[cut])
+        with pytest.raises(IoError, match="header") as info:
+            read_trajectory(tmp_path)
+        assert str(victim) in str(info.value)
+
     @pytest.mark.parametrize("text, message", [
         ("{broken", "cannot read edit log"),
         ('{"t": 0.1}', "edit log is not a JSON array"),
