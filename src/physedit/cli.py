@@ -30,8 +30,8 @@ from . import __version__
 from .conditioning import DEFAULT_TAU, bundle_from_dict, soft_assign
 from .engine import build_state, simulate
 from .errors import DomainError, IoError, PhysEditError
-from .fieldio import (convert_key, read_field, read_json, require_key,
-                      write_field)
+from .fieldio import (array_of, convert_key, read_field, read_json,
+                      require_key, write_field)
 from .fill import FillConfig, fill_field
 from .losses import (LossWeights, SupervisionTargets, finite_diff_check,
                      sample_triplets, total_loss)
@@ -83,9 +83,7 @@ def _sha256_bytes(data: bytes) -> str:
 
 def cmd_fill(args) -> int:
     cfg = FillConfig(particle_spacing=args.spacing,
-                     inside_test=args.inside_test,
-                     voxel_resolution=args.resolution,
-                     knn_k=args.knn).validate()
+                     voxel_resolution=args.resolution).validate()
     surface = read_field(args.input)
     filled = fill_field(surface, cfg)
     write_field(filled, args.output)
@@ -155,18 +153,14 @@ def _prompt_map(value):
     return {int(k): int(v) for k, v in value.items()}
 
 
-def _array(dtype):
-    return lambda value: np.asarray(value, dtype=dtype)
-
-
 # optional targets keys -> value when absent or null
 _TARGET_DEFAULTS = {"tau": DEFAULT_TAU, "n_triplets": 64, "triplet_seed": 0}
 # targets key -> conversion _load_targets applies when the key is not null
 _TARGET_VALUES = {
-    "class_labels": _array(np.int64), "param_targets": _array(np.float64),
-    "part_labels": _array(np.int64), "prompt_of_part": _prompt_map,
-    "tau": float, "pred_probs": _array(np.float64),
-    "logits": _array(np.float64), "triplets": _array(np.int64),
+    "class_labels": array_of(np.int64), "param_targets": array_of(np.float64),
+    "part_labels": array_of(np.int64), "prompt_of_part": _prompt_map,
+    "tau": float, "pred_probs": array_of(np.float64),
+    "logits": array_of(np.float64), "triplets": array_of(np.int64),
     "n_triplets": int, "triplet_seed": int,
 }
 
@@ -310,13 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="output (filled) material field file")
     p.add_argument("--spacing", type=float, required=True,
                    help="interior particle spacing in meters")
-    p.add_argument("--inside-test", choices=("voxel_flood", "winding_number"),
-                   default="voxel_flood")
     p.add_argument("--resolution", type=int, default=None,
                    help="voxel resolution per axis for the inside test "
                         "(default: derived from the shell sampling density)")
-    p.add_argument("--knn", type=int, default=1,
-                   help="neighbors for property inheritance")
     p.set_defaults(func=cmd_fill)
 
     p = sub.add_parser("simulate", help="run a scene and export a trajectory")

@@ -14,16 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IoError, ShapeError
-from .fieldio import convert_key
+from .fieldio import array_of, convert_key
 
 DEFAULT_TAU = 0.07
 # the FeatureBundle matrices, in document order
 _ARRAYS = ("point_features", "global_token", "part_tokens", "phi", "psi",
            "w_val")
-
-
-def _float_array(value):
-    return np.asarray(value, dtype=np.float64)
+_float_array = array_of(np.float64)
 
 
 def softmax_rows(x):

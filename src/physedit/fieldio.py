@@ -66,8 +66,20 @@ def convert_key(doc, key, convert, what):
     value = require_key(doc, key, what)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IoError(f"{what}: bad value for key {key!r}: {exc}") from None
+
+
+def array_of(dtype, shape=None):
+    """Converter of a JSON value to an array of ``dtype``; with ``shape``,
+    ValueError unless the array has it (None matches any length)."""
+    def convert(value):
+        arr = np.asarray(value, dtype=dtype)
+        if shape is not None and (arr.ndim != len(shape) or any(
+                want not in (None, got) for got, want in zip(arr.shape, shape))):
+            raise ValueError(f"expected shape {shape}, got {arr.shape}")
+        return arr
+    return convert
 
 
 def _stored(has_part: bool):
@@ -127,17 +139,22 @@ def field_to_dict(f: MaterialField) -> dict:
     return d
 
 
-def field_from_dict(d: dict) -> MaterialField:
+def field_from_dict(d: dict, what="material-field") -> MaterialField:
+    """The field a ``field_to_dict`` document holds; IoError naming ``what``
+    and the key if a column or constant is absent or cannot be converted."""
     if d.get("format") != "material-field":
-        raise IoError("not a material-field document")
+        raise IoError(f"{what}: not a material-field document")
     if d.get("version") != VERSION:
-        raise IoError(f"unsupported material-field version {d.get('version')}")
-    cols = {name: d.get(name) if name == _OPTIONAL
-            else require_key(d, name, "material-field")
-            for name, _, _ in _COLUMNS}
-    return MaterialField(**cols, normalization=ParamNormalization(
-        tuple(require_key(d, "norm_mean", "material-field")),
-        tuple(require_key(d, "norm_std", "material-field"))))
+        raise IoError(f"{what}: unsupported material-field version "
+                      f"{d.get('version')}")
+    cols = {}
+    for name, dtype, per in _COLUMNS:
+        if name != _OPTIONAL or d.get(name) is not None:
+            shape = (None,) if per == 1 else (None, per)
+            cols[name] = convert_key(d, name, array_of(dtype, shape), what)
+    norm = (tuple(convert_key(d, key, array_of("<f8", (3,)), what).tolist())
+            for key in ("norm_mean", "norm_std"))
+    return MaterialField(**cols, normalization=ParamNormalization(*norm))
 
 
 def write_field_json(f: MaterialField, path):
@@ -149,7 +166,7 @@ def write_field_json(f: MaterialField, path):
 
 
 def read_field_json(path) -> MaterialField:
-    return field_from_dict(read_json(path, "field"))
+    return field_from_dict(read_json(path, "field"), str(path))
 
 
 def write_field(f: MaterialField, path):

@@ -24,8 +24,8 @@ from .conditioning import (FeatureBundle, bundle_to_dict,
                            synthetic_segmentation_prior)
 from .engine import ObjectInit, SimConfig
 from .errors import DomainError, IoError
-from .fieldio import (convert_key, read_field, read_json, require_key,
-                      write_field)
+from .fieldio import (array_of, convert_key, read_field, read_json,
+                      require_key, write_field)
 from .fill import FillConfig, fill_field
 from .materials import MaterialClass, MaterialField
 from .raster import CameraSpec
@@ -165,6 +165,8 @@ def _domain_bound(value):
     return bound
 
 
+# optional object entries load_scene converts, and the shape of each
+_OBJECT_SHAPES = {"velocity": (3,), "translate": (3,), "rotate": (3, 3)}
 _SIM_KEYS = frozenset(f.name for f in dataclasses.fields(SimConfig))
 # how load_scene coerces the sim values it reads; ground_bc and wall_bc
 # pass through as written and SimConfig.validate checks them
@@ -186,12 +188,11 @@ def load_scene(scene_path):
     for k, obj in enumerate(require_key(doc, "objects", scene_path)):
         what = f"{scene_path} objects[{k}]"
         fld = read_field(root / require_key(obj, "field", what))
-        rotate = obj.get("rotate")
         objects.append(ObjectInit(
-            field=fld, h_fill=float(require_key(obj, "h_fill", what)),
-            velocity=tuple(obj.get("velocity", (0.0, 0.0, 0.0))),
-            translate=tuple(obj.get("translate", (0.0, 0.0, 0.0))),
-            rotate=None if rotate is None else np.asarray(rotate)))
+            field=fld, h_fill=convert_key(obj, "h_fill", float, what),
+            **{key: convert_key(obj, key, array_of(np.float64, shape), what)
+               for key, shape in _OBJECT_SHAPES.items()
+               if obj.get(key) is not None}))
 
     what = f"{scene_path} sim"
     sim = doc.get("sim", {})

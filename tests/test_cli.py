@@ -54,6 +54,30 @@ class TestFillCommand:
         assert record["error"] == "IoError"
 
 
+    @pytest.mark.parametrize("key, damage, error", [
+        ("class_id", lambda v: ["abc"] * len(v), "IoError"),
+        ("positions", lambda v: [p[:2] for p in v], "IoError"),
+        ("class_id", lambda v: v[:-5], "DomainError"),
+        ("young_modulus", lambda v: [-1.0] * len(v), "DomainError"),
+        ("class_id", lambda v: [9] * len(v), "DomainError"),
+    ], ids=["class-not-int", "positions-2d", "class-short", "negative-e",
+            "class-9"])
+    def test_bad_surface_field_fails_with_record(self, surface_file, tmp_path,
+                                                 capsys, key, damage, error):
+        src = tmp_path / "surface.json"
+        write_field(read_field(surface_file), src)
+        doc = json.loads(src.read_text())
+        doc[key] = damage(doc[key])
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "solid.json"
+        rc = main(["fill", str(src), str(out), "--spacing", "0.03"])
+        record = single_error_record(capsys)
+        assert record["error"] == error
+        assert rc == record["code"]
+        assert key in record["message"]
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_bundled_scene_runs_and_verifies(self, tmp_path, capsys):
         rc = main(["simulate", "--bundled", "drop_cube", str(tmp_path / "t")])
@@ -174,6 +198,26 @@ class TestSimulateCommand:
         assert f"missing required key '{key}'" in record["message"]
         assert str(scene) in record["message"]
 
+
+    @pytest.mark.parametrize("key, value", [
+        ("h_fill", "x"), ("velocity", 5), ("translate", [1.0, 2.0]),
+        ("rotate", [[1.0, 0.0], [0.0, 1.0]])],
+        ids=["h_fill", "velocity", "translate", "rotate"])
+    def test_scene_object_value_io_error(self, tmp_path, capsys, surface_file,
+                                         key, value):
+        scene = tmp_path / "scene.json"
+        (tmp_path / "cube.mfield").write_bytes(surface_file.read_bytes())
+        scene.write_text(json.dumps({
+            "format": "scene", "sim": {"h_grid": 0.05, "frames": 1},
+            "objects": [{"field": "cube.mfield", "h_fill": 0.05,
+                         key: value}]}))
+        rc = main(["simulate", str(scene), str(tmp_path / "o"),
+                   "--no-images"])
+        assert rc == 50
+        record = single_error_record(capsys)
+        assert record["error"] == "IoError"
+        assert f"bad value for key '{key}'" in record["message"]
+        assert f"{scene} objects[0]" in record["message"]
 
     @pytest.mark.parametrize("key, value, message", [
         ("h_grid", "x", "bad value for key 'h_grid'"),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from physedit.errors import DegenerateGeometry, DomainError, LeakDetected
+from physedit.errors import (DegenerateGeometry, DomainError, LeakDetected,
+                             ShapeError)
+from physedit.fieldio import read_field, write_field
 from physedit.fill import FillConfig, fill_field, fill_interior, inherit_properties
 from physedit.materials import MaterialClass, validate_field
 from physedit.scenes import cube_shell_positions, sphere_shell_positions, uniform_field
@@ -77,25 +79,38 @@ class TestFillInterior:
         ratio = fine.shape[0] / coarse.shape[0]
         assert 6.0 <= ratio <= 10.0
 
-    def test_winding_number_mode_on_sphere(self):
-        shell = sphere_shell_positions(1.0, 2000)
-        f = uniform_field(shell, MaterialClass.ELASTIC, 1e5, 0.3, 1000.0)
-        interior = fill_interior(f, FillConfig(particle_spacing=0.1,
-                                               inside_test="winding_number"))
-        expected = (4.0 * np.pi / 3.0) / 0.1 ** 3
-        assert abs(interior.shape[0] - expected) <= 0.15 * expected
-        radii = np.linalg.norm(interior, axis=1)
-        assert radii.max() <= 1.0
+    def test_two_spheres_fill_each_like_one(self):
+        # the shell is not star-shaped around its bounding-box centre, which
+        # lies between the spheres; each sphere must still fill as if alone
+        shell = sphere_shell_positions(0.3, 1000)
+        two = np.concatenate([shell, shell + [1.2, 0.0, 0.0]])
+        cfg = FillConfig(particle_spacing=0.05)
+        one = fill_interior(uniform_field(shell, MaterialClass.ELASTIC,
+                                          1e5, 0.3, 1000.0), cfg)
+        both = fill_interior(uniform_field(two, MaterialClass.ELASTIC,
+                                           1e5, 0.3, 1000.0), cfg)
+        left = both[:, 0] < 0.6
+        assert left.sum() == (~left).sum() == one.shape[0]
+        assert np.all(np.linalg.norm(both[left], axis=1) <= 0.3)
+        assert np.all(np.linalg.norm(both[~left] - [1.2, 0.0, 0.0],
+                                     axis=1) <= 0.3)
+
+    @pytest.mark.parametrize("positions, spacing, message", [
+        (np.eye(3), 0.1, "need at least 4"),
+        (np.concatenate([np.zeros((1, 3)), np.eye(3)]), 0.1,
+         "no interior voxel"),
+        (cube_shell_positions(1.0, 21), 0.9, "no interior lattice point"),
+    ], ids=["three-points", "tetrahedron", "spacing-exceeds-gap"])
+    def test_degenerate_geometry(self, positions, spacing, message):
+        f = uniform_field(positions, MaterialClass.ELASTIC, 1e5, 0.3, 1000.0)
+        with pytest.raises(DegenerateGeometry, match=message):
+            fill_interior(f, FillConfig(particle_spacing=spacing))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
             FillConfig(particle_spacing=0.0).validate()
         with pytest.raises(DomainError):
             FillConfig(particle_spacing=0.1, voxel_resolution=4).validate()
-        with pytest.raises(DomainError):
-            FillConfig(particle_spacing=0.1, knn_k=0).validate()
-        with pytest.raises(DomainError):
-            FillConfig(particle_spacing=0.1, inside_test="magic").validate()
 
 
 class TestInheritProperties:
@@ -126,6 +141,25 @@ class TestInheritProperties:
         deep = np.abs(interior[:, 0] - 0.5) > 0.11
         inherited_left = out.young_modulus[tail][deep] == 2e11
         assert np.array_equal(inherited_left, interior[deep, 0] < 0.5)
+
+    @pytest.mark.parametrize("interior", [np.zeros((4, 2)), np.zeros((0, 3))],
+                             ids=["two-columns", "empty"])
+    def test_bad_interior_shape(self, interior):
+        with pytest.raises(ShapeError):
+            inherit_properties(interior, cube_field(),
+                               FillConfig(particle_spacing=0.1))
+
+    def test_unlabeled_surface_fills_unlabeled(self, tmp_path):
+        f = cube_field().with_(part_label=None)
+        out = fill_field(f, FillConfig(particle_spacing=0.1))
+        assert out.part_label is None
+        assert out.interior_flag.sum() == 729
+        write_field(out, tmp_path / "solid.mfield")
+        back = read_field(tmp_path / "solid.mfield")
+        assert back.part_label is None
+        assert np.array_equal(back.positions, out.positions.astype(np.float32))
+        assert np.array_equal(back.young_modulus, out.young_modulus)
+        assert np.array_equal(back.interior_flag, out.interior_flag)
 
     def test_knn1_equals_brute_force_on_1000_points(self):
         rng = np.random.default_rng(1)
@@ -187,24 +221,3 @@ class TestInheritProperties:
     def test_output_passes_validation(self):
         out = fill_field(cube_field(), FillConfig(particle_spacing=0.1))
         assert validate_field(out).ok
-
-    def test_knn3_idw_average(self):
-        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        f = uniform_field(pos, MaterialClass.ELASTIC, 1e5, 0.3, 1000.0)
-        f = f.with_(young_modulus=np.array([1000.0, 2000.0, 4000.0]))
-        q = np.array([[0.25, 0.25, 0.0]])
-        out = inherit_properties(q, f, FillConfig(particle_spacing=0.1, knn_k=3))
-        d = np.linalg.norm(pos - q, axis=1)
-        w = (1 / d) / np.sum(1 / d)
-        assert out.young_modulus[-1] == pytest.approx(
-            float(w @ f.young_modulus), rel=1e-12)
-        # majority vote: all three share the class
-        assert out.class_id[-1] == int(MaterialClass.ELASTIC)
-
-    def test_knn_exact_hit_takes_that_point(self):
-        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        f = uniform_field(pos, MaterialClass.ELASTIC, 1e5, 0.3, 1000.0)
-        f = f.with_(young_modulus=np.array([1000.0, 9000.0]))
-        out = inherit_properties(np.array([[1.0, 0.0, 0.0]]), f,
-                                 FillConfig(particle_spacing=0.1, knn_k=2))
-        assert out.young_modulus[-1] == 9000.0

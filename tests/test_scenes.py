@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from physedit.cli import main
+from physedit.engine import build_state
 from physedit.errors import DomainError, IoError
 from physedit.scenes import (BUNDLED_SCENES, build_analyze_fixture, build_scene,
                              cube_shell_positions, load_scene,
@@ -28,6 +29,20 @@ def test_build_is_byte_deterministic(tmp_path):
     assert cfg.frames == 20
     assert extras["camera"] is not None
     assert "density 0" in extras["schedule_text"]
+
+
+def test_object_rotate_then_translate(tmp_path):
+    scene = build_scene("drop_cube", tmp_path)
+    doc = json.loads(scene.read_text())
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    doc["objects"][0]["rotate"] = rot.tolist()
+    scene.write_text(json.dumps(doc))
+    objects, cfg, _ = load_scene(scene)
+    state = build_state(objects, cfg)
+    translate = doc["objects"][0]["translate"]
+    assert np.array_equal(state.x,
+                          objects[0].field.positions @ rot.T + translate)
 
 
 def test_shell_builders():
