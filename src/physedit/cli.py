@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -30,8 +29,9 @@ from . import __version__
 from .conditioning import DEFAULT_TAU, bundle_from_dict, soft_assign
 from .engine import build_state, simulate
 from .errors import DomainError, IoError, PhysEditError
-from .fieldio import (array_of, convert_key, read_field, read_json,
-                      require_key, write_field)
+from .fieldio import (array_of, convert_keys, instance_of, make_dir,
+                      read_field, read_file, read_json, whole, write_field,
+                      write_file)
 from .fill import FillConfig, fill_field
 from .losses import (LossWeights, SupervisionTargets, finite_diff_check,
                      sample_triplets, total_loss)
@@ -39,7 +39,8 @@ from .raster import rasterize_frame, write_pgm
 from .scenes import BUNDLED_SCENES, build_scene, build_analyze_fixture, load_scene
 from .schedule import compile_schedule
 from .trajectory import (canonical_json, compare_trajectories,
-                         export_trajectory, read_trajectory, verify_trajectory)
+                         export_trajectory, read_trajectory, sha256_hex,
+                         verify_trajectory)
 
 GRADCHECK_THRESHOLD = 1e-4
 # LossWeights fields settable from analyze flags (--lambda-reg, ...)
@@ -61,24 +62,17 @@ def _env_int(name):
 
 
 def _resolve_seed(file_seed, flag_seed):
+    """The flag, else PHYSEDIT_SEED, else the scene file's seed."""
     env_seed = _env_int("PHYSEDIT_SEED")
-    for value in (flag_seed, env_seed, file_seed):
-        if value is not None:
-            return int(value)
-    return 0
+    return next(value for value in (flag_seed, env_seed, file_seed)
+                if value is not None)
 
 
 def _resolve_threads(flag_threads):
+    """DomainError if --threads, else PHYSEDIT_THREADS, is set below 1."""
     value = flag_threads if flag_threads is not None else _env_int("PHYSEDIT_THREADS")
-    if value is None:
-        return 1
-    if value < 1:
+    if value is not None and value < 1:
         raise DomainError("--threads must be >= 1")
-    return value
-
-
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def cmd_fill(args) -> int:
@@ -96,13 +90,14 @@ def cmd_fill(args) -> int:
 def _scene_hashes(scene_json_path, extras, cfg, seed):
     root = Path(scene_json_path).parent
     doc = extras["doc"]
-    field_hashes = {obj["field"]: _sha256_bytes((root / obj["field"]).read_bytes())
+    field_hashes = {obj["field"]: sha256_hex(read_file(root / obj["field"],
+                                                       "field"))
                     for obj in doc["objects"]}
-    scene_hash = _sha256_bytes(canonical_json(
+    scene_hash = sha256_hex(canonical_json(
         {"doc": doc, "fields": field_hashes}).encode())
     sim = dataclasses.asdict(cfg)
     del sim["seed"]  # hashed below as the resolved seed
-    config_hash = _sha256_bytes(canonical_json({
+    config_hash = sha256_hex(canonical_json({
         "sim": sim, "gravity": extras["gravity"], "wind": extras["wind"],
         "schedule": extras["schedule_text"], "seed": seed,
     }).encode())
@@ -120,10 +115,9 @@ def cmd_simulate(args) -> int:
             scene_path = scene_path / "scene.json"
     objects, cfg, extras = load_scene(scene_path)
     cfg.seed = _resolve_seed(cfg.seed, args.seed)
-    if args.frames is not None:
-        cfg.frames = args.frames
-    if args.fps is not None:
-        cfg.fps = args.fps
+    for key in ("frames", "fps"):  # the flags override the scene
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     cfg.validate()
 
     state = build_state(objects, cfg, gravity=extras["gravity"],
@@ -137,7 +131,7 @@ def cmd_simulate(args) -> int:
     camera = extras["camera"]
     if camera is not None and not args.no_images:
         img_dir = out_dir / "images"
-        img_dir.mkdir(parents=True, exist_ok=True)
+        make_dir(img_dir)
         for k in range(traj.n_frames):
             frame = rasterize_frame(traj.positions[k].astype(np.float64),
                                     camera, object_id=traj.object_id)
@@ -148,39 +142,33 @@ def cmd_simulate(args) -> int:
 
 
 def _prompt_map(value):
-    if not isinstance(value, dict):
-        raise TypeError("expected an object of part label -> prompt index")
-    return {int(k): int(v) for k, v in value.items()}
+    return {int(k): whole(v) for k, v in instance_of(dict)(value).items()}
 
 
 # optional targets keys -> value when absent or null
 _TARGET_DEFAULTS = {"tau": DEFAULT_TAU, "n_triplets": 64, "triplet_seed": 0}
-# targets key -> conversion _load_targets applies when the key is not null
+_TARGET_OPTIONAL = ("tau", "pred_probs", "logits", "triplets", "n_triplets",
+                    "triplet_seed", "bundle")
+# targets key -> conversion, the four SupervisionTargets fields first
 _TARGET_VALUES = {
     "class_labels": array_of(np.int64), "param_targets": array_of(np.float64),
     "part_labels": array_of(np.int64), "prompt_of_part": _prompt_map,
     "tau": float, "pred_probs": array_of(np.float64),
     "logits": array_of(np.float64), "triplets": array_of(np.int64),
-    "n_triplets": int, "triplet_seed": int,
+    "n_triplets": whole, "triplet_seed": whole,
+    "bundle": instance_of(str, dict),
 }
 
 
 def _load_targets(path):
-    """The targets document with every value in ``_TARGET_VALUES``
-    converted; IoError naming the file and the key if one cannot be."""
+    """The ``_TARGET_VALUES`` the targets document sets, converted, over
+    ``_TARGET_DEFAULTS``; IoError naming the file and the key if a value
+    cannot be converted."""
     doc = read_json(path, "targets")
     if doc.get("format") != "supervision-targets":
         raise IoError(f"{path}: not a supervision-targets document")
-    for key in ("class_labels", "param_targets", "part_labels",
-                "prompt_of_part"):
-        require_key(doc, key, path)
-    for key, default in _TARGET_DEFAULTS.items():
-        if doc.get(key) is None:
-            doc[key] = default
-    for key, convert in _TARGET_VALUES.items():
-        if doc.get(key) is not None:
-            doc[key] = convert_key(doc, key, convert, path)
-    return doc
+    return {**_TARGET_DEFAULTS,
+            **convert_keys(doc, _TARGET_VALUES, path, _TARGET_OPTIONAL)}
 
 
 def cmd_analyze(args) -> int:
@@ -194,23 +182,18 @@ def cmd_analyze(args) -> int:
     fld = read_field(field_path)
     doc = _load_targets(targets_path)
 
-    targets = SupervisionTargets(
-        class_labels=doc["class_labels"],
-        param_targets=doc["param_targets"],
-        part_labels=doc["part_labels"],
-        prompt_of_part=doc["prompt_of_part"])
-    tau = doc["tau"]
+    targets = SupervisionTargets(**{key: doc[key] for key in _TARGET_VALUES
+                                    if key not in _TARGET_OPTIONAL})
     weights = LossWeights(
         **{name: getattr(args, name) for name in WEIGHT_FLAGS}).validate()
 
     pred_params = fld.normalization.normalize(
         fld.young_modulus, fld.poisson_ratio, fld.density)
     pred_probs = doc.get("pred_probs")
-    if pred_probs is None:
-        pred_probs = np.zeros((fld.n_points, 6))
-        pred_probs[np.arange(fld.n_points), fld.class_id] = 1.0
+    if pred_probs is None:  # the field's own classes, one-hot
+        pred_probs = np.eye(6)[fld.class_id]
 
-    assign_tau = tau
+    assign_tau = doc["tau"]
     if doc.get("logits") is not None:
         # raw similarities from the file: the stated tau scales them
         logits = doc["logits"]
@@ -266,10 +249,10 @@ def cmd_analyze(args) -> int:
     if args.json:
         payload = {"breakdown": breakdown,
                    "weights": {k: getattr(weights, k) for k in REPORTED_WEIGHTS},
-                   "tau": tau,
+                   "tau": doc["tau"],
                    "assignment_tau": assign_tau,
                    "gradient_checks": grad_report}
-        Path(args.json).write_text(canonical_json(payload))
+        write_file(args.json, canonical_json(payload), "report")
     if grad_report and max(grad_report.values()) >= GRADCHECK_THRESHOLD:
         return 1
     return 0

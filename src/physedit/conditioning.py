@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IoError, ShapeError
-from .fieldio import array_of, convert_key
+from .fieldio import array_of, convert_keys
 
 DEFAULT_TAU = 0.07
 # the FeatureBundle matrices, in document order
 _ARRAYS = ("point_features", "global_token", "part_tokens", "phi", "psi",
            "w_val")
 _float_array = array_of(np.float64)
+# bundle document key -> conversion; tau is optional
+_BUNDLE_VALUES = {**dict.fromkeys(_ARRAYS, _float_array), "tau": float}
 
 
 def softmax_rows(x):
@@ -110,11 +112,8 @@ def bundle_to_dict(bundle: FeatureBundle) -> dict:
 def bundle_from_dict(d: dict) -> FeatureBundle:
     if d.get("format") != "feature-bundle":
         raise IoError("not a feature-bundle document")
-    arrays = {name: convert_key(d, name, _float_array, "feature-bundle")
-              for name in _ARRAYS}
-    tau = convert_key(d, "tau", float, "feature-bundle") if "tau" in d \
-        else DEFAULT_TAU
-    return FeatureBundle(tau=tau, **arrays).validate()
+    return FeatureBundle(**convert_keys(d, _BUNDLE_VALUES, "feature-bundle",
+                                        ("tau",))).validate()
 
 
 def synthetic_segmentation_prior(part_label, d_s=96, seed=0):

@@ -1,4 +1,4 @@
-"""Material field serialization.
+"""Material field serialization, and the package's file layer.
 
 Two equivalent on-disk forms:
 
@@ -9,8 +9,10 @@ Two equivalent on-disk forms:
 * ``.json`` -- the same columns, holding the stored values, as
   human-readable structured text.
 
-``read_field``/``write_field`` dispatch on the file extension.
-``read_json`` is the one reader of every JSON document the package loads.
+``read_field``/``write_field`` dispatch on the file extension.  Every
+file access in the package goes through ``read_file``, ``write_file`` and
+``make_dir``, which turn an OSError into an IoError naming the path, and
+every JSON document it loads through ``read_json`` and ``convert_key(s)``.
 """
 
 from __future__ import annotations
@@ -39,13 +41,37 @@ _COLUMNS = (("positions", "<f4", 3), ("class_id", "<i4", 1),
 _OPTIONAL = "part_label"
 
 
-def read_json(path, what, kind=dict):
-    """Parse the JSON document in ``path``; IoError naming ``what`` and the
-    path if the file cannot be read, is not JSON or is not a ``kind``
-    (dict for an object, list for an array)."""
+def read_file(path, what) -> bytes:
+    """The bytes in ``path``; IoError naming ``what`` and the path."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError: JSON or Unicode decode
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_file(path, data, what):
+    """Write bytes, or a str as UTF-8, to ``path``; IoError as read_file."""
+    raw = data.encode() if isinstance(data, str) else data
+    try:
+        Path(path).write_bytes(raw)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def make_dir(path):
+    """Create directory ``path`` and its parents; IoError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc
+
+
+def read_json(path, what, kind=dict):
+    """The JSON ``kind`` (dict or list) in ``path``; IoError naming ``what``
+    and the path if it cannot be read or parsed or is of another kind."""
+    try:
+        doc = json.loads(read_file(path, what))
+    except ValueError as exc:  # JSON or Unicode decode
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(doc, kind):
         name = "object" if kind is dict else "array"
@@ -70,15 +96,46 @@ def convert_key(doc, key, convert, what):
         raise IoError(f"{what}: bad value for key {key!r}: {exc}") from None
 
 
+def convert_keys(doc, converters, what, optional=()):
+    """``convert_key`` over ``converters``, leaving out each ``optional`` key
+    that is absent or null; required keys come first in ``converters``."""
+    return {key: convert_key(doc, key, convert, what)
+            for key, convert in converters.items()
+            if key not in optional or doc.get(key) is not None}
+
+
 def array_of(dtype, shape=None):
-    """Converter of a JSON value to an array of ``dtype``; with ``shape``,
-    ValueError unless the array has it (None matches any length)."""
+    """Converter of a JSON value to an array of ``dtype``; ValueError unless
+    every value is a number, a whole one for an integer ``dtype``, and, with
+    ``shape``, unless the array has it (None matches any length)."""
     def convert(value):
-        arr = np.asarray(value, dtype=dtype)
+        raw = np.asarray(value)
+        if raw.dtype.kind not in "biuf":
+            raise ValueError("expected numbers")
+        with np.errstate(invalid="ignore", over="ignore"):
+            arr = raw.astype(dtype, copy=False)
+        if arr.dtype.kind in "iu" and not np.array_equal(arr, raw):
+            raise ValueError(f"expected whole numbers in {arr.dtype} range")
         if shape is not None and (arr.ndim != len(shape) or any(
                 want not in (None, got) for got, want in zip(arr.shape, shape))):
             raise ValueError(f"expected shape {shape}, got {arr.shape}")
         return arr
+    return convert
+
+
+def whole(value) -> int:
+    """``value`` as an int; ValueError unless it is a whole number."""
+    return int(array_of(np.int64, ())(value))
+
+
+def instance_of(*kinds):
+    """Converter that passes a value of one of ``kinds`` through as written;
+    TypeError for any other value."""
+    def convert(value):
+        if not isinstance(value, kinds):
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise TypeError(f"expected {names}, got {type(value).__name__}")
+        return value
     return convert
 
 
@@ -88,26 +145,17 @@ def _stored(has_part: bool):
 
 
 def write_field_binary(f: MaterialField, path):
-    path = Path(path)
     mean, std = f.normalization.as_arrays()
     has_part = f.part_label is not None
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, f.n_points,
-                                  _FLAG_PART_LABEL if has_part else 0,
-                                  *mean, *std))
-            for name, dtype, _ in _stored(has_part):
-                fh.write(getattr(f, name).astype(dtype).tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write field to {path}: {exc}") from exc
+    header = _HEADER.pack(MAGIC, VERSION, f.n_points,
+                          _FLAG_PART_LABEL if has_part else 0, *mean, *std)
+    write_file(path, b"".join([header] + [
+        getattr(f, name).astype(dtype).tobytes()
+        for name, dtype, _ in _stored(has_part)]), "field")
 
 
 def read_field_binary(path) -> MaterialField:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read field from {path}: {exc}") from exc
+    raw = read_file(path, "field")
     if raw[:4] != MAGIC:
         raise IoError(f"{path}: bad magic, not a material field container")
     if len(raw) < _HEADER.size:
@@ -147,22 +195,16 @@ def field_from_dict(d: dict, what="material-field") -> MaterialField:
     if d.get("version") != VERSION:
         raise IoError(f"{what}: unsupported material-field version "
                       f"{d.get('version')}")
-    cols = {}
-    for name, dtype, per in _COLUMNS:
-        if name != _OPTIONAL or d.get(name) is not None:
-            shape = (None,) if per == 1 else (None, per)
-            cols[name] = convert_key(d, name, array_of(dtype, shape), what)
+    converters = {name: array_of(dtype, (None,) if per == 1 else (None, per))
+                  for name, dtype, per in _COLUMNS}
+    cols = convert_keys(d, converters, what, (_OPTIONAL,))
     norm = (tuple(convert_key(d, key, array_of("<f8", (3,)), what).tolist())
             for key in ("norm_mean", "norm_std"))
     return MaterialField(**cols, normalization=ParamNormalization(*norm))
 
 
 def write_field_json(f: MaterialField, path):
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(field_to_dict(f), indent=1) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write field to {path}: {exc}") from exc
+    write_file(path, json.dumps(field_to_dict(f), indent=1) + "\n", "field")
 
 
 def read_field_json(path) -> MaterialField:

@@ -18,12 +18,12 @@ huge radius costs at most the image size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, IoError, ShapeError
+from .fieldio import read_file, write_file
 
 _Z_NEAR = 1e-9
 _CHUNK_CELLS = 1 << 18  # stencil cells expanded at once
@@ -171,17 +171,11 @@ def write_pgm(image: np.ndarray, path):
     if img.ndim != 2:
         raise ShapeError("image must be 2-D grayscale")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode()
-    try:
-        Path(path).write_bytes(header + img.tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write image to {path}: {exc}") from exc
+    write_file(path, header + img.tobytes(), "image")
 
 
 def read_pgm(path) -> np.ndarray:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read image from {path}: {exc}") from exc
+    raw = read_file(path, "image")
     if not raw.startswith(b"P5"):
         raise IoError(f"{path}: not a binary PGM")
     parts = raw.split(b"\n", 3)

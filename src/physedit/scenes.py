@@ -14,7 +14,6 @@ builds are byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -24,8 +23,9 @@ from .conditioning import (FeatureBundle, bundle_to_dict,
                            synthetic_segmentation_prior)
 from .engine import ObjectInit, SimConfig
 from .errors import DomainError, IoError
-from .fieldio import (array_of, convert_key, read_field, read_json,
-                      require_key, write_field)
+from .fieldio import (array_of, convert_key, convert_keys, instance_of,
+                      make_dir, read_field, read_file, read_json, whole,
+                      write_field, write_file)
 from .fill import FillConfig, fill_field
 from .materials import MaterialClass, MaterialField
 from .raster import CameraSpec
@@ -145,35 +145,47 @@ def build_scene(name: str, out_dir) -> Path:
                           f"have {list(BUNDLED_SCENES)}")
     spec = SCENE_BUILDERS[name]()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     for fname, fld in spec["fields"].items():
         write_field(fld, out / fname)
-    (out / "schedule.txt").write_text(spec["schedule"])
+    write_file(out / "schedule.txt", spec["schedule"], "schedule")
     doc = {**spec["scene"], "format": "scene", "version": 1,
            "schedule": "schedule.txt"}
     path = out / "scene.json"
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_file(path, json.dumps(doc, indent=1, sort_keys=True) + "\n", "scene")
     return path
 
 
-def _domain_bound(value):
-    if value is None:
-        return None
-    bound = tuple(value)
-    if len(bound) != 3:
-        raise ValueError(f"expected 3 coordinates, got {len(bound)}")
-    return bound
+_VECTOR = array_of(np.float64, (3,))
 
 
-# optional object entries load_scene converts, and the shape of each
-_OBJECT_SHAPES = {"velocity": (3,), "translate": (3,), "rotate": (3, 3)}
-_SIM_KEYS = frozenset(f.name for f in dataclasses.fields(SimConfig))
-# how load_scene coerces the sim values it reads; ground_bc and wall_bc
-# pass through as written and SimConfig.validate checks them
-_SIM_VALUES = {"h_grid": float, "cfl_number": float, "frames": int,
-               "fps": float, "domain_lo": _domain_bound,
-               "domain_hi": _domain_bound, "ground_height": float,
-               "damping": float, "seed": int}
+def _raw_vector(value):
+    """3 numbers, as written (config_hash hashes them), as a tuple."""
+    _VECTOR(value)
+    return tuple(value)
+
+
+# object key -> conversion; all but field and h_fill are optional
+_OBJECT_VALUES = {"field": instance_of(str), "h_fill": float,
+                  "velocity": _VECTOR, "translate": _VECTOR,
+                  "rotate": array_of(np.float64, (3, 3))}
+# sim key -> conversion, one per SimConfig field; all but h_grid are
+# optional, and SimConfig.validate checks the boundary mode names
+_SIM_VALUES = {"h_grid": float, "cfl_number": float, "frames": whole,
+               "fps": float, "domain_lo": _raw_vector,
+               "domain_hi": _raw_vector, "ground_height": float,
+               "ground_bc": instance_of(str),
+               "wall_bc": instance_of(str, dict), "damping": float,
+               "seed": whole}
+# camera key -> conversion, then the keys of either pose
+_CAMERA_VALUES = {"fx": float, "fy": float, "cx": float, "cy": float,
+                  "width": whole, "height": whole, "splat_radius": float,
+                  "color_mode": instance_of(str),
+                  "depth_range": array_of(np.float64, (2,))}
+_LOOK_AT = {"eye": _VECTOR, "target": _VECTOR}
+_POSE = {"rotation": array_of(np.float64, (3, 3)), "translation": _VECTOR}
+# optional scene-level vectors; extras holds their defaults
+_SCENE_VECTORS = {"gravity": _raw_vector, "wind": _raw_vector}
 
 
 def load_scene(scene_path):
@@ -185,57 +197,44 @@ def load_scene(scene_path):
     root = scene_path.parent
 
     objects = []
-    for k, obj in enumerate(require_key(doc, "objects", scene_path)):
-        what = f"{scene_path} objects[{k}]"
-        fld = read_field(root / require_key(obj, "field", what))
-        objects.append(ObjectInit(
-            field=fld, h_fill=convert_key(obj, "h_fill", float, what),
-            **{key: convert_key(obj, key, array_of(np.float64, shape), what)
-               for key, shape in _OBJECT_SHAPES.items()
-               if obj.get(key) is not None}))
+    for k, obj in enumerate(convert_key(doc, "objects", instance_of(list),
+                                        scene_path)):
+        init = convert_keys(obj, _OBJECT_VALUES, f"{scene_path} objects[{k}]",
+                            ("velocity", "translate", "rotate"))
+        init["field"] = read_field(root / init["field"])
+        objects.append(ObjectInit(**init))
 
     what = f"{scene_path} sim"
-    sim = doc.get("sim", {})
-    require_key(sim, "h_grid", what)  # also rejects a sim that is no object
-    for key in sim:
-        if key not in _SIM_KEYS:
+    sim = convert_keys(doc.get("sim", {}), _SIM_VALUES, what,
+                       _SIM_VALUES.keys() - {"h_grid"})
+    for key in doc["sim"]:
+        if key not in _SIM_VALUES:
             raise IoError(f"{what}: unknown key {key!r}")
-    cfg = SimConfig(**{key: convert_key(sim, key, _SIM_VALUES[key], what)
-                       if key in _SIM_VALUES else value
-                       for key, value in sim.items()}).validate()
+    cfg = SimConfig(**sim).validate()
 
     schedule_text = ""
     if doc.get("schedule"):
-        sched_path = root / doc["schedule"]
-        try:
-            schedule_text = sched_path.read_text()
-        except OSError as exc:
-            raise IoError(f"cannot read schedule {sched_path}: {exc}") from exc
+        schedule = convert_key(doc, "schedule", instance_of(str), scene_path)
+        # bytes that are not UTF-8 become U+FFFD, an error outside a comment
+        schedule_text = read_file(root / schedule, "schedule").decode(
+            errors="replace")
 
     camera = None
-    cam = doc.get("camera")
-    if cam:
-        what = f"{scene_path} camera"
-        kwargs = {k: require_key(cam, k, what) for k in
-                  ("fx", "fy", "cx", "cy", "width", "height")}
-        kwargs.update((k, cam[k]) for k in ("splat_radius", "color_mode")
-                      if k in cam)
-        if cam.get("depth_range"):
-            kwargs["depth_range"] = tuple(cam["depth_range"])
-        if "eye" in cam:
-            camera = CameraSpec.look_at(
-                cam["eye"], require_key(cam, "target", what), **kwargs)
-        else:
-            camera = CameraSpec(
-                rotation=np.asarray(require_key(cam, "rotation", what)),
-                translation=np.asarray(require_key(cam, "translation", what)),
-                **kwargs)
-        camera.validate()
+    if doc.get("camera"):
+        cam = convert_key(doc, "camera", instance_of(dict), scene_path)
+        kwargs = convert_keys(
+            cam, {**_CAMERA_VALUES, **(_LOOK_AT if "eye" in cam else _POSE)},
+            f"{scene_path} camera", ("splat_radius", "color_mode",
+                                     "depth_range"))
+        camera = (CameraSpec.look_at(kwargs.pop("eye"), kwargs.pop("target"),
+                                     **kwargs)
+                  if "eye" in kwargs else CameraSpec(**kwargs)).validate()
 
     extras = {
         "doc": doc,
-        "gravity": tuple(doc.get("gravity", (0.0, -9.8, 0.0))),
-        "wind": tuple(doc.get("wind", (0.0, 0.0, 0.0))),
+        "gravity": (0.0, -9.8, 0.0),
+        "wind": (0.0, 0.0, 0.0),
+        **convert_keys(doc, _SCENE_VECTORS, scene_path, _SCENE_VECTORS),
         "schedule_text": schedule_text,
         "camera": camera,
     }
@@ -253,7 +252,7 @@ def build_analyze_fixture(out_dir):
     active yet away from the hinge boundary.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out)
     rng = np.random.default_rng(7)
     n_half = 24
     pos0 = rng.uniform(-0.05, 0.05, size=(n_half, 3)) + (0.0, 0.0, 0.0)
@@ -307,5 +306,5 @@ def build_analyze_fixture(out_dir):
         "triplet_seed": 0,
     }
     targets_path = out / "targets.json"
-    targets_path.write_text(json.dumps(targets, indent=1) + "\n")
+    write_file(targets_path, json.dumps(targets, indent=1) + "\n", "targets")
     return field_path, targets_path

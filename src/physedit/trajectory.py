@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, ShapeError
-from .fieldio import read_json, require_key
+from .fieldio import (convert_key, convert_keys, instance_of, make_dir,
+                      read_file, read_json, whole, write_file)
 
 FRAME_MAGIC = b"TRJF"
 FRAME_VERSION = 1
@@ -85,7 +86,7 @@ class Trajectory:
                    scene_hash=scene_hash, config_hash=config_hash)
 
 
-def _sha256(data: bytes) -> str:
+def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
@@ -99,10 +100,10 @@ def frame_bytes(positions, frame_index) -> bytes:
                               pos.shape[0]) + pos.tobytes()
 
 
-def parse_frame_bytes(raw: bytes, source="frame"):
+def parse_frame_bytes(raw: bytes, source="frame", expect=None):
     """``(frame index, positions)``; IoError naming ``source`` if ``raw`` is
-    not a frame file or its length differs from the size its header
-    implies."""
+    not a frame file, its length differs from the size its header implies,
+    or its header differs from ``expect``, a (frame index, point count)."""
     if raw[:4] != FRAME_MAGIC:
         raise IoError(f"{source}: bad frame magic")
     if len(raw) < _FRAME_HEADER.size:
@@ -113,6 +114,10 @@ def parse_frame_bytes(raw: bytes, source="frame"):
     size = _FRAME_HEADER.size + 12 * n
     if len(raw) != size:
         raise IoError(f"{source}: {len(raw)} bytes, the header implies {size}")
+    if expect is not None and (frame_index, n) != expect:
+        raise IoError(f"{source}: header has frame {frame_index} of {n} "
+                      f"points, the manifest lists frame {expect[0]} of "
+                      f"{expect[1]}")
     pos = np.frombuffer(raw, dtype="<f4", offset=_FRAME_HEADER.size)
     return frame_index, pos.reshape(n, 3)
 
@@ -120,28 +125,18 @@ def parse_frame_bytes(raw: bytes, source="frame"):
 def export_trajectory(traj: Trajectory, out_dir) -> dict:
     """Write frames, edit log, and manifest; returns the manifest dict."""
     out = Path(out_dir)
-    frames_dir = out / "frames"
-    try:
-        frames_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {frames_dir}: {exc}") from exc
+    make_dir(out / "frames")
 
     files, hashes = [], []
     for k in range(traj.n_frames):
         name = f"frames/frame_{k:04d}.trjf"
         raw = frame_bytes(traj.positions[k], k)
-        try:
-            (out / name).write_bytes(raw)
-        except OSError as exc:
-            raise IoError(f"cannot write {out / name}: {exc}") from exc
+        write_file(out / name, raw, "frame")
         files.append(name)
-        hashes.append(_sha256(raw))
+        hashes.append(sha256_hex(raw))
 
     edits_text = canonical_json(traj.edit_log)
-    try:
-        (out / EDITS_NAME).write_text(edits_text)
-    except OSError as exc:
-        raise IoError(f"cannot write {out / EDITS_NAME}: {exc}") from exc
+    write_file(out / EDITS_NAME, edits_text, "edit log")
 
     manifest = {
         "format": "trajectory-manifest",
@@ -152,7 +147,7 @@ def export_trajectory(traj: Trajectory, out_dir) -> dict:
         "files": files,
         "frame_sha256": hashes,
         "edit_log_file": EDITS_NAME,
-        "edit_log_sha256": _sha256(edits_text.encode()),
+        "edit_log_sha256": sha256_hex(edits_text.encode()),
         "scene_hash": traj.scene_hash,
         "config_hash": traj.config_hash,
         "objects": [{"id": int(oid),
@@ -161,113 +156,100 @@ def export_trajectory(traj: Trajectory, out_dir) -> dict:
         "centroids_first_frame": traj.centroids[0].tolist(),
         "centroids_last_frame": traj.centroids[-1].tolist(),
     }
-    text = canonical_json(manifest)
-    try:
-        (out / MANIFEST_NAME).write_text(text)
-    except OSError as exc:
-        raise IoError(f"cannot write manifest: {exc}") from exc
+    write_file(out / MANIFEST_NAME, canonical_json(manifest), "manifest")
     return manifest
+
+
+def _names(value):
+    """A non-empty list of strings, as written."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(name, str) for name in value)):
+        raise ValueError("expected a non-empty list of strings")
+    return value
+
+
+def _count(value) -> int:
+    """A whole number in [0, 2**31), the range of an int32 object id."""
+    number = whole(value)
+    if not 0 <= number < 2 ** 31:
+        raise ValueError(f"{number} lies outside [0, 2**31)")
+    return number
+
+
+def _read_manifest(root: Path) -> dict:
+    """The manifest in ``root`` with every key the readers use converted,
+    plus ``ids`` and ``counts`` from its object table; IoError naming the
+    manifest and the key at the first problem."""
+    what = f"manifest {root / MANIFEST_NAME}"
+    doc = read_json(root / MANIFEST_NAME, "manifest")
+    text = instance_of(str)
+    m = convert_keys(doc, {
+        "files": _names, "frame_sha256": _names, "frames": whole, "fps": float,
+        "n_particles": _count, "edit_log_file": text, "scene_hash": text,
+        "edit_log_sha256": text, "config_hash": text}, what)
+    table = convert_key(doc, "objects", instance_of(list), what)
+    for key in ("id", "count"):
+        m[key + "s"] = np.array([convert_key(entry, key, _count,
+                                             f"{what} objects[{k}]")
+                                 for k, entry in enumerate(table)], np.int64)
+    n_files, n_hashes = len(m["files"]), len(m["frame_sha256"])
+    for broken, rule in (
+            (n_hashes != n_files,
+             f"lists {n_files} frame files and {n_hashes} frame hashes"),
+            (m["frames"] != n_files,
+             f"frames is {m['frames']}, files lists {n_files}"),
+            (not (np.isfinite(m["fps"]) and m["fps"] > 0),
+             f"fps is {m['fps']}, not finite and positive"),
+            (m["counts"].sum() != m["n_particles"],
+             f"object counts add up to {m['counts'].sum()}, "
+             f"n_particles is {m['n_particles']}")):
+        if broken:
+            raise IoError(f"{what}: {rule}")
+    return m
 
 
 def read_trajectory(in_dir) -> Trajectory:
     """Round-trip loader; positions come back bit-exactly."""
     root = Path(in_dir)
-    what = f"manifest {root / MANIFEST_NAME}"
-    manifest = read_json(root / MANIFEST_NAME, "manifest")
-    files = require_key(manifest, "files", what)
-    if not isinstance(files, list) or not all(isinstance(name, str)
-                                              for name in files):
-        raise IoError(f"{what}: files is not a list of file names")
-    if not files:
-        raise IoError(f"{what}: lists no frame files")
-    frames = []
-    for name in files:
-        try:
-            raw = (root / name).read_bytes()
-        except OSError as exc:
-            raise IoError(f"cannot read {root / name}: {exc}") from exc
-        _, pos = parse_frame_bytes(raw, root / name)
-        frames.append(pos)
-    positions = np.stack(frames)
-    edit_log = read_json(root / require_key(manifest, "edit_log_file", what),
-                         "edit log", list)
-    n = positions.shape[1]
-    object_id = np.zeros(n, dtype=np.int32)
-    offset = 0
-    for k, entry in enumerate(require_key(manifest, "objects", what)):
-        count = require_key(entry, "count", f"{what} objects[{k}]")
-        object_id[offset:offset + count] = require_key(
-            entry, "id", f"{what} objects[{k}]")
-        offset += count
-    if offset != n:
-        raise IoError(f"{what}: object counts add up to {offset}, "
-                      f"frames hold {n} particles")
-    fps = require_key(manifest, "fps", what)
-    return Trajectory.from_frames(positions, fps, object_id,
+    m = _read_manifest(root)
+    positions = np.stack([parse_frame_bytes(
+        read_file(root / name, "frame"), root / name,
+        (k, m["n_particles"]))[1] for k, name in enumerate(m["files"])])
+    edit_log = read_json(root / m["edit_log_file"], "edit log", list)
+    return Trajectory.from_frames(positions, m["fps"],
+                                  np.repeat(m["ids"], m["counts"]),
                                   edit_log=edit_log,
-                                  scene_hash=manifest.get("scene_hash", ""),
-                                  config_hash=manifest.get("config_hash", ""))
+                                  scene_hash=m["scene_hash"],
+                                  config_hash=m["config_hash"])
 
 
 def verify_trajectory(in_dir) -> dict:
-    """Re-hash every file against the manifest; returns a report dict."""
+    """Re-hash every file against the manifest and check each frame header;
+    returns a report dict.  A bad manifest is the report's one error."""
     root = Path(in_dir)
-    report = {"ok": True, "files": [], "errors": []}
     try:
-        manifest = read_json(root / MANIFEST_NAME, "manifest")
+        m = _read_manifest(root)
     except IoError as exc:
         return {"ok": False, "files": [], "errors": [str(exc)]}
 
-    for key in ("files", "frame_sha256"):
-        if not isinstance(manifest.get(key, []), list):
-            report["errors"].append(f"manifest {key} is not a list")
-    if report["errors"]:
-        return {**report, "ok": False}
-    files = manifest.get("files", [])
-    hashes = manifest.get("frame_sha256", [])
-    if len(hashes) != len(files):
-        report["errors"].append(f"manifest lists {len(files)} frame files "
-                                f"and {len(hashes)} frame hashes")
-    for name, want in zip(files, hashes):
-        entry = {"file": name, "ok": False}
-        if not isinstance(name, str):
-            report["errors"].append(f"frame file entry {name!r} is not a "
-                                    "file name")
-            report["files"].append(entry)
-            continue
+    def problem(name, want, what, index=None):
+        """What is wrong with file ``name``, or None."""
         try:
-            got = _sha256((root / name).read_bytes())
-            entry["ok"] = got == want
-            if not entry["ok"]:
-                report["errors"].append(f"{name}: hash mismatch")
-        except OSError as exc:
-            report["errors"].append(f"{name}: {exc}")
-        report["files"].append(entry)
+            raw = read_file(root / name, what)
+            if sha256_hex(raw) != want:
+                return f"{name}: hash mismatch"
+            if index is not None:
+                parse_frame_bytes(raw, root / name, (index, m["n_particles"]))
+        except IoError as exc:
+            return str(exc)
 
-    edits_file = manifest.get("edit_log_file")
-    if edits_file:
-        try:
-            got = _sha256((root / edits_file).read_bytes())
-            if got != manifest.get("edit_log_sha256"):
-                report["errors"].append(f"{edits_file}: hash mismatch")
-        except OSError as exc:
-            report["errors"].append(f"{edits_file}: {exc}")
-
-    if len(files) != manifest.get("frames"):
-        report["errors"].append("manifest frame count does not match file list")
-    if not files:
-        report["errors"].append("manifest lists no frame files")
-    try:
-        counted = sum(entry["count"] for entry in manifest["objects"])
-    except (KeyError, TypeError):
-        report["errors"].append("manifest object table is unreadable")
-    else:
-        if counted != manifest.get("n_particles"):
-            report["errors"].append(
-                f"object counts add up to {counted}, manifest has "
-                f"n_particles {manifest.get('n_particles')}")
-    report["ok"] = not report["errors"]
-    return report
+    found = [problem(name, want, "frame", k) for k, (name, want)
+             in enumerate(zip(m["files"], m["frame_sha256"]))]
+    errors = [err for err in found + [problem(
+        m["edit_log_file"], m["edit_log_sha256"], "edit log")] if err]
+    return {"ok": not errors, "errors": errors,
+            "files": [{"file": name, "ok": err is None}
+                      for name, err in zip(m["files"], found)]}
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> dict:

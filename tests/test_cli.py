@@ -6,6 +6,8 @@ import pytest
 from physedit.cli import main
 from physedit.fieldio import read_field, write_field
 from physedit.fill import FillConfig, fill_field
+from physedit.losses import (LossWeights, SupervisionTargets, sample_triplets,
+                             total_loss)
 from physedit.trajectory import (Trajectory, export_trajectory,
                                  read_trajectory)
 from physedit.materials import MaterialClass
@@ -113,6 +115,26 @@ class TestSimulateCommand:
         rc = main(["simulate", str(scene), str(tmp_path / "out"),
                    "--no-images"])
         assert rc == 0
+
+    def test_scene_directory_runs_its_scene_json(self, tmp_path):
+        scene = build_scene("drop_cube", tmp_path / "src")
+        for name, path in (("file", scene), ("dir", scene.parent)):
+            assert main(["simulate", str(path), str(tmp_path / name),
+                         "--no-images", "--frames", "2"]) == 0
+        assert (tmp_path / "file" / "manifest.json").read_bytes() == \
+            (tmp_path / "dir" / "manifest.json").read_bytes()
+
+    def test_fps_flag_sets_frame_times(self, tmp_path):
+        assert main(["simulate", "--bundled", "drop_cube", str(tmp_path / "o"),
+                     "--no-images", "--frames", "3", "--fps", "12"]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["fps"] == 12.0
+        # the cube is in free fall for the first 0.25 s: frame k is at
+        # t = k/12 when its centroid has dropped g t^2 / 2
+        traj = read_trajectory(tmp_path / "o")
+        drop = traj.centroids[0, 0, 1] - traj.centroids[:, 0, 1]
+        t = np.arange(3) / 12.0
+        assert np.allclose(drop, 0.5 * 9.8 * t ** 2, atol=2e-3)
 
     def test_rigid_scene_deterministic_across_threads(self, tmp_path):
         # a rigid block dropped on an elastic pad that turns rigid mid-run
@@ -341,6 +363,43 @@ class TestAnalyzeCommand:
         assert record["error"] == "IoError"
         assert "ghost_bundle.json" in record["message"]
 
+    def test_logits_without_bundle_or_probs(self, tmp_path):
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        doc = json.loads(targets_path.read_text())
+        del doc["bundle"], doc["pred_probs"]
+        logits = np.random.default_rng(5).standard_normal((48, 2))
+        doc["logits"] = logits.tolist()
+        targets_path.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main(["analyze", str(field_path), str(targets_path),
+                     "--json", str(report), "--no-gradcheck"]) == 0
+        fld = read_field(field_path)
+        targets = SupervisionTargets(
+            class_labels=np.asarray(doc["class_labels"]),
+            param_targets=np.asarray(doc["param_targets"]),
+            part_labels=np.asarray(doc["part_labels"]),
+            prompt_of_part={0: 0, 1: 1})
+        one_hot = np.eye(6)[fld.class_id]
+        params = fld.normalization.normalize(fld.young_modulus,
+                                             fld.poisson_ratio, fld.density)
+        _, breakdown = total_loss(
+            one_hot, params, fld, sample_triplets(targets.part_labels, 64),
+            logits, targets, LossWeights(), tau=0.07)
+        payload = json.loads(report.read_text())
+        assert payload["breakdown"] == breakdown
+        assert payload["assignment_tau"] == payload["tau"] == 0.07
+
+    def test_neither_logits_nor_bundle_domain_error(self, tmp_path, capsys):
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        doc = json.loads(targets_path.read_text())
+        del doc["bundle"]
+        targets_path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(field_path), str(targets_path),
+                   "--no-gradcheck"])
+        record = single_error_record(capsys)
+        assert (rc, record["error"]) == (10, "DomainError")
+        assert "logits or a bundle" in record["message"]
+
     def test_missing_args_error(self, capsys):
         rc = main(["analyze"])
         assert rc != 0
@@ -446,3 +505,57 @@ class TestParser:
         assert rc != 0
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("file, key, damage", [
+    ("field", "class_id", lambda v: [4.7] * len(v)),
+    ("field", "part_label", lambda v: [0.5] * len(v)),
+    ("targets", "class_labels", lambda v: [c + 0.4 for c in v]),
+    ("targets", "prompt_of_part", lambda v: {"0": 0.5, "1": 1}),
+], ids=["class_id", "part_label", "class_labels", "prompt_of_part"])
+def test_integer_values_must_be_whole(surface_file, tmp_path, capsys, file,
+                                      key, damage):
+    if file == "field":
+        path = tmp_path / "surface.json"
+        write_field(read_field(surface_file), path)
+        argv = ["fill", str(path), str(tmp_path / "solid.json"),
+                "--spacing", "0.05"]
+    else:
+        _, path = build_analyze_fixture(tmp_path / "fix")
+        argv = ["analyze", str(tmp_path / "fix" / "labeled_field.mfield"),
+                str(path), "--no-gradcheck"]
+    doc = json.loads(path.read_text())
+    doc[key] = damage(doc[key])
+    path.write_text(json.dumps(doc))
+    rc = main(argv)
+    record = single_error_record(capsys)
+    assert (rc, record["error"]) == (50, "IoError")
+    assert f"bad value for key '{key}'" in record["message"]
+    assert "whole" in record["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--fixture", "{tmp}/fix", "--no-gradcheck",
+     "--json", "{tmp}/no_such_dir/r.json"],
+    ["simulate", "--bundled", "drop_cube", "{tmp}/file/out"],
+    ["analyze", "--fixture", "{tmp}/file/fx"],
+], ids=["analyze-json", "simulate-out", "analyze-fixture"])
+def test_write_failure_io_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("a file, not a directory\n")
+    rc = main([arg.format(tmp=tmp_path) for arg in argv])
+    record = single_error_record(capsys)
+    assert (rc, record["error"]) == (50, "IoError")
+    assert str(tmp_path) in record["message"]
+
+
+@pytest.mark.parametrize("value", [5, [1, 2]], ids=["number", "list"])
+def test_bundle_of_wrong_type_io_error(tmp_path, capsys, value):
+    field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+    doc = json.loads(targets_path.read_text())
+    doc["bundle"] = value
+    targets_path.write_text(json.dumps(doc))
+    rc = main(["analyze", str(field_path), str(targets_path),
+               "--no-gradcheck"])
+    record = single_error_record(capsys)
+    assert (rc, record["error"]) == (50, "IoError")
+    assert "bad value for key 'bundle'" in record["message"]

@@ -82,3 +82,42 @@ def test_camera_missing_key_io_error(tmp_path, key):
     with pytest.raises(IoError, match=f"missing required key '{key}'") as info:
         load_scene(scene)
     assert f"{scene} camera" in str(info.value)
+
+
+@pytest.mark.parametrize("owner, key, value", [
+    ("camera", "fx", "a"), ("camera", "eye", "x"), ("camera", "width", 96.5),
+    ("camera", "depth_range", [1]), (None, "gravity", "x"),
+    (None, "gravity", [0, -9.8]), (None, "wind", 5), (None, "schedule", 5),
+    ("sim", "wall_bc", 3)],
+    ids=["fx-text", "eye-text", "width-fraction", "depth_range-short",
+         "gravity-text", "gravity-short", "wind-number", "schedule-number",
+         "wall_bc-number"])
+def test_scene_value_io_error(tmp_path, owner, key, value):
+    scene = build_scene("drop_cube", tmp_path)
+    doc = json.loads(scene.read_text())
+    (doc[owner] if owner else doc)[key] = value
+    scene.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match=f"bad value for key '{key}'") as info:
+        load_scene(scene)
+    assert f"{scene}{' ' + owner if owner else ''}:" in str(info.value)
+
+
+def test_explicit_camera_pose_and_depth_range(tmp_path):
+    scene = build_scene("drop_cube", tmp_path / "src")
+    look = load_scene(scene)[2]["camera"]
+    doc = json.loads(scene.read_text())
+    del doc["camera"]["eye"], doc["camera"]["target"]
+    doc["camera"].update(rotation=look.rotation.tolist(),
+                         translation=look.translation.tolist())
+    posed = tmp_path / "src" / "posed.json"
+    posed.write_text(json.dumps(doc))
+    for name, path in (("look", scene), ("posed", posed)):
+        assert main(["simulate", str(path), str(tmp_path / name),
+                     "--frames", "2"]) == 0
+    for k in range(2):
+        image = f"images/frame_{k:04d}.pgm"
+        assert (tmp_path / "look" / image).read_bytes() == \
+            (tmp_path / "posed" / image).read_bytes()
+    doc["camera"]["depth_range"] = [0.5, 2.0]
+    posed.write_text(json.dumps(doc))
+    assert tuple(load_scene(posed)[2]["camera"].depth_range) == (0.5, 2.0)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -23,6 +25,13 @@ def make_traj(rng, frames=3, n=20):
     return Trajectory.from_frames(pos, 24.0, oid,
                                   edit_log=[{"t": 0.1, "property": "gravity"}],
                                   scene_hash="abc", config_hash="def")
+
+
+def _short_second_frame(manifest, root):
+    """Replace frame 1 with a well-formed 19-point frame and list its hash."""
+    raw = frame_bytes(np.zeros((19, 3)), 1)
+    (root / manifest["files"][1]).write_bytes(raw)
+    manifest["frame_sha256"][1] = hashlib.sha256(raw).hexdigest()
 
 
 class TestExport:
@@ -160,12 +169,13 @@ class TestManifestKeys:
         manifest = json.loads(manifest_path.read_text())
         manifest.update(files=[], frame_sha256=[], frames=0)
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(IoError, match="lists no frame files") as info:
+        with pytest.raises(IoError, match="bad value for key 'files': "
+                                          "expected a non-empty list") as info:
             read_trajectory(tmp_path)
         assert str(manifest_path) in str(info.value)
         report = verify_trajectory(tmp_path)
         assert not report["ok"]
-        assert report["errors"] == ["manifest lists no frame files"]
+        assert report["errors"] == [str(info.value)]
 
     @pytest.mark.parametrize("counts", [(10, 9), (10, 11), (1,)],
                              ids=["short", "long", "one-object"])
@@ -178,13 +188,12 @@ class TestManifestKeys:
         manifest_path.write_text(json.dumps(manifest))
         total = sum(counts)
         with pytest.raises(IoError, match=f"object counts add up to {total}, "
-                                          "frames hold 20 particles") as info:
+                                          "n_particles is 20") as info:
             read_trajectory(tmp_path)
         assert str(manifest_path) in str(info.value)
         report = verify_trajectory(tmp_path)
         assert not report["ok"]
-        assert report["errors"] == [f"object counts add up to {total}, "
-                                    "manifest has n_particles 20"]
+        assert report["errors"] == [str(info.value)]
 
 
     def test_short_hash_list_reported(self, tmp_path):
@@ -197,13 +206,13 @@ class TestManifestKeys:
         victim.write_bytes(victim.read_bytes() + b"\x00\x00")
         report = verify_trajectory(tmp_path)
         assert not report["ok"]
-        assert report["errors"] == ["manifest lists 3 frame files and 1 frame "
-                                    "hashes"]
+        assert report["errors"] == [f"manifest {manifest_path}: lists 3 frame "
+                                    "files and 1 frame hashes"]
 
     @pytest.mark.parametrize("key, value, error", [
-        ("files", 3, "manifest files is not a list"),
-        ("frame_sha256", 3, "manifest frame_sha256 is not a list"),
-        ("files", [7], "frame file entry 7 is not a file name"),
+        ("files", 3, "bad value for key 'files'"),
+        ("frame_sha256", 3, "bad value for key 'frame_sha256'"),
+        ("files", [7], "bad value for key 'files'"),
     ], ids=["files-number", "hashes-number", "file-entry-number"])
     def test_unreadable_frame_list_reported(self, tmp_path, key, value, error):
         export_trajectory(make_traj(np.random.default_rng(21)), tmp_path)
@@ -213,16 +222,18 @@ class TestManifestKeys:
         manifest_path.write_text(json.dumps(manifest))
         report = verify_trajectory(tmp_path)
         assert not report["ok"]
-        assert error in report["errors"]
+        assert error in report["errors"][0]
         if key == "files":
-            with pytest.raises(IoError, match="files is not a list of file "
-                                              "names") as info:
+            with pytest.raises(IoError, match=error) as info:
                 read_trajectory(tmp_path)
             assert str(manifest_path) in str(info.value)
 
-    @pytest.mark.parametrize("objects", [None, 3, [{"id": 0}]],
-                             ids=["missing", "number", "no-count"])
-    def test_unreadable_object_table_reported(self, tmp_path, objects):
+    @pytest.mark.parametrize("objects, error", [
+        (None, "missing required key 'objects'"),
+        (3, "bad value for key 'objects'"),
+        ([{"id": 0}], "objects[0]: missing required key 'count'")],
+        ids=["missing", "number", "no-count"])
+    def test_unreadable_object_table_reported(self, tmp_path, objects, error):
         export_trajectory(make_traj(np.random.default_rng(19)), tmp_path)
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -231,8 +242,40 @@ class TestManifestKeys:
             del manifest["objects"]
         manifest_path.write_text(json.dumps(manifest))
         report = verify_trajectory(tmp_path)
-        assert report["errors"] == ["manifest object table is unreadable"]
+        assert len(report["errors"]) == 1
+        assert error in report["errors"][0]
 
+    @pytest.mark.parametrize("damage, error", [
+        (lambda m, root: m["objects"][0].update(count="10"),
+         "objects[0]: bad value for key 'count'"),
+        (lambda m, root: m.update(fps="x"), "bad value for key 'fps'"),
+        (lambda m, root: m.update(fps=-1),
+         "fps is -1.0, not finite and positive"),
+        (lambda m, root: m["objects"][0].update(id="a"),
+         "objects[0]: bad value for key 'id'"),
+        (lambda m, root: m.update(objects=[{"id": 0, "count": -1},
+                                           {"id": 1, "count": 21}]),
+         "objects[0]: bad value for key 'count'"),
+        (lambda m, root: m.update(edit_log_file=3),
+         "bad value for key 'edit_log_file'"),
+        (lambda m, root: (m["files"].reverse(), m["frame_sha256"].reverse()),
+         "header has frame 2 of 20 points, the manifest lists frame 0"),
+        (_short_second_frame,
+         "header has frame 1 of 19 points, the manifest lists frame 1 of 20"),
+    ], ids=["count-text", "fps-text", "fps-negative", "id-text",
+            "count-negative", "edit_log_file-number", "frames-reversed",
+            "frame-short"])
+    def test_both_readers_reject(self, tmp_path, damage, error):
+        export_trajectory(make_traj(np.random.default_rng(22)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        damage(manifest, tmp_path)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IoError, match=re.escape(error)) as info:
+            read_trajectory(tmp_path)
+        report = verify_trajectory(tmp_path)
+        assert not report["ok"]
+        assert report["errors"][0] == str(info.value)
 
 class TestCompare:
     def test_identical_runs(self):
