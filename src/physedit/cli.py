@@ -35,6 +35,7 @@ from .fieldio import (array_of, convert_keys, instance_of, make_dir,
 from .fill import FillConfig, fill_field
 from .losses import (LossWeights, SupervisionTargets, finite_diff_check,
                      sample_triplets, total_loss)
+from .materials import validate_field
 from .raster import rasterize_frame, write_pgm
 from .scenes import BUNDLED_SCENES, build_scene, build_analyze_fixture, load_scene
 from .schedule import compile_schedule
@@ -180,6 +181,9 @@ def cmd_analyze(args) -> int:
             raise DomainError("analyze needs FIELD and TARGETS "
                               "(or --fixture DIR to build the bundled fixture)")
     fld = read_field(field_path)
+    report = validate_field(fld)
+    if not report.ok:
+        raise DomainError(f"field {field_path} invalid:\n{report}")
     doc = _load_targets(targets_path)
 
     targets = SupervisionTargets(**{key: doc[key] for key in _TARGET_VALUES

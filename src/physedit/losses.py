@@ -14,28 +14,35 @@ Four scalar terms and their weighted total:
 
 Analytic gradients exist for every term solely so central finite
 differences can verify the implementations; nothing here is trained.
-The kNN graph depends only on positions and part labels, so it is built
-once per field and shared by the smoothness value, its gradient and
-every central-difference probe of that gradient.
+The kNN graph depends only on positions and part labels, so a gradient
+check builds it once and shares it between the analytic gradient and
+every central-difference probe.
 Cross-entropy uses the natural logarithm throughout.
 
-Each term has one arithmetic core that accepts leading batch axes; the
-public functions validate their inputs and call it without one.  A
-gradient check evaluates the core on blocks of probes: a block is a
-stack of 2B copies of the probed input, each with one coordinate moved
-to x_i + epsilon or x_i - epsilon, and B is set so that a block holds at
-most _BLOCK_VALUES values.  Inputs no probe moves (simplex rows, shapes,
-triplet indices, the prompt of each part) are validated once before the
-probes; the range checks on perturbed values (the Poisson ratio range of
-wave_speeds, the positive moduli of the contrastive embedding) run on
-every block.  Every batched reduction runs over a C-ordered last axis,
-so each probe's loss, and hence the gradient, equals the one-probe-at-a-
-time value bit for bit.
+Each loss is the mean of a vector of terms: one per point (task,
+smoothness, assignment) or per triplet (contrastive).  A coordinate of
+input row i reaches only a few of them: the task and assignment terms
+of point i, the triplets that contain point i, and the smoothness
+energies of point i and of the points that have i as a neighbor.  A
+gradient check probes 2B coordinates at once (each coordinate moved to
+x_i + epsilon and to x_i - epsilon); every probe's row of terms starts
+as the terms at x, only the reached terms are re-evaluated, and the
+probe's loss is the row mean.  B is set so that the (2B, T) term matrix
+holds at most _BLOCK_VALUES values.  A re-evaluated term adds the same
+values in the same order as the full loss, and each row mean runs over a
+C-ordered last axis, so every probe's loss, and hence the gradient,
+equals the one-probe-at-a-time value bit for bit.  Inputs no probe moves
+(simplex rows, shapes, triplet indices, the prompt of each part) are
+validated once before the probes; the range checks on perturbed values
+(the Poisson ratio range of wave_speeds, the positive moduli of the
+contrastive embedding) run on every perturbed row of every block.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,9 +52,9 @@ from .errors import (DegenerateInput, DomainError, MissingMapping,
                      NonSmoothPoint, ShapeError)
 from .materials import MaterialField, wave_speeds
 
-# A block of central-difference probes holds at most this many perturbed
-# values (and never less than one probe's pair), so the extra memory of a
-# gradient check does not grow with the size of what it probes.
+# The term matrix of a block of central-difference probes holds at most
+# this many values (and never less than one probe's pair), so the extra
+# memory of a gradient check does not grow with the size of what it probes.
 _BLOCK_VALUES = 1 << 13
 
 
@@ -164,10 +171,10 @@ def _task_cross_entropy(pred_probs, params, targets: SupervisionTargets):
         return -np.log(probs[np.arange(n), targets.class_labels])
 
 
-def _task_core(params, param_targets, ce, w: LossWeights):
-    """Task loss over the last two axes of params, (..., N, 3) -> (...)."""
+def _task_terms(params, param_targets, ce, w: LossWeights):
+    """Per-point task terms of (M, 3) params, (M,)."""
     huber = _huber(params - param_targets, w.huber_delta).sum(axis=-1)
-    return np.mean(w.lambda_reg * huber + w.lambda_cls * ce, axis=-1)
+    return w.lambda_reg * huber + w.lambda_cls * ce
 
 
 def task_loss(pred_probs, pred_params, targets: SupervisionTargets,
@@ -178,7 +185,7 @@ def task_loss(pred_probs, pred_params, targets: SupervisionTargets,
     """
     params = np.asarray(pred_params, dtype=np.float64)
     ce = _task_cross_entropy(pred_probs, params, targets)
-    return float(_task_core(params, targets.param_targets, ce, w))
+    return float(np.mean(_task_terms(params, targets.param_targets, ce, w)))
 
 
 def task_loss_grad_params(pred_params, targets: SupervisionTargets,
@@ -201,7 +208,9 @@ def _knn_graph(f: MaterialField, k, within_part=True):
     and within_part is set.  Candidates rank by (||x_j - x_i||^2, j), so
     ties go to the lower index: the k + 1 nearest fix a radius, and every
     point within it (plus 1e-9 relative slack) is re-ranked exactly.
-    Points with no candidate neighbor get a count of 0.
+    Edges run part by part (in label order), point by point within a part,
+    and by rank within a point.  Points with no candidate neighbor get a
+    count of 0.
     """
     pos = f.positions
     n = pos.shape[0]
@@ -209,7 +218,7 @@ def _knn_graph(f: MaterialField, k, within_part=True):
         raise DegenerateInput("smoothness needs at least two points")
     labels = (f.part_label if within_part and f.part_label is not None
               else np.zeros(n, dtype=np.int32))
-    src, dst, d2 = [], [], []
+    src, dst, d2 = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for lab in np.unique(labels):
         idx = np.nonzero(labels == lab)[0]
         if idx.size < 2:
@@ -217,17 +226,23 @@ def _knn_graph(f: MaterialField, k, within_part=True):
         kk = min(k, idx.size - 1)
         tree = cKDTree(pos[idx])
         radius = tree.query(pos[idx], k=kk + 1)[0][:, -1] * (1.0 + 1e-9)
-        for i, ball in zip(idx, tree.query_ball_point(pos[idx], radius)):
-            j = idx[ball]
-            j = j[j != i]
-            dd = np.sum((pos[j] - pos[i]) ** 2, axis=1)
-            near = np.lexsort((j, dd))[:kk]
-            src.extend([i] * kk)
-            dst.extend(j[near])
-            d2.extend(dd[near])
-    src = np.asarray(src, dtype=np.int64)
-    return (src, np.asarray(dst, dtype=np.int64), np.bincount(src, minlength=n),
-            np.asarray(d2, dtype=np.float64))
+        balls = tree.query_ball_point(pos[idx], radius)
+        size = np.fromiter(map(len, balls), np.int64, idx.size)
+        i = np.repeat(idx, size)
+        j = idx[np.fromiter(itertools.chain.from_iterable(balls), np.int64,
+                            size.sum())]
+        keep = j != i  # each ball holds its own point once
+        i, j = i[keep], j[keep]
+        dd = np.sum((pos[j] - pos[i]) ** 2, axis=1)
+        order = np.lexsort((j, dd, i))
+        first = np.cumsum(size - 1) - (size - 1)  # where each point's run starts
+        near = order[(first[:, None] + np.arange(kk)).reshape(-1)]
+        src.append(i[near])
+        dst.append(j[near])
+        d2.append(dd[near])
+    src = np.concatenate(src)
+    return (src, np.concatenate(dst), np.bincount(src, minlength=n),
+            np.concatenate(d2))
 
 
 @dataclass(frozen=True)
@@ -237,25 +252,23 @@ class SmoothnessBreakdown:
     isolated: np.ndarray  # points with no same-part neighbor; contribute 0
 
 
-def _smoothness_per_point(e, nu, rho, graph, eps):
-    """Per-point energy over the last axis of (E, nu, rho), (..., N).
+def _edge_energy(cp_src, cp_dst, cs_src, cs_dst, d2, eps):
+    """Wave-speed Dirichlet energy of each edge."""
+    dp = cp_dst - cp_src
+    ds = cs_dst - cs_src
+    return (dp * dp + ds * ds) / (d2 + eps)
 
-    Edge terms are summed into (probe, point) bins by one bincount, in
-    edge order, so each row equals the unbatched sum bit for bit.
-    """
+
+def _smoothness_terms(c_p, c_s, graph, eps):
+    """Per-point energy, (N,): each point's edge energies summed in edge
+    order by one bincount, over its neighbor count."""
     src, dst, counts, d2 = graph
-    c_p, c_s = wave_speeds(e, nu, rho)
-    n = counts.shape[0]
-    lead = c_p.shape[:-1]
-    rows = int(np.prod(lead))
-    dp = np.take(c_p, dst, axis=-1) - np.take(c_p, src, axis=-1)
-    ds = np.take(c_s, dst, axis=-1) - np.take(c_s, src, axis=-1)
-    edge = (dp * dp + ds * ds) / (d2 + eps)
-    bins = (np.arange(rows)[:, None] * n + src).reshape(-1)
-    per_point = np.bincount(bins, weights=edge.reshape(-1),
-                            minlength=rows * n).reshape(*lead, n)
+    edge = _edge_energy(c_p[src], c_p[dst], c_s[src], c_s[dst], d2, eps)
+    # a bincount of no edges is an integer array, even with weights
+    per_point = np.bincount(src, weights=edge,
+                            minlength=counts.shape[0]).astype(np.float64)
     nz = counts > 0
-    per_point[..., nz] /= counts[nz]
+    per_point[nz] /= counts[nz]
     return per_point
 
 
@@ -270,9 +283,9 @@ def smoothness_breakdown(f: MaterialField, w: LossWeights,
     and are flagged (DegenerateInput is data here, not an error).
     """
     graph = _knn_graph(f, w.smooth_k, within_part)
-    per_point = _smoothness_per_point(f.young_modulus, f.poisson_ratio,
-                                      f.density, graph, w.smooth_eps)
-    return SmoothnessBreakdown(value=float(per_point.mean()),
+    c_p, c_s = wave_speeds(f.young_modulus, f.poisson_ratio, f.density)
+    per_point = _smoothness_terms(c_p, c_s, graph, w.smooth_eps)
+    return SmoothnessBreakdown(value=float(np.mean(per_point)),
                                per_point=per_point,
                                isolated=np.nonzero(graph[2] == 0)[0])
 
@@ -346,22 +359,16 @@ def _check_triplets(triplets, n):
     return t
 
 
-def _hinges(emb, t, margin):
-    """Hinge arguments per triplet over embeddings (..., N, 2) -> (..., T).
-
-    np.take keeps the result C-ordered, so a row mean over T adds in the
-    same order as the mean of one unbatched row.
-    """
-    anchor = np.take(emb, t[:, 0], axis=-2)
-    d_pos = np.sum((anchor - np.take(emb, t[:, 1], axis=-2)) ** 2, axis=-1)
-    d_neg = np.sum((anchor - np.take(emb, t[:, 2], axis=-2)) ** 2, axis=-1)
+def _hinge(anchor, positive, negative, margin):
+    """Hinge argument of (anchor, positive, negative) embedding rows."""
+    d_pos = np.sum((anchor - positive) ** 2, axis=-1)
+    d_neg = np.sum((anchor - negative) ** 2, axis=-1)
     return d_pos - d_neg + margin
 
 
-def _contrastive_core(e, nu, t, margin):
-    """Mean triplet hinge over the last axis of (E, nu), (..., N) -> (...)."""
-    hinge = _hinges(log_moduli_embeddings(e, nu), t, margin)
-    return np.mean(np.maximum(0.0, hinge), axis=-1)
+def _hinges(emb, t, margin):
+    """Hinge argument per triplet over embeddings (N, 2), (T,)."""
+    return _hinge(emb[t[:, 0]], emb[t[:, 1]], emb[t[:, 2]], margin)
 
 
 def contrastive_hinge_values(f: MaterialField, triplets, w: LossWeights):
@@ -373,9 +380,8 @@ def contrastive_hinge_values(f: MaterialField, triplets, w: LossWeights):
 
 def contrastive_loss(f: MaterialField, triplets, w: LossWeights) -> float:
     """Mean triplet hinge over (anchor, positive, negative) index rows."""
-    t = _check_triplets(triplets, f.n_points)
-    return float(_contrastive_core(f.young_modulus, f.poisson_ratio, t,
-                                   w.margin))
+    hinge = contrastive_hinge_values(f, triplets, w)
+    return float(np.mean(np.maximum(0.0, hinge)))
 
 
 def contrastive_loss_grad(f: MaterialField, triplets, w: LossWeights) -> np.ndarray:
@@ -445,13 +451,13 @@ def _assignment_prompts(s, targets: SupervisionTargets, tau):
     return targets.prompt_index(k)
 
 
-def _assignment_core(s, y, tau):
-    """Mean cross-entropy over the last two axes of s, (..., N, K) -> (...)."""
+def _assignment_terms(s, y, tau):
+    """Per-row cross-entropy of (M, K) logits against prompts y, (M,)."""
     scaled = s / tau
     # log-softmax, numerically stable
     shifted = scaled - scaled.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1))
-    return np.mean(log_z - shifted[..., np.arange(y.shape[0]), y], axis=-1)
+    return log_z - shifted[np.arange(y.shape[0]), y]
 
 
 def assignment_loss(logits, targets: SupervisionTargets,
@@ -459,7 +465,7 @@ def assignment_loss(logits, targets: SupervisionTargets,
     """Cross-entropy of softmax_k(s_ik / tau) against each part's prompt."""
     s = np.asarray(logits, dtype=np.float64)
     y = _assignment_prompts(s, targets, tau)
-    return float(_assignment_core(s, y, tau))
+    return float(np.mean(_assignment_terms(s, y, tau)))
 
 
 def assignment_loss_grad(logits, targets: SupervisionTargets,
@@ -504,31 +510,79 @@ def _field_params(f: MaterialField):
                      np.log(f.density)], axis=1)
 
 
-def _probes_per_block(size):
-    """Probes per block for an input of `size` coordinates (at least one)."""
-    return max(1, _BLOCK_VALUES // (2 * max(size, 1)))
+def _probes_per_block(n_terms):
+    """Probes per block for a loss of `n_terms` terms (at least one)."""
+    return max(1, _BLOCK_VALUES // (2 * max(n_terms, 1)))
 
 
-def _central_diff(fn, x, epsilon):
-    """Central-difference gradient of fn at x, one block of probes per call.
+def _csr(rows, cols, n_rows):
+    """The distinct (row, col) pairs as (ptr, cols): row r's columns are
+    cols[ptr[r]:ptr[r + 1]], ascending."""
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    return (np.r_[0, np.cumsum(np.bincount(rows[first], minlength=n_rows))],
+            cols[first])
 
-    fn maps a stack of inputs shaped (M, *x.shape) to M loss values.  A
-    block of B probes is the stack of x with coordinate i set to
-    x_i + epsilon (rows 0..B-1) and to x_i - epsilon (rows B..2B-1).
+
+def _segments(ptr, rows):
+    """(owner, position) of every entry of the CSR segments of `rows`, in
+    order: entry q lies at ptr[rows[owner[q]]] + its offset in that row."""
+    start = ptr[rows]
+    size = ptr[rows + 1] - start
+    owner = np.repeat(np.arange(rows.size), size)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+    return owner, np.repeat(start, size) + offset
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """One loss, ready for central differences.
+
+    x         the probed input, (R, C)
+    analytic  the analytic gradient at x, (R, C)
+    terms     the loss terms at x, (T,); the loss is their mean
+    reach     (ptr, term) CSR: term[ptr[r]:ptr[r + 1]] are the terms a
+              coordinate of row r can change
+    terms_at  (values, rows, owner, term) -> entry q is term[q] of the
+              loss at x with row rows[owner[q]] replaced by values[owner[q]]
     """
-    x = np.asarray(x, dtype=np.float64)
+
+    x: np.ndarray
+    analytic: np.ndarray
+    terms: np.ndarray
+    reach: tuple
+    terms_at: Callable
+
+
+def _central_diff(probe: _Probe, epsilon):
+    """Central-difference gradient of the probed loss, one block per pass.
+
+    A block of B probes moves coordinate i of x to x_i + epsilon (probes
+    0..B-1) and to x_i - epsilon (probes B..2B-1).  Each probe's row of
+    the (2B, T) term matrix starts as the terms at x, the terms its row
+    reaches are re-evaluated, and its loss is the row mean.
+    """
+    x = probe.x
     flat = x.reshape(-1)
+    ptr, reached = probe.reach
     g = np.empty(flat.size)
-    per_block = _probes_per_block(flat.size)
+    per_block = _probes_per_block(probe.terms.size)
     for start in range(0, flat.size, per_block):
         idx = np.arange(start, min(start + per_block, flat.size))
         b = idx.size
-        block = np.tile(flat, (2 * b, 1))
-        rows = np.arange(b)
-        block[rows, idx] = flat[idx] + epsilon
-        block[rows + b, idx] = flat[idx] - epsilon
-        values = fn(block.reshape(2 * b, *x.shape))
-        g[idx] = (values[:b] - values[b:]) / (2.0 * epsilon)
+        rows = np.concatenate([idx // x.shape[1]] * 2)
+        cols = idx % x.shape[1]
+        values = x[rows]
+        values[np.arange(b), cols] += epsilon
+        values[np.arange(b, 2 * b), cols] -= epsilon
+        owner, at = _segments(ptr, rows)
+        term = reached[at]
+        terms = np.repeat(probe.terms[None], 2 * b, axis=0)
+        terms[owner, term] = probe.terms_at(values, rows, owner, term)
+        loss = np.mean(terms, axis=-1)
+        g[idx] = (loss[:b] - loss[b:]) / (2.0 * epsilon)
     return g.reshape(x.shape)
 
 
@@ -543,12 +597,58 @@ def _max_rel_err(analytic, fd):
     return float(np.max(diff / denom))
 
 
-def _gradient_probe(loss_name: str, inputs: dict, epsilon: float):
-    """(x, analytic gradient at x, block loss) for one finite_diff_check probe.
+def _own_row(n):
+    """The reach of a loss with one term per row, its own."""
+    return np.arange(n + 1), np.arange(n)
 
-    The block loss maps a stack of perturbed copies of x to their loss
-    values.  Inputs no probe moves are validated here, once; the checks
-    on perturbed values run inside the block loss, on every block.
+
+def _smoothness_terms_at(c_p, c_s, graph, eps):
+    """terms_at of the smoothness probe at speeds (c_p, c_s): each reached
+    point's energy is recomputed over all of its edges, in edge order."""
+    src, dst, counts, d2 = graph
+    by_src = np.argsort(src, kind="stable")  # each point's edges, in order
+    ptr = np.r_[0, np.cumsum(counts)]
+
+    def terms_at(values, rows, owner, term):
+        moved_p, moved_s = wave_speeds(np.exp(values[:, 0]), values[:, 1],
+                                       np.exp(values[:, 2]))
+        pair, at = _segments(ptr, term)
+        edge = by_src[at]
+        probe = owner[pair]
+        row = rows[probe]
+
+        def speed(c, moved, ends):
+            return np.where(ends == row, moved[probe], c[ends])
+
+        energy = _edge_energy(
+            speed(c_p, moved_p, src[edge]), speed(c_p, moved_p, dst[edge]),
+            speed(c_s, moved_s, src[edge]), speed(c_s, moved_s, dst[edge]),
+            d2[edge], eps)
+        return (np.bincount(pair, weights=energy, minlength=term.size)
+                / counts[term])
+
+    return terms_at
+
+
+def _contrastive_terms_at(emb, t, margin):
+    """terms_at of the contrastive probe at embeddings emb: each reached
+    triplet's hinge with the moved row's embedding in its slots."""
+    def terms_at(values, rows, owner, term):
+        moved = log_moduli_embeddings(np.exp(values[:, 0]), values[:, 1])
+        ends = t[term]
+        slots = np.where((ends == rows[owner][:, None])[..., None],
+                         moved[owner][:, None, :], emb[ends])
+        return np.maximum(0.0, _hinge(slots[:, 0], slots[:, 1], slots[:, 2],
+                                      margin))
+
+    return terms_at
+
+
+def _gradient_probe(loss_name: str, inputs: dict, epsilon: float) -> _Probe:
+    """The _Probe of one finite_diff_check loss.
+
+    Inputs no probe moves are validated here, once; the checks on
+    perturbed values run inside terms_at, on every block.
     """
     w = inputs.get("weights", LossWeights())
     boundary = 10.0 * epsilon
@@ -560,36 +660,50 @@ def _gradient_probe(loss_name: str, inputs: dict, epsilon: float):
         resid = np.abs(x - targets.param_targets)
         if np.any(np.abs(resid - w.huber_delta) < boundary):
             raise NonSmoothPoint("residual sits on the Huber kink")
-        analytic = task_loss_grad_params(x, targets, w)
-        fn = lambda p: _task_core(p, targets.param_targets, ce, w)
-    elif loss_name == "smoothness":
+        want = targets.param_targets
+        return _Probe(
+            x, task_loss_grad_params(x, targets, w),
+            _task_terms(x, want, ce, w), _own_row(x.shape[0]),
+            lambda v, rows, owner, term: _task_terms(v[owner], want[term],
+                                                     ce[term], w))
+    if loss_name == "smoothness":
         f = inputs["field"]
         x = _field_params(f)
         # no probe moves a position or a label, so one graph serves them all
         graph = _knn_graph(f, w.smooth_k, inputs.get("within_part", True))
-        analytic = _smoothness_grad(f, graph, w.smooth_eps)
-        fn = lambda p: _smoothness_per_point(
-            np.exp(p[..., 0]), p[..., 1], np.exp(p[..., 2]), graph,
-            w.smooth_eps).mean(axis=-1)
-    elif loss_name == "contrastive":
+        src, dst, counts, _ = graph
+        c_p, c_s = wave_speeds(np.exp(x[:, 0]), x[:, 1], np.exp(x[:, 2]))
+        # row i reaches its own energy and that of every point it neighbors
+        own = np.flatnonzero(counts)
+        return _Probe(
+            x, _smoothness_grad(f, graph, w.smooth_eps),
+            _smoothness_terms(c_p, c_s, graph, w.smooth_eps),
+            _csr(np.r_[dst, own], np.r_[src, own], f.n_points),
+            _smoothness_terms_at(c_p, c_s, graph, w.smooth_eps))
+    if loss_name == "contrastive":
         f = inputs["field"]
         x = _field_params(f)
         t = _check_triplets(inputs["triplets"], f.n_points)
         if np.any(np.abs(contrastive_hinge_values(f, t, w)) < boundary):
             raise NonSmoothPoint("a triplet sits on the hinge boundary")
-        analytic = contrastive_loss_grad(f, t, w)
-        fn = lambda p: _contrastive_core(np.exp(p[..., 0]), p[..., 1], t,
-                                         w.margin)
-    elif loss_name == "assignment":
+        emb = log_moduli_embeddings(np.exp(x[:, 0]), x[:, 1])
+        return _Probe(
+            x, contrastive_loss_grad(f, t, w),
+            np.maximum(0.0, _hinges(emb, t, w.margin)),
+            _csr(t.T.reshape(-1), np.tile(np.arange(t.shape[0]), 3),
+                 f.n_points),
+            _contrastive_terms_at(emb, t, w.margin))
+    if loss_name == "assignment":
         targets = inputs["targets"]
         tau = inputs.get("tau", DEFAULT_TAU)
         x = np.asarray(inputs["logits"], dtype=np.float64)
         y = _assignment_prompts(x, targets, tau)
-        analytic = assignment_loss_grad(x, targets, tau)
-        fn = lambda s: _assignment_core(s, y, tau)
-    else:
-        raise DomainError(f"unknown loss name {loss_name!r}")
-    return x, analytic, fn
+        return _Probe(
+            x, assignment_loss_grad(x, targets, tau),
+            _assignment_terms(x, y, tau), _own_row(x.shape[0]),
+            lambda v, rows, owner, term: _assignment_terms(v[owner], y[term],
+                                                           tau))
+    raise DomainError(f"unknown loss name {loss_name!r}")
 
 
 def finite_diff_check(loss_name: str, inputs: dict, epsilon: float = 1e-5) -> float:
@@ -605,5 +719,5 @@ def finite_diff_check(loss_name: str, inputs: dict, epsilon: float = 1e-5) -> fl
     Raises NonSmoothPoint when the probe sits on a Huber kink or an
     inactive/active hinge boundary (within 10 * epsilon).
     """
-    x, analytic, fn = _gradient_probe(loss_name, inputs, epsilon)
-    return _max_rel_err(analytic, _central_diff(fn, x, epsilon))
+    probe = _gradient_probe(loss_name, inputs, epsilon)
+    return _max_rel_err(probe.analytic, _central_diff(probe, epsilon))

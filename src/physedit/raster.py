@@ -175,10 +175,18 @@ def write_pgm(image: np.ndarray, path):
 
 
 def read_pgm(path) -> np.ndarray:
+    """The image of a binary PGM as written by write_pgm; IoError naming
+    the file if its header or its pixel block is malformed."""
     raw = read_file(path, "image")
     if not raw.startswith(b"P5"):
         raise IoError(f"{path}: not a binary PGM")
     parts = raw.split(b"\n", 3)
-    wd, h = map(int, parts[1].split())
-    data = parts[3][:wd * h]
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, wd)
+    try:
+        wd, h = map(int, parts[1].split())
+        depth, data = int(parts[2]), parts[3]
+    except (IndexError, ValueError):
+        raise IoError(f"{path}: malformed PGM header") from None
+    if not 0 < depth < 256 or wd < 0 or h < 0 or len(data) < wd * h:
+        raise IoError(f"{path}: PGM header promises a {wd}x{h} image of "
+                      f"depth {depth}, the file holds {len(data)} pixel bytes")
+    return np.frombuffer(data[:wd * h], dtype=np.uint8).reshape(h, wd)

@@ -168,6 +168,21 @@ def _names(value):
     return value
 
 
+def _member(name):
+    """A path inside the trajectory directory: plain names joined by "/"
+    (no absolute path, no "." or "..", no backslash)."""
+    if not (isinstance(name, str) and all(
+            part not in ("", ".", "..") and "\\" not in part
+            for part in name.split("/"))):
+        raise ValueError(f"{name!r} is not a file name inside the directory")
+    return name
+
+
+def _members(value):
+    """A non-empty list of paths inside the trajectory directory."""
+    return [_member(name) for name in _names(value)]
+
+
 def _count(value) -> int:
     """A whole number in [0, 2**31), the range of an int32 object id."""
     number = whole(value)
@@ -184,9 +199,10 @@ def _read_manifest(root: Path) -> dict:
     doc = read_json(root / MANIFEST_NAME, "manifest")
     text = instance_of(str)
     m = convert_keys(doc, {
-        "files": _names, "frame_sha256": _names, "frames": whole, "fps": float,
-        "n_particles": _count, "edit_log_file": text, "scene_hash": text,
-        "edit_log_sha256": text, "config_hash": text}, what)
+        "files": _members, "frame_sha256": _names, "frames": whole,
+        "fps": float, "n_particles": _count, "edit_log_file": _member,
+        "scene_hash": text, "edit_log_sha256": text, "config_hash": text},
+        what)
     table = convert_key(doc, "objects", instance_of(list), what)
     for key in ("id", "count"):
         m[key + "s"] = np.array([convert_key(entry, key, _count,

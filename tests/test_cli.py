@@ -400,6 +400,22 @@ class TestAnalyzeCommand:
         assert (rc, record["error"]) == (10, "DomainError")
         assert "logits or a bundle" in record["message"]
 
+    def test_invalid_field_domain_error(self, tmp_path, capsys):
+        # class 9 used to index the one-hot table: a bare IndexError
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        fld = read_field(field_path)
+        class_id = fld.class_id.copy()
+        class_id[4] = 9
+        write_field(fld.with_(class_id=class_id), field_path)
+        doc = json.loads(targets_path.read_text())
+        del doc["pred_probs"]
+        targets_path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(field_path), str(targets_path)])
+        record = single_error_record(capsys)
+        assert (rc, record["error"]) == (10, "DomainError")
+        assert "class_id[4]" in record["message"]
+        assert str(field_path) in record["message"]
+
     def test_missing_args_error(self, capsys):
         rc = main(["analyze"])
         assert rc != 0

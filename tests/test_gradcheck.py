@@ -1,8 +1,10 @@
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
 from physedit import losses
 from physedit.errors import DomainError, NonSmoothPoint
@@ -217,7 +219,7 @@ def gradient_probe_inputs(nu_of_point_3=None):
 @functools.lru_cache(maxsize=None)
 def per_probe_gradient(name):
     inputs, scalar_loss = gradient_probe_inputs()[name]
-    x, _, _ = losses._gradient_probe(name, inputs, EPS)
+    x = losses._gradient_probe(name, inputs, EPS).x
     return central_diff_oracle(scalar_loss, x, EPS)
 
 
@@ -227,30 +229,33 @@ def per_probe_gradient(name):
 def test_blocked_central_differences_match_per_probe_loop(monkeypatch, name,
                                                           probes):
     inputs, _ = gradient_probe_inputs()[name]
-    x, analytic, block_loss = losses._gradient_probe(name, inputs, EPS)
+    probe = losses._gradient_probe(name, inputs, EPS)
+    x, n_terms = probe.x, probe.terms.size
     assert x.size == 135
     if probes is not None:
-        monkeypatch.setattr(losses, "_BLOCK_VALUES", 2 * x.size * probes + 1)
-    per_block = losses._probes_per_block(x.size)
-    assert per_block == (probes or losses._BLOCK_VALUES // (2 * x.size))
-    assert per_block == 1 or (per_block < x.size and x.size % per_block)
+        monkeypatch.setattr(losses, "_BLOCK_VALUES", 2 * n_terms * probes + 1)
+    per_block = losses._probes_per_block(n_terms)
+    assert per_block == (probes or losses._BLOCK_VALUES // (2 * n_terms))
+    assert probes is None or per_block == 1 or x.size % per_block
 
     blocks = []
 
-    def counted(stack):
-        blocks.append(stack.shape)
-        return block_loss(stack)
+    def counted(values, rows, owner, term):
+        blocks.append(values.shape)
+        return probe.terms_at(values, rows, owner, term)
 
-    got = losses._central_diff(counted, x, EPS)
+    got = losses._central_diff(dataclasses.replace(probe, terms_at=counted),
+                               EPS)
     assert len(blocks) == math.ceil(x.size / per_block)
-    assert blocks[0] == (2 * per_block, *x.shape)
+    assert blocks[0] == (2 * min(per_block, x.size), x.shape[1])
     assert blocks[-1][0] == 2 * (x.size - per_block * (len(blocks) - 1))
-    # bit-equal for all four losses: every batched reduction runs over a
+    # bit-equal for all four losses: a reached term adds the same values in
+    # the same order as the full loss, and the row mean runs over a
     # C-ordered last axis, so it adds in the order of the unbatched loss
     want = per_probe_gradient(name)
     np.testing.assert_array_equal(got, want)
     assert finite_diff_check(name, inputs, EPS) == \
-        losses._max_rel_err(analytic, want)
+        losses._max_rel_err(probe.analytic, want)
     assert finite_diff_check(name, inputs, EPS) < TOL
 
 
@@ -266,11 +271,67 @@ def test_perturbed_values_still_range_checked(monkeypatch, name, message,
     # point 3 crosses 0.5, and the per-probe loop raises on that probe
     inputs, scalar_loss = gradient_probe_inputs(
         nu_of_point_3=0.5 - 5e-6)[name]
-    x, _, _ = losses._gradient_probe(name, inputs, EPS)
+    probe = losses._gradient_probe(name, inputs, EPS)
+    x = probe.x
     assert np.isfinite(scalar_loss(x))
     with pytest.raises(DomainError, match=message):
         central_diff_oracle(scalar_loss, x, EPS)
     if probes is not None:
-        monkeypatch.setattr(losses, "_BLOCK_VALUES", 2 * x.size * probes)
+        monkeypatch.setattr(losses, "_BLOCK_VALUES",
+                            2 * probe.terms.size * probes)
     with pytest.raises(DomainError, match=message):
         finite_diff_check(name, inputs, EPS)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(5, 12),
+       k=hst.integers(1, 5), within_part=hst.booleans(),
+       isolated=hst.booleans(), duplicated=hst.booleans())
+def test_sparse_probes_match_per_probe_loop(seed, n, k, within_part, isolated,
+                                            duplicated):
+    # each probe re-evaluates only the terms its row reaches; the rest of
+    # its row keeps the terms at x, so every probe's loss is bit-equal
+    rng = np.random.default_rng(seed)
+    part = np.r_[0, 0, 1, 1, rng.integers(0, 2, n - 4)]
+    if isolated:
+        part[-1] = 2  # a one-member part: no neighbor, never an anchor
+    pos = rng.uniform(0, 1, size=(n, 3))
+    if duplicated:
+        pos[2] = pos[0]  # exact distance ties, and a zero-length edge
+    f = MaterialField(positions=pos, class_id=np.zeros(n, dtype=np.int32),
+                      young_modulus=10 ** rng.uniform(4, 7, n),
+                      poisson_ratio=rng.uniform(-0.1, 0.45, n),
+                      density=10 ** rng.uniform(2, 3.2, n),
+                      part_label=part.astype(np.int32))
+    targets = SupervisionTargets(class_labels=rng.integers(0, 6, n),
+                                 param_targets=rng.normal(size=(n, 3)),
+                                 part_labels=part,
+                                 prompt_of_part={0: 1, 1: 0, 2: 2})
+    probs = rng.dirichlet(np.ones(6), size=n)
+    resid = rng.uniform(-2.5, 2.5, size=(n, 3))
+    resid[np.abs(np.abs(resid) - 1.0) < 0.01] = 0.5  # off the Huber kink
+    params = targets.param_targets + resid
+    w = LossWeights(smooth_k=k, margin=0.3)
+    trips = sample_triplets(part, 6, seed=seed % 1000)
+    logits = rng.normal(size=(n, 3))
+    cases = {
+        "task": ({"pred_probs": probs, "pred_params": params,
+                  "targets": targets, "weights": w},
+                 lambda p: task_loss(probs, p, targets, w)),
+        "smoothness": ({"field": f, "weights": w, "within_part": within_part},
+                       lambda p: smoothness_loss(field_with_params(f, p), w,
+                                                 within_part)),
+        "contrastive": ({"field": f, "triplets": trips, "weights": w},
+                        lambda p: contrastive_loss(field_with_params(f, p),
+                                                   trips, w)),
+        "assignment": ({"logits": logits, "targets": targets, "tau": 0.2},
+                       lambda s: assignment_loss(s, targets, 0.2)),
+    }
+    for name, (inputs, scalar_loss) in cases.items():
+        try:
+            probe = losses._gradient_probe(name, inputs, EPS)
+        except NonSmoothPoint:
+            assume(False)
+        np.testing.assert_array_equal(
+            losses._central_diff(probe, EPS),
+            central_diff_oracle(scalar_loss, probe.x, EPS))

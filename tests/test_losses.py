@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from physedit import losses
 from physedit.errors import DomainError, MissingMapping, ShapeError
 from physedit.losses import (LossWeights, SupervisionTargets, assignment_loss,
                              contrastive_loss, sample_triplets,
@@ -10,7 +12,7 @@ from physedit.losses import (LossWeights, SupervisionTargets, assignment_loss,
                              total_loss)
 from physedit.materials import MaterialField
 from oracles import (assignment_oracle, contrastive_oracle, huber_oracle,
-                     smoothness_oracle, task_oracle)
+                     knn_same_part, smoothness_oracle, task_oracle)
 
 PAPER_WEIGHTS = LossWeights()  # reg 1, cls 0.3, smooth 0.02, con 5e-4, assign 0.1
 
@@ -168,6 +170,44 @@ class TestSmoothness:
         report = smoothness_breakdown(f, PAPER_WEIGHTS)
         assert list(report.isolated) == [3]
         assert report.per_point[3] == 0.0
+
+    def test_no_point_has_a_neighbor(self):
+        # every part has one point: no edge at all, and the loss is 0
+        f = make_field(np.random.default_rng(11), n=3, parts=3)
+        report = smoothness_breakdown(f, PAPER_WEIGHTS)
+        assert report.value == 0.0
+        assert report.isolated.tolist() == [0, 1, 2]
+        assert losses.finite_diff_check(
+            "smoothness", {"field": f, "weights": PAPER_WEIGHTS}) == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(2, 40),
+           k=hst.integers(1, 10), parts=hst.integers(1, 3),
+           within_part=hst.booleans(), lone=hst.booleans())
+    def test_knn_graph_matches_brute_force(self, seed, n, k, parts,
+                                           within_part, lone):
+        # a coarse lattice makes exact distance ties common, and every
+        # fourth point repeats an earlier one; ties go to the lower index
+        rng = np.random.default_rng(seed)
+        pos = rng.integers(0, 3, size=(n, 3)) * 0.25
+        pos[3::4] = pos[rng.integers(0, max(n // 4, 1), size=pos[3::4].shape[0])]
+        part = rng.integers(0, parts, n).astype(np.int32)
+        if lone:
+            part[n // 2] = parts  # a part with a single point
+        f = MaterialField(positions=pos, class_id=np.zeros(n, dtype=np.int32),
+                          young_modulus=np.full(n, 1e6),
+                          poisson_ratio=np.full(n, 0.3),
+                          density=np.full(n, 1e3), part_label=part)
+        src, dst, counts, d2 = losses._knn_graph(f, k, within_part)
+        labels = part if within_part else np.zeros(n, dtype=np.int32)
+        want = [(i, j) for lab in np.unique(labels)
+                for i in np.flatnonzero(labels == lab)
+                for j in knn_same_part(pos, labels, i, k)]
+        assert list(zip(src.tolist(), dst.tolist())) == want
+        assert counts.tolist() == np.bincount(src, minlength=n).tolist()
+        np.testing.assert_array_equal(
+            d2, [np.sum((pos[j] - pos[i]) ** 2) for i, j in want])
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(10)

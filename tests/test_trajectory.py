@@ -277,6 +277,31 @@ class TestManifestKeys:
         assert not report["ok"]
         assert report["errors"][0] == str(info.value)
 
+    @pytest.mark.parametrize("name", ["/abs/x.trjf", "../x.trjf"],
+                             ids=["absolute", "parent"])
+    @pytest.mark.parametrize("key", ["files", "edit_log_file"])
+    def test_paths_stay_inside_directory(self, tmp_path, key, name):
+        # "../x.trjf" names a readable file whose hash the manifest lists
+        root = tmp_path / "run"
+        export_trajectory(make_traj(np.random.default_rng(23)), root)
+        manifest_path = root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        listed = manifest["files"][0] if key == "files" else "edits.json"
+        (tmp_path / "x.trjf").write_bytes((root / listed).read_bytes())
+        if key == "files":
+            manifest["files"][0] = name
+        else:
+            manifest["edit_log_file"] = name
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IoError, match=re.escape(
+                f"bad value for key '{key}'")) as info:
+            read_trajectory(root)
+        assert name in str(info.value)
+        report = verify_trajectory(root)
+        assert not report["ok"]
+        assert report["errors"] == [str(info.value)]
+
+
 class TestCompare:
     def test_identical_runs(self):
         traj = make_traj(np.random.default_rng(14))
@@ -506,3 +531,15 @@ class TestRaster:
         write_pgm(img, tmp_path / "y.pgm")
         assert (tmp_path / "x.pgm").read_bytes() == \
             (tmp_path / "y.pgm").read_bytes()
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\nx y\n255\n", "malformed PGM header"),
+        (b"P5\n4 3\n255\n" + bytes(11), "the file holds 11 pixel bytes"),
+        (b"P6\n1 1\n255\n" + bytes(3), "not a binary PGM"),
+    ], ids=["header", "short-pixels", "color"])
+    def test_malformed_pgm_io_error(self, tmp_path, raw, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(IoError, match=message) as info:
+            read_pgm(path)
+        assert str(path) in str(info.value)
