@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .materials import (MaterialClass, MaterialField, MaterialModel,
-                        ElasticDerived, ParamNormalization, ValidationReport,
-                        derive_moduli, validate_field, wave_speeds)
+from .materials import (MaterialClass, MaterialField, ParamNormalization,
+                        ValidationReport, validate_field, wave_speeds)
 from .conditioning import AssignmentResult, FeatureBundle, soft_assign
 from .losses import (LossWeights, SupervisionTargets, assignment_loss,
                      contrastive_loss, finite_diff_check, sample_triplets,

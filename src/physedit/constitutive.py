@@ -15,14 +15,16 @@ P = U diag(p) V^T for a vector p of principal stresses:
   Liquid      mu = 0; F reset to the isotropic J^(1/3) I so only volume
               change carries stress, P = lambda (J - 1) J^(2/3) I
   Plasticine  corotated elasticity, von Mises return mapping on the
-              principal log strains
+              principal log strains, yield stress YIELD_STRESS = 1e4 Pa
   Sand        Hencky elasticity with Drucker-Prager projection of the
-              log strains (non-associative, cohesionless),
+              log strains (non-associative, cohesionless, friction angle
+              FRICTION_ANGLE_DEG = 30 deg),
               p = (2 mu eps + lambda tr eps) / sigma
-  Snow        corotated with singular values clamped to
-              [1 - theta_c, 1 + theta_s]
+  Snow        corotated with singular values clamped to [1 - SNOW_THETA_C,
+              1 + SNOW_THETA_S], SNOW_THETA_C = 2.5e-2, SNOW_THETA_S = 7.5e-3
 
-The solver forms the Kirchhoff product P F^T itself.
+These four plasticity constants are module constants, the same for every
+particle of a class.  The solver forms the Kirchhoff product P F^T itself.
 
 ``svd3`` runs its Jacobi sweeps on F^T F / tr(F^T F), whose entries lie
 in [-1, 1] at any scale of F, so each rotation is a plain sqrt of squares
@@ -34,7 +36,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .materials import DEFAULT_MATERIAL_MODEL, MaterialClass, MaterialModel
+from .materials import MaterialClass
+
+YIELD_STRESS = 1e4
+FRICTION_ANGLE_DEG = 30.0
+SNOW_THETA_C = 2.5e-2
+SNOW_THETA_S = 7.5e-3
 
 _SIGMA_FLOOR = 1e-6  # keeps log strains finite under extreme compression
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -179,8 +186,7 @@ def _recompose(u, diag, vt):
     return (u * diag[:, None, :]) @ vt
 
 
-def batch_constitutive(f, class_id, e, nu,
-                       table: MaterialModel = DEFAULT_MATERIAL_MODEL):
+def batch_constitutive(f, class_id, e, nu):
     """Vectorized stress evaluation over a particle batch.
 
     f (N,3,3), class_id (N,), e (N,), nu (N,).
@@ -214,16 +220,16 @@ def batch_constitutive(f, class_id, e, nu,
 
         m = class_id == MaterialClass.PLASTICINE
         if np.any(m):
-            eps = _von_mises_project(np.log(sig_proj[m]), mu[m], table.yield_stress)
+            eps = _von_mises_project(np.log(sig_proj[m]), mu[m], YIELD_STRESS)
             sig_proj[m] = np.exp(eps)
         if np.any(hencky):
             eps = _drucker_prager_project(np.log(sig_proj[hencky]), mu[hencky],
-                                          lam[hencky], table.friction_angle_deg)
+                                          lam[hencky], FRICTION_ANGLE_DEG)
             sig_proj[hencky] = np.exp(eps)
         m = class_id == MaterialClass.SNOW
         if np.any(m):
-            sig_proj[m] = np.clip(sig_proj[m], 1.0 - table.snow_theta_c,
-                                  1.0 + table.snow_theta_s)
+            sig_proj[m] = np.clip(sig_proj[m], 1.0 - SNOW_THETA_C,
+                                  1.0 + SNOW_THETA_S)
 
         m = return_mapped
         f_new[m] = _recompose(u[m], sig_proj[m], vt[m])

@@ -48,6 +48,8 @@ from .errors import (DomainError, EmptyScene, GridOverflow, NumericalError,
                      ParticleEscape)
 from .materials import (MaterialClass, MaterialField, validate_field,
                         wave_speeds)
+from .schedule import ScheduleRuntime
+from .trajectory import Trajectory
 
 _BC_MODES = ("sticky", "slip", "separate")
 _WALL_NAMES = ("x_min", "x_max", "y_max", "z_min", "z_max")  # y_min is the ground
@@ -654,9 +656,6 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
 
     Returns a Trajectory; deterministic for fixed inputs.
     """
-    from .schedule import ScheduleRuntime  # local import to avoid a cycle
-    from .trajectory import Trajectory
-
     cfg.validate()
     runtime = ScheduleRuntime(schedule) if schedule is not None else None
 

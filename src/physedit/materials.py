@@ -1,9 +1,12 @@
-"""Per-point material fields and closed-form elastic quantities.
+"""Per-point material fields, their validation, and elastic wave speeds.
 
 A material field assigns each point of a cloud a constitutive class plus
 continuous parameters: Young's modulus E [Pa], Poisson's ratio nu, and
-density rho [kg/m^3].  All derived elastic quantities (shear/bulk moduli,
-Lame lambda, longitudinal/shear wave speeds) are computed here.
+density rho [kg/m^3].  ``validate_field`` checks a field's invariants and
+reports each broken rule once, with how many points break it and the
+first of them.  ``wave_speeds`` gives the longitudinal and shear wave
+speeds that bound the solver's time step; the Lame parameters the stress
+laws use come from ``constitutive.lame_parameters``.
 
 Functions accept scalars or numpy arrays and broadcast; derived values
 keep the input shape.
@@ -40,45 +43,6 @@ MATERIAL_CLASS_COUNT = len(MaterialClass)
 
 
 @dataclass(frozen=True)
-class MaterialModel:
-    """Per-class plasticity constants shared by the constitutive laws.
-
-    yield_stress         von Mises yield [Pa], plasticine
-    friction_angle_deg   Drucker-Prager friction angle [deg], sand
-    snow_theta_c         critical compression, snow singular-value clamp
-    snow_theta_s         critical stretch, snow singular-value clamp
-    """
-
-    yield_stress: float = 1e4
-    friction_angle_deg: float = 30.0
-    snow_theta_c: float = 2.5e-2
-    snow_theta_s: float = 7.5e-3
-
-    def validate(self):
-        for name in ("yield_stress", "friction_angle_deg", "snow_theta_c",
-                     "snow_theta_s"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"MaterialModel.{name} must be positive")
-
-
-DEFAULT_MATERIAL_MODEL = MaterialModel()
-
-
-@dataclass(frozen=True)
-class ElasticDerived:
-    """Closed-form elastic quantities derived from (E, nu[, rho]).
-
-    Wave speeds are None when density was not supplied.
-    """
-
-    mu: np.ndarray | float
-    kappa: np.ndarray | float
-    lame_lambda: np.ndarray | float
-    c_p: Optional[np.ndarray | float] = None
-    c_s: Optional[np.ndarray | float] = None
-
-
-@dataclass(frozen=True)
 class ParamNormalization:
     """z-score constants for the (log10 E, nu, log10 rho) channels."""
 
@@ -104,11 +68,16 @@ class ParamNormalization:
 
 @dataclass(frozen=True)
 class Violation:
-    """One invariant violation found by :func:`validate_field`."""
+    """One rule broken in a field, found by :func:`validate_field`.
+
+    For a per-point rule, ``count`` points break it and ``index`` is the
+    first of them; a rule about the whole field has no index.
+    """
 
     field_name: str
     message: str
     index: Optional[int] = None
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -125,7 +94,8 @@ class ValidationReport:
         lines = []
         for v in self.violations:
             where = f"[{v.index}]" if v.index is not None else ""
-            lines.append(f"{v.field_name}{where}: {v.message}")
+            more = f" ({v.count} points, first shown)" if v.count > 1 else ""
+            lines.append(f"{v.field_name}{where}: {v.message}{more}")
         return "\n".join(lines)
 
 
@@ -182,46 +152,19 @@ class MaterialField:
         return replace(self, **changes)
 
 
-def _check_ranges(e, nu, rho=None):
-    e = np.asarray(e, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    if np.any(~np.isfinite(e)) or np.any(e <= 0):
-        raise DomainError("Young's modulus must be finite and > 0")
-    if np.any(~np.isfinite(nu)) or np.any(nu <= -1.0) or np.any(nu >= 0.5):
-        raise DomainError("Poisson's ratio must lie strictly in (-1, 0.5)")
-    if rho is not None:
-        rho = np.asarray(rho, dtype=np.float64)
-        if np.any(~np.isfinite(rho)) or np.any(rho <= 0):
-            raise DomainError("density must be finite and > 0")
-        return e, nu, rho
-    return e, nu
-
-
-def derive_moduli(e, nu) -> ElasticDerived:
-    """Shear modulus, bulk modulus and first Lame parameter from (E, nu).
-
-    mu = E / (2 (1 + nu))
-    K  = E / (3 (1 - 2 nu))
-    lambda = E nu / ((1 + nu)(1 - 2 nu))
-
-    Raises DomainError unless E > 0 and -1 < nu < 0.5.
-    """
-    e, nu = _check_ranges(e, nu)
-    mu = e / (2.0 * (1.0 + nu))
-    kappa = e / (3.0 * (1.0 - 2.0 * nu))
-    lam = e * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    if np.ndim(mu) == 0:
-        return ElasticDerived(mu=float(mu), kappa=float(kappa), lame_lambda=float(lam))
-    return ElasticDerived(mu=mu, kappa=kappa, lame_lambda=lam)
-
-
 def wave_speeds(e, nu, rho):
     """Longitudinal and shear wave speeds (c_p, c_s) in m/s.
 
     c_p = sqrt(E (1 - nu) / (rho (1 + nu)(1 - 2 nu)))
     c_s = sqrt(E / (2 rho (1 + nu)))
     """
-    e, nu, rho = _check_ranges(e, nu, rho)
+    e, nu, rho = (np.asarray(a, dtype=np.float64) for a in (e, nu, rho))
+    if np.any(~np.isfinite(e)) or np.any(e <= 0):
+        raise DomainError("Young's modulus must be finite and > 0")
+    if np.any(~np.isfinite(nu)) or np.any(nu <= -1.0) or np.any(nu >= 0.5):
+        raise DomainError("Poisson's ratio must lie strictly in (-1, 0.5)")
+    if np.any(~np.isfinite(rho)) or np.any(rho <= 0):
+        raise DomainError("density must be finite and > 0")
     c_p = np.sqrt(e * (1.0 - nu) / (rho * (1.0 + nu) * (1.0 - 2.0 * nu)))
     c_s = np.sqrt(e / (2.0 * rho * (1.0 + nu)))
     if np.ndim(c_p) == 0:
@@ -230,7 +173,10 @@ def wave_speeds(e, nu, rho):
 
 
 def validate_field(f: MaterialField) -> ValidationReport:
-    """List every invariant violation in ``f``; empty report iff valid."""
+    """One violation per rule that ``f`` breaks; empty report iff valid.
+
+    The report's size does not grow with the number of bad points.
+    """
     violations = []
     n = f.positions.shape[0]
     if f.positions.ndim != 2 or f.positions.shape[1] != 3:
@@ -254,8 +200,10 @@ def validate_field(f: MaterialField) -> ValidationReport:
     def per_point(name, arr, bad_mask, message):
         if arr.shape != (n,):
             return
-        for idx in np.nonzero(bad_mask)[0]:
-            violations.append(Violation(name, message, index=int(idx)))
+        bad = np.flatnonzero(bad_mask)
+        if bad.size:
+            violations.append(Violation(name, message, index=int(bad[0]),
+                                        count=int(bad.size)))
 
     if f.positions.shape == (n, 3):
         per_point("positions", f.positions[:, 0],

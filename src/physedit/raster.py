@@ -74,12 +74,12 @@ class CameraSpec:
         return self
 
     @classmethod
-    def look_at(cls, eye, target, up=(0.0, 1.0, 0.0), **kwargs):
-        """Camera at ``eye`` looking toward ``target`` (+z into the scene)."""
+    def look_at(cls, eye, target, **kwargs):
+        """Camera at ``eye`` looking toward ``target``, world +y up."""
         eye = np.asarray(eye, dtype=np.float64)
         fwd = np.asarray(target, dtype=np.float64) - eye
         fwd = fwd / np.linalg.norm(fwd)
-        right = np.cross(fwd, np.asarray(up, dtype=np.float64))
+        right = np.cross(fwd, (0.0, 1.0, 0.0))
         right = right / np.linalg.norm(right)
         down = np.cross(fwd, right)
         rot = np.stack([right, down, fwd])

@@ -20,6 +20,7 @@ are instantaneous and fire once.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -52,7 +53,13 @@ DEFAULT_CLAMPS = {
 }
 DEFAULT_MAX_LOG_RATE = 2.0  # decades per second
 
-_EVENTS = ("ground_contact", "height_below", "speed_above")
+# event -> (aggregate of engine.object_events that it tests, comparison of
+# that aggregate with the threshold; None: the event takes no threshold)
+_EVENTS = {
+    "ground_contact": ("ground_contact", None),
+    "height_below": ("min_height", operator.lt),
+    "speed_above": ("max_speed", operator.gt),
+}
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ class Selector:
 class Trigger:
     kind: str  # at_time | on_ground_contact | on_height_below | on_speed_above
     value: Optional[float] = None
-    probe_object: Optional[int] = None
+    probe_object: Optional[int] = None  # set for every event trigger
 
 
 @dataclass(frozen=True)
@@ -209,10 +216,10 @@ def _parse_trigger(p: _LineParser):
     if tok == "on":
         ev, ev_col = p.next("event name")
         if ev not in _EVENTS:
-            raise ParseError(f"unknown event {ev!r}; expected one of {_EVENTS}",
-                             line=p.line_no, column=ev_col)
+            raise ParseError(f"unknown event {ev!r}; expected one of "
+                             f"{tuple(_EVENTS)}", line=p.line_no, column=ev_col)
         value = None
-        if ev in ("height_below", "speed_above"):
+        if _EVENTS[ev][1] is not None:
             value = p.expect_float(f"{ev} threshold")
         probe = None
         if p.peek() == "object":
@@ -294,11 +301,12 @@ def _parse_entry(p: _LineParser, line_no: int):
     if not scene_wide and target.object_id is None:
         raise ParseError(f"{prop} needs an object target",
                          line=line_no, column=prop_col)
-    if trigger.kind != "at_time" and trigger.probe_object is None \
-            and target.object_id is None:
-        raise ParseError("an event trigger on a scene target needs an "
-                         "explicit 'object N' probe after the event",
-                         line=line_no, column=target_col)
+    if trigger.kind != "at_time" and trigger.probe_object is None:
+        if target.object_id is None:
+            raise ParseError("an event trigger on a scene target needs an "
+                             "explicit 'object N' probe after the event",
+                             line=line_no, column=target_col)
+        trigger = replace(trigger, probe_object=target.object_id)
     p.done()
     return Intervention(target=target, property=prop, value=value,
                         trigger=trigger, ramp_duration=ramp,
@@ -307,8 +315,6 @@ def _parse_entry(p: _LineParser, line_no: int):
 
 def _scene_parts(scene):
     """Normalize the scene argument to {object_id: set(part_labels)}."""
-    if scene is None:
-        return None
     if isinstance(scene, dict):
         return {int(k): set(int(p) for p in v) for k, v in scene.items()}
     parts = {}
@@ -318,11 +324,11 @@ def _scene_parts(scene):
     return parts
 
 
-def compile_schedule(raw: str, scene=None) -> InstructionSchedule:
+def compile_schedule(raw: str, scene) -> InstructionSchedule:
     """Parse and validate a schedule; see the module docstring for the grammar.
 
-    ``scene`` may be a SimulationState, a {object_id: {part labels}} dict,
-    or None to skip target validation.
+    ``scene`` is a SimulationState or a {object_id: {part labels}} dict;
+    every object and part the schedule names must be in it.
     """
     clamps = dict(DEFAULT_CLAMPS)
     max_log_rate = DEFAULT_MAX_LOG_RATE
@@ -363,18 +369,16 @@ def compile_schedule(raw: str, scene=None) -> InstructionSchedule:
 
     scene_parts = _scene_parts(scene)
     for pos, iv in enumerate(entries):
-        if scene_parts is not None:
-            for oid in filter(lambda o: o is not None,
-                              (iv.target.object_id, iv.trigger.probe_object)):
-                if oid not in scene_parts:
-                    raise UnknownTarget(
-                        f"line {iv.source_line}: object {oid} not in scene "
-                        f"(have {sorted(scene_parts)})")
-            if iv.target.part is not None and \
-                    iv.target.part not in scene_parts[iv.target.object_id]:
+        for oid in (iv.target.object_id, iv.trigger.probe_object):
+            if oid is not None and oid not in scene_parts:
                 raise UnknownTarget(
-                    f"line {iv.source_line}: object {iv.target.object_id} has "
-                    f"no part {iv.target.part}")
+                    f"line {iv.source_line}: object {oid} not in scene "
+                    f"(have {sorted(scene_parts)})")
+        if iv.target.part is not None and \
+                iv.target.part not in scene_parts[iv.target.object_id]:
+            raise UnknownTarget(
+                f"line {iv.source_line}: object {iv.target.object_id} has "
+                f"no part {iv.target.part}")
         if iv.property in clamps:
             lo, hi = clamps[iv.property]
             if iv.property == "density" and iv.target.interior_only \
@@ -435,20 +439,9 @@ class ScheduleRuntime:
                 self.fired[i] = True
                 self.fire_time[i] = trig.value
         else:
-            # compile_schedule gives every scene-target trigger a probe
-            probe = trig.probe_object
-            if probe is None:
-                probe = iv.target.object_id
-            ev = events.get(int(probe))
-            if ev is None:
-                return False
-            hit = False
-            if trig.kind == "on_ground_contact":
-                hit = ev["ground_contact"]
-            elif trig.kind == "on_height_below":
-                hit = ev["min_height"] < trig.value
-            elif trig.kind == "on_speed_above":
-                hit = ev["max_speed"] > trig.value
+            key, compare = _EVENTS[trig.kind.removeprefix("on_")]
+            value = events[trig.probe_object][key]
+            hit = value if compare is None else compare(value, trig.value)
             if hit:
                 self.fired[i] = True
                 self.fire_time[i] = t

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from physedit import constitutive
 from physedit.constitutive import batch_constitutive, lame_parameters, svd3
 from physedit.errors import NumericalError
-from physedit.materials import MaterialClass, MaterialModel
+from physedit.materials import MaterialClass
 
 
-def constitutive_stress(f, model, e, nu, table=MaterialModel()):
+def constitutive_stress(f, model, e, nu):
     """One particle through batch_constitutive: (piola 3x3, f_new 3x3)."""
     p, f_new = batch_constitutive(np.asarray(f, dtype=np.float64)[None],
                                   np.array([int(model)]), np.array([float(e)]),
-                                  np.array([float(nu)]), table)
+                                  np.array([float(nu)]))
     return p[0], f_new[0]
 
 
@@ -82,20 +83,18 @@ class TestLiquid:
 
 
 class TestPlasticine:
-    def test_below_yield_untouched(self):
-        table = MaterialModel(yield_stress=1e9)
+    def test_below_yield_untouched(self, monkeypatch):
+        monkeypatch.setattr(constitutive, "YIELD_STRESS", 1e9)
         f = np.diag([1.02, 1.0, 0.99])
-        _, f_new = constitutive_stress(f, MaterialClass.PLASTICINE,
-                                       1e5, 0.3, table)
+        _, f_new = constitutive_stress(f, MaterialClass.PLASTICINE, 1e5, 0.3)
         assert np.allclose(f_new, f, atol=1e-12)
 
-    def test_beyond_yield_projects_to_cylinder(self):
-        table = MaterialModel(yield_stress=1e3)
+    def test_beyond_yield_projects_to_cylinder(self, monkeypatch):
+        monkeypatch.setattr(constitutive, "YIELD_STRESS", 1e3)
         e, nu = 1e6, 0.3
         mu, _ = lame_parameters(e, nu)
         f = np.diag([1.3, 1.0, 0.8])
-        _, f_new = constitutive_stress(f, MaterialClass.PLASTICINE,
-                                       e, nu, table)
+        _, f_new = constitutive_stress(f, MaterialClass.PLASTICINE, e, nu)
         eps = np.log(np.linalg.svd(f_new, compute_uv=False))
         dev = eps - eps.mean()
         assert 2 * mu * np.linalg.norm(dev) == pytest.approx(1e3, rel=1e-6)
@@ -114,12 +113,10 @@ class TestSand:
         assert np.allclose(f_new, f, atol=1e-12)
 
     def test_shear_under_compression_stays_in_cone(self):
-        table = MaterialModel(friction_angle_deg=30.0)
         e, nu = 1e6, 0.3
         mu, lam = lame_parameters(e, nu)
         f = np.diag([1.08, 0.85, 0.95])
-        _, f_new = constitutive_stress(f, MaterialClass.SAND,
-                                       e, nu, table)
+        _, f_new = constitutive_stress(f, MaterialClass.SAND, e, nu)
         eps = np.log(np.linalg.svd(f_new, compute_uv=False))
         sin_phi = np.sin(np.deg2rad(30.0))
         alpha = np.sqrt(2 / 3) * 2 * sin_phi / (3 - sin_phi)
@@ -131,10 +128,8 @@ class TestSand:
 
 class TestSnow:
     def test_singular_values_clamped(self):
-        table = MaterialModel(snow_theta_c=2.5e-2, snow_theta_s=7.5e-3)
         f = np.diag([1.2, 0.8, 1.0])
-        _, f_new = constitutive_stress(f, MaterialClass.SNOW,
-                                       1e5, 0.2, table)
+        _, f_new = constitutive_stress(f, MaterialClass.SNOW, 1e5, 0.2)
         sig = np.sort(np.linalg.svd(f_new, compute_uv=False))
         assert sig[0] == pytest.approx(1 - 2.5e-2, rel=1e-12)
         assert sig[-1] == pytest.approx(1 + 7.5e-3, rel=1e-12)

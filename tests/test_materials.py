@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from physedit.errors import DomainError
+from physedit.errors import DomainError, ShapeError
 from physedit.materials import (MATERIAL_CLASS_COUNT, MaterialClass,
-                                MaterialField, MaterialModel, derive_moduli,
+                                MaterialField, ParamNormalization,
                                 validate_field, wave_speeds)
 
 
@@ -12,46 +12,6 @@ def lame_oracle(e, nu):
     mu = e / (2 * (1 + nu))
     lam = e * nu / ((1 + nu) * (1 - 2 * nu))
     return mu, lam
-
-
-class TestDeriveModuli:
-    def test_nu_zero_collapse(self):
-        d = derive_moduli(1.0, 0.0)
-        assert d.mu == 0.5
-        assert d.kappa == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert d.lame_lambda == 0.0
-
-    def test_steel_values(self):
-        d = derive_moduli(2.1e11, 0.3)
-        # direct evaluation of the two closed forms
-        assert d.mu == pytest.approx(2.1e11 / 2.6, rel=1e-12)
-        assert d.kappa == pytest.approx(2.1e11 / (3 * 0.4), rel=1e-12)
-
-    def test_incompressible_singularity(self):
-        with pytest.raises(DomainError):
-            derive_moduli(1.0, 0.5)
-        with pytest.raises(DomainError):
-            derive_moduli(-1.0, 0.2)
-        with pytest.raises(DomainError):
-            derive_moduli(1.0, -1.0)
-
-    def test_bulk_identity(self):
-        rng = np.random.default_rng(3)
-        e = 10 ** rng.uniform(2, 11, 200)
-        nu = rng.uniform(-0.9, 0.49, 200)
-        d = derive_moduli(e, nu)
-        # K = lambda + 2 mu / 3
-        assert np.allclose(d.kappa, d.lame_lambda + 2 * d.mu / 3, rtol=1e-12)
-
-    def test_roundtrip_recovers_inputs(self):
-        rng = np.random.default_rng(11)
-        e = 10 ** rng.uniform(2, 11, 500)
-        nu = rng.uniform(-0.9, 0.49, 500)
-        d = derive_moduli(e, nu)
-        e_back = 9 * d.kappa * d.mu / (3 * d.kappa + d.mu)
-        nu_back = (3 * d.kappa - 2 * d.mu) / (2 * (3 * d.kappa + d.mu))
-        assert np.allclose(e_back, e, rtol=1e-10)
-        assert np.allclose(nu_back, nu, rtol=1e-10, atol=1e-12)
 
 
 class TestWaveSpeeds:
@@ -118,11 +78,51 @@ class TestValidateField:
         assert any(v.field_name == "young_modulus" and "length" in v.message
                    for v in report.violations)
 
-    def test_material_model_positivity(self):
-        MaterialModel().validate()
-        with pytest.raises(DomainError):
-            MaterialModel(yield_stress=0.0).validate()
+    def test_report_bounded_by_rules_not_points(self):
+        # every point breaks every per-point rule; the report still names
+        # each rule once, with the count and the first bad index
+        n = 10 ** 5
+        f = MaterialField(positions=np.full((n, 3), np.nan),
+                          class_id=np.full(n, 9), young_modulus=np.zeros(n),
+                          poisson_ratio=np.full(n, 0.6),
+                          density=np.full(n, -1.0))
+        report = validate_field(f)
+        names = [v.field_name for v in report.violations]
+        assert sorted(names) == sorted(set(names)) == [
+            "class_id", "density", "poisson_ratio", "positions",
+            "young_modulus"]
+        assert all((v.index, v.count) == (0, n) for v in report.violations)
+        assert len(str(report).encode()) < 2048
+
+    @pytest.mark.parametrize("positions, text", [
+        (np.zeros((4, 2)), "positions: expected (N, 3), got (4, 2)"),
+        (np.zeros((0, 3)), "positions: field must contain at least one point"),
+        (np.zeros((4, 3)), "field valid"),
+    ], ids=["not_n_by_3", "empty", "valid"])
+    def test_report_text(self, positions, text):
+        n = positions.shape[0]
+        f = MaterialField(positions=positions, class_id=np.zeros(n),
+                          young_modulus=np.full(n, 1e5),
+                          poisson_ratio=np.full(n, 0.3),
+                          density=np.full(n, 1000.0))
+        assert str(validate_field(f)) == text
 
     def test_class_enum_count(self):
         assert MATERIAL_CLASS_COUNT == 6
         assert [m.value for m in MaterialClass] == list(range(6))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ParamNormalization(mean=(6.0, 0.25)).as_arrays(), ShapeError,
+     "3 channels"),
+    (lambda: ParamNormalization(std=(2.0, 0.0, 0.5)).as_arrays(), DomainError,
+     "std must be positive"),
+    (lambda: wave_speeds(-1.0, 0.3, 1e3), DomainError, "Young's modulus"),
+    (lambda: wave_speeds(1e5, 0.3, 0.0), DomainError, "density"),
+    (lambda: wave_speeds(1e5, 0.3, np.array([1e3, -1.0])), DomainError,
+     "density"),
+], ids=["channels", "std", "negative_modulus", "zero_density",
+        "negative_density"])
+def test_validators_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from scipy.spatial.distance import pdist
 
-from physedit.engine import ObjectInit, SimConfig, build_state, stable_dt, step
+from physedit import engine
+from physedit.engine import (ObjectInit, SimConfig, build_state, simulate,
+                             stable_dt, step)
 from physedit.errors import (ClampViolation, DomainError, ParseError,
                              UnknownTarget)
 from physedit.materials import MaterialClass
@@ -191,6 +193,34 @@ class TestCompile:
             compile_schedule(f"at t=0 set object 0 material_model {word}",
                              scene_map())
         assert err.value.column == 36
+
+    def test_event_probe_defaults_to_target_object(self):
+        text = "on ground_contact set object 1 density 500"
+        (iv,) = compile_schedule(text, scene_map()).interventions
+        assert iv.trigger.probe_object == 1
+        assert compile_schedule(text, scene_map()) == compile_schedule(
+            text.replace(" set", " object 1 set"), scene_map())
+
+    @pytest.mark.parametrize("line, bad, match", [
+        ("at t=0 set object 0 young_modulus soft", "soft", "a number"),
+        ("at t=0 set object 0.5 density 500", "0.5", "an integer"),
+        ("at t=0 set scene gravity 0,0,-9.8", "0,0,-9.8", r"as \(x,y,z\)"),
+        ("at t=0 set world gravity (0,0,0)", "world", "'scene' or 'object'"),
+        ("at t=0 push object 0 (0,1,0)", "push", "'set' or 'impulse'"),
+    ], ids=["number", "object_id", "vector", "target", "verb"])
+    def test_malformed_word_located(self, line, bad, match):
+        with pytest.raises(ParseError, match=match) as err:
+            compile_schedule("# first line\n" + line, scene_map())
+        assert (err.value.line, err.value.column) == (2, line.index(bad) + 1)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(ramp_duration=-1.0), "ramp_duration must be >= 0"),
+    (dict(ramp_duration=1.0, scale="cubic"), "unknown ramp scale"),
+], ids=["negative_duration", "unknown_scale"])
+def test_ramp_value_rejects(kwargs, match):
+    with pytest.raises(DomainError, match=match):
+        ramp_value(1.0, 2.0, 0.5, **kwargs)
 
 
 # words of the schedule grammar, valid and not, for the parser property test
@@ -466,3 +496,47 @@ def test_rigid_switch_mid_run():
     assert np.array_equal(state.f, eye)
     assert np.abs(pdist(state.x) - switched).max() < 1e-12
     assert state.x[:, 1].min() > 0.0
+
+
+def _drop_and_edit(schedule_text, monkeypatch):
+    """A 0.12 m elastic cube dropped from 7.5 cm onto sticky ground under
+    one schedule line: (frame positions, edit log, the line's firing time)."""
+    runtimes = []
+
+    class Recording(engine.ScheduleRuntime):
+        def __init__(self, schedule):
+            super().__init__(schedule)
+            runtimes.append(self)
+
+    monkeypatch.setattr(engine, "ScheduleRuntime", Recording)
+    surface = uniform_field(cube_shell_positions(0.12, 5), MaterialClass.ELASTIC,
+                            2e4, 0.3, 400.0)
+    cube = fill_field(surface, FillConfig(particle_spacing=0.03))
+    cfg = SimConfig(h_grid=0.03, frames=4, fps=24.0,
+                    domain_lo=(-0.4, -0.09, -0.4), domain_hi=(0.5, 0.8, 0.5),
+                    ground_height=0.0)
+    state = build_state([ObjectInit(field=cube, h_fill=0.03,
+                                    translate=(0.0, 0.075, 0.0))], cfg)
+    traj = simulate(state, compile_schedule(schedule_text, state), cfg)
+    (fire_time,) = runtimes[0].fire_time
+    return traj.positions, traj.edit_log, fire_time
+
+
+@pytest.mark.parametrize("event, action", [
+    ("ground_contact", "set object 0 young_modulus 2e5 ramp 0.05"),
+    ("height_below 0.06", "set object 0 poisson_ratio 0.4 ramp 0.05"),
+    ("speed_above 0.3 object 0", "set scene gravity (0,2,0) ramp 0.05"),
+    ("speed_above 0.5", "impulse object 0 (0.5,1,0)"),
+    ("ground_contact", "set object 0 material_model liquid"),
+], ids=["log_ramp", "linear_ramp", "scene_vector", "impulse", "material_model"])
+def test_event_replays_as_timed_trigger(event, action, monkeypatch):
+    """An event trigger replayed as 'at t=<its firing time>' reruns the
+    simulation bit for bit."""
+    positions, edits, fire_time = _drop_and_edit(f"on {event} {action}",
+                                                 monkeypatch)
+    assert fire_time is not None and edits
+    replayed, replay_edits, replay_time = _drop_and_edit(
+        f"at t={fire_time!r} {action}", monkeypatch)
+    assert replay_time == fire_time
+    assert np.array_equal(replayed, positions)
+    assert replay_edits == edits
