@@ -1,30 +1,34 @@
 """Stress laws and plastic return mappings for the six material classes.
 
-Every evaluation decomposes each particle's deformation gradient once,
-F = U diag(sigma) V^T with proper rotations U, V (``svd3``), and derives
+The solver needs only the Kirchhoff stress tau = P F^T (MLS-MPM, Hu et
+al. 2018), so that is what ``batch_constitutive`` returns, together with
+the updated F.  Each class does only its own work, on its own index list.
+The ELASTIC, PLASTICINE, SAND and SNOW particles decompose F once,
+F = U diag(sigma) V^T with proper rotations U, V (``svd3``), and derive
 everything else from that single decomposition: J = sigma_1 sigma_2
-sigma_3, R = U V^T, J F^-T = U diag(J / sigma) V^T, and the projected
-gradient U diag(sigma') V^T of the return mappings.  Each law is then
-P = U diag(p) V^T for a vector p of principal stresses:
+sigma_3, the projected gradient U diag(sigma') V^T of the return
+mappings, and tau = U diag(d) U^T for a vector d = p sigma of principal
+Kirchhoff stresses, where P = U diag(p) V^T.  tau is formed exactly
+symmetric, which keeps angular momentum (Jiang et al. 2015).
 
   Elastic     fixed corotated  P = 2 mu (F - R) + lambda (J - 1) J F^-T,
-              p = 2 mu (sigma - 1) + lambda (J - 1) J / sigma
-  Rigid       fixed corotated with the particle's own E; the solver
-              keeps a rigid particle's F = I (each rigid group moves as
-              one rigid body), where the stress is exactly 0
-  Liquid      mu = 0; F reset to the isotropic J^(1/3) I so only volume
-              change carries stress, P = lambda (J - 1) J^(2/3) I
+              d = 2 mu (sigma - 1) sigma + lambda (J - 1) J
+  Rigid       skipped: tau = 0 and F unchanged.  The solver keeps a
+              rigid particle's F = I (each rigid group moves as one
+              rigid body), where the fixed-corotated stress is exactly 0
+  Liquid      mu = 0, and only J, from the cofactor determinant of F; F
+              is reset to the isotropic J^(1/3) I so only volume change
+              carries stress, tau = lambda (J - 1) J I
   Plasticine  corotated elasticity, von Mises return mapping on the
               principal log strains, yield stress YIELD_STRESS = 1e4 Pa
   Sand        Hencky elasticity with Drucker-Prager projection of the
               log strains (non-associative, cohesionless, friction angle
-              FRICTION_ANGLE_DEG = 30 deg),
-              p = (2 mu eps + lambda tr eps) / sigma
+              FRICTION_ANGLE_DEG = 30 deg), d = 2 mu eps + lambda tr eps
   Snow        corotated with singular values clamped to [1 - SNOW_THETA_C,
               1 + SNOW_THETA_S], SNOW_THETA_C = 2.5e-2, SNOW_THETA_S = 7.5e-3
 
 These four plasticity constants are module constants, the same for every
-particle of a class.  The solver forms the Kirchhoff product P F^T itself.
+particle of a class.
 
 ``svd3`` runs its Jacobi sweeps on F^T F / tr(F^T F), whose entries lie
 in [-1, 1] at any scale of F, so each rotation is a plain sqrt of squares
@@ -45,6 +49,7 @@ SNOW_THETA_S = 7.5e-3
 
 _SIGMA_FLOOR = 1e-6  # keeps log strains finite under extreme compression
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+_UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # Cyclic Jacobi on a 3x3 symmetric matrix converges quadratically; four
 # sweeps reach working precision (TestSvd3 checks reconstruction to 1e-13).
 _JACOBI_SWEEPS = 4
@@ -63,8 +68,8 @@ def svd3(f):
     and its last entry carries the sign of det F.  V comes from cyclic
     Jacobi rotations on F^T F (McAdams et al. 2011), U and sigma from a
     Gram-Schmidt QR of F V, which keeps every sigma accurate relative to
-    itself even when F is badly conditioned.  Returns (u, sigma, vt) in
-    the layout of np.linalg.svd, all C-contiguous.
+    itself even when F is badly conditioned.  Returns (u, sigma, v): u[k]
+    and v[k] are the (3, N) columns k of every U and V, sigma is (N, 3).
 
     The sweeps run on F^T F / tr(F^T F): V and the order of the
     eigenvalues do not depend on that scale, and sigma comes from F
@@ -139,12 +144,7 @@ def svd3(f):
                    u1[0] * u2[1] - u1[1] * u2[0]])
     s3 = (u3 * b[2]).sum(axis=0)
 
-    u = np.empty((n, 3, 3))
-    vt = np.empty((n, 3, 3))
-    np.stack([u1, u2, u3], out=u.transpose(2, 1, 0))
-    np.stack(v, out=vt.transpose(1, 2, 0))
-    sig = np.stack([n1, n2, s3], axis=1)
-    return u, sig, vt
+    return [u1, u2, u3], np.stack([n1, n2, s3], axis=1), v
 
 
 def _von_mises_project(eps, mu, yield_stress):
@@ -182,78 +182,122 @@ def _drucker_prager_project(eps, mu, lam, friction_angle_deg):
     return out
 
 
-def _recompose(u, diag, vt):
-    return (u * diag[:, None, :]) @ vt
+def _recompose(u, d, v):
+    """U diag(d) V^T, (N,3,3), from the (3, N) columns u[k], v[k] and d (N,3)."""
+    ud = [u[k] * d[:, k] for k in range(3)]
+    out = np.empty((d.shape[0], 3, 3))
+    entries = out.transpose(1, 2, 0)  # entry (a, b) of every matrix
+    for a in range(3):
+        for b in range(3):
+            entries[a, b] = (ud[0][a] * v[0][b] + ud[1][a] * v[1][b]
+                             + ud[2][a] * v[2][b])
+    return out
+
+
+def _symmetric_recompose(u, d):
+    """U diag(d) U^T, (N,3,3), exactly symmetric.
+
+    Entry (a, b) sums (d u_a) u_b over the columns, which in floating point
+    differs from the sum of (d u_b) u_a, so each of the six unique entries
+    is formed once and mirrored.
+    """
+    ud = [u[k] * d[:, k] for k in range(3)]
+    out = np.empty((d.shape[0], 3, 3))
+    entries = out.transpose(1, 2, 0)
+    for a, b in _UPPER:
+        entries[a, b] = entries[b, a] = (ud[0][a] * u[0][b] + ud[1][a] * u[1][b]
+                                         + ud[2][a] * u[2][b])
+    return out
+
+
+def _det3(f):
+    """Cofactor determinant of (N,3,3) matrices."""
+    return (f[:, 0, 0] * (f[:, 1, 1] * f[:, 2, 2] - f[:, 1, 2] * f[:, 2, 1])
+            - f[:, 0, 1] * (f[:, 1, 0] * f[:, 2, 2] - f[:, 1, 2] * f[:, 2, 0])
+            + f[:, 0, 2] * (f[:, 1, 0] * f[:, 2, 1] - f[:, 1, 1] * f[:, 2, 0]))
+
+
+def _class_rows(class_id):
+    """Particle indices grouped by class, and where each class begins.
+
+    Class c's particles are order[start[c]:start[c + 1]], in index order.
+    The stable sort runs on int8 keys, for which numpy uses a radix sort.
+    """
+    order = np.argsort(class_id.astype(np.int8), kind="stable")
+    start = np.zeros(len(MaterialClass) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(class_id, minlength=len(MaterialClass)),
+              out=start[1:])
+    return order, start
 
 
 def batch_constitutive(f, class_id, e, nu):
     """Vectorized stress evaluation over a particle batch.
 
-    f (N,3,3), class_id (N,), e (N,), nu (N,).
-    Returns (piola (N,3,3), f_new (N,3,3)).
+    f (N,3,3), class_id (N,), e (N,), nu (N,).  Returns (kirchhoff (N,3,3),
+    f_new (N,3,3)); the Kirchhoff stress is exactly symmetric.  Each class
+    does only its own work: ``svd3`` runs on the ELASTIC, PLASTICINE, SAND
+    and SNOW particles, LIQUID needs only det F, and RIGID is skipped.
     """
     f = np.asarray(f, dtype=np.float64)
     if not np.isfinite(f).all():
         i = int(np.flatnonzero(~np.isfinite(f).all(axis=(1, 2)))[0])
         raise NumericalError(f"particle {i}: non-finite deformation gradient",
                              particle=i)
-    class_id = np.asarray(class_id)
-    mu, lam = lame_parameters(e, nu)
-    mu = np.where(class_id == MaterialClass.LIQUID, 0.0, mu)
+    n = f.shape[0]
+    order, start = _class_rows(np.asarray(class_id))
+    # solid holds the ELASTIC, PLASTICINE, SAND and SNOW rows in that order,
+    # so each return map below runs on one contiguous slice of them
+    solid = order[:start[MaterialClass.LIQUID]]
+    liquid = order[start[MaterialClass.LIQUID]:start[MaterialClass.RIGID]]
 
-    u, sig, vt = svd3(f)
+    u, sig, v = svd3(f[solid])
     j = sig.prod(axis=1)
-    if not np.all(j > 0):  # also catches NaN
-        i = int(np.flatnonzero(~(j > 0))[0])
+    j_liquid = _det3(f[liquid])
+    if not (np.all(j > 0) and np.all(j_liquid > 0)):  # also catches NaN
+        i = int(min(solid[~(j > 0)].min(initial=n),
+                    liquid[~(j_liquid > 0)].min(initial=n)))
         raise NumericalError(
             f"particle {i}: deformation gradient lost positive determinant",
             particle=i)
 
-    return_mapped = np.isin(class_id, (MaterialClass.PLASTICINE,
-                                       MaterialClass.SAND,
-                                       MaterialClass.SNOW))
-    hencky = class_id == MaterialClass.SAND
-    f_new = f.copy()
+    kirchhoff = np.zeros((n, 3, 3))
+    f_new = f.copy()  # ELASTIC and RIGID keep their F
+    mu, lam = lame_parameters(e[solid], nu[solid])
+    plasticine = slice(start[MaterialClass.PLASTICINE], start[MaterialClass.SAND])
+    sand = slice(start[MaterialClass.SAND], start[MaterialClass.SNOW])
+    snow = slice(start[MaterialClass.SNOW], start[MaterialClass.LIQUID])
+    mapped = slice(plasticine.start, snow.stop)
 
-    if np.any(return_mapped):
-        sig_proj = np.maximum(sig, _SIGMA_FLOOR)
+    if plasticine.stop > plasticine.start:
+        eps = np.log(np.maximum(sig[plasticine], _SIGMA_FLOOR))
+        sig[plasticine] = np.exp(
+            _von_mises_project(eps, mu[plasticine], YIELD_STRESS))
+    if sand.stop > sand.start:
+        eps_sand = _drucker_prager_project(
+            np.log(np.maximum(sig[sand], _SIGMA_FLOOR)), mu[sand], lam[sand],
+            FRICTION_ANGLE_DEG)
+        sig[sand] = np.exp(eps_sand)
+    if snow.stop > snow.start:
+        sig[snow] = np.clip(sig[snow], 1.0 - SNOW_THETA_C, 1.0 + SNOW_THETA_S)
+    if mapped.stop > mapped.start:
+        f_new[solid[mapped]] = _recompose([c[:, mapped] for c in u],
+                                          sig[mapped],
+                                          [c[:, mapped] for c in v])
+        j[mapped] = sig[mapped].prod(axis=1)
 
-        m = class_id == MaterialClass.PLASTICINE
-        if np.any(m):
-            eps = _von_mises_project(np.log(sig_proj[m]), mu[m], YIELD_STRESS)
-            sig_proj[m] = np.exp(eps)
-        if np.any(hencky):
-            eps = _drucker_prager_project(np.log(sig_proj[hencky]), mu[hencky],
-                                          lam[hencky], FRICTION_ANGLE_DEG)
-            sig_proj[hencky] = np.exp(eps)
-        m = class_id == MaterialClass.SNOW
-        if np.any(m):
-            sig_proj[m] = np.clip(sig_proj[m], 1.0 - SNOW_THETA_C,
-                                  1.0 + SNOW_THETA_S)
+    # principal Kirchhoff stresses; tau = U diag(d) U^T
+    d = 2.0 * mu[:, None] * (sig - 1.0) * sig + (lam * (j - 1.0) * j)[:, None]
+    if sand.stop > sand.start:
+        # Hencky-strain stress pairs with the log-strain projection
+        d[sand] = (2.0 * mu[sand, None] * eps_sand
+                   + (lam[sand] * eps_sand.sum(axis=1))[:, None])
+    kirchhoff[solid] = _symmetric_recompose(u, d)
 
-        m = return_mapped
-        f_new[m] = _recompose(u[m], sig_proj[m], vt[m])
-        sig = np.where(m[:, None], sig_proj, sig)
-        j = np.where(m, sig.prod(axis=1), j)
+    if liquid.size:
+        # fluids carry no rotation: F = J^(1/3) I, and tau = lam (J - 1) J I
+        _, lam_liquid = lame_parameters(e[liquid], nu[liquid])
+        f_new[liquid] = np.cbrt(j_liquid)[:, None, None] * np.eye(3)
+        kirchhoff[liquid] = ((lam_liquid * (j_liquid - 1.0) * j_liquid)
+                             [:, None, None] * np.eye(3))
 
-    # principal first Piola stresses; P = U diag(p) V^T
-    p = (2.0 * mu[:, None] * (sig - 1.0)
-         + (lam * (j - 1.0) * j)[:, None] / sig)
-    if np.any(hencky):
-        # Hencky-strain stress pairs with the log-strain projection:
-        # tau = 2 mu eps + lam tr(eps);  p = tau / sigma
-        eps = np.log(np.maximum(sig[hencky], _SIGMA_FLOOR))
-        tau = (2.0 * mu[hencky, None] * eps
-               + (lam[hencky] * eps.sum(axis=1))[:, None])
-        p[hencky] = tau / sig[hencky]
-    piola = _recompose(u, p, vt)
-
-    m_liquid = class_id == MaterialClass.LIQUID
-    if np.any(m_liquid):
-        # fluids carry no rotation: F = J^(1/3) I, so J F^-T = J^(2/3) I
-        cbrt_j = np.cbrt(j[m_liquid])
-        f_new[m_liquid] = cbrt_j[:, None, None] * np.eye(3)
-        piola[m_liquid] = (lam[m_liquid] * (j[m_liquid] - 1.0)
-                           * cbrt_j * cbrt_j)[:, None, None] * np.eye(3)
-
-    return piola, f_new
+    return kirchhoff, f_new

@@ -1,11 +1,13 @@
 """MLS-MPM solver over the six constitutive classes.
 
-One substep (``step``) evaluates the stress laws once per particle and
-then composes four named phases, the classic transfer with quadratic
-B-spline kernels and APIC affine velocities:
+One substep (``step``) takes each particle's Kirchhoff stress tau = P F^T
+and updated F from ``batch_constitutive``, which does only the work each
+particle's class needs, and then composes four named phases, the classic
+transfer with quadratic B-spline kernels and APIC affine velocities:
 
   _p2g          scatter mass and momentum (body forces folded in) plus the
-                fused MLS stress contribution to the background grid
+                fused MLS stress term -dt V0 (4 / h^2) tau to the
+                background grid
   _grid_update  momentum -> velocity, damping, ground and wall boundary
                 conditions on slabs of whole node layers
   _couple_rigid give the support nodes of each rigid group one rigid
@@ -393,7 +395,9 @@ def _p2g(state: SimulationState, dt: float, kirchhoff):
     grid_mass = np.zeros(n_sub)
     grid_mom = np.zeros((3, n_sub))
     for (i, j, k), idx, w in stencil.nodes():
-        q = w * (q_x[i] + q_y[j] + q_z[k])
+        if k == 0:  # nodes() runs k fastest: q_x + q_y once per (i, j)
+            q_xy = q_x[i] + q_y[j]
+        q = w * (q_xy + q_z[k])
         grid_mass += np.bincount(idx, weights=w * state.mass, minlength=n_sub)
         for axis in range(3):
             grid_mom[axis] += np.bincount(idx, weights=q[axis], minlength=n_sub)
@@ -611,10 +615,9 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
 
 def step(state: SimulationState, dt: float):
     """Advance the state by one substep of size dt (<= stable_dt)."""
-    piola, state.f = batch_constitutive(
+    # the Kirchhoff stress tau = P F^T is the stress the MLS term of _p2g takes
+    kirchhoff, state.f = batch_constitutive(
         state.f, state.class_id, state.young_modulus, state.poisson_ratio)
-    # a contiguous F^T keeps the batched product on numpy's fast path
-    kirchhoff = piola @ np.ascontiguousarray(state.f.transpose(0, 2, 1))
     stencil, grid_mass, grid_mom = _p2g(state, dt, kirchhoff)
     grid_v = _grid_update(state, dt, stencil, grid_mass, grid_mom)
     groups = _rigid_groups(state)

@@ -9,11 +9,15 @@ from physedit.materials import MaterialClass
 
 
 def constitutive_stress(f, model, e, nu):
-    """One particle through batch_constitutive: (piola 3x3, f_new 3x3)."""
-    p, f_new = batch_constitutive(np.asarray(f, dtype=np.float64)[None],
-                                  np.array([int(model)]), np.array([float(e)]),
-                                  np.array([float(nu)]))
-    return p[0], f_new[0]
+    """One particle through batch_constitutive: (piola 3x3, f_new 3x3).
+
+    batch_constitutive returns the Kirchhoff stress tau = P F_new^T; the
+    first Piola stress is recovered as P = tau F_new^-T.
+    """
+    tau, f_new = batch_constitutive(np.asarray(f, dtype=np.float64)[None],
+                                    np.array([int(model)]),
+                                    np.array([float(e)]), np.array([float(nu)]))
+    return tau[0] @ np.linalg.inv(f_new[0]).T, f_new[0]
 
 
 def corotated_oracle(f, e, nu):
@@ -160,12 +164,12 @@ def test_batch_matches_singles():
     class_id = rng.integers(0, 6, n)
     e = 10 ** rng.uniform(4, 6, n)
     nu = rng.uniform(0.0, 0.4, n)
-    p_batch, f_batch = batch_constitutive(f, class_id, e, nu)
+    tau_batch, f_batch = batch_constitutive(f, class_id, e, nu)
     for i in range(n):
-        p_i, f_i = constitutive_stress(f[i], int(class_id[i]),
-                                       e[i], nu[i])
-        assert np.allclose(p_batch[i], p_i, rtol=1e-12, atol=1e-12)
-        assert np.allclose(f_batch[i], f_i, rtol=1e-12, atol=1e-12)
+        tau_i, f_i = batch_constitutive(f[i:i + 1], class_id[i:i + 1],
+                                        e[i:i + 1], nu[i:i + 1])
+        assert np.allclose(tau_batch[i], tau_i[0], rtol=1e-12, atol=1e-12)
+        assert np.allclose(f_batch[i], f_i[0], rtol=1e-12, atol=1e-12)
 
 
 def random_rotation(rng):
@@ -203,12 +207,19 @@ def decomposition_cases():
 DECOMPOSITION_CASES = decomposition_cases()
 
 
+def svd3_packed(f):
+    """svd3's columns packed into np.linalg.svd's (u, sigma, vt) layout."""
+    u, sig, v = svd3(f)
+    return np.stack(u, axis=-1).transpose(1, 0, 2), sig, \
+        np.stack(v, axis=-1).transpose(1, 2, 0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSvd3:
     @pytest.mark.parametrize("name", sorted(DECOMPOSITION_CASES))
     def test_decomposition(self, name):
         f = DECOMPOSITION_CASES[name]
-        u, sig, vt = svd3(f)
+        u, sig, vt = svd3_packed(f)
         eye = np.eye(3)
         assert np.abs((u * sig[:, None, :]) @ vt - f).max() <= 1e-13
         assert np.abs(u.transpose(0, 2, 1) @ u - eye).max() <= 1e-13
@@ -221,7 +232,7 @@ class TestSvd3:
                                    rtol=1e-12, atol=0)
 
     def test_reflection_keeps_rotations_proper(self):
-        u, sig, vt = svd3(np.diag([-2.0, 1.0, 0.5])[None])
+        u, sig, vt = svd3_packed(np.diag([-2.0, 1.0, 0.5])[None])
         assert np.allclose(sig, [[2.0, 1.0, -0.5]], rtol=1e-15)
         assert np.linalg.det(u[0]) == pytest.approx(1.0)
         assert np.linalg.det(vt[0]) == pytest.approx(1.0)
@@ -240,13 +251,13 @@ class TestSvd3:
         rng = np.random.default_rng(11)
         f = s * np.array([random_rotation(rng) @ np.diag([3.0, 2.0, 1.0])
                           @ random_rotation(rng).T for _ in range(20)])
-        u, sig, vt = svd3(f)
+        u, sig, vt = svd3_packed(f)
         assert np.abs((u * sig[:, None, :]) @ vt - f).max() <= 1e-13 * s
         assert np.abs(sig / s - [3.0, 2.0, 1.0]).max() <= 1e-13
 
     def test_outputs_c_contiguous(self):
-        u, sig, vt = svd3(DECOMPOSITION_CASES["random"])
-        assert u.flags.c_contiguous and vt.flags.c_contiguous
+        u, sig, v = svd3(DECOMPOSITION_CASES["random"])
+        assert all(c.flags.c_contiguous for c in u + v)
 
 
 def test_errors_name_the_particle():
@@ -262,6 +273,39 @@ def test_errors_name_the_particle():
                        match="particle 4: deformation gradient lost") as info:
         batch_constitutive(f, *args)
     assert info.value.particle == 4
+
+
+@pytest.mark.parametrize("first, second", [
+    (MaterialClass.LIQUID, MaterialClass.ELASTIC),
+    (MaterialClass.ELASTIC, MaterialClass.LIQUID)],
+    ids=["liquid_first", "elastic_first"])
+def test_determinant_error_names_the_lowest_particle(first, second):
+    """Classes are evaluated in groups, but the error still names the
+    lowest bad particle, whichever group it is in."""
+    f = np.tile(np.eye(3), (4, 1, 1))
+    f[1] = f[2] = np.diag([-1.0, 1.0, 1.0])
+    class_id = np.array([MaterialClass.SAND, first, second,
+                         MaterialClass.PLASTICINE])
+    with pytest.raises(NumericalError,
+                       match="particle 1: deformation gradient lost") as info:
+        batch_constitutive(f, class_id, np.full(4, 1e5), np.full(4, 0.3))
+    assert info.value.particle == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("material", [MaterialClass.PLASTICINE,
+                                      MaterialClass.SAND, MaterialClass.SNOW])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perturbation=st.lists(st.floats(-0.3, 0.3), min_size=9, max_size=9),
+       log_e=st.floats(4.0, 7.0), nu=st.floats(0.0, 0.45))
+def test_return_map_idempotent(material, perturbation, log_e, nu):
+    """A return-mapped F is already admissible: mapping it again moves it
+    by round-off only."""
+    f = np.eye(3) + np.reshape(perturbation, (3, 3))
+    assume(np.linalg.det(f) > 0.2)
+    _, f_new = constitutive_stress(f, material, 10.0 ** log_e, nu)
+    _, f_again = constitutive_stress(f_new, material, 10.0 ** log_e, nu)
+    assert np.abs(f_again - f_new).max() <= 1e-12
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
