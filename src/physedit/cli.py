@@ -8,8 +8,8 @@ Subcommands:
   verify    trajectory dir -> integrity report
   compare   two trajectory dirs -> largest centroid and AABB deviation
 
-Configuration layering is file < environment < flags; recognized
-environment variables are PHYSEDIT_SEED and PHYSEDIT_THREADS.  Every
+Configuration layering is file < environment < flags; the one recognized
+environment variable is PHYSEDIT_SEED.  Every
 failure prints one machine-readable JSON error record on stderr and
 exits with the error's stable code.
 """
@@ -51,29 +51,16 @@ REPORTED_WEIGHTS = ("lambda_reg", "lambda_cls", "lambda_smooth", "lambda_con",
                     "lambda_assign", "margin", "huber_delta", "smooth_k")
 
 
-def _env_int(name):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"environment variable {name} must be an integer, "
-                          f"got {raw!r}") from None
-
-
 def _resolve_seed(file_seed, flag_seed):
     """The flag, else PHYSEDIT_SEED, else the scene file's seed."""
-    env_seed = _env_int("PHYSEDIT_SEED")
+    raw = os.environ.get("PHYSEDIT_SEED")
+    try:
+        env_seed = None if raw is None else int(raw)
+    except ValueError:
+        raise DomainError("environment variable PHYSEDIT_SEED must be an "
+                          f"integer, got {raw!r}") from None
     return next(value for value in (flag_seed, env_seed, file_seed)
                 if value is not None)
-
-
-def _resolve_threads(flag_threads):
-    """DomainError if --threads, else PHYSEDIT_THREADS, is set below 1."""
-    value = flag_threads if flag_threads is not None else _env_int("PHYSEDIT_THREADS")
-    if value is not None and value < 1:
-        raise DomainError("--threads must be >= 1")
 
 
 def cmd_fill(args) -> int:
@@ -106,7 +93,8 @@ def _scene_hashes(scene_json_path, extras, cfg, seed):
 
 
 def cmd_simulate(args) -> int:
-    _resolve_threads(args.threads)  # validated only; kernels are single-threaded
+    if args.threads is not None and args.threads < 1:
+        raise DomainError("--threads must be >= 1")
     out_dir = Path(args.out)
     if args.bundled:
         scene_path = build_scene(args.bundled, out_dir / "scene_src")
@@ -146,6 +134,14 @@ def _prompt_map(value):
     return {int(k): whole(v) for k, v in instance_of(dict)(value).items()}
 
 
+def _natural(value) -> int:
+    """A whole number >= 0."""
+    number = whole(value)
+    if number < 0:
+        raise ValueError(f"expected a whole number >= 0, got {number}")
+    return number
+
+
 # optional targets keys -> value when absent or null
 _TARGET_DEFAULTS = {"tau": DEFAULT_TAU, "n_triplets": 64, "triplet_seed": 0}
 _TARGET_OPTIONAL = ("tau", "pred_probs", "logits", "triplets", "n_triplets",
@@ -156,7 +152,7 @@ _TARGET_VALUES = {
     "part_labels": array_of(np.int64), "prompt_of_part": _prompt_map,
     "tau": float, "pred_probs": array_of(np.float64),
     "logits": array_of(np.float64), "triplets": array_of(np.int64),
-    "n_triplets": whole, "triplet_seed": whole,
+    "n_triplets": _natural, "triplet_seed": _natural,
     "bundle": instance_of(str, dict),
 }
 
@@ -305,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="overrides scene seed (env: PHYSEDIT_SEED)")
     p.add_argument("--threads", type=int, default=None,
                    help="validated (must be >= 1) but has no effect: the "
-                        "kernels are single-threaded (env: PHYSEDIT_THREADS)")
+                        "kernels are single-threaded")
     p.add_argument("--no-images", action="store_true",
                    help="skip conditioning-frame rasterization")
     p.add_argument("--frames", type=int, default=None,

@@ -5,18 +5,20 @@ Four scalar terms and their weighted total:
 * task        -- Huber regression on normalized parameters plus class
                  cross-entropy, averaged over points
 * smoothness  -- discrete Dirichlet energy of the wave-speed fields
-                 (c_p, c_s) on a kNN graph, neighbors restricted to the
-                 same semantic part by default; neighbors rank by
+                 (c_p, c_s) on a kNN graph; a field with part labels
+                 draws each point's neighbors from its own semantic part
+                 (a field without them is one part); neighbors rank by
                  (squared distance, index), so ties go to the lower index
 * contrastive -- triplet hinge on L2-normalized log-(mu, K) embeddings
 * assignment  -- cross-entropy between the temperature-scaled softmax of
                  point-to-prompt logits and the prompt of each point's part
 
-Analytic gradients exist for every term solely so central finite
-differences can verify the implementations; nothing here is trained.
-The kNN graph depends only on positions and part labels, so a gradient
-check builds it once and shares it between the analytic gradient and
-every central-difference probe.
+Each gradient check has one builder per loss that validates its inputs
+once and computes the analytic gradient, which exists solely so central
+finite differences can verify the implementation; nothing here is
+trained.  The kNN graph depends only on positions and part labels, so
+the smoothness check builds it once and shares it between the analytic
+gradient and every central-difference probe.
 Cross-entropy uses the natural logarithm throughout.
 
 Each loss is the mean of a vector of terms: one per point (task,
@@ -144,10 +146,6 @@ def _huber(r, delta):
     return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
 
 
-def _huber_grad(r, delta):
-    return np.where(np.abs(r) <= delta, r, delta * np.sign(r))
-
-
 def _check_simplex(probs):
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
@@ -183,40 +181,34 @@ def task_loss(pred_probs, pred_params, targets: SupervisionTargets,
 
     The Huber term is summed over the three parameter channels per point.
     """
+    w.validate()
     params = np.asarray(pred_params, dtype=np.float64)
     ce = _task_cross_entropy(pred_probs, params, targets)
     return float(np.mean(_task_terms(params, targets.param_targets, ce, w)))
 
 
-def task_loss_grad_params(pred_params, targets: SupervisionTargets,
-                          w: LossWeights) -> np.ndarray:
-    """d task / d pred_params, (N, 3)."""
-    params = np.asarray(pred_params, dtype=np.float64)
-    n = params.shape[0]
-    return w.lambda_reg * _huber_grad(params - targets.param_targets,
-                                      w.huber_delta) / n
-
-
 # ---------------------------------------------------------------------------
 # smoothness loss
 
-def _knn_graph(f: MaterialField, k, within_part=True):
+def _knn_graph(f: MaterialField, k):
     """Directed kNN edges (src, dst), per-point neighbor counts and the
     squared edge lengths d2 = ||x_dst - x_src||^2.
 
-    Neighbors of a point come from its own part when labels are present
-    and within_part is set.  Candidates rank by (||x_j - x_i||^2, j), so
-    ties go to the lower index: the k + 1 nearest fix a radius, and every
-    point within it (plus 1e-9 relative slack) is re-ranked exactly.
-    Edges run part by part (in label order), point by point within a part,
-    and by rank within a point.  Points with no candidate neighbor get a
-    count of 0.
+    Neighbors of a point come from its own part when the field has part
+    labels.  Candidates rank by (||x_j - x_i||^2, j), so ties go to the
+    lower index: the k + 1 nearest fix a radius, and every point within it
+    (plus 1e-9 relative slack) is re-ranked exactly.  Edges run part by
+    part (in label order), point by point within a part, and by rank
+    within a point.  Points with no candidate neighbor get a count of 0.
+    ShapeError if k < 1.
     """
+    if k < 1:
+        raise ShapeError("smooth_k must be >= 1")
     pos = f.positions
     n = pos.shape[0]
     if n < 2:
         raise DegenerateInput("smoothness needs at least two points")
-    labels = (f.part_label if within_part and f.part_label is not None
+    labels = (f.part_label if f.part_label is not None
               else np.zeros(n, dtype=np.int32))
     src, dst, d2 = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for lab in np.unique(labels):
@@ -245,13 +237,6 @@ def _knn_graph(f: MaterialField, k, within_part=True):
             np.concatenate(d2))
 
 
-@dataclass(frozen=True)
-class SmoothnessBreakdown:
-    value: float
-    per_point: np.ndarray
-    isolated: np.ndarray  # points with no same-part neighbor; contribute 0
-
-
 def _edge_energy(cp_src, cp_dst, cs_src, cs_dst, d2, eps):
     """Wave-speed Dirichlet energy of each edge."""
     dp = cp_dst - cp_src
@@ -272,27 +257,18 @@ def _smoothness_terms(c_p, c_s, graph, eps):
     return per_point
 
 
-def smoothness_breakdown(f: MaterialField, w: LossWeights,
-                         within_part: bool = True) -> SmoothnessBreakdown:
-    """Per-point wave-speed Dirichlet energy on the kNN graph.
+def smoothness_loss(f: MaterialField, w: LossWeights) -> float:
+    """Mean over points of the wave-speed Dirichlet energy on the kNN graph.
 
     Per point i with neighbors N(i):
         (1/|N(i)|) sum_j [(c_p(j)-c_p(i))^2 + (c_s(j)-c_s(i))^2]
                          / (||x_j - x_i||^2 + eps)
-    The loss is the mean over all N points; isolated points contribute 0
-    and are flagged (DegenerateInput is data here, not an error).
+    A point with no neighbor contributes 0.  smooth_eps may be 0 here,
+    for the exact energy of distinct positions.
     """
-    graph = _knn_graph(f, w.smooth_k, within_part)
+    graph = _knn_graph(f, w.smooth_k)
     c_p, c_s = wave_speeds(f.young_modulus, f.poisson_ratio, f.density)
-    per_point = _smoothness_terms(c_p, c_s, graph, w.smooth_eps)
-    return SmoothnessBreakdown(value=float(np.mean(per_point)),
-                               per_point=per_point,
-                               isolated=np.nonzero(graph[2] == 0)[0])
-
-
-def smoothness_loss(f: MaterialField, w: LossWeights,
-                    within_part: bool = True) -> float:
-    return smoothness_breakdown(f, w, within_part).value
+    return float(np.mean(_smoothness_terms(c_p, c_s, graph, w.smooth_eps)))
 
 
 def _wave_speed_param_jacobians(e, nu, rho):
@@ -309,21 +285,6 @@ def _wave_speed_param_jacobians(e, nu, rho):
         -0.5 * c_s,
     ], axis=-1)
     return c_p, c_s, dcp, dcs
-
-
-def _smoothness_grad(f: MaterialField, graph, eps) -> np.ndarray:
-    """d smoothness / d (ln E, nu, ln rho) on a fixed graph, (N, 3)."""
-    n = f.n_points
-    src, dst, counts, d2 = graph
-    c_p, c_s, dcp, dcs = _wave_speed_param_jacobians(
-        f.young_modulus, f.poisson_ratio, f.density)
-    coef = 2.0 / (n * counts[src] * (d2 + eps))
-    edge = coef[:, None] * np.stack([c_p[dst] - c_p[src],
-                                     c_s[dst] - c_s[src]], axis=1)
-    g = np.zeros((n, 2))  # d smoothness / d (c_p, c_s)
-    np.add.at(g, src, -edge)
-    np.add.at(g, dst, edge)
-    return g[:, :1] * dcp + g[:, 1:] * dcs
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +341,9 @@ def contrastive_hinge_values(f: MaterialField, triplets, w: LossWeights):
 
 def contrastive_loss(f: MaterialField, triplets, w: LossWeights) -> float:
     """Mean triplet hinge over (anchor, positive, negative) index rows."""
+    w.validate()
     hinge = contrastive_hinge_values(f, triplets, w)
     return float(np.mean(np.maximum(0.0, hinge)))
-
-
-def contrastive_loss_grad(f: MaterialField, triplets, w: LossWeights) -> np.ndarray:
-    """d contrastive / d (ln E, nu, ln rho), (N, 3)."""
-    t = _check_triplets(triplets, f.n_points)
-    nu = f.poisson_ratio
-    u, r = _log_moduli(f.young_modulus, nu)
-    emb = u / r[:, None]
-
-    ta = t[_hinges(emb, t, w.margin) > 0]
-    ei, ep, en = emb[ta[:, 0]], emb[ta[:, 1]], emb[ta[:, 2]]
-    coef = 1.0 / t.shape[0]
-    g_emb = np.zeros_like(emb)
-    np.add.at(g_emb, ta[:, 0], coef * 2.0 * (en - ep))
-    np.add.at(g_emb, ta[:, 1], coef * (-2.0) * (ei - ep))
-    np.add.at(g_emb, ta[:, 2], coef * 2.0 * (ei - en))
-
-    # back through e = u / |u|:  J = (I - e e^T) / |u|
-    g_u = (g_emb - emb * np.sum(g_emb * emb, axis=-1, keepdims=True)) / r[:, None]
-    grad = np.zeros((f.n_points, 3))
-    grad[:, 0] = g_u[:, 0] + g_u[:, 1]
-    grad[:, 1] = g_u[:, 0] * (-1.0 / (1.0 + nu)) + g_u[:, 1] * (2.0 / (1.0 - 2.0 * nu))
-    return grad
 
 
 def sample_triplets(part_labels, n_triplets, seed=0):
@@ -468,30 +407,18 @@ def assignment_loss(logits, targets: SupervisionTargets,
     return float(np.mean(_assignment_terms(s, y, tau)))
 
 
-def assignment_loss_grad(logits, targets: SupervisionTargets,
-                         tau: float = DEFAULT_TAU) -> np.ndarray:
-    """d assignment / d logits, (N, K)."""
-    s = np.asarray(logits, dtype=np.float64)
-    n, k = s.shape
-    y = targets.prompt_index(k)
-    a = softmax_rows(s / tau)
-    a[np.arange(n), y] -= 1.0
-    return a / (n * tau)
-
-
 # ---------------------------------------------------------------------------
 # total
 
 def total_loss(pred_probs, pred_params, f: MaterialField, triplets, logits,
                targets: SupervisionTargets, w: LossWeights,
-               tau: float = DEFAULT_TAU, within_part: bool = True):
+               tau: float = DEFAULT_TAU):
     """Weighted sum of the four terms.
 
     Returns (total, breakdown) where breakdown holds each unweighted term.
     """
-    w.validate()
     task = task_loss(pred_probs, pred_params, targets, w)
-    smooth = smoothness_loss(f, w, within_part)
+    smooth = smoothness_loss(f, w)
     con = contrastive_loss(f, triplets, w)
     assign = assignment_loss(logits, targets, tau)
     total = (task + w.lambda_smooth * smooth + w.lambda_con * con
@@ -541,19 +468,19 @@ class _Probe:
     """One loss, ready for central differences.
 
     x         the probed input, (R, C)
-    analytic  the analytic gradient at x, (R, C)
     terms     the loss terms at x, (T,); the loss is their mean
     reach     (ptr, term) CSR: term[ptr[r]:ptr[r + 1]] are the terms a
               coordinate of row r can change
     terms_at  (values, rows, owner, term) -> entry q is term[q] of the
               loss at x with row rows[owner[q]] replaced by values[owner[q]]
+    analytic  the analytic gradient at x, (R, C)
     """
 
     x: np.ndarray
-    analytic: np.ndarray
     terms: np.ndarray
     reach: tuple
     terms_at: Callable
+    analytic: np.ndarray
 
 
 def _central_diff(probe: _Probe, epsilon):
@@ -602,18 +529,56 @@ def _own_row(n):
     return np.arange(n + 1), np.arange(n)
 
 
-def _smoothness_terms_at(c_p, c_s, graph, eps):
-    """terms_at of the smoothness probe at speeds (c_p, c_s): each reached
-    point's energy is recomputed over all of its edges, in edge order."""
+# Each builder takes (inputs, validated weights, boundary) and validates
+# the inputs no probe moves once; the range checks on perturbed values run
+# inside its terms_at, on every block.
+
+def _task_probe(inputs, w, boundary) -> _Probe:
+    targets = inputs["targets"]
+    x = np.asarray(inputs["pred_params"], dtype=np.float64)
+    ce = _task_cross_entropy(inputs["pred_probs"], x, targets)
+    want = targets.param_targets
+    resid = x - want
+    if np.any(np.abs(np.abs(resid) - w.huber_delta) < boundary):
+        raise NonSmoothPoint("residual sits on the Huber kink")
+    huber_grad = np.where(np.abs(resid) <= w.huber_delta, resid,
+                          w.huber_delta * np.sign(resid))
+    return _Probe(
+        x, _task_terms(x, want, ce, w), _own_row(x.shape[0]),
+        lambda v, rows, owner, term: _task_terms(v[owner], want[term],
+                                                 ce[term], w),
+        w.lambda_reg * huber_grad / x.shape[0])
+
+
+def _smoothness_probe(inputs, w, boundary) -> _Probe:
+    f = inputs["field"]
+    n, eps = f.n_points, w.smooth_eps
+    x = _field_params(f)
+    # no probe moves a position or a label, so one graph serves them all
+    graph = _knn_graph(f, w.smooth_k)
     src, dst, counts, d2 = graph
+
+    # the gradient goes through the speeds of the field's own E, nu and rho
+    own_p, own_s, dcp, dcs = _wave_speed_param_jacobians(
+        f.young_modulus, f.poisson_ratio, f.density)
+    coef = 2.0 / (n * counts[src] * (d2 + eps))
+    edge = coef[:, None] * np.stack([own_p[dst] - own_p[src],
+                                     own_s[dst] - own_s[src]], axis=1)
+    g = np.zeros((n, 2))  # d smoothness / d (c_p, c_s)
+    np.add.at(g, src, -edge)
+    np.add.at(g, dst, edge)
+
+    # the terms go through the speeds of x
+    c_p, c_s = wave_speeds(np.exp(x[:, 0]), x[:, 1], np.exp(x[:, 2]))
     by_src = np.argsort(src, kind="stable")  # each point's edges, in order
     ptr = np.r_[0, np.cumsum(counts)]
 
     def terms_at(values, rows, owner, term):
+        # each reached point's energy, recomputed over all of its edges
         moved_p, moved_s = wave_speeds(np.exp(values[:, 0]), values[:, 1],
                                        np.exp(values[:, 2]))
         pair, at = _segments(ptr, term)
-        edge = by_src[at]
+        edges = by_src[at]
         probe = owner[pair]
         row = rows[probe]
 
@@ -621,100 +586,99 @@ def _smoothness_terms_at(c_p, c_s, graph, eps):
             return np.where(ends == row, moved[probe], c[ends])
 
         energy = _edge_energy(
-            speed(c_p, moved_p, src[edge]), speed(c_p, moved_p, dst[edge]),
-            speed(c_s, moved_s, src[edge]), speed(c_s, moved_s, dst[edge]),
-            d2[edge], eps)
+            speed(c_p, moved_p, src[edges]), speed(c_p, moved_p, dst[edges]),
+            speed(c_s, moved_s, src[edges]), speed(c_s, moved_s, dst[edges]),
+            d2[edges], eps)
         return (np.bincount(pair, weights=energy, minlength=term.size)
                 / counts[term])
 
-    return terms_at
+    # row i reaches its own energy and that of every point it neighbors
+    own = np.flatnonzero(counts)
+    return _Probe(x, _smoothness_terms(c_p, c_s, graph, eps),
+                  _csr(np.r_[dst, own], np.r_[src, own], n), terms_at,
+                  g[:, :1] * dcp + g[:, 1:] * dcs)
 
 
-def _contrastive_terms_at(emb, t, margin):
-    """terms_at of the contrastive probe at embeddings emb: each reached
-    triplet's hinge with the moved row's embedding in its slots."""
+def _contrastive_probe(inputs, w, boundary) -> _Probe:
+    f = inputs["field"]
+    x = _field_params(f)
+    t = _check_triplets(inputs["triplets"], f.n_points)
+    nu = f.poisson_ratio
+    u, r = _log_moduli(f.young_modulus, nu)
+    own = u / r[:, None]  # the embeddings of the field's own E and nu
+    hinge = _hinges(own, t, w.margin)
+    if np.any(np.abs(hinge) < boundary):
+        raise NonSmoothPoint("a triplet sits on the hinge boundary")
+
+    ta = t[hinge > 0]
+    ei, ep, en = own[ta[:, 0]], own[ta[:, 1]], own[ta[:, 2]]
+    coef = 1.0 / t.shape[0]
+    g_emb = np.zeros_like(own)
+    np.add.at(g_emb, ta[:, 0], coef * 2.0 * (en - ep))
+    np.add.at(g_emb, ta[:, 1], coef * (-2.0) * (ei - ep))
+    np.add.at(g_emb, ta[:, 2], coef * 2.0 * (ei - en))
+    # back through e = u / |u|:  J = (I - e e^T) / |u|
+    g_u = (g_emb - own * np.sum(g_emb * own, axis=-1, keepdims=True)) / r[:, None]
+    grad = np.zeros_like(x)
+    grad[:, 0] = g_u[:, 0] + g_u[:, 1]
+    grad[:, 1] = g_u[:, 0] * (-1.0 / (1.0 + nu)) + g_u[:, 1] * (2.0 / (1.0 - 2.0 * nu))
+
+    emb = log_moduli_embeddings(np.exp(x[:, 0]), x[:, 1])
+
     def terms_at(values, rows, owner, term):
+        # each reached triplet's hinge, the moved row's embedding in its slots
         moved = log_moduli_embeddings(np.exp(values[:, 0]), values[:, 1])
         ends = t[term]
         slots = np.where((ends == rows[owner][:, None])[..., None],
                          moved[owner][:, None, :], emb[ends])
         return np.maximum(0.0, _hinge(slots[:, 0], slots[:, 1], slots[:, 2],
-                                      margin))
+                                      w.margin))
 
-    return terms_at
+    return _Probe(x, np.maximum(0.0, _hinges(emb, t, w.margin)),
+                  _csr(t.T.reshape(-1), np.tile(np.arange(t.shape[0]), 3),
+                       f.n_points),
+                  terms_at, grad)
+
+
+def _assignment_probe(inputs, w, boundary) -> _Probe:
+    targets = inputs["targets"]
+    tau = inputs.get("tau", DEFAULT_TAU)
+    x = np.asarray(inputs["logits"], dtype=np.float64)
+    y = _assignment_prompts(x, targets, tau)
+    n = x.shape[0]
+    grad = softmax_rows(x / tau)
+    grad[np.arange(n), y] -= 1.0
+    return _Probe(
+        x, _assignment_terms(x, y, tau), _own_row(n),
+        lambda v, rows, owner, term: _assignment_terms(v[owner], y[term],
+                                                       tau),
+        grad / (n * tau))
+
+
+_PROBES = {"task": _task_probe, "smoothness": _smoothness_probe,
+           "contrastive": _contrastive_probe, "assignment": _assignment_probe}
 
 
 def _gradient_probe(loss_name: str, inputs: dict, epsilon: float) -> _Probe:
-    """The _Probe of one finite_diff_check loss.
-
-    Inputs no probe moves are validated here, once; the checks on
-    perturbed values run inside terms_at, on every block.
-    """
-    w = inputs.get("weights", LossWeights())
-    boundary = 10.0 * epsilon
-
-    if loss_name == "task":
-        targets = inputs["targets"]
-        x = np.asarray(inputs["pred_params"], dtype=np.float64)
-        ce = _task_cross_entropy(inputs["pred_probs"], x, targets)
-        resid = np.abs(x - targets.param_targets)
-        if np.any(np.abs(resid - w.huber_delta) < boundary):
-            raise NonSmoothPoint("residual sits on the Huber kink")
-        want = targets.param_targets
-        return _Probe(
-            x, task_loss_grad_params(x, targets, w),
-            _task_terms(x, want, ce, w), _own_row(x.shape[0]),
-            lambda v, rows, owner, term: _task_terms(v[owner], want[term],
-                                                     ce[term], w))
-    if loss_name == "smoothness":
-        f = inputs["field"]
-        x = _field_params(f)
-        # no probe moves a position or a label, so one graph serves them all
-        graph = _knn_graph(f, w.smooth_k, inputs.get("within_part", True))
-        src, dst, counts, _ = graph
-        c_p, c_s = wave_speeds(np.exp(x[:, 0]), x[:, 1], np.exp(x[:, 2]))
-        # row i reaches its own energy and that of every point it neighbors
-        own = np.flatnonzero(counts)
-        return _Probe(
-            x, _smoothness_grad(f, graph, w.smooth_eps),
-            _smoothness_terms(c_p, c_s, graph, w.smooth_eps),
-            _csr(np.r_[dst, own], np.r_[src, own], f.n_points),
-            _smoothness_terms_at(c_p, c_s, graph, w.smooth_eps))
-    if loss_name == "contrastive":
-        f = inputs["field"]
-        x = _field_params(f)
-        t = _check_triplets(inputs["triplets"], f.n_points)
-        if np.any(np.abs(contrastive_hinge_values(f, t, w)) < boundary):
-            raise NonSmoothPoint("a triplet sits on the hinge boundary")
-        emb = log_moduli_embeddings(np.exp(x[:, 0]), x[:, 1])
-        return _Probe(
-            x, contrastive_loss_grad(f, t, w),
-            np.maximum(0.0, _hinges(emb, t, w.margin)),
-            _csr(t.T.reshape(-1), np.tile(np.arange(t.shape[0]), 3),
-                 f.n_points),
-            _contrastive_terms_at(emb, t, w.margin))
-    if loss_name == "assignment":
-        targets = inputs["targets"]
-        tau = inputs.get("tau", DEFAULT_TAU)
-        x = np.asarray(inputs["logits"], dtype=np.float64)
-        y = _assignment_prompts(x, targets, tau)
-        return _Probe(
-            x, assignment_loss_grad(x, targets, tau),
-            _assignment_terms(x, y, tau), _own_row(x.shape[0]),
-            lambda v, rows, owner, term: _assignment_terms(v[owner], y[term],
-                                                           tau))
-    raise DomainError(f"unknown loss name {loss_name!r}")
+    """The _Probe of one finite_diff_check loss, from its _PROBES builder."""
+    if loss_name not in _PROBES:
+        raise DomainError(f"unknown loss name {loss_name!r}")
+    w = inputs.get("weights", LossWeights()).validate()
+    return _PROBES[loss_name](inputs, w, 10.0 * epsilon)
 
 
 def finite_diff_check(loss_name: str, inputs: dict, epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     loss_name selects the probe:
-      "task"        inputs: pred_probs, pred_params, targets, weights
+      "task"        inputs: pred_probs, pred_params, targets[, weights]
                     (gradient w.r.t. pred_params)
-      "smoothness"  inputs: field, weights[, within_part]
-      "contrastive" inputs: field, triplets, weights
+      "smoothness"  inputs: field[, weights]; the field's part labels, if
+                    any, restrict the neighbors
+      "contrastive" inputs: field, triplets[, weights]
       "assignment"  inputs: logits, targets[, tau]
+    weights default to LossWeights(); DomainError or ShapeError if they
+    break a LossWeights.validate rule.
 
     Raises NonSmoothPoint when the probe sits on a Huber kink or an
     inactive/active hinge boundary (within 10 * epsilon).

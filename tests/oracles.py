@@ -44,10 +44,10 @@ def knn_same_part(positions, part, i, k):
     return cands[:k]
 
 
-def smoothness_oracle(field, w, within_part=True):
+def smoothness_oracle(field, w):
     n = field.n_points
     pos = field.positions
-    part = field.part_label if (within_part and field.part_label is not None) \
+    part = field.part_label if field.part_label is not None \
         else np.zeros(n, dtype=int)
     speeds = [wave_oracle(field.young_modulus[i], field.poisson_ratio[i],
                           field.density[i]) for i in range(n)]

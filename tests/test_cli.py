@@ -335,6 +335,23 @@ class TestAnalyzeCommand:
         owner_name = "feature-bundle" if owner is not doc else targets_path
         assert str(owner_name) in record["message"]
 
+    @pytest.mark.parametrize("key, value", [("n_triplets", -1),
+                                            ("triplet_seed", -3)])
+    def test_negative_triplet_setting_io_error(self, tmp_path, capsys, key,
+                                               value):
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        doc = json.loads(targets_path.read_text())
+        doc[key] = value
+        targets_path.write_text(json.dumps(doc))
+        rc = main(["analyze", str(field_path), str(targets_path),
+                   "--no-gradcheck"])
+        assert rc == 50
+        record = single_error_record(capsys)
+        assert record["error"] == "IoError"
+        assert str(targets_path) in record["message"]
+        assert f"bad value for key '{key}'" in record["message"]
+        assert f"got {value}" in record["message"]
+
     def test_null_optional_targets_take_defaults(self, tmp_path):
         field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
         doc = json.loads(targets_path.read_text())
@@ -521,6 +538,13 @@ class TestParser:
         assert rc != 0
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "DomainError"
+
+    def test_threads_environment_variable_not_read(self, tmp_path,
+                                                   monkeypatch):
+        # only --threads is validated; no environment variable stands in
+        monkeypatch.setenv("PHYSEDIT_THREADS", "0")
+        assert main(["simulate", "--bundled", "drop_cube", str(tmp_path / "x"),
+                     "--frames", "1", "--no-images"]) == 0
 
 
 @pytest.mark.parametrize("file, key, damage", [

@@ -11,7 +11,7 @@ from physedit.errors import DomainError, NonSmoothPoint
 from physedit.losses import (LossWeights, SupervisionTargets, assignment_loss,
                              contrastive_hinge_values, contrastive_loss,
                              finite_diff_check, sample_triplets,
-                             smoothness_breakdown, smoothness_loss, task_loss)
+                             smoothness_loss, task_loss)
 from physedit.materials import MaterialField
 from oracles import central_diff_oracle
 
@@ -79,8 +79,10 @@ def test_smoothness_gradient_20_points():
 def test_smoothness_gradient_without_part_restriction():
     rng = np.random.default_rng(3)
     f = random_field(rng, n=12)
-    err = finite_diff_check("smoothness", {"field": f, "weights": LossWeights(),
-                                           "within_part": False})
+    # a field without part labels is one part: neighbors cross parts
+    err = finite_diff_check("smoothness",
+                            {"field": f.with_(part_label=None),
+                             "weights": LossWeights()})
     assert err < TOL
 
 
@@ -109,7 +111,8 @@ def test_smoothness_gradient_with_isolated_point():
     part = f.part_label.copy()
     part[5] = 2  # a one-member part: point 5 has no neighbor
     f = f.with_(part_label=part)
-    assert smoothness_breakdown(f, LossWeights()).isolated.tolist() == [5]
+    counts = losses._knn_graph(f, LossWeights().smooth_k)[2]
+    assert np.flatnonzero(counts == 0).tolist() == [5]
     err = finite_diff_check("smoothness", {"field": f,
                                            "weights": LossWeights()})
     assert err < TOL
@@ -283,6 +286,19 @@ def test_perturbed_values_still_range_checked(monkeypatch, name, message,
         finite_diff_check(name, inputs, EPS)
 
 
+@pytest.mark.parametrize("name, bad, message", [
+    ("task", {"huber_delta": -1.0}, "huber_delta must be positive"),
+    ("smoothness", {"smooth_eps": -1e-3}, "smooth_eps must be positive"),
+    ("contrastive", {"margin": -5.0}, "margin must be positive"),
+], ids=["task", "smoothness", "contrastive"])
+def test_gradient_check_refuses_invalid_weights(name, bad, message):
+    inputs, _ = gradient_probe_inputs()[name]
+    assert finite_diff_check(name, inputs) < TOL
+    inputs["weights"] = dataclasses.replace(inputs["weights"], **bad)
+    with pytest.raises(DomainError, match=message):
+        finite_diff_check(name, inputs)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(5, 12),
        k=hst.integers(1, 5), within_part=hst.booleans(),
@@ -314,13 +330,14 @@ def test_sparse_probes_match_per_probe_loop(seed, n, k, within_part, isolated,
     w = LossWeights(smooth_k=k, margin=0.3)
     trips = sample_triplets(part, 6, seed=seed % 1000)
     logits = rng.normal(size=(n, 3))
+    # without part labels the smoothness neighbors cross parts
+    fs = f if within_part else f.with_(part_label=None)
     cases = {
         "task": ({"pred_probs": probs, "pred_params": params,
                   "targets": targets, "weights": w},
                  lambda p: task_loss(probs, p, targets, w)),
-        "smoothness": ({"field": f, "weights": w, "within_part": within_part},
-                       lambda p: smoothness_loss(field_with_params(f, p), w,
-                                                 within_part)),
+        "smoothness": ({"field": fs, "weights": w},
+                       lambda p: smoothness_loss(field_with_params(fs, p), w)),
         "contrastive": ({"field": f, "triplets": trips, "weights": w},
                         lambda p: contrastive_loss(field_with_params(f, p),
                                                    trips, w)),

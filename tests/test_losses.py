@@ -1,15 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from physedit import losses
-from physedit.errors import DomainError, MissingMapping, ShapeError
+from physedit.errors import (DegenerateInput, DomainError, MissingMapping,
+                             ShapeError)
 from physedit.losses import (LossWeights, SupervisionTargets, assignment_loss,
                              contrastive_loss, sample_triplets,
-                             smoothness_breakdown, smoothness_loss, task_loss,
-                             total_loss)
+                             smoothness_loss, task_loss, total_loss)
 from physedit.materials import MaterialField
 from oracles import (assignment_oracle, contrastive_oracle, huber_oracle,
                      knn_same_part, smoothness_oracle, task_oracle)
@@ -154,11 +155,14 @@ class TestSmoothness:
     def test_within_part_restriction(self):
         rng = np.random.default_rng(8)
         f = make_field(rng, n=16, parts=2)
-        within = smoothness_loss(f, PAPER_WEIGHTS, within_part=True)
-        across = smoothness_loss(f, PAPER_WEIGHTS, within_part=False)
-        assert within == pytest.approx(smoothness_oracle(f, PAPER_WEIGHTS, True),
+        # the same field without part labels is one part
+        whole = f.with_(part_label=None)
+        within = smoothness_loss(f, PAPER_WEIGHTS)
+        across = smoothness_loss(whole, PAPER_WEIGHTS)
+        assert within != across
+        assert within == pytest.approx(smoothness_oracle(f, PAPER_WEIGHTS),
                                        rel=1e-10)
-        assert across == pytest.approx(smoothness_oracle(f, PAPER_WEIGHTS, False),
+        assert across == pytest.approx(smoothness_oracle(whole, PAPER_WEIGHTS),
                                        rel=1e-10)
 
     def test_isolated_point_flagged(self):
@@ -167,16 +171,18 @@ class TestSmoothness:
         part = np.zeros(7, dtype=np.int32)
         part[3] = 5  # a one-point part has no same-part neighbor
         f = f.with_(part_label=part)
-        report = smoothness_breakdown(f, PAPER_WEIGHTS)
-        assert list(report.isolated) == [3]
-        assert report.per_point[3] == 0.0
+        counts = losses._knn_graph(f, PAPER_WEIGHTS.smooth_k)[2]
+        assert np.flatnonzero(counts == 0).tolist() == [3]
+        # the oracle skips a point with no neighbor: it contributes 0
+        assert smoothness_loss(f, PAPER_WEIGHTS) == pytest.approx(
+            smoothness_oracle(f, PAPER_WEIGHTS), rel=1e-10)
 
     def test_no_point_has_a_neighbor(self):
         # every part has one point: no edge at all, and the loss is 0
         f = make_field(np.random.default_rng(11), n=3, parts=3)
-        report = smoothness_breakdown(f, PAPER_WEIGHTS)
-        assert report.value == 0.0
-        assert report.isolated.tolist() == [0, 1, 2]
+        assert smoothness_loss(f, PAPER_WEIGHTS) == 0.0
+        assert losses._knn_graph(f, PAPER_WEIGHTS.smooth_k)[2].tolist() == \
+            [0, 0, 0]
         assert losses.finite_diff_check(
             "smoothness", {"field": f, "weights": PAPER_WEIGHTS}) == 0.0
 
@@ -199,7 +205,9 @@ class TestSmoothness:
                           young_modulus=np.full(n, 1e6),
                           poisson_ratio=np.full(n, 0.3),
                           density=np.full(n, 1e3), part_label=part)
-        src, dst, counts, d2 = losses._knn_graph(f, k, within_part)
+        # without part labels the field is one part
+        src, dst, counts, d2 = losses._knn_graph(
+            f if within_part else f.with_(part_label=None), k)
         labels = part if within_part else np.zeros(n, dtype=np.int32)
         want = [(i, j) for lab in np.unique(labels)
                 for i in np.flatnonzero(labels == lab)
@@ -439,3 +447,82 @@ class TestTotal:
         huber = sum(huber_oracle(params[i, c] - targets.param_targets[i, c], 1.0)
                     for i in range(n) for c in range(3)) / n
         assert total == pytest.approx(huber, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+def points(n=3, **changes):
+    """n points on the axes, two parts (the last point alone)."""
+    return MaterialField(
+        positions=np.eye(3)[:n], class_id=np.zeros(n, dtype=np.int32),
+        young_modulus=np.full(n, 1e6), poisson_ratio=np.full(n, 0.3),
+        density=np.full(n, 1e3),
+        part_label=np.r_[np.zeros(n - 1), 1].astype(np.int32)).with_(**changes)
+
+
+THREE = SupervisionTargets(class_labels=[0, 1, 5],
+                           param_targets=np.zeros((3, 3)),
+                           part_labels=[0, 0, 1], prompt_of_part={0: 0, 1: 1})
+
+
+@pytest.mark.parametrize("loss, weights, error, message", [
+    (lambda w: task_loss(np.full((3, 6), 1 / 6), np.zeros((3, 3)), THREE, w),
+     LossWeights(huber_delta=-1.0), DomainError, "huber_delta must be positive"),
+    (lambda w: contrastive_loss(points(), [[0, 1, 2]], w),
+     LossWeights(margin=-5.0), DomainError, "margin must be positive"),
+    (lambda w: smoothness_loss(points(), w),
+     LossWeights(smooth_k=0), ShapeError, "smooth_k must be >= 1"),
+], ids=["task-huber-delta", "contrastive-margin", "smoothness-k"])
+def test_losses_check_the_weights_they_read(loss, weights, error, message):
+    with pytest.raises(error, match=message):
+        loss(weights)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LossWeights(lambda_con=-1.0).validate(), DomainError,
+     "lambda_con must be non-negative"),
+    (lambda: LossWeights(margin=0.0).validate(), DomainError,
+     "margin must be positive"),
+    (lambda: LossWeights(huber_delta=0.0).validate(), DomainError,
+     "huber_delta must be positive"),
+    (lambda: LossWeights(smooth_k=0).validate(), ShapeError,
+     "smooth_k must be >= 1"),
+    (lambda: LossWeights(smooth_eps=0.0).validate(), DomainError,
+     "smooth_eps must be positive"),
+    (lambda: task_loss(np.full(3, 1 / 3), np.zeros((3, 3)), THREE,
+                       PAPER_WEIGHTS), ShapeError,
+     "probabilities must be 2-D, got (3,)"),
+    (lambda: task_loss(np.full((4, 6), 1 / 6), np.zeros((4, 3)), THREE,
+                       PAPER_WEIGHTS), ShapeError,
+     "targets do not match prediction shapes"),
+    (lambda: task_loss(np.full((3, 2), 0.5), np.zeros((3, 3)), THREE,
+                       PAPER_WEIGHTS), DomainError,
+     "class labels must lie in [0, 2)"),
+    (lambda: smoothness_loss(points(1), PAPER_WEIGHTS), DegenerateInput,
+     "smoothness needs at least two points"),
+    # mu = K = 1 at nu = 1/8, E = 9/4: both log-moduli are 0
+    (lambda: contrastive_loss(points(young_modulus=np.full(3, 2.25),
+                                     poisson_ratio=np.full(3, 0.125)),
+                              [[0, 1, 2]], PAPER_WEIGHTS), DomainError,
+     "zero-magnitude log-moduli embedding"),
+    (lambda: contrastive_loss(points(), [[0, 1]], PAPER_WEIGHTS), ShapeError,
+     "triplets must be a non-empty (T, 3) index array"),
+    (lambda: contrastive_loss(points(), [[0, 1, 3]], PAPER_WEIGHTS),
+     ShapeError, "triplet index out of range"),
+    (lambda: sample_triplets([0, 1, 2], 4), DegenerateInput,
+     "no part has both a positive and a negative candidate"),
+    (lambda: assignment_loss(np.zeros(3), THREE), ShapeError,
+     "logits must be (N, K), got (3,)"),
+    (lambda: assignment_loss(np.zeros((2, 2)), THREE), ShapeError,
+     "part labels do not match logits row count"),
+    (lambda: assignment_loss(np.zeros((3, 2)), THREE, tau=0.0), DomainError,
+     "tau must be positive"),
+], ids=["lambda-negative", "margin", "huber-delta", "smooth-k", "smooth-eps",
+        "probs-not-2d", "targets-shape", "class-label-range", "one-point",
+        "zero-embedding", "triplets-shape", "triplet-range", "no-anchor",
+        "logits-not-2d", "logit-rows", "tau"])
+def test_validator_raises(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
