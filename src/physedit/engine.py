@@ -98,6 +98,11 @@ class SimConfig:
     seed: int = 0
 
     def validate(self):
+        for name in ("h_grid", "fps", "ground_height", "damping",
+                     "domain_lo", "domain_hi"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise DomainError(f"{name} must be finite")
         if not (self.h_grid > 0):
             raise DomainError("h_grid must be positive")
         if not (0.0 < self.cfl_number < 1.0):
@@ -160,20 +165,11 @@ class SimulationState:
     def n_particles(self) -> int:
         return self.x.shape[0]
 
-    def object_ids(self):
-        return np.unique(self.object_id)
-
-    def object_mask(self, oid) -> np.ndarray:
-        return self.object_id == oid
-
     def total_mass(self) -> float:
         return float(self.mass.sum())
 
     def total_momentum(self) -> np.ndarray:
         return (self.mass[:, None] * self.v).sum(axis=0)
-
-    def live_wave_speeds(self):
-        return wave_speeds(self.young_modulus, self.poisson_ratio, self.density)
 
 
 def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
@@ -187,44 +183,37 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
     if not objects:
         raise EmptyScene("no objects in scene")
 
-    xs, vs, parts, interiors, classes, es, nus, rhos, vols, oids = \
-        [], [], [], [], [], [], [], [], [], []
+    columns = []  # per object, keyed by SimulationState field
     for oid, obj in enumerate(objects):
-        report = validate_field(obj.field)
+        fld = obj.field
+        report = validate_field(fld)
         if not report.ok:
             raise DomainError(f"object {oid} field invalid:\n{report}")
         if not (obj.h_fill > 0):
             raise DomainError(f"object {oid}: h_fill must be positive")
-        pos = obj.field.positions
+        pos = fld.positions
         if obj.rotate is not None:
-            rot = np.asarray(obj.rotate, dtype=np.float64)
-            pos = pos @ rot.T
-        pos = pos + np.asarray(obj.translate, dtype=np.float64)
+            pos = pos @ np.asarray(obj.rotate, dtype=np.float64).T
         n = pos.shape[0]
-        xs.append(pos)
-        vs.append(np.tile(np.asarray(obj.velocity, dtype=np.float64), (n, 1)))
-        parts.append(obj.field.part_label if obj.field.part_label is not None
-                     else np.zeros(n, dtype=np.int32))
-        interiors.append(obj.field.interior_flag)
-        classes.append(obj.field.class_id)
-        es.append(obj.field.young_modulus)
-        nus.append(obj.field.poisson_ratio)
-        rhos.append(obj.field.density)
-        vols.append(np.full(n, obj.h_fill ** 3))
-        oids.append(np.full(n, oid, dtype=np.int32))
-
-    x = np.concatenate(xs)
-    vol0 = np.concatenate(vols)
-    rho = np.concatenate(rhos)
-    n_total = x.shape[0]
-    if n_total == 0:
-        raise EmptyScene("scene has zero particles")
+        columns.append({
+            "x": pos + np.asarray(obj.translate, dtype=np.float64),
+            "v": np.tile(np.asarray(obj.velocity, dtype=np.float64), (n, 1)),
+            "vol0": np.full(n, obj.h_fill ** 3),
+            "object_id": np.full(n, oid, dtype=np.int32),
+            "part": (fld.part_label if fld.part_label is not None
+                     else np.zeros(n, dtype=np.int32)),
+            "interior": fld.interior_flag, "class_id": fld.class_id,
+            "young_modulus": fld.young_modulus,
+            "poisson_ratio": fld.poisson_ratio, "density": fld.density})
+    # fresh writable copies: schedule edits write the material columns
+    cols = {key: np.concatenate([c[key] for c in columns]) for key in columns[0]}
+    n_total = cols["x"].shape[0]
 
     h = cfg.h_grid
     margin = GRID_MARGIN * h
     if cfg.domain_lo is None or cfg.domain_hi is None:
-        lo = x.min(axis=0)
-        hi = x.max(axis=0)
+        lo = cols["x"].min(axis=0)
+        hi = cols["x"].max(axis=0)
         extent = np.maximum(hi - lo, h)
         lo = lo - 0.5 * extent - margin
         hi = hi + 0.5 * extent + margin
@@ -237,17 +226,9 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
     dims = np.ceil((hi - lo) / h).astype(np.int64) + 1
 
     state = SimulationState(
-        x=x, v=np.concatenate(vs),
-        c_apic=np.zeros((n_total, 3, 3)),
+        **cols, c_apic=np.zeros((n_total, 3, 3)),
         f=np.tile(np.eye(3), (n_total, 1, 1)),
-        mass=rho * vol0, vol0=vol0,
-        object_id=np.concatenate(oids),
-        part=np.concatenate(parts).astype(np.int32),
-        interior=np.concatenate(interiors),
-        class_id=np.concatenate(classes).astype(np.int32),
-        young_modulus=np.concatenate(es),
-        poisson_ratio=np.concatenate(nus),
-        density=rho,
+        mass=cols["density"] * cols["vol0"],
         gravity_scale=np.ones(n_total),
         wind_scale=np.ones(n_total),
         origin=lo, dims=dims, h=h,
@@ -288,7 +269,8 @@ def stable_dt(state: SimulationState, cfg: SimConfig) -> float:
     inf when neither bound applies (no deformable particle, nothing
     moving and no body force); simulate then steps to the next frame.
     """
-    c_p, _ = state.live_wave_speeds()
+    c_p, _ = wave_speeds(state.young_modulus, state.poisson_ratio,
+                         state.density)
     c_max = float(c_p[state.class_id != MaterialClass.RIGID].max(initial=0.0))
     v_max = float(np.sqrt((state.v ** 2).sum(axis=1).max(initial=0.0)))
     reach = cfg.cfl_number * state.h
@@ -371,8 +353,6 @@ def _p2g(state: SimulationState, dt: float, kirchhoff):
     h = state.h
     gx = (state.x - state.origin) / h
     base = np.floor(gx - 0.5).astype(np.int64)
-    if np.any(base < 0) or np.any(base + 2 > state.dims - 1):
-        _check_inside(state)
     fx = (gx - base).T
 
     # compact active box
@@ -642,8 +622,8 @@ def object_events(state: SimulationState):
     """
     events = {}
     contact_band = 1.5 * state.h
-    for oid in state.object_ids():
-        m = state.object_mask(oid)
+    for oid in np.unique(state.object_id):
+        m = state.object_id == oid
         y = state.x[m, 1]
         speed = np.sqrt((state.v[m] ** 2).sum(axis=1))
         events[int(oid)] = {

@@ -21,7 +21,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometry, DomainError, LeakDetected, ShapeError
-from .materials import MaterialField, validate_field
+from .materials import FIELD_COLUMNS, MaterialField, validate_field
 
 LEAK_FRACTION = 0.95
 
@@ -216,12 +216,9 @@ def inherit_properties(interior, surface: MaterialField,
     if interior.shape[0] == 0:
         raise ShapeError("interior point set must be non-empty")
     nearest = _nearest_lowest_index(surface.positions, interior)
-    names = ["class_id", "young_modulus", "poisson_ratio", "density"]
-    if surface.part_label is not None:
-        names.append("part_label")
-    columns = {name: np.concatenate([getattr(surface, name),
-                                     getattr(surface, name)[nearest]])
-               for name in names}
+    columns = {name: np.concatenate([col, col[nearest]])
+               for name in FIELD_COLUMNS.keys() - {"positions", "interior_flag"}
+               if (col := getattr(surface, name)) is not None}
     return MaterialField(
         positions=np.concatenate([surface.positions, interior]),
         interior_flag=np.concatenate([surface.interior_flag,

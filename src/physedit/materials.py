@@ -99,6 +99,13 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# MaterialField per-point column -> dtype; part_label may be None
+FIELD_COLUMNS = {"positions": np.float64, "class_id": np.int32,
+                 "young_modulus": np.float64, "poisson_ratio": np.float64,
+                 "density": np.float64, "part_label": np.int32,
+                 "interior_flag": bool}
+
+
 @dataclass(frozen=True)
 class MaterialField:
     """Immutable per-point physical property set over a point cloud.
@@ -123,26 +130,15 @@ class MaterialField:
     normalization: ParamNormalization = field(default_factory=ParamNormalization)
 
     def __post_init__(self):
-        object.__setattr__(self, "positions",
-                           np.ascontiguousarray(self.positions, dtype=np.float64))
-        object.__setattr__(self, "class_id",
-                           np.ascontiguousarray(self.class_id, dtype=np.int32))
-        for name in ("young_modulus", "poisson_ratio", "density"):
-            object.__setattr__(self, name,
-                               np.ascontiguousarray(getattr(self, name), dtype=np.float64))
-        if self.part_label is not None:
-            object.__setattr__(self, "part_label",
-                               np.ascontiguousarray(self.part_label, dtype=np.int32))
-        flag = self.interior_flag
-        if flag is None:
-            flag = np.zeros(self.positions.shape[0], dtype=bool)
-        object.__setattr__(self, "interior_flag",
-                           np.ascontiguousarray(flag, dtype=bool))
-        for name in ("positions", "class_id", "young_modulus", "poisson_ratio",
-                     "density", "part_label", "interior_flag"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr.setflags(write=False)
+        if self.interior_flag is None:
+            object.__setattr__(self, "interior_flag",
+                               np.zeros(np.shape(self.positions)[0], dtype=bool))
+        columns = {name: np.ascontiguousarray(getattr(self, name), dtype=dtype)
+                   for name, dtype in FIELD_COLUMNS.items()
+                   if name != "part_label" or self.part_label is not None}
+        for name, arr in columns.items():  # read-only once all are coerced
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_points(self) -> int:
@@ -184,17 +180,9 @@ def validate_field(f: MaterialField) -> ValidationReport:
     if n < 1:
         violations.append(Violation("positions", "field must contain at least one point"))
 
-    columns = {
-        "class_id": f.class_id,
-        "young_modulus": f.young_modulus,
-        "poisson_ratio": f.poisson_ratio,
-        "density": f.density,
-        "interior_flag": f.interior_flag,
-    }
-    if f.part_label is not None:
-        columns["part_label"] = f.part_label
-    for name, arr in columns.items():
-        if arr.shape != (n,):
+    for name in FIELD_COLUMNS:
+        arr = getattr(f, name)
+        if name != "positions" and arr is not None and arr.shape != (n,):
             violations.append(Violation(name, f"length {arr.shape} does not match N={n}"))
 
     def per_point(name, arr, bad_mask, message):

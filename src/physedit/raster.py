@@ -67,6 +67,11 @@ class CameraSpec:
             raise DomainError("image size must be at least 16x16")
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise ShapeError("rotation must be 3x3 and translation length 3")
+        for name in ("fx", "fy", "cx", "cy", "rotation", "translation",
+                     "depth_range"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise DomainError(f"{name} must be finite")
         if self.color_mode not in ("depth", "object_id"):
             raise DomainError(f"unknown color mode {self.color_mode!r}")
         if not self.splat_radius > 0:  # NaN fails too

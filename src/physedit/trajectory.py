@@ -191,6 +191,16 @@ def _count(value) -> int:
     return number
 
 
+def _equal_to(expected):
+    """Converter that passes only ``expected``, of its type; ValueError
+    for any other value."""
+    def convert(value):
+        if not (type(value) is type(expected) and value == expected):
+            raise ValueError(f"expected {expected!r}, got {value!r}")
+        return value
+    return convert
+
+
 def _read_manifest(root: Path) -> dict:
     """The manifest in ``root`` with every key the readers use converted,
     plus ``ids`` and ``counts`` from its object table; IoError naming the
@@ -199,6 +209,7 @@ def _read_manifest(root: Path) -> dict:
     doc = read_json(root / MANIFEST_NAME, "manifest")
     text = instance_of(str)
     m = convert_keys(doc, {
+        "format": _equal_to("trajectory-manifest"), "version": _equal_to(1),
         "files": _members, "frame_sha256": _names, "frames": whole,
         "fps": float, "n_particles": _count, "edit_log_file": _member,
         "scene_hash": text, "edit_log_sha256": text, "config_hash": text},

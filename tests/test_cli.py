@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -185,6 +186,30 @@ class TestSimulateCommand:
                          "--no-images"]) == 0
             positions.append(read_trajectory(out).positions)
         assert np.array_equal(positions[0], positions[1])
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"fx": math.nan}, "fx"), ({"fy": math.inf}, "fy"),
+        ({"cx": math.inf}, "cx"), ({"cy": -math.inf}, "cy"),
+        ({"depth_range": [0.5, math.inf]}, "depth_range"),
+        ({"eye": [math.nan, 0.5, 1.0]}, "rotation"),
+        ({"eye": None, "target": None, "rotation": [[math.nan] * 3] * 3,
+          "translation": [0.0, 0.0, 1.0]}, "rotation"),
+        ({"eye": None, "target": None, "rotation": np.eye(3).tolist(),
+          "translation": [0.0, math.inf, 1.0]}, "translation"),
+    ], ids=["fx", "fy", "cx", "cy", "depth_range", "eye", "rotation",
+            "translation"])
+    def test_non_finite_camera_domain_error(self, tmp_path, capsys, changes,
+                                            key):
+        scene = build_scene("drop_cube", tmp_path / "src")
+        doc = json.loads(scene.read_text())
+        camera = {**doc["camera"], **changes}
+        doc["camera"] = {k: v for k, v in camera.items() if v is not None}
+        scene.write_text(json.dumps(doc))
+        rc = main(["simulate", str(scene), str(tmp_path / "o"),
+                   "--frames", "2"])
+        record = single_error_record(capsys)
+        assert (rc, record["error"]) == (10, "DomainError")
+        assert f"{key} must be finite" in record["message"]
 
     def test_missing_scene_errors(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "ghost.json"),

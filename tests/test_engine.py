@@ -81,6 +81,35 @@ class TestBuildState:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("key, value, message", [
+        ("h_grid", 0.0, "h_grid must be positive"),
+        ("h_grid", math.nan, "h_grid must be finite"),
+        ("h_grid", math.inf, "h_grid must be finite"),
+        ("cfl_number", 0.0, r"cfl_number must lie in \(0, 1\)"),
+        ("cfl_number", 1.0, r"cfl_number must lie in \(0, 1\)"),
+        ("cfl_number", math.nan, r"cfl_number must lie in \(0, 1\)"),
+        ("fps", 0.0, "fps must be positive"),
+        ("fps", math.inf, "fps must be finite"),
+        ("fps", math.nan, "fps must be finite"),
+        ("frames", 0, "frames must be >= 1"),
+        ("ground_bc", "bouncy", "boundary modes must be one of"),
+        ("ground_height", math.nan, "ground_height must be finite"),
+        ("ground_height", -math.inf, "ground_height must be finite"),
+        ("damping", -1.0, "damping must be non-negative"),
+        ("damping", math.nan, "damping must be finite"),
+        ("damping", math.inf, "damping must be finite"),
+        ("domain_lo", (math.nan, -2.4, -0.6), "domain_lo must be finite"),
+        ("domain_hi", (0.6, math.inf, 0.6), "domain_hi must be finite"),
+    ], ids=["h_grid-zero", "h_grid-nan", "h_grid-inf", "cfl-zero", "cfl-one",
+            "cfl-nan", "fps-zero", "fps-inf", "fps-nan", "frames-zero",
+            "ground_bc", "ground_height-nan", "ground_height-inf",
+            "damping-negative", "damping-nan", "damping-inf", "domain_lo-nan",
+            "domain_hi-inf"])
+    def test_validate_rejects(self, key, value, message):
+        # wall_bc has its own test below
+        with pytest.raises(DomainError, match=message):
+            free_cfg(**{key: value}).validate()
+
     @pytest.mark.parametrize("wall_bc", ["bouncy", {"floor": "slip"},
                                          {"y_min": "slip"}, {"x_min": "bouncy"}])
     def test_invalid_wall_bc_rejected(self, wall_bc):

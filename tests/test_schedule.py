@@ -355,13 +355,17 @@ class TestApply:
         rt.apply(state, 0.01, 1e-3)
         assert np.allclose(state.v[:, 1], 2.0)
 
-    def test_material_switch_resets_plastic(self):
+    def test_material_switch_sets_class(self):
         state, _ = make_state()
+        state.f[:] = np.diag([1.2, 0.9, 0.95])  # deformed before the switch
+        f_before = state.f.copy()
         sched = compile_schedule(
             "at t=0 set object 0 material_model liquid once", state)
         rt = ScheduleRuntime(sched)
         rt.apply(state, 0.0, 1e-3)
         assert np.all(state.class_id == int(MaterialClass.LIQUID))
+        # only a switch to rigid resets F
+        assert np.array_equal(state.f, f_before)
 
     def test_event_fires_once_when_one_shot(self):
         state, cfg = make_state(gravity=(0, 0, 0))

@@ -136,8 +136,10 @@ class TestExport:
 class TestManifestKeys:
     @pytest.mark.parametrize("path", [
         ("files",), ("fps",), ("objects",), ("edit_log_file",),
-        ("objects", 0, "id"), ("objects", 1, "count"),
-    ], ids=["files", "fps", "objects", "edit_log_file", "id", "count"])
+        ("objects", 0, "id"), ("objects", 1, "count"), ("format",),
+        ("version",),
+    ], ids=["files", "fps", "objects", "edit_log_file", "id", "count",
+            "format", "version"])
     def test_missing_key_io_error(self, tmp_path, path):
         export_trajectory(make_traj(np.random.default_rng(12)), tmp_path)
         manifest_path = tmp_path / "manifest.json"
@@ -151,6 +153,22 @@ class TestManifestKeys:
                            match=f"missing required key '{path[-1]}'") as info:
             read_trajectory(tmp_path)
         assert str(manifest_path) in str(info.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("format", "scene"), ("version", 7), ("version", "1")],
+        ids=["format", "version", "version-string"])
+    def test_wrong_format_or_version_io_error(self, tmp_path, key, value):
+        export_trajectory(make_traj(np.random.default_rng(14)), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IoError, match=f"bad value for key '{key}'") as info:
+            read_trajectory(tmp_path)
+        assert str(manifest_path) in str(info.value)
+        report = verify_trajectory(tmp_path)
+        assert not report["ok"]
+        assert report["errors"] == [str(info.value)]
 
     @pytest.mark.parametrize("text", ["[]", "3", "{broken"],
                              ids=["array", "number", "malformed"])
