@@ -1,11 +1,13 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written as plain scalar loops (or per-pixel loops, or
-per-node masks over a whole grid box) so the library's vectorized kernels
+per-node masks over a whole grid box, or per-offset loops over the 27
+nodes of a particle's stencil) so the library's vectorized kernels
 are checked against code that shares no implementation path with them.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -226,3 +228,66 @@ def rigid_fit_oracle(points, masses, velocities):
                 inertia[a][b] += m * ((rr if a == b else 0.0) - r[a] * r[b])
     omega = np.linalg.solve(np.array(inertia), np.array(ang))
     return np.array(c), np.array(vel), omega
+
+
+def _stencil_oracle(state):
+    """Base nodes (N, 3), fx (N, 3), per-axis weights (3 offsets, N, 3) and
+    the active box (first node lo, node counts sub) of every particle."""
+    gx = (state.x - state.origin) / state.h
+    base = np.floor(gx - 0.5).astype(np.int64)
+    fx = gx - base
+    wts = np.stack([0.5 * (1.5 - fx) ** 2, 0.75 - (fx - 1.0) ** 2,
+                    0.5 * (fx - 0.5) ** 2])
+    lo = base.min(axis=0)
+    sub = base.max(axis=0) + 3 - lo
+    return base, fx, wts, lo, sub
+
+
+def _offsets_oracle(state):
+    """Yield (node offset dpos (N, 3), flat box index (N,), weight (N,))
+    for the 27 offsets in turn."""
+    base, fx, wts, lo, sub = _stencil_oracle(state)
+    for o in product(range(3), repeat=3):
+        node = base + o - lo
+        idx = (node[:, 0] * sub[1] + node[:, 1]) * sub[2] + node[:, 2]
+        w = wts[o[0], :, 0] * wts[o[1], :, 1] * wts[o[2], :, 2]
+        yield state.h * (np.array(o) - fx), idx, w
+
+
+def p2g_oracle(state, dt, kirchhoff):
+    """Grid mass and momentum by a loop over the 27 stencil offsets.
+
+    Each offset adds w m and w (m (v + dt g) + A dpos), with the affine
+    matrix A = -dt V0 (4 / h^2) tau + m C applied to the whole node offset
+    dpos.  Returns (lo, sub, grid_mass (n_sub,), grid_mom (3, n_sub)).
+    """
+    *_, lo, sub = _stencil_oracle(state)
+    g_eff = (state.gravity[None, :] * state.gravity_scale[:, None]
+             + state.wind[None, :] * state.wind_scale[:, None])
+    mom_p = state.mass[:, None] * (state.v + dt * g_eff)
+    affine = ((-dt * state.vol0 * 4.0 / state.h ** 2)[:, None, None] * kirchhoff
+              + state.mass[:, None, None] * state.c_apic)
+    grid_mass = np.zeros(int(np.prod(sub)))
+    grid_mom = np.zeros((3, grid_mass.size))
+    for dpos, idx, w in _offsets_oracle(state):
+        q = w[:, None] * (mom_p + np.einsum("nij,nj->ni", affine, dpos))
+        np.add.at(grid_mass, idx, w * state.mass)
+        for a in range(3):
+            np.add.at(grid_mom[a], idx, q[:, a])
+    return lo, sub, grid_mass, grid_mom
+
+
+def g2p_oracle(state, grid_v):
+    """Particle velocity and APIC matrix by a loop over the 27 offsets.
+
+    v = sum w v_node and C = (4 / h^2) sum w v_node (x) dpos, with grid_v
+    (3, n_sub) on the particles' active box.  Returns (v (N, 3),
+    c_apic (N, 3, 3)).
+    """
+    v = np.zeros_like(state.x)
+    b_mat = np.zeros((state.x.shape[0], 3, 3))
+    for dpos, idx, w in _offsets_oracle(state):
+        v_node = grid_v[:, idx].T
+        v += w[:, None] * v_node
+        b_mat += w[:, None, None] * v_node[:, :, None] * dpos[:, None, :]
+    return v, 4.0 / state.h ** 2 * b_mat

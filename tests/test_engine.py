@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as hst
 from scipy.spatial.distance import pdist
 
 import physedit.engine as engine
-from oracles import grid_update_oracle, rigid_fit_oracle
+from oracles import (g2p_oracle, grid_update_oracle, p2g_oracle,
+                     rigid_fit_oracle)
+from physedit.constitutive import batch_constitutive
 from physedit.engine import (_BC_MODES, _WALL_NAMES, GRID_MARGIN, ObjectInit,
-                             SimConfig, _couple_rigid, _grid_update, _p2g,
+                             SimConfig, _couple_rigid, _g2p, _grid_update, _p2g,
                              _rigid_groups, _Stencil, build_state,
                              object_events, simulate, stable_dt, step)
 from physedit.errors import (DomainError, EmptyScene, GridOverflow,
@@ -78,6 +80,21 @@ class TestBuildState:
         bad = f.with_(poisson_ratio=np.array([0.7]))
         with pytest.raises(DomainError):
             build_state([ObjectInit(field=bad, h_fill=0.05)], free_cfg())
+
+    @pytest.mark.parametrize("h_fill, cfg_kw, message", [
+        (0.0, {}, "h_fill must be finite and positive"),
+        (-1.0, {}, "h_fill must be finite and positive"),
+        (math.inf, {}, "h_fill must be finite and positive"),
+        (math.nan, {}, "h_fill must be finite and positive"),
+        (0.05, {"domain_hi": (0.6, -2.4, 0.6)}, "domain_hi must exceed domain_lo"),
+        (0.05, {"domain_hi": None}, "must be given together"),
+        (0.05, {"domain_lo": None}, "must be given together"),
+    ], ids=["h_fill-zero", "h_fill-negative", "h_fill-inf", "h_fill-nan",
+            "domain-flat", "domain_lo-alone", "domain_hi-alone"])
+    def test_rejects(self, h_fill, cfg_kw, message):
+        f = particle_field([[0, 0, 0]])
+        with pytest.raises(DomainError, match=message):
+            build_state([ObjectInit(field=f, h_fill=h_fill)], free_cfg(**cfg_kw))
 
 
 class TestConfig:
@@ -333,6 +350,62 @@ class TestGridUpdate:
         assert np.array_equal(grid_v[(slice(None),) + node], expect_in)
         assert np.array_equal(grid_v[(slice(None),) + away], expect_away)
         assert np.array_equal(grid_v[(slice(None),) + free], v_free)
+
+
+TRANSFER_BLOCK = 8  # _BLOCK in the transfer tests, so every case is small
+
+
+@hst.composite
+def transfer_states(draw, n):
+    """n particles of mixed classes in a cluster a few cells wide, with
+    random velocities, APIC matrices, body-force scales and deformations."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    spread = draw(hst.sampled_from([0.005, 0.02, 0.06]))
+    st = build_state([ObjectInit(
+        field=particle_field(spread * rng.standard_normal((n, 3))),
+        h_fill=0.01)], free_cfg(), wind=tuple(rng.standard_normal(3)))
+    st.class_id = rng.integers(0, len(MaterialClass), n).astype(np.int32)
+    st.young_modulus = 10 ** rng.uniform(3, 6, n)
+    st.poisson_ratio = rng.uniform(0.0, 0.45, n)
+    st.mass = st.mass * rng.uniform(0.5, 2.0, n)
+    st.v = rng.standard_normal((n, 3))
+    st.c_apic = 10 * rng.standard_normal((n, 3, 3))
+    st.f = np.eye(3) + 0.1 * rng.standard_normal((n, 3, 3))
+    st.gravity_scale = rng.uniform(-1, 2, n)
+    st.wind_scale = rng.uniform(0, 1, n)
+    return st
+
+
+def assert_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestTransfers:
+    @pytest.mark.parametrize("n", [1, TRANSFER_BLOCK - 1, TRANSFER_BLOCK,
+                                   TRANSFER_BLOCK + 1, 5 * TRANSFER_BLOCK // 2])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(data=hst.data())
+    def test_blocks_match_per_offset_oracles(self, n, data):
+        st = data.draw(transfer_states(n))
+        dt = data.draw(hst.sampled_from([1e-5, 1e-3]))
+        kirchhoff, _ = batch_constitutive(st.f, st.class_id, st.young_modulus,
+                                          st.poisson_ratio)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_BLOCK", TRANSFER_BLOCK)
+            stencil, grid_mass, grid_mom = _p2g(st, dt, kirchhoff)
+            lo, sub, want_mass, want_mom = p2g_oracle(st, dt, kirchhoff)
+            assert np.array_equal(stencil.lo, lo)
+            assert np.array_equal(stencil.sub, sub)
+            assert_close(grid_mass, want_mass)
+            assert_close(grid_mom, want_mom)
+            assert grid_mass.sum() == pytest.approx(st.mass.sum(), rel=1e-14)
+
+            grid_v = np.random.default_rng(n).standard_normal(grid_mom.shape)
+            want_v, want_c = g2p_oracle(st, grid_v)
+            _g2p(st, dt, stencil, grid_v, [])
+        assert_close(st.v, want_v)
+        assert_close(st.c_apic, want_c)
 
 
 class TestSimulate:
