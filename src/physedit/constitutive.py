@@ -32,7 +32,13 @@ particle of a class.
 
 ``svd3`` runs its Jacobi sweeps on F^T F / tr(F^T F), whose entries lie
 in [-1, 1] at any scale of F, so each rotation is a plain sqrt of squares
-rather than the much slower overflow-safe np.hypot.
+rather than the much slower overflow-safe np.hypot.  A particle stops
+rotating once every off-diagonal of that matrix satisfies
+|a_pq| <= 4 eps sqrt(a_pp a_qq), the relative test of Demmel & Veselic
+1992, "Jacobi's method is more accurate than QR", which keeps small
+singular values accurate relative to themselves; _JACOBI_SWEEPS is only
+a cap.  The test reads a particle's own entries alone, so each row of a
+batch comes out bit for bit as it does in a one-row call.
 """
 
 from __future__ import annotations
@@ -52,7 +58,13 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 _UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # Cyclic Jacobi on a 3x3 symmetric matrix converges quadratically; four
 # sweeps reach working precision (TestSvd3 checks reconstruction to 1e-13).
+# A cap: each particle stops rotating once its off-diagonals meet _OFF_TOL2.
 _JACOBI_SWEEPS = 4
+# An off-diagonal a_pq of the trace-normalized Gram matrix counts as zero when
+# |a_pq| <= 4 eps sqrt(a_pp a_qq) (Demmel & Veselic 1992): 4 eps bounds the
+# rounding error of forming the entry from F, so a smaller one cannot be told
+# apart from 0.  Squared, so the test needs no sqrt.
+_OFF_TOL2 = (4.0 * np.finfo(np.float64).eps) ** 2
 
 
 def lame_parameters(e, nu):
@@ -97,8 +109,19 @@ def svd3(f):
         for j in range(i, 3):
             a[i][j] = a[j][i] = a[i][j] * scale
     # v[c] is column c of every V, (3, N)
-    v = [np.repeat(np.eye(3)[:, c, None], n, axis=1) for c in range(3)]
+    v = np.zeros((3, 3, n))
+    v[0, 0] = v[1, 1] = v[2, 2] = 1.0
+    v = list(v)
     for _ in range(_JACOBI_SWEEPS):
+        done = np.ones(n, dtype=bool)
+        for p, q in _PAIRS:
+            done &= a[p][q] * a[p][q] <= _OFF_TOL2 * (a[p][p] * a[q][q])
+        if done.all():
+            break
+        # a done particle gets t = 0, so c = 1 and s = 0 exactly: its
+        # diagonal, its V and its other off-diagonals pass through bit for
+        # bit, and its zeroed pivots keep it done
+        active = 1.0 - done
         for p, q in _PAIRS:
             r = 3 - p - q
             apq = a[p][q]
@@ -109,6 +132,7 @@ def svd3(f):
             two_apq = 2.0 * apq
             denom = d + np.copysign(np.sqrt(d * d + two_apq * two_apq), d)
             t = np.divide(two_apq, denom, out=np.zeros(n), where=denom != 0)
+            t *= active
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             ta = t * apq

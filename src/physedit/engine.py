@@ -168,12 +168,6 @@ class SimulationState:
     def n_particles(self) -> int:
         return self.x.shape[0]
 
-    def total_mass(self) -> float:
-        return float(self.mass.sum())
-
-    def total_momentum(self) -> np.ndarray:
-        return (self.mass[:, None] * self.v).sum(axis=0)
-
 
 def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
                 wind=(0.0, 0.0, 0.0)) -> SimulationState:

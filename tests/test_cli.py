@@ -1,9 +1,12 @@
 import json
 import math
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
+from physedit import cli
 from physedit.cli import main
 from physedit.fieldio import read_field, write_field
 from physedit.fill import FillConfig, fill_field
@@ -624,3 +627,53 @@ def test_bundle_of_wrong_type_io_error(tmp_path, capsys, value):
     record = single_error_record(capsys)
     assert (rc, record["error"]) == (50, "IoError")
     assert "bad value for key 'bundle'" in record["message"]
+
+
+def _non_integer_env_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("PHYSEDIT_SEED", "1.5")
+    return main(["simulate", "--bundled", "drop_cube", str(tmp_path / "out")])
+
+
+def _targets_of_wrong_format(tmp_path, monkeypatch):
+    field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+    doc = json.loads(targets_path.read_text())
+    doc["format"] = "trajectory-manifest"
+    targets_path.write_text(json.dumps(doc))
+    return main(["analyze", str(field_path), str(targets_path),
+                 "--no-gradcheck"])
+
+
+def _failed_gradient_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "finite_diff_check",
+                        lambda name, inputs: 10 * cli.GRADCHECK_THRESHOLD)
+    return main(["analyze", "--fixture", str(tmp_path / "fix")])
+
+
+def _simulate_without_scene(tmp_path, monkeypatch):
+    return main(["simulate", str(tmp_path / "out")])
+
+
+def _run_as_main_module(tmp_path, monkeypatch):
+    # run the module afresh, as ``python -m physedit.cli simulate`` would
+    monkeypatch.delitem(sys.modules, "physedit.cli")
+    monkeypatch.setattr(sys, "argv",
+                        ["physedit", "simulate", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("physedit.cli", run_name="__main__")
+    return info.value.code
+
+
+@pytest.mark.parametrize("run, code, error", [
+    (_non_integer_env_seed, 10, "DomainError"),
+    (_targets_of_wrong_format, 50, "IoError"),
+    (_failed_gradient_check, 1, None),
+    (_simulate_without_scene, 10, "DomainError"),
+    (_run_as_main_module, 10, "DomainError"),
+], ids=["env-seed", "targets-format", "gradcheck-fails", "no-scene",
+        "main-module"])
+def test_exit_code(tmp_path, monkeypatch, capsys, run, code, error):
+    assert run(tmp_path, monkeypatch) == code
+    if error is None:
+        assert "FAIL" in capsys.readouterr().out
+    else:
+        assert single_error_record(capsys)["error"] == error

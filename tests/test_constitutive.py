@@ -180,6 +180,30 @@ def random_rotation(rng):
     return q
 
 
+def near_degenerate_f(rng, d):
+    """R diag(1, 1 + d, 1 - d) Q^T: two singular values within d of the
+    third."""
+    return (random_rotation(rng) @ np.diag([1.0, 1.0 + d, 1.0 - d])
+            @ random_rotation(rng).T)
+
+
+def random_proper_f(rng):
+    while True:
+        f = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        if np.linalg.det(f) > 0.05:
+            return f
+
+
+# one-particle F generators for the mixed svd3 batches
+ROW_KINDS = {
+    "roundoff": lambda rng: np.eye(3) + 1e-16 * rng.standard_normal((3, 3)),
+    "strain": lambda rng: np.eye(3) + 1e-3 * rng.standard_normal((3, 3)),
+    "near_degenerate": lambda rng: near_degenerate_f(
+        rng, 10.0 ** rng.uniform(-15, -6)),
+    "random": random_proper_f,
+}
+
+
 def decomposition_cases():
     rng = np.random.default_rng(7)
 
@@ -201,6 +225,9 @@ def decomposition_cases():
         "stretch_3x": np.array([rot() @ np.diag([3.0, 1.0, 1.0]) @ rot().T
                                 for _ in range(20)]),
         "random": random_f[np.linalg.det(random_f) > 0.05],
+        "near_degenerate": np.array([
+            near_degenerate_f(np.random.default_rng(8 + i), d)
+            for i, d in enumerate(np.logspace(-15, -6, 20))]),
     }
 
 
@@ -258,6 +285,31 @@ class TestSvd3:
     def test_outputs_c_contiguous(self):
         u, sig, v = svd3(DECOMPOSITION_CASES["random"])
         assert all(c.flags.c_contiguous for c in u + v)
+
+    def test_roundoff_shear_takes_no_rotation(self):
+        """F^T F of I plus round-off is diagonal to within rounding, so the
+        sweeps leave V the identity, up to the sort's signed permutation."""
+        rng = np.random.default_rng(12)
+        f = np.eye(3) + 2e-16 * rng.standard_normal((200, 3, 3))
+        _, _, vt = svd3_packed(f)
+        assert set(np.abs(vt).ravel()) <= {0.0, 1.0}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kinds=st.lists(st.sampled_from(list(ROW_KINDS)), min_size=2,
+                          max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_row_calls(self, kinds, seed):
+        """Each particle stops rotating on its own test, so a row of a mixed
+        batch comes out bit for bit as it does alone."""
+        rng = np.random.default_rng(seed)
+        f = np.array([ROW_KINDS[kind](rng) for kind in kinds])
+        u, sig, v = svd3(f)
+        for i in range(len(f)):
+            u_i, sig_i, v_i = svd3(f[i:i + 1])
+            assert np.array_equal(sig[i], sig_i[0])
+            for k in range(3):
+                assert np.array_equal(u[k][:, i], u_i[k][:, 0])
+                assert np.array_equal(v[k][:, i], v_i[k][:, 0])
 
 
 def test_errors_name_the_particle():

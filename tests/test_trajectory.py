@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -102,6 +103,20 @@ class TestExport:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             Trajectory.from_frames(np.zeros((2, 3)), 24.0, np.zeros(3))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda raw: Trajectory.from_frames(np.zeros((1, 4, 3)), 24.0,
+                                            np.zeros(3)),
+         ShapeError, "object_id length must match"),
+        (lambda raw: parse_frame_bytes(b"TRJX" + raw[4:]),
+         IoError, "bad frame magic"),
+        (lambda raw: parse_frame_bytes(raw[:4] + (2).to_bytes(4, "little")
+                                       + raw[8:]),
+         IoError, "unsupported frame version 2"),
+    ], ids=["object-id-length", "frame-magic", "frame-version"])
+    def test_malformed_input_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(frame_bytes(np.zeros((2, 3)), 0))
 
     @pytest.mark.parametrize("cut", ["inside-header", "header-only", "short",
                                      "padded"])
@@ -539,6 +554,19 @@ class TestRaster:
             self.axis_cam(width=8).validate()
         with pytest.raises(DomainError):
             self.axis_cam(color_mode="rainbow").validate()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda cam, path: rasterize_frame(
+            np.zeros((4, 3)), dataclasses.replace(cam, rotation=np.eye(2))),
+         "rotation must be 3x3"),
+        (lambda cam, path: rasterize_frame(np.zeros((4, 2)), cam),
+         r"positions must be \(N, 3\)"),
+        (lambda cam, path: write_pgm(np.zeros((4, 4, 3)), path),
+         "image must be 2-D"),
+    ], ids=["rotation", "positions", "image"])
+    def test_shape_error(self, tmp_path, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call(self.axis_cam(), tmp_path / "x.pgm")
 
     def test_pgm_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
