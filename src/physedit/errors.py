@@ -85,6 +85,12 @@ class ParticleEscape(_ParticleError):
     code = 33
 
 
+class WorkBudget(PhysEditError):
+    """A request needs more memory or work than a fixed budget allows."""
+
+    code = 34
+
+
 class ParseError(PhysEditError):
     """Schedule or scene text failed to parse.
 

@@ -20,10 +20,18 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometry, DomainError, LeakDetected, ShapeError
+from .errors import (DegenerateGeometry, DomainError, LeakDetected, ShapeError,
+                     WorkBudget)
 from .materials import FIELD_COLUMNS, MaterialField, validate_field
 
 LEAK_FRACTION = 0.95
+# fill refuses larger sizes before allocating.  At peak a voxel cell costs
+# about 100 B (masks, int32 labels, centres of interior cells) and a lattice
+# point about 250 B (meshgrid, voxel lookup, nearest-surface search, output
+# field); tracemalloc gave 100 and 231 B on a solid cube.  So the largest
+# accepted fill peaks near 1.7 GB in the voxel pass and 1.1 GB in the lattice.
+MAX_VOXEL_CELLS = 1 << 24
+MAX_LATTICE_POINTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,13 @@ class FillConfig:
         return np.clip(np.ceil(extent / voxel).astype(np.int64), 8, 192)
 
 
+def _check_size(count, limit, what):
+    """WorkBudget naming the count and the limit if count exceeds it."""
+    if count > limit:
+        raise WorkBudget(f"fill needs {count:.4g} {what}, more than the "
+                         f"limit of {limit}")
+
+
 def _require_volume(points):
     """Reject clouds that cannot bound a 3-D interior."""
     if points.shape[0] < 4:
@@ -79,6 +94,7 @@ def _voxel_solid_mask(points, cfg: FillConfig):
     vs = (hi - lo) / res
     pad = 2
     dims = res + 2 * pad
+    _check_size(np.prod(dims, dtype=np.float64), MAX_VOXEL_CELLS, "voxel cells")
     origin = lo - pad * vs
 
     ijk = np.floor((points - origin) / vs).astype(np.int64)
@@ -117,8 +133,9 @@ def _candidate_lattice(points, spacing):
     """Axis-aligned lattice anchored at the surface AABB minimum."""
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    axes = [lo[a] + spacing * np.arange(int(np.floor((hi[a] - lo[a]) / spacing)) + 1)
-            for a in range(3)]
+    counts = np.floor((hi - lo) / spacing) + 1
+    _check_size(np.prod(counts), MAX_LATTICE_POINTS, "lattice points")
+    axes = [lo[a] + spacing * np.arange(int(counts[a])) for a in range(3)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 

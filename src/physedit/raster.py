@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IoError, ShapeError
-from .fieldio import read_file, write_file
+from .errors import DomainError, ShapeError
+from .fieldio import write_file
 
 _Z_NEAR = 1e-9
 _CHUNK_CELLS = 1 << 18  # stencil cells expanded at once
@@ -178,20 +178,3 @@ def write_pgm(image: np.ndarray, path):
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode()
     write_file(path, header + img.tobytes(), "image")
 
-
-def read_pgm(path) -> np.ndarray:
-    """The image of a binary PGM as written by write_pgm; IoError naming
-    the file if its header or its pixel block is malformed."""
-    raw = read_file(path, "image")
-    if not raw.startswith(b"P5"):
-        raise IoError(f"{path}: not a binary PGM")
-    parts = raw.split(b"\n", 3)
-    try:
-        wd, h = map(int, parts[1].split())
-        depth, data = int(parts[2]), parts[3]
-    except (IndexError, ValueError):
-        raise IoError(f"{path}: malformed PGM header") from None
-    if not 0 < depth < 256 or wd < 0 or h < 0 or len(data) < wd * h:
-        raise IoError(f"{path}: PGM header promises a {wd}x{h} image of "
-                      f"depth {depth}, the file holds {len(data)} pixel bytes")
-    return np.frombuffer(data[:wd * h], dtype=np.uint8).reshape(h, wd)

@@ -403,92 +403,80 @@ def compile_schedule(raw: str, scene) -> InstructionSchedule:
 class ScheduleRuntime:
     """Mutable bookkeeping around an immutable schedule.
 
-    Tracks firing, per-target baselines for ramps, and the per-substep
-    rate-cap reference values so repeated application at one time point
-    is idempotent.
+    Per line it keeps when the line fired, whether it is done, and the
+    values its ramp started from.  ``t`` is the substep start time that
+    ``apply`` last applied; each time is applied once, so a second call at
+    that time changes nothing and records nothing.
     """
 
     def __init__(self, schedule: InstructionSchedule):
         self.schedule = schedule
         n = len(schedule.interventions)
-        self.fired = [False] * n
         self.fire_time = [None] * n
         self.done = [False] * n
         self.baseline = [None] * n
-        self.indices = [None] * n
-        self.last_t = [None] * n
-        self.last_values = [None] * n
-
-    def _resolve_indices(self, state, i, sel: Selector):
-        if self.indices[i] is None:
-            # per-particle properties reject scene targets at parse time
-            mask = state.object_id == sel.object_id
-            if sel.part is not None:
-                mask &= state.part == sel.part
-            if sel.interior_only:
-                mask &= state.interior
-            self.indices[i] = np.nonzero(mask)[0]
-        return self.indices[i]
+        self.t = None
 
     def _check_fire(self, i, iv: Intervention, t, events):
-        if self.fired[i]:
-            return True
-        trig = iv.trigger
-        if trig.kind == "at_time":
-            if t >= trig.value - 1e-12:
-                self.fired[i] = True
-                self.fire_time[i] = trig.value
-        else:
-            key, compare = _EVENTS[trig.kind.removeprefix("on_")]
-            value = events[trig.probe_object][key]
-            hit = value if compare is None else compare(value, trig.value)
-            if hit:
-                self.fired[i] = True
-                self.fire_time[i] = t
-        return self.fired[i]
+        if self.fire_time[i] is None:
+            trig = iv.trigger
+            if trig.kind == "at_time":
+                if t >= trig.value - 1e-12:
+                    self.fire_time[i] = trig.value
+            else:
+                key, compare = _EVENTS[trig.kind.removeprefix("on_")]
+                value = events[trig.probe_object][key]
+                if value if compare is None else compare(value, trig.value):
+                    self.fire_time[i] = t
+        return self.fire_time[i] is not None
 
     def apply(self, state, t, dt):
         """Apply all active interventions at substep start time t.
 
         Returns a list of JSON-serializable edit records; empty when
-        nothing changed.
+        nothing changed or t was already applied.
         """
         from .engine import object_events  # deferred to avoid an import cycle
 
-        schedule = self.schedule
-        needs_events = any(iv.trigger.kind != "at_time" and not self.fired[i]
-                           for i, iv in enumerate(schedule.interventions))
+        if t == self.t:
+            return []
+        self.t = t
+        lines = self.schedule.interventions
+        needs_events = any(iv.trigger.kind != "at_time" and ft is None
+                           for iv, ft in zip(lines, self.fire_time))
         events = object_events(state) if needs_events else {}
         records = []
-        for i, iv in enumerate(schedule.interventions):
-            if not self._check_fire(i, iv, t, events):
-                continue
-            if self.done[i]:
-                continue
-            rec = self._apply_one(state, i, iv, t, dt)
-            if rec is not None:
-                records.append(rec)
+        for i, iv in enumerate(lines):
+            if self._check_fire(i, iv, t, events) and not self.done[i]:
+                rec = self._apply_one(state, i, iv, t, dt)
+                if rec is not None:
+                    records.append(rec)
         return records
 
     def _record(self, iv, t, dt, **extra):
-        rec = {"t": t, "dt": dt, "property": iv.property,
-               "target": iv.target.describe(), "line": iv.source_line}
-        rec.update(extra)
-        return rec
+        return {"t": t, "dt": dt, "property": iv.property,
+                "target": iv.target.describe(), "line": iv.source_line, **extra}
 
     def _apply_one(self, state, i, iv: Intervention, t, dt):
-        t0 = self.fire_time[i]
         prop = iv.property
         kind, scale, scene_wide = _PROPS[prop]
+        if scene_wide:
+            idx = slice(None)
+        else:
+            sel = iv.target
+            mask = state.object_id == sel.object_id
+            if sel.part is not None:
+                mask &= state.part == sel.part
+            if sel.interior_only:
+                mask &= state.interior
+            idx = np.nonzero(mask)[0]
 
         if prop == "velocity_impulse":
-            idx = self._resolve_indices(state, i, iv.target)
             state.v[idx] += np.asarray(iv.value, dtype=np.float64)
             self.done[i] = True
             return self._record(iv, t, dt, value=list(iv.value), one_shot=True)
 
         if prop == "material_model":
-            idx = self._resolve_indices(state, i, iv.target)
             state.class_id[idx] = int(iv.value)
             if int(iv.value) == MaterialClass.RIGID:
                 state.f[idx] = np.eye(3)  # rigid from the shape it has now
@@ -496,28 +484,23 @@ class ScheduleRuntime:
             return self._record(iv, t, dt, value=MaterialClass(int(iv.value)).name)
 
         arr = getattr(state, prop)
-        idx = slice(None) if scene_wide else \
-            self._resolve_indices(state, i, iv.target)
-        old = arr[idx]
+        old = arr[idx]  # a copy, except the view of a scene-wide vector
         if old.size == 0:
             self.done[i] = True
             return None
         if self.baseline[i] is None:
             self.baseline[i] = old.copy()
+        t0 = self.fire_time[i]
         new = ramp_value(self.baseline[i], iv.value, t - t0,
                          iv.ramp_duration, scale)
         new = np.broadcast_to(np.asarray(new, dtype=np.float64), old.shape)
         capped = False
         if scale == "log":
-            # per-substep rate cap, measured from the values at the first
-            # application at this t so that repeating t is idempotent
-            if self.last_t[i] != t:
-                self.last_values[i] = old.copy()
-                self.last_t[i] = t
+            # per-substep rate cap, measured from the values before this
+            # application (log properties are per particle, so old is a copy)
             rate = self.schedule.max_log_rate * dt
             desired = new
-            new = np.clip(desired, self.last_values[i] * 10.0 ** (-rate),
-                          self.last_values[i] * 10.0 ** rate)
+            new = np.clip(desired, old * 10.0 ** (-rate), old * 10.0 ** rate)
             capped = bool(np.any(new != desired))
         if np.array_equal(new, old):
             if t - t0 >= iv.ramp_duration and not capped:
@@ -532,6 +515,6 @@ class ScheduleRuntime:
                            applied_min=float(new.min()),
                            applied_max=float(new.max()))
         if scale == "log":
-            rec.update(max_dlog10=float(np.max(np.abs(
-                np.log10(new / self.last_values[i])))), capped=capped)
+            rec.update(max_dlog10=float(np.max(np.abs(np.log10(new / old)))),
+                       capped=capped)
         return rec

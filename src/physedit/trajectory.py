@@ -123,7 +123,14 @@ def parse_frame_bytes(raw: bytes, source="frame", expect=None):
 
 
 def export_trajectory(traj: Trajectory, out_dir) -> dict:
-    """Write frames, edit log, and manifest; returns the manifest dict."""
+    """Write frames, edit log, and manifest; returns the manifest dict.
+    The manifest counts each id once, so ids must come in ascending groups."""
+    ids = traj.object_id
+    out_of_order = np.flatnonzero(ids[1:] < ids[:-1]) + 1
+    if out_of_order.size:
+        k = out_of_order[0]
+        raise ShapeError(f"object ids must be grouped in ascending order: "
+                         f"particle {k} has id {ids[k]} after {ids[k - 1]}")
     out = Path(out_dir)
     make_dir(out / "frames")
 

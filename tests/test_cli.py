@@ -2,6 +2,7 @@ import json
 import math
 import runpy
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,25 @@ class TestFillCommand:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "DomainError"
         assert record["code"] == rc
+
+    @pytest.mark.parametrize("flags", [
+        ["--spacing", "0.03", "--resolution", "1000000"],
+        ["--spacing", "1e-5"],
+    ], ids=["voxel-cells", "lattice-points"])
+    def test_oversized_fill_fails_fast(self, tmp_path, capsys, flags):
+        """Sizes far past fill's limits exit 34 before allocating."""
+        src = tmp_path / "shell.mfield"
+        write_field(uniform_field(cube_shell_positions(0.24, 9),
+                                  MaterialClass.ELASTIC, 1e5, 0.3, 1000.0), src)
+        out = tmp_path / "solid.mfield"
+        start = time.perf_counter()
+        rc = main(["fill", str(src), str(out)] + flags)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 34
+        record = single_error_record(capsys)
+        assert record["error"] == "WorkBudget"
+        assert "more than the limit" in record["message"]
+        assert not out.exists()
 
     def test_missing_input_io_error(self, tmp_path, capsys):
         rc = main(["fill", str(tmp_path / "nope.mfield"),

@@ -136,3 +136,19 @@ def test_bundle_missing_key_io_error(key):
     del doc[key]
     with pytest.raises(IoError, match=f"missing required key '{key}'"):
         bundle_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value, error, message", [
+    ("point_features", np.zeros(8), ShapeError, r"point_features must be \(N, d\)"),
+    ("part_tokens", np.zeros((0, 6)), ShapeError, r"part_tokens must be \(K>=1"),
+    ("global_token", np.zeros((2, 6)), ShapeError, r"global_token must be \(1, 6\)"),
+    ("psi", np.zeros((6, 5)), ShapeError, r"psi must be \(6, 4\)"),
+    ("w_val", np.zeros((8, 6)), ShapeError, r"w_val must be \(6, 8\)"),
+    ("format", "material-field", IoError, "not a feature-bundle document"),
+], ids=["point_features", "part_tokens", "global_token", "psi", "w_val",
+        "format"])
+def test_malformed_bundle_rejected(key, value, error, message):
+    doc = bundle_to_dict(random_bundle(np.random.default_rng(12)))
+    doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    with pytest.raises(error, match=message):
+        bundle_from_dict(doc)

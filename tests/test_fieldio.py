@@ -78,6 +78,26 @@ def test_deterministic_bytes(field, tmp_path):
         (tmp_path / "two.mfield").read_bytes()
 
 
+@pytest.mark.parametrize("suffix, damage, message", [
+    (".mfield", lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+     "unsupported container version 2"),
+    (".json", lambda raw: raw.replace(b'"material-field"', b'"scene"'),
+     "not a material-field document"),
+    (".json", lambda raw: raw.replace(b'"version": 1', b'"version": 2'),
+     "unsupported material-field version 2"),
+], ids=["container-version", "json-format", "json-version"])
+def test_other_format_or_version_rejected(field, tmp_path, suffix, damage,
+                                          message):
+    path = tmp_path / f"f{suffix}"
+    write_field(field, path)
+    raw = path.read_bytes()
+    path.write_bytes(damage(raw))
+    assert path.read_bytes() != raw
+    with pytest.raises(IoError, match=message) as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("key", ["positions", "class_id", "young_modulus",
                                  "poisson_ratio", "density", "interior_flag",
                                  "norm_mean", "norm_std"])

@@ -102,6 +102,20 @@ def test_scene_value_io_error(tmp_path, owner, key, value):
     assert f"{scene}{' ' + owner if owner else ''}:" in str(info.value)
 
 
+@pytest.mark.parametrize("fmt", [None, "material-field"],
+                         ids=["no-format", "other-format"])
+def test_not_a_scene_document(tmp_path, fmt):
+    scene = build_scene("drop_cube", tmp_path)
+    doc = json.loads(scene.read_text())
+    doc.pop("format")
+    if fmt is not None:
+        doc["format"] = fmt
+    scene.write_text(json.dumps(doc))
+    with pytest.raises(IoError, match="not a scene document") as info:
+        load_scene(scene)
+    assert str(scene) in str(info.value)
+
+
 def test_explicit_camera_pose_and_depth_range(tmp_path):
     scene = build_scene("drop_cube", tmp_path / "src")
     look = load_scene(scene)[2]["camera"]

@@ -375,11 +375,27 @@ class TestApply:
         rt = ScheduleRuntime(sched)
         # not in contact yet (contact band is 1.5 h = 0.015)
         rt.apply(state, 0.0, 1e-3)
-        assert rt.fired == [False]
+        assert rt.fire_time == [None]
         state.x[:, 1] = 0.01 - 2.3
         rt.apply(state, 0.01, 1e-3)
-        assert rt.fired == [True]
         assert rt.fire_time == [0.01]
+
+    def test_event_true_on_repeated_time_waits_for_next_time(self):
+        """A second apply at one t changes nothing, even for a new event."""
+        state, _ = make_state(gravity=(0, 0, 0))
+        state.x[:, 1] = 0.05 - 2.3
+        sched = compile_schedule(
+            "on ground_contact set object 0 density 2000 ramp 0", state)
+        rt = ScheduleRuntime(sched)
+        rho0 = state.density.copy()
+        assert rt.apply(state, 0.01, 1e-3) == []
+        state.x[:, 1] = 0.01 - 2.3  # in contact from here on
+        assert rt.apply(state, 0.01, 1e-3) == []
+        assert rt.fire_time == [None]
+        assert np.array_equal(state.density, rho0)
+        (rec,) = rt.apply(state, 0.02, 1e-3)
+        assert rt.fire_time == [0.02]
+        assert rec["t"] == 0.02
 
     def test_live_params_stay_valid_after_edits(self):
         state, _ = make_state()
@@ -414,10 +430,9 @@ class TestApply:
             "on speed_above 1.5 set object 0 gravity_scale 0 ramp 0", state)
         rt = ScheduleRuntime(sched)
         assert rt.apply(state, 0.0, 1e-3) == []
-        assert rt.fired == [False]
+        assert rt.fire_time == [None]
         state.v[1] = (0.0, 2.0, 0.0)
         (rec,) = rt.apply(state, 0.01, 1e-3)
-        assert rt.fired == [True]
         assert rt.fire_time == [0.01]
         assert rec["property"] == "gravity_scale"
         assert np.all(state.gravity_scale == 0.0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as hst
 
 from physedit import raster
 from physedit.errors import DomainError, IoError, ShapeError
-from physedit.raster import CameraSpec, rasterize_frame, read_pgm, write_pgm
+from physedit.raster import CameraSpec, rasterize_frame, write_pgm
 from physedit.trajectory import (Trajectory, compare_trajectories,
                                  export_trajectory, frame_bytes,
                                  parse_frame_bytes, read_trajectory,
@@ -26,6 +26,14 @@ def make_traj(rng, frames=3, n=20):
     return Trajectory.from_frames(pos, 24.0, oid,
                                   edit_log=[{"t": 0.1, "property": "gravity"}],
                                   scene_hash="abc", config_hash="def")
+
+
+def read_pgm(path):
+    """The image of a binary PGM as write_pgm writes it."""
+    header, rows, _depth, data = path.read_bytes().split(b"\n", 3)
+    assert header == b"P5"
+    width, height = map(int, rows.split())
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width)
 
 
 def _short_second_frame(manifest, root):
@@ -47,6 +55,15 @@ class TestExport:
         assert np.array_equal(back.object_id, traj.object_id)
         assert back.edit_log == traj.edit_log
         assert back.scene_hash == "abc"
+
+    def test_ungrouped_object_ids_rejected(self, tmp_path):
+        """The manifest keeps one count per id, so [0, 1, 0, 1] cannot
+        round-trip; export refuses it before writing anything."""
+        frames = np.arange(24, dtype=np.float32).reshape(2, 4, 3)
+        traj = Trajectory.from_frames(frames, 24.0, [0, 1, 0, 1])
+        with pytest.raises(ShapeError, match="particle 2 has id 0 after 1"):
+            export_trajectory(traj, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_single_frame_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -577,15 +594,3 @@ class TestRaster:
         write_pgm(img, tmp_path / "y.pgm")
         assert (tmp_path / "x.pgm").read_bytes() == \
             (tmp_path / "y.pgm").read_bytes()
-
-    @pytest.mark.parametrize("raw, message", [
-        (b"P5\nx y\n255\n", "malformed PGM header"),
-        (b"P5\n4 3\n255\n" + bytes(11), "the file holds 11 pixel bytes"),
-        (b"P6\n1 1\n255\n" + bytes(3), "not a binary PGM"),
-    ], ids=["header", "short-pixels", "color"])
-    def test_malformed_pgm_io_error(self, tmp_path, raw, message):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(raw)
-        with pytest.raises(IoError, match=message) as info:
-            read_pgm(path)
-        assert str(path) in str(info.value)
