@@ -8,8 +8,7 @@ Subcommands:
   verify    trajectory dir -> integrity report
   compare   two trajectory dirs -> largest centroid and AABB deviation
 
-Configuration layering is file < environment < flags; the one recognized
-environment variable is PHYSEDIT_SEED.  Every
+Flags override the scene file; no environment variable is read.  Every
 failure prints one machine-readable JSON error record on stderr and
 exits with the error's stable code.
 """
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -51,18 +49,6 @@ REPORTED_WEIGHTS = ("lambda_reg", "lambda_cls", "lambda_smooth", "lambda_con",
                     "lambda_assign", "margin", "huber_delta", "smooth_k")
 
 
-def _resolve_seed(file_seed, flag_seed):
-    """The flag, else PHYSEDIT_SEED, else the scene file's seed."""
-    raw = os.environ.get("PHYSEDIT_SEED")
-    try:
-        env_seed = None if raw is None else int(raw)
-    except ValueError:
-        raise DomainError("environment variable PHYSEDIT_SEED must be an "
-                          f"integer, got {raw!r}") from None
-    return next(value for value in (flag_seed, env_seed, file_seed)
-                if value is not None)
-
-
 def cmd_fill(args) -> int:
     cfg = FillConfig(particle_spacing=args.spacing,
                      voxel_resolution=args.resolution).validate()
@@ -75,7 +61,7 @@ def cmd_fill(args) -> int:
     return 0
 
 
-def _scene_hashes(scene_json_path, extras, cfg, seed):
+def _scene_hashes(scene_json_path, extras, cfg):
     root = Path(scene_json_path).parent
     doc = extras["doc"]
     field_hashes = {obj["field"]: sha256_hex(read_file(root / obj["field"],
@@ -84,7 +70,7 @@ def _scene_hashes(scene_json_path, extras, cfg, seed):
     scene_hash = sha256_hex(canonical_json(
         {"doc": doc, "fields": field_hashes}).encode())
     sim = dataclasses.asdict(cfg)
-    del sim["seed"]  # hashed below as the resolved seed
+    seed = sim.pop("seed")  # hashed at the top level
     config_hash = sha256_hex(canonical_json({
         "sim": sim, "gravity": extras["gravity"], "wind": extras["wind"],
         "schedule": extras["schedule_text"], "seed": seed,
@@ -103,8 +89,7 @@ def cmd_simulate(args) -> int:
         if scene_path.is_dir():
             scene_path = scene_path / "scene.json"
     objects, cfg, extras = load_scene(scene_path)
-    cfg.seed = _resolve_seed(cfg.seed, args.seed)
-    for key in ("frames", "fps"):  # the flags override the scene
+    for key in ("seed", "frames", "fps"):  # the flags override the scene
         if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
     cfg.validate()
@@ -113,8 +98,7 @@ def cmd_simulate(args) -> int:
                         wind=extras["wind"])
     schedule = compile_schedule(extras["schedule_text"], state)
     traj = simulate(state, schedule, cfg)
-    traj.scene_hash, traj.config_hash = _scene_hashes(scene_path, extras,
-                                                      cfg, cfg.seed)
+    traj.scene_hash, traj.config_hash = _scene_hashes(scene_path, extras, cfg)
     manifest = export_trajectory(traj, out_dir)
 
     camera = extras["camera"]
@@ -228,17 +212,12 @@ def cmd_analyze(args) -> int:
 
     grad_report = {}
     if not args.no_gradcheck:
-        probes = {
-            "task": {"pred_probs": pred_probs, "pred_params": pred_params,
-                     "targets": targets, "weights": weights},
-            "smoothness": {"field": fld, "weights": weights},
-            "contrastive": {"field": fld, "triplets": triplets,
-                            "weights": weights},
-            "assignment": {"logits": logits, "targets": targets,
-                           "tau": assign_tau},
-        }
+        # one record for every check; each probe reads only its own keys
+        inputs = {"pred_probs": pred_probs, "pred_params": pred_params,
+                  "targets": targets, "weights": weights, "field": fld,
+                  "triplets": triplets, "logits": logits, "tau": assign_tau}
         lines.append(f"gradient checks (threshold {GRADCHECK_THRESHOLD:g})")
-        for name, inputs in probes.items():
+        for name in ("task", "smoothness", "contrastive", "assignment"):
             err = finite_diff_check(name, inputs)
             grad_report[name] = err
             verdict = "pass" if err < GRADCHECK_THRESHOLD else "FAIL"
@@ -298,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundled", choices=BUNDLED_SCENES,
                    help="materialize and run a bundled example scene")
     p.add_argument("--seed", type=int, default=None,
-                   help="overrides scene seed (env: PHYSEDIT_SEED)")
+                   help="override the scene's seed")
     p.add_argument("--threads", type=int, default=None,
                    help="validated (must be >= 1) but has no effect: the "
                         "kernels are single-threaded")

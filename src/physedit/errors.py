@@ -91,6 +91,15 @@ class WorkBudget(PhysEditError):
     code = 34
 
 
+def check_size(command, count, limit, what):
+    """WorkBudget naming the command, the count and the limit if count
+    exceeds it; count may be an int past the float range."""
+    if count > limit:
+        shown = f"{count:.4g}" if count < 1e300 else "over 1e+300"
+        raise WorkBudget(f"{command} needs {shown} {what}, more than the "
+                         f"limit of {limit}")
+
+
 class ParseError(PhysEditError):
     """Schedule or scene text failed to parse.
 

