@@ -47,7 +47,7 @@ import numpy as np
 
 from .constitutive import batch_constitutive
 from .errors import (DomainError, EmptyScene, GridOverflow, NumericalError,
-                     ParticleEscape)
+                     ParticleEscape, check_size)
 from .materials import (MaterialClass, MaterialField, validate_field,
                         wave_speeds)
 from .schedule import ScheduleRuntime
@@ -62,6 +62,11 @@ _RANK_RTOL = 1e-12
 _OFFSETS = np.array(list(np.ndindex(3, 3, 3)))  # (27, 3) (i, j, k), k fastest
 _OFFSETS_F = _OFFSETS.astype(np.float64)
 _BLOCK = 512  # particles per transfer block, the fastest of 256-1024 measured
+# simulate refuses a larger (frames, N, 3) frame array before allocating it.
+# A frame value costs 4 B there and 12 B more while Trajectory.from_frames
+# gathers each object's frames and copies them to float64 (tracemalloc gave
+# 13.8 B per added value on drop_cube), so the largest run peaks near 1.1 GB.
+MAX_FRAME_VALUES = 1 << 26
 
 
 def _normalize_wall_bc(wall_bc):
@@ -629,12 +634,14 @@ def object_events(state: SimulationState):
 def simulate(state: SimulationState, schedule, cfg: SimConfig):
     """Advance to every frame time k/fps, applying scheduled edits.
 
-    Returns a Trajectory; deterministic for fixed inputs.
+    Returns a Trajectory; deterministic for fixed inputs.  WorkBudget if
+    the frame array would hold more than MAX_FRAME_VALUES values.
     """
     cfg.validate()
     runtime = ScheduleRuntime(schedule) if schedule is not None else None
 
     n = state.n_particles
+    check_size("simulate", cfg.frames * n * 3, MAX_FRAME_VALUES, "frame values")
     frames = np.empty((cfg.frames, n, 3), dtype=np.float32)
     frames[0] = state.x.astype(np.float32)
     edit_log = []

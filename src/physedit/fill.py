@@ -104,17 +104,12 @@ def _voxel_solid_mask(points, cfg: FillConfig):
                 s = np.clip(ijk + (di, dj, dk), 0, dims - 1)
                 surface[s[:, 0], s[:, 1], s[:, 2]] = True
 
-    # 6-connected components of the free space; those touching the padded
-    # boundary were reached from outside
-    free = ~surface
+    # 6-connected components of the free space, padded with one free layer
+    # that joins every component touching the boundary: the component of
+    # the padding's corner is what the exterior reaches
+    free = np.pad(~surface, 1, constant_values=True)
     labels, _ = ndimage.label(free, structure=ndimage.generate_binary_structure(3, 1))
-    boundary_labels = np.unique(np.concatenate([
-        labels[0].ravel(), labels[-1].ravel(),
-        labels[:, 0].ravel(), labels[:, -1].ravel(),
-        labels[:, :, 0].ravel(), labels[:, :, -1].ravel(),
-    ]))
-    boundary_labels = boundary_labels[boundary_labels != 0]
-    reached = np.isin(labels, boundary_labels)
+    reached = (labels == labels[0, 0, 0])[1:-1, 1:-1, 1:-1]
 
     if reached.sum() > LEAK_FRACTION * reached.size:
         raise LeakDetected(
@@ -192,27 +187,34 @@ def fill_interior(surface: MaterialField, cfg: FillConfig) -> np.ndarray:
     return candidates
 
 
-def _nearest_lowest_index(surface_pos, queries, window=8):
-    """Index of the nearest surface point, exact ties to the lowest index.
+def nearest_ranked(tree, queries, k, exclude=None):
+    """The k nearest tree points of each query: (d2, index), each (M, k).
 
-    A row whose whole window ties may have more ties beyond it, so those
-    rows are queried again with twice the window until one does not.
+    Points rank by (squared distance, index), d2 being numpy's sum of the
+    squared coordinate differences, so exact ties go to the lower index.
+    Row i never lists point exclude[i].  A window of the kd-tree's nearest
+    points is ranked exactly; a row whose k-th d2 comes within 1e-9
+    (relative) of the window's last distance may have a tied point beyond
+    it, so those rows are queried again with twice the window.
     """
-    tree = cKDTree(surface_pos)
-    n = surface_pos.shape[0]
-    k = min(window, n)
-    dist, idx = tree.query(queries, k=np.arange(1, k + 1))
-    d_min = dist[:, 0]
-    best = np.empty(queries.shape[0], dtype=np.int64)
+    window = 2 * k + (2 if exclude is not None else 0)
+    d2 = np.empty((queries.shape[0], k))
+    nearest = np.empty((queries.shape[0], k), dtype=np.int64)
     rows = np.arange(queries.shape[0])
-    while True:
-        tied = dist == d_min[rows, None]
-        best[rows] = np.where(tied, idx, n).min(axis=1)
-        rows = rows[tied[:, -1]] if k < n else rows[:0]
-        if rows.size == 0:
-            return best
-        k = min(2 * k, n)
-        dist, idx = tree.query(queries[rows], k=np.arange(1, k + 1))
+    while rows.size:
+        window = min(window, tree.n)
+        dist, idx = tree.query(queries[rows], k=np.arange(1, window + 1))
+        dd = np.sum((tree.data[idx] - queries[rows, None]) ** 2, axis=-1)
+        if exclude is not None:
+            dd[idx == exclude[rows, None]] = np.inf
+        order = np.lexsort((idx, dd))[:, :k]
+        d2[rows] = np.take_along_axis(dd, order, axis=1)
+        nearest[rows] = np.take_along_axis(idx, order, axis=1)
+        if window == tree.n:
+            break
+        rows = rows[d2[rows, -1] * (1.0 + 1e-9) >= dist[:, -1] ** 2]
+        window *= 2
+    return d2, nearest
 
 
 def inherit_properties(interior, surface: MaterialField,
@@ -220,8 +222,8 @@ def inherit_properties(interior, surface: MaterialField,
     """Copy surface properties onto interior points; output = surface + interior.
 
     Each interior point copies every column of its nearest surface point,
-    exact ties going to the lowest surface index, so each keeps the class,
-    parameters and part of one surface point.
+    ranked by nearest_ranked (exact ties to the lowest surface index), so
+    each keeps the class, parameters and part of one surface point.
     """
     cfg.validate()
     interior = np.asarray(interior, dtype=np.float64)
@@ -229,7 +231,7 @@ def inherit_properties(interior, surface: MaterialField,
         raise ShapeError(f"interior positions must be (M, 3), got {interior.shape}")
     if interior.shape[0] == 0:
         raise ShapeError("interior point set must be non-empty")
-    nearest = _nearest_lowest_index(surface.positions, interior)
+    nearest = nearest_ranked(cKDTree(surface.positions), interior, 1)[1][:, 0]
     columns = {name: np.concatenate([col, col[nearest]])
                for name in FIELD_COLUMNS.keys() - {"positions", "interior_flag"}
                if (col := getattr(surface, name)) is not None}

@@ -42,7 +42,6 @@ contrastive embedding) run on every perturbed row of every block.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,6 +51,7 @@ from scipy.spatial import cKDTree
 from .conditioning import DEFAULT_TAU, softmax_rows
 from .errors import (DegenerateInput, DomainError, MissingMapping,
                      NonSmoothPoint, ShapeError, check_size)
+from .fill import nearest_ranked
 from .materials import MaterialField, wave_speeds
 
 # The term matrix of a block of central-difference probes holds at most
@@ -199,12 +199,10 @@ def _knn_graph(f: MaterialField, k):
     squared edge lengths d2 = ||x_dst - x_src||^2.
 
     Neighbors of a point come from its own part when the field has part
-    labels.  Candidates rank by (||x_j - x_i||^2, j), so ties go to the
-    lower index: the k + 1 nearest fix a radius, and every point within it
-    (plus 1e-9 relative slack) is re-ranked exactly.  Edges run part by
-    part (in label order), point by point within a part, and by rank
-    within a point.  Points with no candidate neighbor get a count of 0.
-    ShapeError if k < 1.
+    labels, ranked by fill.nearest_ranked: by (||x_j - x_i||^2, j), so
+    ties go to the lower index.  Edges run part by part (in label order),
+    point by point within a part, and by rank within a point.  Points
+    with no candidate neighbor get a count of 0.  ShapeError if k < 1.
     """
     if k < 1:
         raise ShapeError("smooth_k must be >= 1")
@@ -220,22 +218,11 @@ def _knn_graph(f: MaterialField, k):
         if idx.size < 2:
             continue
         kk = min(k, idx.size - 1)
-        tree = cKDTree(pos[idx])
-        radius = tree.query(pos[idx], k=kk + 1)[0][:, -1] * (1.0 + 1e-9)
-        balls = tree.query_ball_point(pos[idx], radius)
-        size = np.fromiter(map(len, balls), np.int64, idx.size)
-        i = np.repeat(idx, size)
-        j = idx[np.fromiter(itertools.chain.from_iterable(balls), np.int64,
-                            size.sum())]
-        keep = j != i  # each ball holds its own point once
-        i, j = i[keep], j[keep]
-        dd = np.sum((pos[j] - pos[i]) ** 2, axis=1)
-        order = np.lexsort((j, dd, i))
-        first = np.cumsum(size - 1) - (size - 1)  # where each point's run starts
-        near = order[(first[:, None] + np.arange(kk)).reshape(-1)]
-        src.append(i[near])
-        dst.append(j[near])
-        d2.append(dd[near])
+        dd, near = nearest_ranked(cKDTree(pos[idx]), pos[idx], kk,
+                                  exclude=np.arange(idx.size))
+        src.append(np.repeat(idx, kk))
+        dst.append(idx[near].ravel())
+        d2.append(dd.ravel())
     src = np.concatenate(src)
     return (src, np.concatenate(dst), np.bincount(src, minlength=n),
             np.concatenate(d2))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -101,7 +101,6 @@ class Intervention:
 @dataclass(frozen=True)
 class InstructionSchedule:
     interventions: tuple = ()
-    clamps: dict = field(default_factory=lambda: dict(DEFAULT_CLAMPS))
     max_log_rate: float = DEFAULT_MAX_LOG_RATE
 
 
@@ -394,7 +393,7 @@ def compile_schedule(raw: str, scene) -> InstructionSchedule:
                    key=lambda iv: (iv.trigger.value, iv.source_line))
     events = [iv for iv in entries if iv.trigger.kind != "at_time"]
     return InstructionSchedule(interventions=tuple(timed) + tuple(events),
-                               clamps=clamps, max_log_rate=max_log_rate)
+                               max_log_rate=max_log_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,20 @@ class TestSimulateCommand:
         assert (tmp_path / "t" / "images" / "frame_0000.pgm").exists()
         assert main(["verify", str(tmp_path / "t")]) == 0
 
+    def test_huge_frame_count_fails_fast(self, tmp_path, capsys):
+        """A frame array far past the limit exits 34 before allocating."""
+        out = tmp_path / "t"
+        start = time.perf_counter()
+        rc = main(["simulate", "--bundled", "drop_cube", str(out),
+                   "--frames", "1000000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 34
+        record = single_error_record(capsys)
+        assert record["error"] == "WorkBudget"
+        assert record["message"].startswith("simulate needs ")
+        assert "frame values" in record["message"]
+        assert not (out / "manifest.json").exists()
+
     def test_seed_flag_overrides_and_changes_config_hash(self, tmp_path):
         main(["simulate", "--bundled", "drop_cube", str(tmp_path / "a"),
               "--no-images"])

@@ -752,6 +752,52 @@ def angular_momentum(st, about):
     return st.mass @ (np.cross(st.x - about, st.v) + 0.25 * st.h ** 2 * spin)
 
 
+def shifted_cube(cells, velocity, ground_bc):
+    """A 125-particle cube one cell above the ground, with its
+    domain, ground and particles moved by ``cells`` grid cells of 1/32 m;
+    returns the state, its config and the shift in metres."""
+    h = 1 / 32
+    shift = np.asarray(cells, dtype=float) * h
+    cube = small_cube(0.25, 5)  # filled at 1/16 m
+    cfg = SimConfig(h_grid=h, domain_lo=tuple(shift + (-0.5, -0.25, -0.5)),
+                    domain_hi=tuple(shift + (0.75, 0.75, 0.75)),
+                    ground_height=float(shift[1]), ground_bc=ground_bc)
+    st = build_state([ObjectInit(field=cube, h_fill=1 / 16, velocity=velocity,
+                                 translate=tuple(shift + (0.0, h, 0.0)))],
+                     cfg)
+    return st, cfg, shift
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(cells=hst.tuples(*[hst.integers(-8, 8)] * 3),
+       velocity=hst.tuples(*[hst.integers(-16, 16).map(lambda i: i / 16)] * 3),
+       ground_bc=hst.sampled_from(_BC_MODES))
+def test_whole_cell_shift(cells, velocity, ground_bc):
+    """Moving a scene, its grid and its ground by whole cells moves its
+    particles the same way.
+
+    Every input is dyadic, so the shifted positions, grid origin and ground
+    are exact and each particle sees the same nodes and weights: the first
+    substep gives bit-identical v, C and F, and x - shift within one
+    rounding of x (|x| < 1 m).  Later substeps differ at rounding level,
+    which stable_dt feeds back into dt; after 20 substeps the positions
+    agree to 1e-15 m (the largest of 30 random cases measured 3.9e-16 m).
+    """
+    base, base_cfg, _ = shifted_cube((0, 0, 0), velocity, ground_bc)
+    moved, moved_cfg, shift = shifted_cube(cells, velocity, ground_bc)
+    assert np.array_equal(moved.x - shift, base.x)
+    dt = stable_dt(base, base_cfg)
+    step(base, dt)
+    step(moved, dt)
+    for name in ("v", "c_apic", "f"):
+        assert np.array_equal(getattr(moved, name), getattr(base, name)), name
+    assert np.abs(moved.x - shift - base.x).max() <= 2.0 ** -53
+    for _ in range(19):
+        step(base, stable_dt(base, base_cfg))
+        step(moved, stable_dt(moved, moved_cfg))
+    assert np.abs(moved.x - shift - base.x).max() <= 1e-15
+
+
 def test_elastic_column_oscillates_at_its_closed_form():
     """A column released from rest under gravity on sticky ground.
 

@@ -64,7 +64,6 @@ class TestCompile:
         sched = compile_schedule("", scene_map())
         assert sched.interventions == ()
         assert sched.max_log_rate == DEFAULT_MAX_LOG_RATE
-        assert sched.clamps["young_modulus"] == (1e2, 1e12)
 
     def test_reference_line(self):
         sched = compile_schedule(
@@ -143,8 +142,13 @@ class TestCompile:
         assert sched.interventions == ()
 
     def test_clamp_lines(self):
-        sched = compile_schedule("clamp young_modulus 1e3 1e9", scene_map())
-        assert sched.clamps["young_modulus"] == (1e3, 1e9)
+        clamp = "clamp young_modulus 1e3 1e9\n"
+        with pytest.raises(ClampViolation):
+            compile_schedule(clamp + "at t=0 set object 0 young_modulus 1e10",
+                             scene_map())
+        sched = compile_schedule(
+            clamp + "at t=0 set object 0 young_modulus 1e9", scene_map())
+        assert sched.interventions[0].value == 1e9
         with pytest.raises(ClampViolation):
             compile_schedule("clamp young_modulus 1 1e20", scene_map())
 
