@@ -254,13 +254,15 @@ def _class_rows(class_id):
     return order, start
 
 
-def batch_constitutive(f, class_id, e, nu):
+def batch_constitutive(f, class_id, e, nu, rows=None):
     """Vectorized stress evaluation over a particle batch.
 
     f (N,3,3), class_id (N,), e (N,), nu (N,).  Returns (kirchhoff (N,3,3),
     f_new (N,3,3)); the Kirchhoff stress is exactly symmetric.  Each class
     does only its own work: ``svd3`` runs on the ELASTIC, PLASTICINE, SAND
     and SNOW particles, LIQUID needs only det F, and RIGID is skipped.
+    rows is ``_class_rows(class_id)``, which the engine keeps between
+    schedule edits; without it the rows are grouped here.
     """
     f = np.asarray(f, dtype=np.float64)
     if not np.isfinite(f).all():
@@ -268,7 +270,7 @@ def batch_constitutive(f, class_id, e, nu):
         raise NumericalError(f"particle {i}: non-finite deformation gradient",
                              particle=i)
     n = f.shape[0]
-    order, start = _class_rows(np.asarray(class_id))
+    order, start = _class_rows(np.asarray(class_id)) if rows is None else rows
     # solid holds the ELASTIC, PLASTICINE, SAND and SNOW rows in that order,
     # so each return map below runs on one contiguous slice of them
     solid = order[:start[MaterialClass.LIQUID]]

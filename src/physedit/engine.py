@@ -26,6 +26,13 @@ bit-reproducible regardless of worker thread count.  Body forces
 (gravity, wind) enter through the particle momentum with per-particle
 scale factors so schedules can manipulate single objects.
 
+What a substep reads from the columns that only schedule edits write
+(the CFL bounds max c_p and g_max of ``stable_dt``, the class rows of
+``batch_constitutive`` and the rigid groups) is derived once per edit:
+``simulate`` derives it at the start and again whenever
+``ScheduleRuntime.apply`` returns edits, and passes it to ``stable_dt``
+and ``step``.
+
 A rigid group is the RIGID-class particles that share an object id and
 a part label; it carries no stress, and its F stays I.  Its motion
 V + omega x (x - c) is the mass-weighted least-squares fit to the grid
@@ -45,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constitutive import batch_constitutive
+from .constitutive import _class_rows, batch_constitutive
 from .errors import (DomainError, EmptyScene, GridOverflow, NumericalError,
                      ParticleEscape, check_size)
 from .materials import (MaterialClass, MaterialField, validate_field,
@@ -248,20 +255,58 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
 
 
 def _check_inside(state: SimulationState, build=False):
+    """GridOverflow (build) or ParticleEscape unless every particle keeps
+    GRID_MARGIN cells from the grid faces.
+
+    (x - origin) / h rounds monotonically in x, so testing the per-axis
+    extremes of x gives the per-particle test's answer bit for bit; the
+    per-particle pass runs only on failure, to name the lowest bad index.
+    """
+    lo = (state.x.min(axis=0) - state.origin) / state.h
+    hi = (state.x.max(axis=0) - state.origin) / state.h
+    if (lo >= GRID_MARGIN).all() and (hi <= (state.dims - 1) - GRID_MARGIN).all():
+        return
     gx = (state.x - state.origin) / state.h
     lo_ok = gx >= GRID_MARGIN
     hi_ok = gx <= (state.dims - 1) - GRID_MARGIN
     bad = ~(lo_ok & hi_ok).all(axis=1)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        msg = (f"particle {i} at {state.x[i]} outside grid margin "
-               f"(origin {state.origin}, dims {state.dims}, h {state.h})")
-        if build:
-            raise GridOverflow(msg)
-        raise ParticleEscape(msg, particle=i)
+    i = int(np.nonzero(bad)[0][0])
+    msg = (f"particle {i} at {state.x[i]} outside grid margin "
+           f"(origin {state.origin}, dims {state.dims}, h {state.h})")
+    if build:
+        raise GridOverflow(msg)
+    raise ParticleEscape(msg, particle=i)
 
 
-def stable_dt(state: SimulationState, cfg: SimConfig) -> float:
+@dataclass(frozen=True)
+class _Derived:
+    """What a substep reads from the columns only schedule edits write.
+
+    E, nu, rho, the class, the gravity and wind scales and the scene's
+    gravity and wind change mid-run only when ``ScheduleRuntime.apply``
+    returns edits, so ``simulate`` derives these once and again after
+    every edit instead of once per substep.
+    """
+
+    c_max: float   # largest non-RIGID P-wave speed
+    g_max: float   # |gravity| max |gravity_scale| + |wind| max |wind_scale|
+    rows: tuple    # constitutive._class_rows(class_id)
+    groups: list   # _rigid_groups(state)
+
+
+def _derive(state: SimulationState) -> _Derived:
+    c_p, _ = wave_speeds(state.young_modulus, state.poisson_ratio,
+                         state.density)
+    return _Derived(
+        c_max=float(c_p[state.class_id != MaterialClass.RIGID].max(initial=0.0)),
+        g_max=(np.linalg.norm(state.gravity) * np.abs(state.gravity_scale).max()
+               + np.linalg.norm(state.wind) * np.abs(state.wind_scale).max()),
+        rows=_class_rows(state.class_id),
+        groups=_rigid_groups(state))
+
+
+def stable_dt(state: SimulationState, cfg: SimConfig,
+              derived: Optional[_Derived] = None) -> float:
     """CFL bound from live parameters.
 
     dt = cfl h / (max c_p + max |v|), with c_p over the non-RIGID
@@ -272,18 +317,17 @@ def stable_dt(state: SimulationState, cfg: SimConfig) -> float:
     where nothing deformable moves still gets a finite step.  Returns
     inf when neither bound applies (no deformable particle, nothing
     moving and no body force); simulate then steps to the next frame.
+    max c_p and g_max come from ``derived``, which ``simulate`` derives
+    once per schedule edit; without it they are derived here.
     """
-    c_p, _ = wave_speeds(state.young_modulus, state.poisson_ratio,
-                         state.density)
-    c_max = float(c_p[state.class_id != MaterialClass.RIGID].max(initial=0.0))
+    if derived is None:
+        derived = _derive(state)
     v_max = float(np.sqrt((state.v ** 2).sum(axis=1).max(initial=0.0)))
     reach = cfg.cfl_number * state.h
-    speed = c_max + v_max
+    speed = derived.c_max + v_max
     dt = reach / speed if speed > 0 else np.inf
-    g_max = (np.linalg.norm(state.gravity) * np.abs(state.gravity_scale).max()
-             + np.linalg.norm(state.wind) * np.abs(state.wind_scale).max())
-    if g_max > 0:
-        dt = min(dt, float(np.sqrt(reach / g_max)))
+    if derived.g_max > 0:
+        dt = min(dt, float(np.sqrt(reach / derived.g_max)))
     return dt
 
 
@@ -590,14 +634,23 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
     state.t += dt
 
 
-def step(state: SimulationState, dt: float):
-    """Advance the state by one substep of size dt (<= stable_dt)."""
+def step(state: SimulationState, dt: float,
+         derived: Optional[_Derived] = None):
+    """Advance the state by one substep of size dt (<= stable_dt).
+
+    The class rows and rigid groups come from ``derived``, which
+    ``simulate`` derives once per schedule edit; without it they are
+    derived here.
+    """
+    if derived is None:
+        derived = _derive(state)
     # the Kirchhoff stress tau = P F^T is the stress the MLS term of _p2g takes
     kirchhoff, state.f = batch_constitutive(
-        state.f, state.class_id, state.young_modulus, state.poisson_ratio)
+        state.f, state.class_id, state.young_modulus, state.poisson_ratio,
+        rows=derived.rows)
     stencil, grid_mass, grid_mom = _p2g(state, dt, kirchhoff)
     grid_v = _grid_update(state, dt, stencil, grid_mass, grid_mom)
-    groups = _rigid_groups(state)
+    groups = derived.groups
     motions = _couple_rigid(state, stencil, grid_mass, grid_v, groups)
     _g2p(state, dt, stencil, grid_v, zip(groups, motions))
 
@@ -635,7 +688,9 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
     """Advance to every frame time k/fps, applying scheduled edits.
 
     Returns a Trajectory; deterministic for fixed inputs.  WorkBudget if
-    the frame array would hold more than MAX_FRAME_VALUES values.
+    the frame array would hold more than MAX_FRAME_VALUES values.  The
+    CFL bounds, class rows and rigid groups are derived at the start and
+    after each substep whose ``ScheduleRuntime.apply`` returns edits.
     """
     cfg.validate()
     runtime = ScheduleRuntime(schedule) if schedule is not None else None
@@ -645,20 +700,22 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
     frames = np.empty((cfg.frames, n, 3), dtype=np.float32)
     frames[0] = state.x.astype(np.float32)
     edit_log = []
+    derived = _derive(state)
 
     for frame in range(1, cfg.frames):
         target_t = frame / cfg.fps
         substep = 0
         while state.t < target_t - 1e-12:
-            dt = min(stable_dt(state, cfg), target_t - state.t)
+            dt = min(stable_dt(state, cfg, derived), target_t - state.t)
             if runtime is not None:
                 edits = runtime.apply(state, state.t, dt)
                 if edits:
                     edit_log.extend(edits)
-                    dt = min(dt, stable_dt(state, cfg))
+                    derived = _derive(state)
+                    dt = min(dt, stable_dt(state, cfg, derived))
             t_before = state.t
             try:
-                step(state, dt)
+                step(state, dt, derived)
             except (ParticleEscape, NumericalError) as exc:
                 where = f"frame {frame}, substep {substep}, t={t_before:.6g}"
                 if exc.particle is not None:

@@ -10,6 +10,11 @@ The inside test voxelizes the surface (each sample stamped with a
 exterior, and treats unreached voxels as solid.  Candidates closer than
 half the fill spacing to a surface sample are rejected, so the lattice
 never collides with the shell.
+
+scipy.spatial and scipy.ndimage are imported inside the functions that
+use them: together they take about half a second to import, which
+``physedit verify``, ``compare`` and ``simulate`` of a scene directory
+never need.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import (DegenerateGeometry, DomainError, LeakDetected, ShapeError,
                      check_size)
@@ -63,6 +66,8 @@ class FillConfig:
     def resolution3(self, points):
         if self.voxel_resolution is not None:
             return np.full(3, self.voxel_resolution, dtype=np.int64)
+        from scipy.spatial import cKDTree
+
         extent = points.max(axis=0) - points.min(axis=0)
         nn = cKDTree(points).query(points, k=2)[0][:, 1]
         spacing = float(np.median(nn))
@@ -87,6 +92,8 @@ def _voxel_solid_mask(points, cfg: FillConfig):
     interior = free voxels the flood from the bounding-box exterior
                does not reach
     """
+    from scipy import ndimage
+
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     res = cfg.resolution3(points)
@@ -134,6 +141,8 @@ def _candidate_lattice(points, spacing):
 
 def _estimate_normals(points, interior_centers, k=12):
     """PCA normals, each oriented away from its nearest interior voxel."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     k = min(k, points.shape[0] - 1)
     _, nb = tree.query(points, k=k + 1)
@@ -156,6 +165,8 @@ def fill_interior(surface: MaterialField, cfg: FillConfig) -> np.ndarray:
     shell are resolved against the local tangent plane of their nearest
     surface sample (normals from PCA, oriented outward by the flood).
     """
+    from scipy.spatial import cKDTree
+
     cfg.validate()
     points = surface.positions
     _require_volume(points)
@@ -225,6 +236,8 @@ def inherit_properties(interior, surface: MaterialField,
     ranked by nearest_ranked (exact ties to the lowest surface index), so
     each keeps the class, parameters and part of one surface point.
     """
+    from scipy.spatial import cKDTree
+
     cfg.validate()
     interior = np.asarray(interior, dtype=np.float64)
     if interior.ndim != 2 or interior.shape[1] != 3:

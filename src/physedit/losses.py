@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .conditioning import DEFAULT_TAU, softmax_rows
 from .errors import (DegenerateInput, DomainError, MissingMapping,
@@ -204,6 +203,8 @@ def _knn_graph(f: MaterialField, k):
     point by point within a part, and by rank within a point.  Points
     with no candidate neighbor get a count of 0.  ShapeError if k < 1.
     """
+    from scipy.spatial import cKDTree  # imported on use, as in fill
+
     if k < 1:
         raise ShapeError("smooth_k must be >= 1")
     pos = f.positions

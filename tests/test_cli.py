@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import physedit
 from physedit import cli
 from physedit.cli import main
 from physedit.fieldio import read_field, write_field
@@ -724,3 +728,19 @@ def test_exit_code(tmp_path, monkeypatch, capsys, run, code, error):
         assert "FAIL" in capsys.readouterr().out
     else:
         assert single_error_record(capsys)["error"] == error
+
+
+def test_import_leaves_out_scipy_spatial_and_ndimage():
+    """verify, compare and simulate of a scene directory never search or
+    label, so importing the CLI must not pay for scipy.spatial or
+    scipy.ndimage; fill and losses import them where they use them."""
+    src = str(Path(physedit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, physedit.cli; "
+         "print(sorted(m for m in ('scipy.spatial', 'scipy.ndimage') "
+         "if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

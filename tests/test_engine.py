@@ -143,6 +143,46 @@ class TestConfig:
                               "z_max": "separate"}
 
 
+class TestCheckInside:
+    """The grid-margin test at its exact edge.  h = 1/8 on [0, 1]^3 gives
+    9 nodes per axis, so gx = 8 x is exact and particles may sit at
+    gx in [GRID_MARGIN, 8 - GRID_MARGIN] = [3, 5]."""
+
+    CFG = dict(h_grid=0.125, domain_lo=(0.0, 0.0, 0.0),
+               domain_hi=(1.0, 1.0, 1.0), ground_height=0.0)
+
+    @staticmethod
+    def points():
+        # five distinct interior points, all at dyadic coordinates
+        return 0.5 + 0.0625 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                        [0, 0, 1], [-1, -1, -1]], dtype=float)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("face, gx", [("lo", GRID_MARGIN),
+                                          ("hi", 8 - GRID_MARGIN)])
+    def test_exact_margin_passes_and_one_ulp_out_fails(self, axis, face, gx):
+        edge = gx * 0.125
+        outward = -np.inf if face == "lo" else np.inf
+        pts = self.points()
+        pts[1, axis] = edge
+        cfg = SimConfig(**self.CFG)
+        st = build_state([ObjectInit(field=particle_field(pts.copy()),
+                                     h_fill=0.125)], cfg)
+        assert st.dims.tolist() == [9, 9, 9]
+        assert (st.x[1, axis] - st.origin[axis]) / st.h == gx
+        engine._check_inside(st)
+
+        st.x[[4, 2], axis] = np.nextafter(edge, outward)
+        with pytest.raises(ParticleEscape, match="^particle 2 at") as info:
+            engine._check_inside(st)
+        assert info.value.particle == 2
+
+        pts[3, axis] = np.nextafter(edge, outward)
+        with pytest.raises(GridOverflow, match="^particle 3 at"):
+            build_state([ObjectInit(field=particle_field(pts), h_fill=0.125)],
+                        cfg)
+
+
 class TestStableDt:
     def test_formula(self):
         f = particle_field([[0, 0, 0]], e=2.0, nu=0.0, rho=1.0)
@@ -553,9 +593,9 @@ def count_substeps(monkeypatch):
     calls = []
     inner = engine.step
 
-    def counted(state, dt):
+    def counted(state, dt, *args, **kwargs):
         calls.append(dt)
-        inner(state, dt)
+        inner(state, dt, *args, **kwargs)
 
     monkeypatch.setattr(engine, "step", counted)
     return calls

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import assume, given, settings, strategies as hst
 
 from physedit import losses
@@ -87,15 +88,16 @@ def test_smoothness_gradient_without_part_restriction():
 
 
 def test_smoothness_check_builds_one_tree_per_part(monkeypatch):
-    # the graph depends only on positions and labels, which no probe moves
+    # the graph depends only on positions and labels, which no probe moves;
+    # losses imports cKDTree from scipy.spatial where it builds the graph
     built = []
-    real_tree = losses.cKDTree
+    real_tree = scipy.spatial.cKDTree
 
     def counting_tree(*args, **kwargs):
         built.append(args)
         return real_tree(*args, **kwargs)
 
-    monkeypatch.setattr(losses, "cKDTree", counting_tree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
     rng = np.random.default_rng(2)
     f = random_field(rng, n=20)
     assert np.bincount(f.part_label).min() >= 2

@@ -11,8 +11,8 @@ from scipy.spatial.distance import pdist
 from physedit import engine
 from physedit.engine import (ObjectInit, SimConfig, build_state, simulate,
                              stable_dt, step)
-from physedit.errors import (ClampViolation, DomainError, ParseError,
-                             UnknownTarget)
+from physedit.errors import (ClampViolation, DomainError, NumericalError,
+                             ParseError, ParticleEscape, UnknownTarget)
 from physedit.materials import MaterialClass
 from physedit.schedule import (DEFAULT_MAX_LOG_RATE, InstructionSchedule,
                                ScheduleRuntime, compile_schedule, ramp_value)
@@ -519,6 +519,122 @@ def test_rigid_switch_mid_run():
     assert np.array_equal(state.f, eye)
     assert np.abs(pdist(state.x) - switched).max() < 1e-12
     assert state.x[:, 1].min() > 0.0
+
+
+# edits for the cached-limiter property: every kind the engine caches
+# against (E, nu and rho ramps under a log-rate cap, class switches, the
+# scene's gravity and wind, the per-object scales) and one it does not
+# (velocity impulses), on two objects whose first has two parts
+_TIMES = hst.floats(0.0, 0.08)
+_RAMPS = hst.sampled_from((0.0, 0.0, 0.01, 0.04))
+_OBJECTS = hst.sampled_from(("object 0", "object 1", "object 0 part 1"))
+
+
+def _vectors(bound):
+    return hst.tuples(*[hst.floats(-bound, bound)] * 3).map(
+        lambda v: "({!r},{!r},{!r})".format(*v))
+
+
+_LIMITER_EDITS = hst.one_of(
+    hst.tuples(_OBJECTS, hst.floats(3.0, 5.0).map(lambda x: 10.0 ** x))
+    .map(lambda a: f"set {a[0]} young_modulus {a[1]!r}"),
+    hst.tuples(_OBJECTS, hst.floats(0.0, 0.45))
+    .map(lambda a: f"set {a[0]} poisson_ratio {a[1]!r}"),
+    hst.tuples(_OBJECTS, hst.floats(2.0, 3.3).map(lambda x: 10.0 ** x))
+    .map(lambda a: f"set {a[0]} density {a[1]!r}"),
+    hst.tuples(_OBJECTS, hst.sampled_from(("rigid", "liquid")))
+    .map(lambda a: f"set {a[0]} material_model {a[1]}"),
+    _vectors(30.0).map(lambda v: f"set scene gravity {v}"),
+    _vectors(30.0).map(lambda v: f"set scene wind {v}"),
+    hst.tuples(_OBJECTS, hst.sampled_from(("gravity_scale", "wind_scale")),
+               hst.floats(-20.0, 20.0))
+    .map(lambda a: f"set {a[0]} {a[1]} {a[2]!r}"),
+    hst.tuples(_OBJECTS, _vectors(2.0))
+    .map(lambda a: f"impulse {a[0]} {a[1]}"),
+)
+_INSTANT = ("material_model", "impulse")  # these take no ramp
+_LIMITER_LINES = hst.tuples(
+    hst.one_of(_TIMES.map(lambda t: f"at t={t!r}"),
+               hst.just("on ground_contact object 0")),
+    _LIMITER_EDITS, _RAMPS,
+).map(lambda a: f"{a[0]} {a[1]}" + (
+    f" ramp {a[2]!r}" if a[2] and not any(w in a[1] for w in _INSTANT) else ""))
+
+
+def _limiter_scene(classes):
+    """Two 27-particle cubes of the given classes over sticky ground, 3
+    frames at 24 fps; the lower one has two parts.  The solids are soft
+    (c_p about 1 m/s), so a body force over about 150 m/s^2 sets dt
+    instead, and with both cubes RIGID and at rest only the body force
+    can."""
+    lattice = 0.03 * np.stack(np.meshgrid(*[np.arange(3.0)] * 3,
+                                          indexing="ij"), axis=-1).reshape(-1, 3)
+    lower = uniform_field(lattice, classes[0], 1e3, 0.3, 1000.0)
+    lower = lower.with_(part_label=(lattice[:, 2] > 0.04).astype(np.int32))
+    upper = uniform_field(lattice, classes[1], 2e3, 0.25, 800.0)
+    cfg = SimConfig(h_grid=0.03, frames=3, fps=24.0,
+                    domain_lo=(-0.6, -0.18, -0.6), domain_hi=(0.7, 0.6, 0.6),
+                    ground_height=0.0)
+    state = build_state([ObjectInit(field=lower, h_fill=0.03,
+                                    translate=(0.0, 0.03, 0.0)),
+                         ObjectInit(field=upper, h_fill=0.03,
+                                    translate=(0.1, 0.15, 0.0))], cfg)
+    return state, cfg
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(lines=hst.lists(_LIMITER_LINES, min_size=2, max_size=5),
+       rate=hst.sampled_from((None, 0.5, 5.0)),
+       classes=hst.tuples(*[hst.sampled_from((MaterialClass.ELASTIC,
+                                              MaterialClass.RIGID,
+                                              MaterialClass.LIQUID))] * 2))
+def test_cached_limiter_matches_per_substep_derivation(lines, rate, classes):
+    """simulate derives the CFL bounds, class rows and rigid groups once per
+    schedule edit; a hand loop of the uncached stable_dt(state, cfg) and
+    step(state, dt) must take the same dt at every substep, log the same
+    edits and end with bit-identical x, v and F, or fail alike at the
+    same substep where a particle escapes or F degenerates."""
+    text = "\n".join(lines + ([] if rate is None else [f"max_log_rate {rate}"]))
+    state, cfg = _limiter_scene(classes)
+    schedule = compile_schedule(text, state)
+    dts, error, edit_log = [], None, None
+    inner = engine.step
+
+    def counted(st, dt, *args, **kwargs):
+        dts.append(dt)
+        inner(st, dt, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "step", counted)
+        try:
+            edit_log = simulate(state, schedule, cfg).edit_log
+        except (ParticleEscape, NumericalError) as exc:
+            error = (type(exc), exc.particle)
+
+    hand, _ = _limiter_scene(classes)
+    rt = ScheduleRuntime(schedule)
+    hand_dts, hand_edits, hand_error = [], [], None
+    try:
+        for frame in range(1, cfg.frames):
+            target_t = frame / cfg.fps
+            while hand.t < target_t - 1e-12:
+                dt = min(stable_dt(hand, cfg), target_t - hand.t)
+                edits = rt.apply(hand, hand.t, dt)
+                if edits:
+                    hand_edits.extend(edits)
+                    dt = min(dt, stable_dt(hand, cfg))
+                hand_dts.append(dt)
+                step(hand, dt)
+            hand.t = target_t
+    except (ParticleEscape, NumericalError) as exc:
+        hand_error = (type(exc), exc.particle)
+
+    assert dts == hand_dts
+    assert error == hand_error
+    if error is None:
+        assert edit_log == hand_edits
+    for name in ("x", "v", "f"):
+        assert np.array_equal(getattr(state, name), getattr(hand, name)), name
 
 
 def _drop_and_edit(schedule_text, monkeypatch):
