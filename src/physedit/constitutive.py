@@ -3,16 +3,19 @@
 The solver needs only the Kirchhoff stress tau = P F^T (MLS-MPM, Hu et
 al. 2018), so that is what ``batch_constitutive`` returns, together with
 the updated F.  Each class does only its own work, on its own index list.
-The ELASTIC, PLASTICINE, SAND and SNOW particles decompose F once,
+The PLASTICINE, SAND and SNOW particles decompose F once,
 F = U diag(sigma) V^T with proper rotations U, V (``svd3``), and derive
 everything else from that single decomposition: J = sigma_1 sigma_2
 sigma_3, the projected gradient U diag(sigma') V^T of the return
 mappings, and tau = U diag(d) U^T for a vector d = p sigma of principal
-Kirchhoff stresses, where P = U diag(p) V^T.  tau is formed exactly
-symmetric, which keeps angular momentum (Jiang et al. 2015).
+Kirchhoff stresses, where P = U diag(p) V^T.  ELASTIC needs no
+decomposition (below).  tau is formed exactly symmetric, which keeps
+angular momentum (Jiang et al. 2015).
 
-  Elastic     fixed corotated  P = 2 mu (F - R) + lambda (J - 1) J F^-T,
-              d = 2 mu (sigma - 1) sigma + lambda (J - 1) J
+  Elastic     fixed corotated  P = 2 mu (F - R) + lambda (J - 1) J F^-T.
+              R F^T = sqrt(b) with b = F F^T, so tau = 2 mu (b - sqrt(b))
+              + lambda (J - 1) J I, with sqrt(b) in closed form from b,
+              b^2 and the invariants of F (``_elastic_kirchhoff``)
   Rigid       skipped: tau = 0 and F unchanged.  The solver keeps a
               rigid particle's F = I (each rigid group moves as one
               rigid body), where the fixed-corotated stress is exactly 0
@@ -56,6 +59,18 @@ SNOW_THETA_S = 7.5e-3
 _SIGMA_FLOOR = 1e-6  # keeps log strains finite under extreme compression
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# _FULL[a][b] is the position of entry (a, b) in a _UPPER-ordered list
+_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+# F given as a flat (9, N) array, a[3 i + k] = F_ik: cofactor (i, k) is
+# F_(i+1)(k+1) F_(i+2)(k+2) - F_(i+1)(k+2) F_(i+2)(k+1), indices mod 3, and
+# (F F^T)_ab sums F_ak F_bk over k, for each (a, b) in _UPPER
+_COF = np.array([[3 * ((i + di) % 3) + (k + dk) % 3
+                  for i in range(3) for k in range(3)]
+                 for di, dk in ((1, 1), (2, 2), (1, 2), (2, 1))])
+_GRAM = np.array([[[3 * row[m] + k for k in range(3)] for row in _UPPER]
+                  for m in range(2)])
+# the same sums over a symmetric matrix given as its _UPPER-ordered entries
+_GRAM_SYM = _FULL[_GRAM // 3, _GRAM % 3]
 # Cyclic Jacobi on a 3x3 symmetric matrix converges quadratically; four
 # sweeps reach working precision (TestSvd3 checks reconstruction to 1e-13).
 # A cap: each particle stops rotating once its off-diagonals meet _OFF_TOL2.
@@ -234,13 +249,6 @@ def _symmetric_recompose(u, d):
     return out
 
 
-def _det3(f):
-    """Cofactor determinant of (N,3,3) matrices."""
-    return (f[:, 0, 0] * (f[:, 1, 1] * f[:, 2, 2] - f[:, 1, 2] * f[:, 2, 1])
-            - f[:, 0, 1] * (f[:, 1, 0] * f[:, 2, 2] - f[:, 1, 2] * f[:, 2, 0])
-            + f[:, 0, 2] * (f[:, 1, 0] * f[:, 2, 1] - f[:, 1, 1] * f[:, 2, 0]))
-
-
 def _class_rows(class_id):
     """Particle indices grouped by class, and where each class begins.
 
@@ -254,13 +262,80 @@ def _class_rows(class_id):
     return order, start
 
 
+def _cofactor(a):
+    """Cofactor matrices and determinants of F given as a[3 i + k] = F_ik.
+
+    a is (9, N); returns (cof (9, N) in the same layout, det F (N,)), with
+    det F = F_00 cof_00 + F_01 cof_01 + F_02 cof_02 in that order.
+    """
+    g = a[_COF]
+    cof = g[0] * g[1] - g[2] * g[3]
+    return cof, (a[:3] * cof[:3]).sum(axis=0)
+
+
+def _elastic_kirchhoff(a, cof, j, mu, lam):
+    """Fixed-corotated Kirchhoff stress (N,3,3) of F given as a[3 i + k] =
+    F_ik, with its cofactors and determinants J > 0 from ``_cofactor``.
+
+    With b = F F^T, R F^T = sqrt(b), so tau = 2 mu (b - sqrt(b)) + lambda
+    (J - 1) J I needs no rotation.  sqrt(b) is the closed form of Franca
+    1989 ("An algorithm to compute the square root of a 3x3 positive
+    definite matrix"): from the largest eigenvalue lambda_1 of b and the
+    invariants I2(b) = |cof F|^2 and J come the invariants i1, i2, i3 = J
+    of sqrt(b), and then by Cayley-Hamilton
+    sqrt(b) = (-b^2 + (i1^2 - i2) b + i1 i3 I) / (i1 i2 - i3).
+    lambda_1 comes from the trigonometric formula on the deviator of b,
+    formed entry by entry, which does not cancel near b = I as the
+    invariants would.  Taking the largest eigenvalue keeps
+    I2 - (J / s1)^2 = lambda_1 (lambda_2 + lambda_3) free of cancellation,
+    and at a double largest eigenvalue, where the formula's lambda_1 is
+    least accurate, i1 and i2 are stationary in it.  b and b^2 are
+    symmetric, so tau is exactly symmetric.
+    """
+    i2_b = (cof * cof).sum(axis=0)
+    g = a[_GRAM]
+    b = (g[0] * g[1]).sum(axis=1)  # b's upper triangle, (6, N) in _UPPER order
+    g = b[_GRAM_SYM]
+    b_sq = (g[0] * g[1]).sum(axis=1)  # (b^2)_ab sums b_ak b_bk over k
+
+    # largest eigenvalue of b, trigonometric formula on dev b = b - q I
+    q = (b[0] + b[1] + b[2]) / 3.0
+    d0, d1, d2 = b[0] - q, b[1] - q, b[2] - q
+    b01, b02, b12 = b[3], b[4], b[5]
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+    det_dev = (d0 * (d1 * d2 - b12 * b12) - b01 * (b01 * d2 - b12 * b02)
+               + b02 * (b01 * b12 - d1 * b02))
+    r = np.divide(det_dev, 2.0 * p * p * p, out=np.zeros_like(p), where=p > 0)
+    lam1 = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+
+    # invariants of sqrt(b) from s1 = sqrt(lambda_1), s2 s3 and s2 + s3
+    s1 = np.sqrt(lam1)
+    s23 = j / s1
+    s2_plus_s3 = np.sqrt((i2_b - s23 * s23) / lam1 + 2.0 * s23)
+    i1 = s1 + s2_plus_s3
+    i2 = s1 * s2_plus_s3 + s23
+    inv = 1.0 / (i1 * i2 - j)
+    # i1^2 - i2 = lambda_1 + rest, rest a sum of positive terms: lambda_1 b
+    # - b^2 then vanishes on b's largest eigenvector, which halves the
+    # rounding that i1 i2 - i3 amplifies when s2 and s3 are small
+    rest = s1 * s2_plus_s3 + s2_plus_s3 * s2_plus_s3 - s23
+    sqrt_b = (lam1 * b - b_sq + rest * b) * inv
+    sqrt_b[:3] += i1 * j * inv
+    tau = 2.0 * mu * (b - sqrt_b)
+    tau[:3] += lam * (j - 1.0) * j
+    return tau[_FULL].transpose(2, 0, 1)
+
+
 def batch_constitutive(f, class_id, e, nu, rows=None):
     """Vectorized stress evaluation over a particle batch.
 
     f (N,3,3), class_id (N,), e (N,), nu (N,).  Returns (kirchhoff (N,3,3),
     f_new (N,3,3)); the Kirchhoff stress is exactly symmetric.  Each class
-    does only its own work: ``svd3`` runs on the ELASTIC, PLASTICINE, SAND
-    and SNOW particles, LIQUID needs only det F, and RIGID is skipped.
+    does only its own work, and a class with no particles does none:
+    ELASTIC takes tau in closed form from b = F F^T
+    (``_elastic_kirchhoff``), ``svd3`` runs on the PLASTICINE, SAND and
+    SNOW particles only, LIQUID needs only det F, and RIGID is skipped.
     rows is ``_class_rows(class_id)``, which the engine keeps between
     schedule edits; without it the rows are grouped here.
     """
@@ -271,53 +346,66 @@ def batch_constitutive(f, class_id, e, nu, rows=None):
                              particle=i)
     n = f.shape[0]
     order, start = _class_rows(np.asarray(class_id)) if rows is None else rows
-    # solid holds the ELASTIC, PLASTICINE, SAND and SNOW rows in that order,
-    # so each return map below runs on one contiguous slice of them
-    solid = order[:start[MaterialClass.LIQUID]]
+    elastic = order[:start[MaterialClass.PLASTICINE]]
+    # mapped holds the PLASTICINE, SAND and SNOW rows in that order, so each
+    # return map below runs on one contiguous slice of them
+    mapped = order[start[MaterialClass.PLASTICINE]:start[MaterialClass.LIQUID]]
     liquid = order[start[MaterialClass.LIQUID]:start[MaterialClass.RIGID]]
 
-    u, sig, v = svd3(f[solid])
-    j = sig.prod(axis=1)
-    j_liquid = _det3(f[liquid])
-    if not (np.all(j > 0) and np.all(j_liquid > 0)):  # also catches NaN
-        i = int(min(solid[~(j > 0)].min(initial=n),
-                    liquid[~(j_liquid > 0)].min(initial=n)))
+    # every class's J, and the determinant check, before any stress
+    flat = f.reshape(n, 9).T  # flat[3 i + k] is F_ik of every particle
+    bad = []
+    if elastic.size:
+        a = flat[:, elastic]
+        cof, j_elastic = _cofactor(a)
+        bad.append(elastic[~(j_elastic > 0)])  # also catches NaN
+    if mapped.size:
+        u, sig, v = svd3(f[mapped])
+        j = sig.prod(axis=1)
+        bad.append(mapped[~(j > 0)])
+    if liquid.size:
+        _, j_liquid = _cofactor(flat[:, liquid])
+        bad.append(liquid[~(j_liquid > 0)])
+    if any(idx.size for idx in bad):
+        i = int(min(idx.min(initial=n) for idx in bad))
         raise NumericalError(
             f"particle {i}: deformation gradient lost positive determinant",
             particle=i)
 
     kirchhoff = np.zeros((n, 3, 3))
     f_new = f.copy()  # ELASTIC and RIGID keep their F
-    mu, lam = lame_parameters(e[solid], nu[solid])
-    plasticine = slice(start[MaterialClass.PLASTICINE], start[MaterialClass.SAND])
-    sand = slice(start[MaterialClass.SAND], start[MaterialClass.SNOW])
-    snow = slice(start[MaterialClass.SNOW], start[MaterialClass.LIQUID])
-    mapped = slice(plasticine.start, snow.stop)
+    if elastic.size:
+        mu, lam = lame_parameters(e[elastic], nu[elastic])
+        kirchhoff[elastic] = _elastic_kirchhoff(a, cof, j_elastic, mu, lam)
 
-    if plasticine.stop > plasticine.start:
-        eps = np.log(np.maximum(sig[plasticine], _SIGMA_FLOOR))
-        sig[plasticine] = np.exp(
-            _von_mises_project(eps, mu[plasticine], YIELD_STRESS))
-    if sand.stop > sand.start:
-        eps_sand = _drucker_prager_project(
-            np.log(np.maximum(sig[sand], _SIGMA_FLOOR)), mu[sand], lam[sand],
-            FRICTION_ANGLE_DEG)
-        sig[sand] = np.exp(eps_sand)
-    if snow.stop > snow.start:
-        sig[snow] = np.clip(sig[snow], 1.0 - SNOW_THETA_C, 1.0 + SNOW_THETA_S)
-    if mapped.stop > mapped.start:
-        f_new[solid[mapped]] = _recompose([c[:, mapped] for c in u],
-                                          sig[mapped],
-                                          [c[:, mapped] for c in v])
-        j[mapped] = sig[mapped].prod(axis=1)
+    if mapped.size:
+        at = start - start[MaterialClass.PLASTICINE]  # class starts in mapped
+        plasticine = slice(at[MaterialClass.PLASTICINE], at[MaterialClass.SAND])
+        sand = slice(at[MaterialClass.SAND], at[MaterialClass.SNOW])
+        snow = slice(at[MaterialClass.SNOW], at[MaterialClass.LIQUID])
+        mu, lam = lame_parameters(e[mapped], nu[mapped])
+        if plasticine.stop > plasticine.start:
+            eps = np.log(np.maximum(sig[plasticine], _SIGMA_FLOOR))
+            sig[plasticine] = np.exp(
+                _von_mises_project(eps, mu[plasticine], YIELD_STRESS))
+        if sand.stop > sand.start:
+            eps_sand = _drucker_prager_project(
+                np.log(np.maximum(sig[sand], _SIGMA_FLOOR)), mu[sand],
+                lam[sand], FRICTION_ANGLE_DEG)
+            sig[sand] = np.exp(eps_sand)
+        if snow.stop > snow.start:
+            sig[snow] = np.clip(sig[snow], 1.0 - SNOW_THETA_C,
+                                1.0 + SNOW_THETA_S)
+        f_new[mapped] = _recompose(u, sig, v)
+        j = sig.prod(axis=1)
 
-    # principal Kirchhoff stresses; tau = U diag(d) U^T
-    d = 2.0 * mu[:, None] * (sig - 1.0) * sig + (lam * (j - 1.0) * j)[:, None]
-    if sand.stop > sand.start:
-        # Hencky-strain stress pairs with the log-strain projection
-        d[sand] = (2.0 * mu[sand, None] * eps_sand
-                   + (lam[sand] * eps_sand.sum(axis=1))[:, None])
-    kirchhoff[solid] = _symmetric_recompose(u, d)
+        # principal Kirchhoff stresses; tau = U diag(d) U^T
+        d = 2.0 * mu[:, None] * (sig - 1.0) * sig + (lam * (j - 1.0) * j)[:, None]
+        if sand.stop > sand.start:
+            # Hencky-strain stress pairs with the log-strain projection
+            d[sand] = (2.0 * mu[sand, None] * eps_sand
+                       + (lam[sand] * eps_sand.sum(axis=1))[:, None])
+        kirchhoff[mapped] = _symmetric_recompose(u, d)
 
     if liquid.size:
         # fluids carry no rotation: F = J^(1/3) I, and tau = lam (J - 1) J I

@@ -31,10 +31,13 @@ def corotated_oracle(f, e, nu):
 
 class TestElastic:
     def test_rest_state_zero_stress(self):
-        p, f_new = constitutive_stress(np.eye(3),
-                                       MaterialClass.ELASTIC, 1e5, 0.3)
-        assert np.allclose(p, 0.0, atol=1e-12)
-        assert np.array_equal(f_new, np.eye(3))
+        """F = I gives tau exactly 0 at any E and nu, and keeps F."""
+        eye = np.tile(np.eye(3), (4, 1, 1))
+        tau, f_new = batch_constitutive(eye, np.full(4, MaterialClass.ELASTIC),
+                                        np.array([1e2, 1e5, 1e8, 1e12]),
+                                        np.array([0.0, 0.3, 0.45, 0.499]))
+        assert np.array_equal(tau, np.zeros((4, 3, 3)))
+        assert np.array_equal(f_new, eye)
 
     def test_uniaxial_closed_form(self):
         # F = diag(1.01, 1, 1), nu = 0: P = diag(2 mu 0.01, 0, 0) = diag(1000,0,0)
@@ -58,6 +61,29 @@ class TestElastic:
         with pytest.raises(NumericalError):
             constitutive_stress(np.diag([-1.0, 1.0, 1.0]),
                                 MaterialClass.ELASTIC, 1e5, 0.3)
+
+    @pytest.mark.parametrize("small", [1, 2], ids=["one_small", "two_small"])
+    @pytest.mark.parametrize("ratio", [0.5, 0.1, 1e-2, 1e-3])
+    def test_accuracy_envelope(self, ratio, small):
+        """The closed-form tau agrees with the explicit polar decomposition
+        under random rotations, down to sigma_min / sigma_max = 1e-3.
+
+        With two singular values at ratio, i1 i2 - i3 ~ 2 ratio, which
+        amplifies the rounding of lambda_1 b - b^2, while tau ~ 2 mu ratio:
+        the relative error grows like eps / ratio^2, to about 1.3e-10 at
+        1e-3 (2.6e-13 mu absolute), hence the wider bound there.
+        """
+        rng = np.random.default_rng(int(-np.log10(ratio)) * 2 + small)
+        sigma = np.array([1.0] * (3 - small) + [ratio] * small)
+        f = np.array([random_rotation(rng) @ np.diag(sigma)
+                      @ random_rotation(rng).T for _ in range(20)])
+        e, nu = 1e5, 0.3
+        tau, f_new = batch_constitutive(f, np.zeros(20, dtype=int),
+                                        np.full(20, e), np.full(20, nu))
+        expected = np.array([corotated_oracle(fi, e, nu) @ fi.T for fi in f])
+        bound = 3e-10 if (ratio, small) == (1e-3, 2) else 1e-10
+        assert np.abs(tau - expected).max() <= bound * np.abs(expected).max()
+        assert np.array_equal(f_new, f)
 
 
 class TestLiquid:
@@ -310,6 +336,43 @@ class TestSvd3:
             for k in range(3):
                 assert np.array_equal(u[k][:, i], u_i[k][:, 0])
                 assert np.array_equal(v[k][:, i], v_i[k][:, 0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(
+           st.sampled_from(list(MaterialClass)),
+           st.lists(st.floats(-0.3, 0.3), min_size=9, max_size=9),
+           st.floats(4.0, 7.0), st.floats(0.0, 0.45)),
+       min_size=1, max_size=16))
+def test_kirchhoff_exactly_symmetric(rows):
+    """tau = tau^T bit for bit in every class of a mixed batch, which the
+    angular-momentum conservation of the transfers relies on."""
+    f = np.array([np.eye(3) + np.reshape(p, (3, 3)) for _, p, _, _ in rows])
+    assume(np.all(np.linalg.det(f) > 0.2))
+    tau, _ = batch_constitutive(
+        f, np.array([int(c) for c, _, _, _ in rows]),
+        np.array([10.0 ** log_e for _, _, log_e, _ in rows]),
+        np.array([nu for _, _, _, nu in rows]))
+    assert np.array_equal(tau, tau.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("material", [MaterialClass.ELASTIC,
+                                      MaterialClass.LIQUID,
+                                      MaterialClass.RIGID])
+def test_only_return_mapped_classes_decompose(monkeypatch, material):
+    """svd3 runs on PLASTICINE, SAND and SNOW rows only, and not at all in a
+    batch without them."""
+    def no_svd3(f):
+        raise AssertionError("svd3 called")
+
+    monkeypatch.setattr(constitutive, "svd3", no_svd3)
+    rng = np.random.default_rng(4)
+    f = np.array([random_proper_f(rng) for _ in range(8)])
+    args = (np.full(8, 1e5), np.full(8, 0.3))
+    batch_constitutive(f, np.full(8, material), *args)
+    with pytest.raises(AssertionError, match="svd3 called"):
+        batch_constitutive(f, np.array([material] * 7 + [MaterialClass.SAND]),
+                           *args)
 
 
 def test_errors_name_the_particle():
