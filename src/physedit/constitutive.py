@@ -2,7 +2,8 @@
 
 The solver needs only the Kirchhoff stress tau = P F^T (MLS-MPM, Hu et
 al. 2018), so that is what ``batch_constitutive`` returns, together with
-the updated F.  Each class does only its own work, on its own index list.
+the updated F.  Each class does only its own work, on its own particles:
+a slice when they are one contiguous run, and an index array otherwise.
 The PLASTICINE, SAND and SNOW particles decompose F once,
 F = U diag(sigma) V^T with proper rotations U, V (``svd3``), and derive
 everything else from that single decomposition: J = sigma_1 sigma_2
@@ -249,17 +250,40 @@ def _symmetric_recompose(u, d):
     return out
 
 
-def _class_rows(class_id):
-    """Particle indices grouped by class, and where each class begins.
+def _selection(idx):
+    """Particle indices as a slice when they are one ascending run of
+    consecutive indices, which numpy reads as a view and writes in place,
+    with no gather or scatter copy; any other selection, the empty one
+    included, stays an index array."""
+    if idx.size and (np.diff(idx) == 1).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
-    Class c's particles are order[start[c]:start[c + 1]], in index order.
-    The stable sort runs on int8 keys, for which numpy uses a radix sort.
+
+def _size(rows):
+    """Particle count of a ``_selection``."""
+    return rows.stop - rows.start if isinstance(rows, slice) else rows.size
+
+
+def _class_rows(class_id):
+    """The ELASTIC, return-mapped and LIQUID particles, and where each
+    return-mapped class begins among them.
+
+    Returns (elastic, mapped, liquid, at).  mapped holds the PLASTICINE,
+    SAND and SNOW particles in that order, so class c is
+    mapped[at[c - PLASTICINE]:at[c - PLASTICINE + 1]]; every class keeps
+    index order.  Each of the three is a ``_selection``: a slice when its
+    particles form one contiguous ascending run, as in every scene whose
+    objects each hold one class, and an index array otherwise.  The
+    stable sort runs on int8 keys, for which numpy uses a radix sort.
     """
     order = np.argsort(class_id.astype(np.int8), kind="stable")
     start = np.zeros(len(MaterialClass) + 1, dtype=np.int64)
     np.cumsum(np.bincount(class_id, minlength=len(MaterialClass)),
               out=start[1:])
-    return order, start
+    at = start[MaterialClass.PLASTICINE:MaterialClass.LIQUID + 1]
+    return (_selection(order[:at[0]]), _selection(order[at[0]:at[-1]]),
+            _selection(order[at[-1]:start[MaterialClass.RIGID]]), at - at[0])
 
 
 def _cofactor(a):
@@ -327,7 +351,7 @@ def _elastic_kirchhoff(a, cof, j, mu, lam):
     return tau[_FULL].transpose(2, 0, 1)
 
 
-def batch_constitutive(f, class_id, e, nu, rows=None):
+def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
     """Vectorized stress evaluation over a particle batch.
 
     f (N,3,3), class_id (N,), e (N,), nu (N,).  Returns (kirchhoff (N,3,3),
@@ -336,8 +360,9 @@ def batch_constitutive(f, class_id, e, nu, rows=None):
     ELASTIC takes tau in closed form from b = F F^T
     (``_elastic_kirchhoff``), ``svd3`` runs on the PLASTICINE, SAND and
     SNOW particles only, LIQUID needs only det F, and RIGID is skipped.
-    rows is ``_class_rows(class_id)``, which the engine keeps between
-    schedule edits; without it the rows are grouped here.
+    rows is ``_class_rows(class_id)`` and lame the per-particle
+    ``lame_parameters(e, nu)``, which the engine keeps between the
+    schedule edits that change them; without them they are derived here.
     """
     f = np.asarray(f, dtype=np.float64)
     if not np.isfinite(f).all():
@@ -345,45 +370,39 @@ def batch_constitutive(f, class_id, e, nu, rows=None):
         raise NumericalError(f"particle {i}: non-finite deformation gradient",
                              particle=i)
     n = f.shape[0]
-    order, start = _class_rows(np.asarray(class_id)) if rows is None else rows
-    elastic = order[:start[MaterialClass.PLASTICINE]]
-    # mapped holds the PLASTICINE, SAND and SNOW rows in that order, so each
-    # return map below runs on one contiguous slice of them
-    mapped = order[start[MaterialClass.PLASTICINE]:start[MaterialClass.LIQUID]]
-    liquid = order[start[MaterialClass.LIQUID]:start[MaterialClass.RIGID]]
+    elastic, mapped, liquid, at = (_class_rows(np.asarray(class_id))
+                                   if rows is None else rows)
+    mu_all, lam_all = lame_parameters(e, nu) if lame is None else lame
 
     # every class's J, and the determinant check, before any stress
     flat = f.reshape(n, 9).T  # flat[3 i + k] is F_ik of every particle
-    bad = []
-    if elastic.size:
+    dets = []  # (rows, J) of each class that has particles
+    if _size(elastic):
         a = flat[:, elastic]
         cof, j_elastic = _cofactor(a)
-        bad.append(elastic[~(j_elastic > 0)])  # also catches NaN
-    if mapped.size:
+        dets.append((elastic, j_elastic))
+    if _size(mapped):
         u, sig, v = svd3(f[mapped])
-        j = sig.prod(axis=1)
-        bad.append(mapped[~(j > 0)])
-    if liquid.size:
+        dets.append((mapped, sig.prod(axis=1)))
+    if _size(liquid):
         _, j_liquid = _cofactor(flat[:, liquid])
-        bad.append(liquid[~(j_liquid > 0)])
-    if any(idx.size for idx in bad):
-        i = int(min(idx.min(initial=n) for idx in bad))
+        dets.append((liquid, j_liquid))
+    if not all((j > 0).all() for _, j in dets):  # also catches NaN
+        i = min(int(np.arange(n)[sel][~(j > 0)].min(initial=n))
+                for sel, j in dets)
         raise NumericalError(
             f"particle {i}: deformation gradient lost positive determinant",
             particle=i)
 
     kirchhoff = np.zeros((n, 3, 3))
     f_new = f.copy()  # ELASTIC and RIGID keep their F
-    if elastic.size:
-        mu, lam = lame_parameters(e[elastic], nu[elastic])
-        kirchhoff[elastic] = _elastic_kirchhoff(a, cof, j_elastic, mu, lam)
+    if _size(elastic):
+        kirchhoff[elastic] = _elastic_kirchhoff(
+            a, cof, j_elastic, mu_all[elastic], lam_all[elastic])
 
-    if mapped.size:
-        at = start - start[MaterialClass.PLASTICINE]  # class starts in mapped
-        plasticine = slice(at[MaterialClass.PLASTICINE], at[MaterialClass.SAND])
-        sand = slice(at[MaterialClass.SAND], at[MaterialClass.SNOW])
-        snow = slice(at[MaterialClass.SNOW], at[MaterialClass.LIQUID])
-        mu, lam = lame_parameters(e[mapped], nu[mapped])
+    if _size(mapped):
+        plasticine, sand, snow = (slice(at[k], at[k + 1]) for k in range(3))
+        mu, lam = mu_all[mapped], lam_all[mapped]
         if plasticine.stop > plasticine.start:
             eps = np.log(np.maximum(sig[plasticine], _SIGMA_FLOOR))
             sig[plasticine] = np.exp(
@@ -407,9 +426,9 @@ def batch_constitutive(f, class_id, e, nu, rows=None):
                        + (lam[sand] * eps_sand.sum(axis=1))[:, None])
         kirchhoff[mapped] = _symmetric_recompose(u, d)
 
-    if liquid.size:
+    if _size(liquid):
         # fluids carry no rotation: F = J^(1/3) I, and tau = lam (J - 1) J I
-        _, lam_liquid = lame_parameters(e[liquid], nu[liquid])
+        lam_liquid = lam_all[liquid]
         f_new[liquid] = np.cbrt(j_liquid)[:, None, None] * np.eye(3)
         kirchhoff[liquid] = ((lam_liquid * (j_liquid - 1.0) * j_liquid)
                              [:, None, None] * np.eye(3))

@@ -26,12 +26,22 @@ bit-reproducible regardless of worker thread count.  Body forces
 (gravity, wind) enter through the particle momentum with per-particle
 scale factors so schedules can manipulate single objects.
 
-What a substep reads from the columns that only schedule edits write
-(the CFL bounds max c_p and g_max of ``stable_dt``, the class rows of
-``batch_constitutive`` and the rigid groups) is derived once per edit:
-``simulate`` derives it at the start and again whenever
-``ScheduleRuntime.apply`` returns edits, and passes it to ``stable_dt``
-and ``step``.
+A substep's inputs change at three rates, and each is derived at its own:
+
+  per run       the node layers the ground and each wall constrain
+                (``_boundary_layers``), which each substep cuts to its
+                active box as slices; the particles each schedule line
+                selects and those of each object an event probes
+                (``ScheduleRuntime``)
+  per edit      the CFL bounds max c_p and g_max of ``stable_dt``, the
+                per-particle Lame parameters and body-force accelerations,
+                the class selections of ``batch_constitutive`` and the
+                rigid groups: ``simulate`` derives them (``_Derived``) at
+                the start, and after each edit only the fields that the
+                edited property touches (``_STALE``)
+  per substep   everything that reads x, v, C or F
+
+``simulate`` passes ``_Derived`` to ``stable_dt`` and ``step``.
 
 A rigid group is the RIGID-class particles that share an object id and
 a part label; it carries no stress, and its F stays I.  Its motion
@@ -47,12 +57,12 @@ rotation exp(dt [omega]x) about c, so the shape holds to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
 
-from .constitutive import _class_rows, batch_constitutive
+from .constitutive import _class_rows, batch_constitutive, lame_parameters
 from .errors import (DomainError, EmptyScene, GridOverflow, NumericalError,
                      ParticleEscape, check_size)
 from .materials import (MaterialClass, MaterialField, validate_field,
@@ -290,29 +300,64 @@ def _check_inside(state: SimulationState, build=False):
 
 @dataclass(frozen=True)
 class _Derived:
-    """What a substep reads from the columns only schedule edits write.
+    """What a substep reads that changes at most once per schedule edit.
 
-    E, nu, rho, the class, the gravity and wind scales and the scene's
-    gravity and wind change mid-run only when ``ScheduleRuntime.apply``
-    returns edits, so ``simulate`` derives these once and again after
-    every edit instead of once per substep.
+    bounds depends only on the grid, the ground and the wall modes, which
+    no edit changes, so it is derived once per run.  The rest comes from
+    the columns only ``ScheduleRuntime.apply`` writes (E, nu, rho, the
+    class, the gravity and wind scales, the scene's gravity and wind), so
+    ``simulate`` derives it at the start and, after each edit, again only
+    the fields that ``_STALE`` says the edited properties touched.
     """
 
+    bounds: tuple  # _boundary_layers(state)
     c_max: float   # largest non-RIGID P-wave speed
     g_max: float   # |gravity| max |gravity_scale| + |wind| max |wind_scale|
+    lame: tuple    # per-particle (mu, lambda)
+    g_eff: np.ndarray  # (N, 3) per-particle body-force acceleration
     rows: tuple    # constitutive._class_rows(class_id)
     groups: list   # _rigid_groups(state)
 
 
-def _derive(state: SimulationState) -> _Derived:
-    c_p, _ = wave_speeds(state.young_modulus, state.poisson_ratio,
-                         state.density)
-    return _Derived(
-        c_max=float(c_p[state.class_id != MaterialClass.RIGID].max(initial=0.0)),
-        g_max=(np.linalg.norm(state.gravity) * np.abs(state.gravity_scale).max()
-               + np.linalg.norm(state.wind) * np.abs(state.wind_scale).max()),
-        rows=_class_rows(state.class_id),
-        groups=_rigid_groups(state))
+# how each _Derived field is derived from the state
+_DERIVATIONS = {
+    "bounds": lambda s: _boundary_layers(s),
+    "c_max": lambda s: float(
+        wave_speeds(s.young_modulus, s.poisson_ratio, s.density)[0]
+        [s.class_id != MaterialClass.RIGID].max(initial=0.0)),
+    "g_max": lambda s: (
+        np.linalg.norm(s.gravity) * np.abs(s.gravity_scale).max()
+        + np.linalg.norm(s.wind) * np.abs(s.wind_scale).max()),
+    "lame": lambda s: lame_parameters(s.young_modulus, s.poisson_ratio),
+    "g_eff": lambda s: (s.gravity[None, :] * s.gravity_scale[:, None]
+                        + s.wind[None, :] * s.wind_scale[:, None]),
+    "rows": lambda s: _class_rows(s.class_id),
+    "groups": lambda s: _rigid_groups(s),
+}
+# schedule property -> the _Derived fields an edit of it makes stale.  An
+# impulse makes none: it changes only v, which stable_dt reads live.
+_STALE = {
+    "young_modulus": ("c_max", "lame"),
+    "poisson_ratio": ("c_max", "lame"),
+    "density": ("c_max",),
+    "gravity": ("g_max", "g_eff"),
+    "wind": ("g_max", "g_eff"),
+    "gravity_scale": ("g_max", "g_eff"),
+    "wind_scale": ("g_max", "g_eff"),
+    "material_model": ("c_max", "rows", "groups"),
+    "velocity_impulse": (),
+}
+
+
+def _derive(state: SimulationState, derived: Optional[_Derived] = None,
+            edits=()) -> _Derived:
+    """Every field (derived None), or derived with the fields that the
+    edit records ``edits`` make stale derived again."""
+    if derived is None:
+        return _Derived(**{name: fn(state) for name, fn in _DERIVATIONS.items()})
+    stale = {name for rec in edits for name in _STALE[rec["property"]]}
+    return replace(derived, **{name: _DERIVATIONS[name](state)
+                               for name in stale}) if stale else derived
 
 
 def stable_dt(state: SimulationState, cfg: SimConfig,
@@ -327,8 +372,8 @@ def stable_dt(state: SimulationState, cfg: SimConfig,
     where nothing deformable moves still gets a finite step.  Returns
     inf when neither bound applies (no deformable particle, nothing
     moving and no body force); simulate then steps to the next frame.
-    max c_p and g_max come from ``derived``, which ``simulate`` derives
-    once per schedule edit; without it they are derived here.
+    max c_p and g_max come from ``derived``, which ``simulate`` keeps
+    between schedule edits; without it they are derived here.
     """
     if derived is None:
         derived = _derive(state)
@@ -352,8 +397,8 @@ def _bspline_weights(fx):
 def _apply_bc_slab(vel, axis, sign, layers, mode):
     """Wall with inward normal sign*e_axis; mode per _BC_MODES.
 
-    vel is the (3, *sub) grid velocity and layers the boolean selection of
-    node layers along axis that the wall constrains.
+    vel is the (3, *sub) grid velocity and layers the slice of node layers
+    along axis that the wall constrains.
     """
     slab = (slice(None),) * axis + (layers,)
     if mode == "sticky":
@@ -390,13 +435,14 @@ class _Stencil:
         return idx.ravel(), w.reshape(27, -1)
 
 
-def _p2g(state: SimulationState, dt: float, kirchhoff):
+def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff=None):
     """Scatter mass and momentum, with the fused MLS stress term, to the grid.
 
     A node at offset o in {0,1,2}^3 sits at dpos = h (o - fx) from the
     particle, so the affine term A dpos = h A o - h A fx, and only h A o
-    changes with the offset.  Returns (stencil, grid_mass (n_sub,),
-    grid_mom (3, n_sub)).
+    changes with the offset.  g_eff is the (N, 3) body-force acceleration
+    of ``_Derived``; without it it is derived here.  Returns (stencil,
+    grid_mass (n_sub,), grid_mom (3, n_sub)).
     """
     h = state.h
     gx = (state.x - state.origin) / h
@@ -412,8 +458,8 @@ def _p2g(state: SimulationState, dt: float, kirchhoff):
     affine = (-dt * state.vol0 * 4.0 / (h * h))[:, None, None] * kirchhoff \
         + state.mass[:, None, None] * state.c_apic
     h_cols = h * affine.transpose(2, 1, 0).copy()  # h_cols[k] = h A e_k, (3, N)
-    g_eff = (state.gravity[None, :] * state.gravity_scale[:, None]
-             + state.wind[None, :] * state.wind_scale[:, None])
+    if g_eff is None:
+        g_eff = _DERIVATIONS["g_eff"](state)
     mom_p = state.mass[:, None] * (state.v + dt * g_eff)
     q_base = mom_p.T - (h_cols * fx[:, None, :]).sum(axis=0)
 
@@ -434,18 +480,30 @@ def _p2g(state: SimulationState, dt: float, kirchhoff):
     return stencil, grid_mass, grid_mom
 
 
-def _boundaries(state: SimulationState, stencil: _Stencil):
-    """Yield (axis, inward sign, layers, mode) for the ground and the walls.
+def _boundary_layers(state: SimulationState):
+    """(axis, inward sign, first, stop, mode) of the ground, then the walls
+    x_min, x_max, y_max, z_min and z_max: each constrains the node layers
+    first <= k < stop along axis.
 
-    layers is the boolean selection of the box's node layers along axis
-    that the boundary constrains, found by comparing that axis's node
-    coordinates with the boundary's threshold.
+    Layer k sits at origin + h k, which rounds monotonically in k, so the
+    layers at or below the ground (to 1e-12) or within the margin band of
+    a lower face are a prefix of 0..dims-1, and those within the band of
+    an upper face a suffix.  Counting the comparisons over every layer
+    gives each range's ends exactly; the grid, the ground and the wall
+    modes are fixed for a run, so ``_Derived`` keeps the result.
     """
     h = state.h
-    coord = [state.origin[a] + h * np.arange(lo, lo + n)
-             for a, (lo, n) in enumerate(zip(stencil.lo, stencil.sub))]
+    coord = [state.origin[a] + h * np.arange(state.dims[a]) for a in range(3)]
+
+    def below(axis, threshold, mode):
+        return axis, +1, 0, int(np.count_nonzero(coord[axis] <= threshold)), mode
+
+    def above(axis, threshold, mode):
+        n = len(coord[axis])
+        return axis, -1, n - int(np.count_nonzero(coord[axis] >= threshold)), n, mode
+
     # ground plane (inward normal +y); the y_min wall is the ground side
-    yield 1, +1, coord[1] <= state.ground_height + 1e-12, state.ground_bc
+    layers = [below(1, state.ground_height + 1e-12, state.ground_bc)]
     # domain walls within the margin band
     top = state.origin + (state.dims - 1) * h
     band = GRID_MARGIN * h + 1e-12
@@ -454,25 +512,42 @@ def _boundaries(state: SimulationState, stencil: _Stencil):
                                    (1, None, "y_max"),
                                    (2, "z_min", "z_max")):
         if lo_name is not None:
-            yield (axis, +1, coord[axis] <= state.origin[axis] + band,
-                   walls[lo_name])
-        yield axis, -1, coord[axis] >= top[axis] - band, walls[hi_name]
+            layers.append(below(axis, state.origin[axis] + band, walls[lo_name]))
+        layers.append(above(axis, top[axis] - band, walls[hi_name]))
+    return tuple(layers)
+
+
+def _boundaries(state: SimulationState, stencil: _Stencil, bounds=None):
+    """Yield (axis, inward sign, layers, mode) for each boundary that
+    constrains a node layer of the active box, in ``_boundary_layers``
+    order; layers is the slice of the box's node layers along axis that
+    it constrains.  bounds is ``_boundary_layers(state)``, which
+    ``_Derived`` keeps for a run; without it it is derived here.
+    """
+    if bounds is None:
+        bounds = _boundary_layers(state)
+    lo, sub = stencil.lo.tolist(), stencil.sub.tolist()
+    for axis, sign, first, stop, mode in bounds:
+        start = max(first - lo[axis], 0)
+        end = min(stop - lo[axis], sub[axis])
+        if start < end:
+            yield axis, sign, slice(start, end), mode
 
 
 def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
-                 grid_mass, grid_mom):
+                 grid_mass, grid_mom, bounds=None):
     """Momentum -> velocity, then damping, the ground and the domain walls.
 
     Every boundary constrains whole node layers along one axis
-    (``_boundaries``).  Returns grid_v in the (3, n_sub) layout of
-    grid_mom.
+    (``_boundaries``, which takes bounds).  Returns grid_v in the
+    (3, n_sub) layout of grid_mom.
     """
     grid_v = np.divide(grid_mom, grid_mass, out=np.zeros_like(grid_mom),
                        where=grid_mass > 0)
     if state.damping > 0:
         grid_v *= max(0.0, 1.0 - state.damping * dt)
     vel = grid_v.reshape(3, *stencil.sub)
-    for axis, sign, layers, mode in _boundaries(state, stencil):
+    for axis, sign, layers, mode in _boundaries(state, stencil, bounds):
         _apply_bc_slab(vel, axis, sign, layers, mode)
     return grid_v
 
@@ -520,13 +595,14 @@ def _contact_rows(r, rel, boundaries):
     rigid motion at offset r.  Sticky fixes all three components, slip the
     normal one; separate gives one-sided rows, with the boundary's inward
     sign, that bind only where the motion goes into the wall.  rel holds
-    the particles' (3, n) base nodes in the box.  Returns (rows, one-sided
-    rows, their signs).
+    the particles' (3, n) base nodes in the box, and boundaries is
+    ``_boundaries``' output.  Returns (rows, one-sided rows, their signs).
     """
     rows, one_sided, signs = [np.zeros((0, 6))], [np.zeros((0, 6))], [[]]
     for axis, sign, layers, mode in boundaries:
+        # the stencil's layers base..base + 2 meet layers.start..stop - 1
         base = rel[axis]
-        touch = layers[base] | layers[base + 1] | layers[base + 2]
+        touch = (base <= layers.stop - 1) & (base + 2 >= layers.start)
         if not touch.any():
             continue
         for a in (0, 1, 2) if mode == "sticky" else (axis,):
@@ -547,7 +623,7 @@ def _skew(w):
 
 
 def _couple_rigid(state: SimulationState, stencil: _Stencil, grid_mass,
-                  grid_v, groups):
+                  grid_v, groups, bounds=None):
     """Give the support nodes of each rigid group one rigid motion.
 
     The support is every node in the stencil of one of the group's
@@ -560,11 +636,11 @@ def _couple_rigid(state: SimulationState, stencil: _Stencil, grid_mass,
     moves into its wall (an active set that only grows, so it ends
     within one pass per row).  Groups are fitted in turn, so a node two
     supports share ends with the later group's motion.  Returns
-    (centroid, (V, omega)) for each group.
+    (centroid, (V, omega)) for each group; bounds as in ``_boundaries``.
     """
     if not groups:
         return []
-    boundaries = list(_boundaries(state, stencil))
+    boundaries = list(_boundaries(state, stencil, bounds))
     motions = []
     for group in groups:
         nodes = np.unique(stencil.block(group)[0])  # the group's support
@@ -648,20 +724,22 @@ def step(state: SimulationState, dt: float,
          derived: Optional[_Derived] = None):
     """Advance the state by one substep of size dt (<= stable_dt).
 
-    The class rows and rigid groups come from ``derived``, which
-    ``simulate`` derives once per schedule edit; without it they are
-    derived here.
+    The boundary layers, Lame parameters, body forces, class rows and
+    rigid groups come from ``derived``, which ``simulate`` keeps between
+    schedule edits; without it they are derived here.
     """
     if derived is None:
         derived = _derive(state)
     # the Kirchhoff stress tau = P F^T is the stress the MLS term of _p2g takes
     kirchhoff, state.f = batch_constitutive(
         state.f, state.class_id, state.young_modulus, state.poisson_ratio,
-        rows=derived.rows)
-    stencil, grid_mass, grid_mom = _p2g(state, dt, kirchhoff)
-    grid_v = _grid_update(state, dt, stencil, grid_mass, grid_mom)
+        rows=derived.rows, lame=derived.lame)
+    stencil, grid_mass, grid_mom = _p2g(state, dt, kirchhoff, derived.g_eff)
+    grid_v = _grid_update(state, dt, stencil, grid_mass, grid_mom,
+                          derived.bounds)
     groups = derived.groups
-    motions = _couple_rigid(state, stencil, grid_mass, grid_v, groups)
+    motions = _couple_rigid(state, stencil, grid_mass, grid_v, groups,
+                            derived.bounds)
     _g2p(state, dt, stencil, grid_v, zip(groups, motions))
 
     for name, arr in (("v", state.v), ("x", state.x), ("F", state.f)):
@@ -673,19 +751,23 @@ def step(state: SimulationState, dt: float,
     _check_inside(state)
 
 
-def object_events(state: SimulationState):
+def object_events(state: SimulationState, objects=None):
     """Per-object aggregates used by event triggers.
 
-    Ground contact means a particle's B-spline support overlaps the
-    constrained ground nodes (within 1.5 h); resting bodies equilibrate
-    about one cell above the node layer, so tighter bands never fire.
+    objects maps each object id to probe to its particles (a slice, a
+    mask or an index array); without it every object is probed.  Ground
+    contact means a particle's B-spline support overlaps the constrained
+    ground nodes (within 1.5 h); resting bodies equilibrate about one cell
+    above the node layer, so tighter bands never fire.
     """
+    if objects is None:
+        objects = {oid: state.object_id == oid
+                   for oid in np.unique(state.object_id)}
     events = {}
     contact_band = 1.5 * state.h
-    for oid in np.unique(state.object_id):
-        m = state.object_id == oid
-        y = state.x[m, 1]
-        speed = np.sqrt((state.v[m] ** 2).sum(axis=1))
+    for oid, rows in objects.items():
+        y = state.x[rows, 1]
+        speed = np.sqrt((state.v[rows] ** 2).sum(axis=1))
         events[int(oid)] = {
             "min_height": float(y.min()),
             "max_speed": float(speed.max()),
@@ -698,9 +780,11 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
     """Advance to every frame time k/fps, applying scheduled edits.
 
     Returns a Trajectory; deterministic for fixed inputs.  WorkBudget if
-    the frame array would hold more than MAX_FRAME_VALUES values.  The
-    CFL bounds, class rows and rigid groups are derived at the start and
-    after each substep whose ``ScheduleRuntime.apply`` returns edits.
+    the frame array would hold more than MAX_FRAME_VALUES values.
+    ``_Derived`` is derived at the start; after each substep whose
+    ``ScheduleRuntime.apply`` returns edits, only the fields those edits
+    touched are derived again, and dt is clamped again to the new bound,
+    since an impulse raises max |v| without touching any field.
     """
     cfg.validate()
     runtime = ScheduleRuntime(schedule) if schedule is not None else None
@@ -721,7 +805,7 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
                 edits = runtime.apply(state, state.t, dt)
                 if edits:
                     edit_log.extend(edits)
-                    derived = _derive(state)
+                    derived = _derive(state, derived, edits)
                     dt = min(dt, stable_dt(state, cfg, derived))
             t_before = state.t
             try:

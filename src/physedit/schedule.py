@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .constitutive import _selection
 from .errors import (ClampViolation, DomainError, ParseError, UnknownTarget)
 from .materials import (E_MAX, E_MIN, MaterialClass, NU_MAX, NU_MIN,
                         RHO_MAX, RHO_MIN)
@@ -406,6 +407,10 @@ class ScheduleRuntime:
     values its ramp started from.  ``t`` is the substep start time that
     ``apply`` last applied; each time is applied once, so a second call at
     that time changes nothing and records nothing.
+
+    No edit changes object ids, parts or interior flags, so the particles
+    each line selects and those of each object an event probes are found
+    once per state, at its first ``apply`` (``_bind``).
     """
 
     def __init__(self, schedule: InstructionSchedule):
@@ -415,6 +420,29 @@ class ScheduleRuntime:
         self.done = [False] * n
         self.baseline = [None] * n
         self.t = None
+        self._state = None  # the state _bind found the rows of
+
+    def _bind(self, state):
+        """Each line's target rows, and each probed object's rows."""
+        self._state = state
+        self._rows = []
+        for iv in self.schedule.interventions:
+            sel = iv.target
+            if _PROPS[iv.property][2]:  # scene-wide
+                self._rows.append(slice(None))
+                continue
+            mask = state.object_id == sel.object_id
+            if sel.part is not None:
+                mask &= state.part == sel.part
+            if sel.interior_only:
+                mask &= state.interior
+            # an index array, so that arr[rows] reads a copy
+            self._rows.append(np.nonzero(mask)[0])
+        self._objects = {
+            oid: _selection(np.flatnonzero(state.object_id == oid))
+            for oid in sorted({iv.trigger.probe_object
+                               for iv in self.schedule.interventions
+                               if iv.trigger.kind != "at_time"})}
 
     def _check_fire(self, i, iv: Intervention, t, events):
         if self.fire_time[i] is None:
@@ -440,10 +468,14 @@ class ScheduleRuntime:
         if t == self.t:
             return []
         self.t = t
+        if state is not self._state:
+            self._bind(state)
         lines = self.schedule.interventions
-        needs_events = any(iv.trigger.kind != "at_time" and ft is None
-                           for iv, ft in zip(lines, self.fire_time))
-        events = object_events(state) if needs_events else {}
+        # only the objects that lines still waiting for an event probe
+        probed = {iv.trigger.probe_object for iv, ft in zip(lines, self.fire_time)
+                  if iv.trigger.kind != "at_time" and ft is None}
+        events = object_events(state, {oid: self._objects[oid]
+                                       for oid in sorted(probed)}) if probed else {}
         records = []
         for i, iv in enumerate(lines):
             if self._check_fire(i, iv, t, events) and not self.done[i]:
@@ -458,17 +490,8 @@ class ScheduleRuntime:
 
     def _apply_one(self, state, i, iv: Intervention, t, dt):
         prop = iv.property
-        kind, scale, scene_wide = _PROPS[prop]
-        if scene_wide:
-            idx = slice(None)
-        else:
-            sel = iv.target
-            mask = state.object_id == sel.object_id
-            if sel.part is not None:
-                mask &= state.part == sel.part
-            if sel.interior_only:
-                mask &= state.interior
-            idx = np.nonzero(mask)[0]
+        kind, scale, _ = _PROPS[prop]
+        idx = self._rows[i]
 
         if prop == "velocity_impulse":
             state.v[idx] += np.asarray(iv.value, dtype=np.float64)

@@ -198,6 +198,50 @@ def grid_update_oracle(state, dt, lo, sub, grid_mass, grid_mom, margin):
     return grid_v
 
 
+def boundary_layers_oracle(state, lo, sub, margin):
+    """(axis, inward sign, layers, mode) of the ground, then the walls
+    x_min, x_max, y_max, z_min and z_max, where layers is the boolean
+    selection of the box's node layers along axis (first node lo, node
+    counts sub) that the boundary constrains, found by comparing each
+    layer's coordinate origin + h k with the boundary's threshold."""
+    h = state.h
+    coord = [state.origin[a] + h * np.arange(lo[a], lo[a] + sub[a])
+             for a in range(3)]
+    top = state.origin + (state.dims - 1) * h
+    band = margin * h + 1e-12
+    out = [(1, +1, coord[1] <= state.ground_height + 1e-12, state.ground_bc)]
+    for axis, lo_name, hi_name in ((0, "x_min", "x_max"), (1, None, "y_max"),
+                                   (2, "z_min", "z_max")):
+        if lo_name is not None:
+            out.append((axis, +1, coord[axis] <= state.origin[axis] + band,
+                        state.wall_bc[lo_name]))
+        out.append((axis, -1, coord[axis] >= top[axis] - band,
+                    state.wall_bc[hi_name]))
+    return out
+
+
+def contact_rows_oracle(r, rel, boundaries):
+    """Rigid-fit constraint rows of the particles whose stencil layers
+    rel .. rel + 2 (per axis, in the box) meet a boundary's boolean
+    layers, one particle at a time: (rows, one-sided rows, their signs),
+    in boundary order, then component order, then particle order."""
+    rows, one_sided, signs = [], [], []
+    for axis, sign, layers, mode in boundaries:
+        touching = [p for p in range(r.shape[0])
+                    if any(layers[rel[axis, p] + o] for o in range(3))]
+        for a in (0, 1, 2) if mode == "sticky" else (axis,):
+            e = np.eye(3)[a]
+            for p in touching:
+                row = np.concatenate([e, np.cross(r[p], e)])
+                if mode == "separate":
+                    one_sided.append(row)
+                    signs.append(float(sign))
+                else:
+                    rows.append(row)
+    return (np.array(rows).reshape(-1, 6), np.array(one_sided).reshape(-1, 6),
+            np.array(signs))
+
+
 def rigid_fit_oracle(points, masses, velocities):
     """Mass-weighted least-squares rigid motion of weighted points.
 

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as hst
 from scipy.spatial.distance import pdist
 
 import physedit.engine as engine
-from oracles import (g2p_oracle, grid_update_oracle, p2g_oracle,
+from oracles import (boundary_layers_oracle, contact_rows_oracle,
+                     g2p_oracle, grid_update_oracle, p2g_oracle,
                      rigid_fit_oracle)
 from physedit.constitutive import batch_constitutive
 from physedit.engine import (_BC_MODES, _WALL_NAMES, GRID_MARGIN, ObjectInit,
-                             SimConfig, _couple_rigid, _g2p, _grid_update, _p2g,
-                             _rigid_groups, _Stencil, build_state,
+                             SimConfig, _boundaries, _boundary_layers,
+                             _contact_rows, _couple_rigid, _g2p, _grid_update,
+                             _p2g, _rigid_groups, _Stencil, build_state,
                              object_events, simulate, stable_dt, step)
 from physedit.errors import (DomainError, EmptyScene, GridOverflow,
                              NumericalError, ParticleEscape)
@@ -390,6 +392,55 @@ class TestGridUpdate:
         assert np.array_equal(grid_v[(slice(None),) + node], expect_in)
         assert np.array_equal(grid_v[(slice(None),) + away], expect_away)
         assert np.array_equal(grid_v[(slice(None),) + free], v_free)
+
+
+@hst.composite
+def boundary_cases(draw):
+    """A grid, its ground, its boundary modes and an active box of at least
+    3 layers per axis, with h, the origin and the ground drawn to land
+    node layers on and around every threshold."""
+    h = draw(hst.one_of(hst.sampled_from([0.01, 0.025, 0.03, 0.1 / 3, 0.1]),
+                        hst.floats(1e-3, 1.0)))
+    origin = [draw(hst.floats(-10.0, 10.0)) for _ in range(3)]
+    dims = [draw(hst.integers(7, 40)) for _ in range(3)]
+    sub = [draw(hst.integers(3, d)) for d in dims]
+    lo = [draw(hst.integers(0, d - s)) for d, s in zip(dims, sub)]
+    ground = origin[1] + h * draw(hst.integers(-2, dims[1] + 1)) + draw(
+        hst.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 0.5 * h]))
+    walls = {name: draw(hst.sampled_from(_BC_MODES)) for name in _WALL_NAMES}
+    return grid_box(h, origin, dims, lo, sub, ground,
+                    draw(hst.sampled_from(_BC_MODES)), walls)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=boundary_cases(), seed=hst.integers(0, 2 ** 32 - 1))
+def test_boundary_ranges_match_float_comparisons(case, seed):
+    """The per-run layer ranges, cut to the active box, select exactly the
+    node layers that comparing each layer's coordinate with the ground
+    and wall thresholds selects, and give the rigid fit the same contact
+    rows as the boolean-layer rule."""
+    state, stencil = case
+    bounds = _boundary_layers(state)
+    whole = boundary_layers_oracle(state, (0, 0, 0), state.dims, GRID_MARGIN)
+    assert len(bounds) == len(whole)
+    for (axis, sign, first, stop, mode), want in zip(bounds, whole):
+        assert (axis, sign, mode) == (want[0], want[1], want[3])
+        assert np.array_equal(np.flatnonzero(want[2]), np.arange(first, stop))
+
+    in_box = boundary_layers_oracle(state, stencil.lo, stencil.sub, GRID_MARGIN)
+    got = list(_boundaries(state, stencil, bounds))
+    want = [b for b in in_box if b[2].any()]
+    assert [(a, s, m) for a, s, _, m in got] == [(a, s, m) for a, s, _, m in want]
+    for (axis, _, layers, _), (_, _, mask, _) in zip(got, want):
+        assert np.array_equal(np.arange(stencil.sub[axis])[layers],
+                              np.flatnonzero(mask))
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    rel = np.stack([rng.integers(0, s - 2, n) for s in stencil.sub])
+    r = rng.standard_normal((n, 3))
+    for g, w in zip(_contact_rows(r, rel, got), contact_rows_oracle(r, rel, in_box)):
+        assert g.shape == w.shape and np.array_equal(g, w)
 
 
 TRANSFER_BLOCK = 8  # _BLOCK in the transfer tests, so every case is small

@@ -679,3 +679,122 @@ def test_event_replays_as_timed_trigger(event, action, monkeypatch):
     assert replay_time == fire_time
     assert np.array_equal(replayed, positions)
     assert replay_edits == edits
+
+
+def count_derivations(mp):
+    """Patch the engine's class-row, rigid-group, wave-speed and Lame
+    derivations to count their calls."""
+    counts = dict.fromkeys(("_class_rows", "_rigid_groups", "wave_speeds",
+                            "lame_parameters"), 0)
+    for name in counts:
+        def counted(*args, _inner=getattr(engine, name), _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+
+        mp.setattr(engine, name, counted)
+    return counts
+
+
+def test_stale_table_covers_every_property():
+    """Each schedule property names the derived fields its edits make
+    stale; no edit touches the per-run boundary layers."""
+    from dataclasses import fields
+    from physedit.schedule import _PROPS
+
+    assert set(engine._STALE) == set(_PROPS)
+    names = {f.name for f in fields(engine._Derived)}
+    assert names == set(engine._DERIVATIONS)
+    assert set().union(*map(set, engine._STALE.values())) == names - {"bounds"}
+
+
+def test_property_ramps_keep_class_rows_and_groups(monkeypatch):
+    """E and rho ramps derive max c_p again after each edit, and the Lame
+    parameters after each E edit, but never the class rows or the rigid
+    groups."""
+    state, cfg = _limiter_scene((MaterialClass.ELASTIC, MaterialClass.RIGID))
+    schedule = compile_schedule(
+        "at t=0 set object 0 young_modulus 3e3 ramp 0.03\n"
+        "at t=0.05 set object 0 density 500 ramp 0.02\n"
+        "max_log_rate 50", state)
+    counts = count_derivations(monkeypatch)
+    edit_log = simulate(state, schedule, cfg).edit_log
+    edited = {rec["t"] for rec in edit_log}
+    e_edited = {rec["t"] for rec in edit_log
+                if rec["property"] == "young_modulus"}
+    assert len(e_edited) > 5 and edited > e_edited
+    assert counts == {"_class_rows": 1, "_rigid_groups": 1,
+                      "wave_speeds": 1 + len(edited),
+                      "lame_parameters": 1 + len(e_edited)}
+
+
+def test_material_switch_derives_class_rows_once(monkeypatch):
+    state, cfg = _limiter_scene((MaterialClass.ELASTIC, MaterialClass.RIGID))
+    schedule = compile_schedule("at t=0.02 set object 1 material_model liquid",
+                                state)
+    counts = count_derivations(monkeypatch)
+    (record,) = simulate(state, schedule, cfg).edit_log
+    assert record["value"] == "LIQUID"
+    assert counts == {"_class_rows": 2, "_rigid_groups": 2, "wave_speeds": 2,
+                      "lame_parameters": 1}
+
+
+def test_impulse_shortens_its_substep():
+    """An impulse derives nothing again, yet the substep it lands in takes
+    the shorter dt that its max |v| gives, as the uncached loop does."""
+    text = "at t=0.02 impulse object 1 (1.5,0,0)"
+    dts = []
+    with pytest.MonkeyPatch.context() as mp:
+        state, cfg = _limiter_scene((MaterialClass.ELASTIC,) * 2)
+        schedule = compile_schedule(text, state)
+        counts = count_derivations(mp)
+        inner = engine.step
+
+        def counted(st, dt, *args, **kwargs):
+            dts.append(dt)
+            inner(st, dt, *args, **kwargs)
+
+        mp.setattr(engine, "step", counted)
+        simulate(state, schedule, cfg)
+    assert counts == dict.fromkeys(counts, 1)
+
+    hand, _ = _limiter_scene((MaterialClass.ELASTIC,) * 2)
+    rt = ScheduleRuntime(schedule)
+    hand_dts, shortened = [], []
+    for frame in range(1, cfg.frames):
+        target_t = frame / cfg.fps
+        while hand.t < target_t - 1e-12:
+            dt = min(stable_dt(hand, cfg), target_t - hand.t)
+            if rt.apply(hand, hand.t, dt):
+                shortened.append((dt, stable_dt(hand, cfg)))
+                dt = min(dt, stable_dt(hand, cfg))
+            hand_dts.append(dt)
+            step(hand, dt)
+        hand.t = target_t
+    ((before, after),) = shortened
+    assert after < 0.75 * before
+    assert dts == hand_dts
+    assert np.array_equal(state.x, hand.x)
+
+
+def test_probe_reads_only_pending_event_objects(monkeypatch):
+    """The probe aggregates only the objects that lines still waiting for
+    their event name, from rows found once, with the values the
+    every-object probe gives; after the last event fires it stops."""
+    state, cfg = _limiter_scene((MaterialClass.ELASTIC,) * 2)
+    schedule = compile_schedule(
+        "on speed_above 0.3 object 1 set object 0 wind_scale 2\n"
+        "at t=0.01 set object 1 density 900", state)
+    inner, calls = engine.object_events, []
+
+    def probe(st, objects=None):
+        events = inner(st, objects)
+        calls.append((st.t, sorted(events)))
+        assert events == {oid: inner(st)[oid] for oid in events}
+        return events
+
+    monkeypatch.setattr(engine, "object_events", probe)
+    edit_log = simulate(state, schedule, cfg).edit_log
+    (fired,) = [rec["t"] for rec in edit_log if rec["property"] == "wind_scale"]
+    assert len(calls) > 3
+    assert {tuple(keys) for _, keys in calls} == {(1,)}
+    assert max(t for t, _ in calls) == fired
