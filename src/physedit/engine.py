@@ -41,7 +41,9 @@ A substep's inputs change at three rates, and each is derived at its own:
                 edited property touches (``_STALE``)
   per substep   everything that reads x, v, C or F
 
-``simulate`` passes ``_Derived`` to ``stable_dt`` and ``step``.
+``simulate`` passes ``_Derived`` to ``stable_dt`` and ``step``.  These
+public entry points and ``batch_constitutive`` derive what they are not
+given; the phases below them never do, and take each input in one form.
 
 A rigid group is the RIGID-class particles that share an object id and
 a part label; it carries no stress, and its F stays I.  Its motion
@@ -57,6 +59,7 @@ rotation exp(dt [omega]x) about c, so the shape holds to round-off.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
@@ -67,7 +70,7 @@ from .errors import (DomainError, EmptyScene, GridOverflow, NumericalError,
                      ParticleEscape, check_size)
 from .materials import (MaterialClass, MaterialField, validate_field,
                         wave_speeds)
-from .schedule import ScheduleRuntime
+from .schedule import InstructionSchedule, ScheduleRuntime
 from .trajectory import Trajectory
 
 _BC_MODES = ("sticky", "slip", "separate")
@@ -377,7 +380,8 @@ def stable_dt(state: SimulationState, cfg: SimConfig,
     """
     if derived is None:
         derived = _derive(state)
-    v_max = float(np.sqrt((state.v ** 2).sum(axis=1).max(initial=0.0)))
+    with np.errstate(over="ignore"):
+        v_max = float(np.sqrt((state.v ** 2).sum(axis=1).max(initial=0.0)))
     reach = cfg.cfl_number * state.h
     speed = derived.c_max + v_max
     dt = reach / speed if speed > 0 else np.inf
@@ -435,14 +439,14 @@ class _Stencil:
         return idx.ravel(), w.reshape(27, -1)
 
 
-def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff=None):
+def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
     """Scatter mass and momentum, with the fused MLS stress term, to the grid.
 
     A node at offset o in {0,1,2}^3 sits at dpos = h (o - fx) from the
     particle, so the affine term A dpos = h A o - h A fx, and only h A o
     changes with the offset.  g_eff is the (N, 3) body-force acceleration
-    of ``_Derived``; without it it is derived here.  Returns (stencil,
-    grid_mass (n_sub,), grid_mom (3, n_sub)).
+    of ``_Derived``.  Returns (stencil, grid_mass (n_sub,),
+    grid_mom (3, n_sub)).
     """
     h = state.h
     gx = (state.x - state.origin) / h
@@ -458,8 +462,6 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff=None):
     affine = (-dt * state.vol0 * 4.0 / (h * h))[:, None, None] * kirchhoff \
         + state.mass[:, None, None] * state.c_apic
     h_cols = h * affine.transpose(2, 1, 0).copy()  # h_cols[k] = h A e_k, (3, N)
-    if g_eff is None:
-        g_eff = _DERIVATIONS["g_eff"](state)
     mom_p = state.mass[:, None] * (state.v + dt * g_eff)
     q_base = mom_p.T - (h_cols * fx[:, None, :]).sum(axis=0)
 
@@ -488,19 +490,22 @@ def _boundary_layers(state: SimulationState):
     Layer k sits at origin + h k, which rounds monotonically in k, so the
     layers at or below the ground (to 1e-12) or within the margin band of
     a lower face are a prefix of 0..dims-1, and those within the band of
-    an upper face a suffix.  Counting the comparisons over every layer
-    gives each range's ends exactly; the grid, the ground and the wall
-    modes are fixed for a run, so ``_Derived`` keeps the result.
+    an upper face a suffix.  Bisecting on the same comparison of one
+    layer's coordinate at a time gives each range's end exactly, in
+    O(log dims) work and no per-layer array; the grid, the ground and the
+    wall modes are fixed for a run, so ``_Derived`` keeps the result.
     """
     h = state.h
-    coord = [state.origin[a] + h * np.arange(state.dims[a]) for a in range(3)]
+    ks = [range(n) for n in state.dims.tolist()]  # layer indices per axis
+    coord = [lambda k, o=o: o + h * k for o in state.origin]  # of layer k
 
     def below(axis, threshold, mode):
-        return axis, +1, 0, int(np.count_nonzero(coord[axis] <= threshold)), mode
+        stop = bisect_right(ks[axis], threshold, key=coord[axis])
+        return axis, +1, 0, stop, mode
 
     def above(axis, threshold, mode):
-        n = len(coord[axis])
-        return axis, -1, n - int(np.count_nonzero(coord[axis] >= threshold)), n, mode
+        first = bisect_left(ks[axis], threshold, key=coord[axis])
+        return axis, -1, first, len(ks[axis]), mode
 
     # ground plane (inward normal +y); the y_min wall is the ground side
     layers = [below(1, state.ground_height + 1e-12, state.ground_bc)]
@@ -517,15 +522,13 @@ def _boundary_layers(state: SimulationState):
     return tuple(layers)
 
 
-def _boundaries(state: SimulationState, stencil: _Stencil, bounds=None):
+def _boundaries(stencil: _Stencil, bounds):
     """Yield (axis, inward sign, layers, mode) for each boundary that
     constrains a node layer of the active box, in ``_boundary_layers``
     order; layers is the slice of the box's node layers along axis that
     it constrains.  bounds is ``_boundary_layers(state)``, which
-    ``_Derived`` keeps for a run; without it it is derived here.
+    ``_Derived`` keeps for a run.
     """
-    if bounds is None:
-        bounds = _boundary_layers(state)
     lo, sub = stencil.lo.tolist(), stencil.sub.tolist()
     for axis, sign, first, stop, mode in bounds:
         start = max(first - lo[axis], 0)
@@ -535,7 +538,7 @@ def _boundaries(state: SimulationState, stencil: _Stencil, bounds=None):
 
 
 def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
-                 grid_mass, grid_mom, bounds=None):
+                 grid_mass, grid_mom, bounds):
     """Momentum -> velocity, then damping, the ground and the domain walls.
 
     Every boundary constrains whole node layers along one axis
@@ -547,7 +550,7 @@ def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
     if state.damping > 0:
         grid_v *= max(0.0, 1.0 - state.damping * dt)
     vel = grid_v.reshape(3, *stencil.sub)
-    for axis, sign, layers, mode in _boundaries(state, stencil, bounds):
+    for axis, sign, layers, mode in _boundaries(stencil, bounds):
         _apply_bc_slab(vel, axis, sign, layers, mode)
     return grid_v
 
@@ -623,7 +626,7 @@ def _skew(w):
 
 
 def _couple_rigid(state: SimulationState, stencil: _Stencil, grid_mass,
-                  grid_v, groups, bounds=None):
+                  grid_v, groups, bounds):
     """Give the support nodes of each rigid group one rigid motion.
 
     The support is every node in the stencil of one of the group's
@@ -640,7 +643,7 @@ def _couple_rigid(state: SimulationState, stencil: _Stencil, grid_mass,
     """
     if not groups:
         return []
-    boundaries = list(_boundaries(state, stencil, bounds))
+    boundaries = list(_boundaries(stencil, bounds))
     motions = []
     for group in groups:
         nodes = np.unique(stencil.block(group)[0])  # the group's support
@@ -751,18 +754,15 @@ def step(state: SimulationState, dt: float,
     _check_inside(state)
 
 
-def object_events(state: SimulationState, objects=None):
+def object_events(state: SimulationState, objects):
     """Per-object aggregates used by event triggers.
 
     objects maps each object id to probe to its particles (a slice, a
-    mask or an index array); without it every object is probed.  Ground
-    contact means a particle's B-spline support overlaps the constrained
-    ground nodes (within 1.5 h); resting bodies equilibrate about one cell
-    above the node layer, so tighter bands never fire.
+    mask or an index array).  Ground contact means a particle's B-spline
+    support overlaps the constrained ground nodes (within 1.5 h); resting
+    bodies equilibrate about one cell above the node layer, so tighter
+    bands never fire.
     """
-    if objects is None:
-        objects = {oid: state.object_id == oid
-                   for oid in np.unique(state.object_id)}
     events = {}
     contact_band = 1.5 * state.h
     for oid, rows in objects.items():
@@ -779,15 +779,17 @@ def object_events(state: SimulationState, objects=None):
 def simulate(state: SimulationState, schedule, cfg: SimConfig):
     """Advance to every frame time k/fps, applying scheduled edits.
 
-    Returns a Trajectory; deterministic for fixed inputs.  WorkBudget if
-    the frame array would hold more than MAX_FRAME_VALUES values.
+    Returns a Trajectory; deterministic for fixed inputs; schedule None
+    is the empty schedule.  WorkBudget if the frame array would hold more
+    than MAX_FRAME_VALUES values, NumericalError before a substep whose dt
+    would not advance t (as when a speed's square overflows).
     ``_Derived`` is derived at the start; after each substep whose
     ``ScheduleRuntime.apply`` returns edits, only the fields those edits
     touched are derived again, and dt is clamped again to the new bound,
     since an impulse raises max |v| without touching any field.
     """
     cfg.validate()
-    runtime = ScheduleRuntime(schedule) if schedule is not None else None
+    runtime = ScheduleRuntime(schedule or InstructionSchedule())
 
     n = state.n_particles
     check_size("simulate", cfg.frames * n * 3, MAX_FRAME_VALUES, "frame values")
@@ -801,14 +803,19 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
         substep = 0
         while state.t < target_t - 1e-12:
             dt = min(stable_dt(state, cfg, derived), target_t - state.t)
-            if runtime is not None:
-                edits = runtime.apply(state, state.t, dt)
-                if edits:
-                    edit_log.extend(edits)
-                    derived = _derive(state, derived, edits)
-                    dt = min(dt, stable_dt(state, cfg, derived))
+            edits = runtime.apply(state, state.t, dt)
+            if edits:
+                edit_log.extend(edits)
+                derived = _derive(state, derived, edits)
+                dt = min(dt, stable_dt(state, cfg, derived))
             t_before = state.t
             try:
+                if not t_before + dt > t_before:
+                    speed = np.hypot.reduce(state.v, axis=1)
+                    i = int(speed.argmax())
+                    raise NumericalError(
+                        f"dt={dt:g} does not advance t; the fastest, particle "
+                        f"{i}, moves at {speed[i]:.3g} m/s", particle=i)
                 step(state, dt, derived)
             except (ParticleEscape, NumericalError) as exc:
                 where = f"frame {frame}, substep {substep}, t={t_before:.6g}"

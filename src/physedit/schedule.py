@@ -313,22 +313,11 @@ def _parse_entry(p: _LineParser, line_no: int):
                         source_line=line_no)
 
 
-def _scene_parts(scene):
-    """Normalize the scene argument to {object_id: set(part_labels)}."""
-    if isinstance(scene, dict):
-        return {int(k): set(int(p) for p in v) for k, v in scene.items()}
-    parts = {}
-    for oid in np.unique(scene.object_id):
-        m = scene.object_id == oid
-        parts[int(oid)] = set(int(p) for p in np.unique(scene.part[m]))
-    return parts
-
-
-def compile_schedule(raw: str, scene) -> InstructionSchedule:
+def compile_schedule(raw: str, state) -> InstructionSchedule:
     """Parse and validate a schedule; see the module docstring for the grammar.
 
-    ``scene`` is a SimulationState or a {object_id: {part labels}} dict;
-    every object and part the schedule names must be in it.
+    Every object and part the schedule names must be in ``state`` (a
+    SimulationState, or anything with its object_id and part columns).
     """
     clamps = dict(DEFAULT_CLAMPS)
     max_log_rate = DEFAULT_MAX_LOG_RATE
@@ -367,7 +356,9 @@ def compile_schedule(raw: str, scene) -> InstructionSchedule:
         else:
             entries.append(_parse_entry(p, line_no))
 
-    scene_parts = _scene_parts(scene)
+    scene_parts = {  # object id -> its part labels
+        int(oid): set(np.unique(state.part[state.object_id == oid]).tolist())
+        for oid in np.unique(state.object_id)}
     for pos, iv in enumerate(entries):
         for oid in (iv.target.object_id, iv.trigger.probe_object):
             if oid is not None and oid not in scene_parts:

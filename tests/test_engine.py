@@ -1,4 +1,9 @@
+import json
 import math
+import signal
+import tracemalloc
+from contextlib import contextmanager
+from dataclasses import replace
 from itertools import product
 from types import SimpleNamespace
 
@@ -8,20 +13,22 @@ from hypothesis import given, settings, strategies as hst
 from scipy.spatial.distance import pdist
 
 import physedit.engine as engine
+from physedit import cli
 from oracles import (boundary_layers_oracle, contact_rows_oracle,
                      g2p_oracle, grid_update_oracle, p2g_oracle,
                      rigid_fit_oracle)
 from physedit.constitutive import batch_constitutive
 from physedit.engine import (_BC_MODES, _WALL_NAMES, GRID_MARGIN, ObjectInit,
-                             SimConfig, _boundaries, _boundary_layers,
+                             SimConfig, _boundaries, _boundary_layers, _derive,
                              _contact_rows, _couple_rigid, _g2p, _grid_update,
                              _p2g, _rigid_groups, _Stencil, build_state,
                              object_events, simulate, stable_dt, step)
 from physedit.errors import (DomainError, EmptyScene, GridOverflow,
                              NumericalError, ParticleEscape)
+from physedit.fieldio import write_field
 from physedit.fill import FillConfig, fill_field
 from physedit.materials import MaterialClass
-from physedit.scenes import cube_shell_positions, uniform_field
+from physedit.scenes import cube_shell_positions, load_scene, uniform_field
 
 
 def free_cfg(**kw):
@@ -343,7 +350,8 @@ class TestGridUpdate:
     @given(case=grid_cases())
     def test_matches_node_mask_oracle_bitwise(self, case):
         state, stencil, dt, mass, mom = case
-        grid_v = _grid_update(state, dt, stencil, mass, mom)
+        grid_v = _grid_update(state, dt, stencil, mass, mom,
+                              _boundary_layers(state))
         ref = grid_update_oracle(state, dt, stencil.lo, stencil.sub, mass, mom,
                                  GRID_MARGIN)
         assert grid_v.shape == mom.shape and grid_v.flags.c_contiguous
@@ -377,7 +385,8 @@ class TestGridUpdate:
             mass[n] = 1.0
             mom[(slice(None),) + n] = v
         grid_v = _grid_update(state, 1e-3, stencil, mass.ravel(),
-                              mom.reshape(3, -1)).reshape(3, 12, 12, 12)
+                              mom.reshape(3, -1),
+                              _boundary_layers(state)).reshape(3, 12, 12, 12)
 
         def normal_zeroed(v):
             out = v.copy()
@@ -428,7 +437,7 @@ def test_boundary_ranges_match_float_comparisons(case, seed):
         assert np.array_equal(np.flatnonzero(want[2]), np.arange(first, stop))
 
     in_box = boundary_layers_oracle(state, stencil.lo, stencil.sub, GRID_MARGIN)
-    got = list(_boundaries(state, stencil, bounds))
+    got = list(_boundaries(stencil, bounds))
     want = [b for b in in_box if b[2].any()]
     assert [(a, s, m) for a, s, _, m in got] == [(a, s, m) for a, s, _, m in want]
     for (axis, _, layers, _), (_, _, mask, _) in zip(got, want):
@@ -441,6 +450,40 @@ def test_boundary_ranges_match_float_comparisons(case, seed):
     r = rng.standard_normal((n, 3))
     for g, w in zip(_contact_rows(r, rel, got), contact_rows_oracle(r, rel, in_box)):
         assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("h, origin, dims, ground_layer, offset", [
+    (1e-3, (-5e3, -0.5, 2.0), (10 ** 7 + 1,) * 3, 5 * 10 ** 6, 0.0),
+    (0.01, (123.456, -1e5, -7.89), (2 * 10 ** 7, 10 ** 7, 3 * 10 ** 7),
+     4 * 10 ** 6 + 17, 1e-12),
+    (0.1 / 3, (-2e5, 3e5, 1e5), (10 ** 7,) * 3, 10 ** 7 - 3, -1e-13),
+    (0.025, (0.1, -2.0, 0.3), (10 ** 7,) * 3, -2, 0.5 * 0.025),
+])
+def test_boundary_ranges_bounded_on_huge_domains(h, origin, dims, ground_layer,
+                                                 offset):
+    """A domain of 1e7 or more node layers per axis derives its ranges
+    without per-layer arrays, and at each range end the layer inside
+    passes its boundary's comparison and the layer outside fails it."""
+    state, _ = grid_box(h, origin, dims, (0, 0, 0), (1, 1, 1),
+                        origin[1] + h * ground_layer + offset, "slip",
+                        dict.fromkeys(_WALL_NAMES, "sticky"))
+    tracemalloc.start()
+    try:
+        bounds = _boundary_layers(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for b, (axis, sign, first, stop, _) in enumerate(bounds):
+        n = int(state.dims[axis])
+        assert (first == 0) if sign > 0 else (stop == n)
+        end = stop if sign > 0 else first  # the first layer outside, or inside
+        lo, sub = [0, 0, 0], [1, 1, 1]
+        lo[axis] = max(end - 1, 0)
+        sub[axis] = min(end + 1, n) - lo[axis]
+        mask = boundary_layers_oracle(state, lo, sub, GRID_MARGIN)[b][2]
+        inside = np.arange(lo[axis], lo[axis] + sub[axis]) < end
+        assert np.array_equal(mask, inside if sign > 0 else ~inside)
 
 
 TRANSFER_BLOCK = 8  # _BLOCK in the transfer tests, so every case is small
@@ -484,7 +527,8 @@ class TestTransfers:
                                           st.poisson_ratio)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_BLOCK", TRANSFER_BLOCK)
-            stencil, grid_mass, grid_mom = _p2g(st, dt, kirchhoff)
+            stencil, grid_mass, grid_mom = _p2g(st, dt, kirchhoff,
+                                                _derive(st).g_eff)
             lo, sub, want_mass, want_mom = p2g_oracle(st, dt, kirchhoff)
             assert np.array_equal(stencil.lo, lo)
             assert np.array_equal(stencil.sub, sub)
@@ -621,6 +665,76 @@ class TestErrorContext:
         assert np.isfinite(st.v[:k]).all()
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, if the block runs longer than seconds."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def speeding_cube(tmp_path, velocity=(0.0, 0.0, 0.0), schedule=None):
+    """scene.json of a 27-particle ELASTIC cube (3^3 at 3 cm) at velocity."""
+    lattice = 0.03 * np.stack(np.meshgrid(*[np.arange(3.0)] * 3,
+                                          indexing="ij"), axis=-1).reshape(-1, 3)
+    write_field(particle_field(lattice), tmp_path / "cube.mfield")
+    scene = {"format": "scene", "objects": [{
+        "field": "cube.mfield", "h_fill": 0.03, "velocity": list(velocity),
+        "translate": [0.0, 0.1, 0.0]}],
+        "sim": {"h_grid": 0.03, "frames": 3, "fps": 24.0,
+                "domain_lo": [-0.6, -0.18, -0.6], "domain_hi": [0.7, 0.6, 0.6]}}
+    if schedule is not None:
+        (tmp_path / "schedule.txt").write_text(schedule)
+        scene["schedule"] = "schedule.txt"
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    return tmp_path / "scene.json"
+
+
+class TestNoAdvance:
+    """A speed whose square overflows makes stable_dt 0; simulate refuses
+    that substep instead of looping at a fixed t."""
+
+    def test_overflowing_velocity(self, tmp_path):
+        objects, cfg, _ = load_scene(speeding_cube(tmp_path, (1e200, 0.0, 0.0)))
+        state = build_state(objects, cfg)
+        assert stable_dt(state, cfg) == 0.0
+        with deadline(5), pytest.raises(NumericalError) as info:
+            simulate(state, None, cfg)
+        assert str(info.value) == (
+            "frame 1, substep 0, t=0, object 0: dt=0 does not advance t; "
+            "the fastest, particle 0, moves at 1e+200 m/s")
+        assert info.value.particle == 0 and state.t == 0.0
+
+    def test_overflowing_impulse_through_cli(self, tmp_path, capsys):
+        scene = speeding_cube(
+            tmp_path, schedule="at t=0.02 impulse object 0 (1e200,0,0)")
+        with deadline(5):
+            code = cli.main(["simulate", str(scene), str(tmp_path / "out"),
+                             "--no-images"])
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == NumericalError.code == 32
+        assert record["error"] == "NumericalError"
+        assert record["message"].startswith("frame 1, substep ")
+        assert record["message"].endswith(
+            ", object 0: dt=0 does not advance t; "
+            "the fastest, particle 0, moves at 1e+200 m/s")
+
+    def test_dt_below_the_resolution_of_t(self):
+        """t + dt == t with dt > 0 is refused alike."""
+        st, cfg, _ = two_cube_state()
+        st.t = 1e20  # its spacing is 16384 s; frame 1 comes at 2e20 s
+        with deadline(5), pytest.raises(NumericalError) as info:
+            simulate(st, None, replace(cfg, fps=5e-21))
+        assert "does not advance t" in str(info.value) and st.t == 1e20
+
+
 class TestEvents:
     def test_object_events_aggregates(self):
         f1 = particle_field([[0, 0.5, 0], [0, 0.6, 0]])
@@ -629,7 +743,7 @@ class TestEvents:
                         domain_hi=(0.5, 0.8, 0.5), ground_height=0.0)
         st = build_state([ObjectInit(field=f1, h_fill=0.05, velocity=(0, -2, 0)),
                           ObjectInit(field=f2, h_fill=0.05)], cfg)
-        ev = object_events(st)
+        ev = object_events(st, {0: st.object_id == 0, 1: st.object_id == 1})
         assert ev[0]["min_height"] == pytest.approx(0.5)
         assert ev[0]["max_speed"] == pytest.approx(2.0)
         assert not ev[0]["ground_contact"]
@@ -696,12 +810,15 @@ class TestRigid:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st=rigid_group_cases())
     def test_fit_matches_oracle_and_conserves_momentum(self, st):
-        stencil, grid_mass, grid_mom = _p2g(st, 0.0, np.zeros_like(st.f))
+        derived = _derive(st)
+        stencil, grid_mass, grid_mom = _p2g(st, 0.0, np.zeros_like(st.f),
+                                            derived.g_eff)
         grid_v = np.divide(grid_mom, grid_mass, out=np.zeros_like(grid_mom),
                            where=grid_mass > 0)
         before = grid_v.copy()
         groups = _rigid_groups(st)
-        motions = _couple_rigid(st, stencil, grid_mass, grid_v, groups)
+        motions = _couple_rigid(st, stencil, grid_mass, grid_v, groups,
+                                derived.bounds)
 
         by_key = {}
         for p in range(st.n_particles):

@@ -1,11 +1,12 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 from scipy.spatial.distance import pdist
 
 from physedit import engine
@@ -21,7 +22,9 @@ from physedit.scenes import cube_shell_positions, uniform_field
 
 
 def scene_map():
-    return {0: {0, 2}, 1: {0}}
+    """The object and part columns of a two-object scene: object 0 has
+    parts 0 and 2, object 1 part 0."""
+    return SimpleNamespace(object_id=np.array([0, 0, 1]), part=np.array([0, 2, 0]))
 
 
 def make_state(n=4, e=1e4, gravity=(0, -9.8, 0)):
@@ -583,6 +586,13 @@ def _limiter_scene(classes):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+# switches between stressed classes: a RIGID switch cannot show stale class
+# rows, since it sets F = I, where every class's stress is 0
+@example(lines=["at t=0.03 set object 0 material_model liquid"], rate=None,
+         classes=(MaterialClass.ELASTIC, MaterialClass.ELASTIC))
+@example(lines=["at t=0.01 set object 0 part 1 material_model liquid",
+                "on ground_contact object 0 set object 1 material_model elastic"],
+         rate=None, classes=(MaterialClass.ELASTIC, MaterialClass.LIQUID))
 @given(lines=hst.lists(_LIMITER_LINES, min_size=2, max_size=5),
        rate=hst.sampled_from((None, 0.5, 5.0)),
        classes=hst.tuples(*[hst.sampled_from((MaterialClass.ELASTIC,
@@ -786,10 +796,11 @@ def test_probe_reads_only_pending_event_objects(monkeypatch):
         "at t=0.01 set object 1 density 900", state)
     inner, calls = engine.object_events, []
 
-    def probe(st, objects=None):
+    def probe(st, objects):
         events = inner(st, objects)
         calls.append((st.t, sorted(events)))
-        assert events == {oid: inner(st)[oid] for oid in events}
+        every = {oid: st.object_id == oid for oid in np.unique(st.object_id)}
+        assert events == {oid: inner(st, every)[oid] for oid in events}
         return events
 
     monkeypatch.setattr(engine, "object_events", probe)

@@ -34,10 +34,11 @@ def statement_lines(path: Path) -> set:
     return lines
 
 
-def trace_run(pytest_args) -> tuple[int, dict]:
-    """Run pytest; returns its exit code and {file name: lines run}."""
-    import pytest
-
+def trace(fn, *args):
+    """Call fn(*args) under the line tracer, with src/ first on sys.path;
+    returns its result and {file name: lines of src/physedit run}.  Only
+    frames entered during the call are traced, so import physedit inside
+    fn to count its module-level lines."""
     prefix = str(PACKAGE) + "/"
     run = {}
 
@@ -57,11 +58,11 @@ def trace_run(pytest_args) -> tuple[int, dict]:
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        code = pytest.main(pytest_args)
+        result = fn(*args)
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(code), run
+    return result, run
 
 
 def spans(lines):
@@ -76,10 +77,9 @@ def spans(lines):
     return ", ".join(out)
 
 
-def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv) or \
-        [str(ROOT / "tests"), "-q"]
-    code, run = trace_run(args)
+def report(run) -> str:
+    """Print each module's statement lines missing from ``run`` (as
+    ``trace`` returns it); returns "unrun N of M statement lines"."""
     total = unrun_total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         stmts = statement_lines(path)
@@ -88,9 +88,17 @@ def main(argv=None) -> int:
         unrun_total += len(unrun)
         if unrun:
             print(f"{path.name}: {len(unrun)} unrun: {spans(unrun)}")
-    print(f"unrun {unrun_total} of {total} statement lines "
-          f"(pytest exit code {code})")
-    return code
+    return f"unrun {unrun_total} of {total} statement lines"
+
+
+def main(argv=None) -> int:
+    import pytest
+
+    args = list(sys.argv[1:] if argv is None else argv) or \
+        [str(ROOT / "tests"), "-q"]
+    code, run = trace(pytest.main, args)
+    print(f"{report(run)} (pytest exit code {int(code)})")
+    return int(code)
 
 
 if __name__ == "__main__":
