@@ -37,8 +37,8 @@ A substep's inputs change at three rates, and each is derived at its own:
                 per-particle Lame parameters and body-force accelerations,
                 the class selections of ``batch_constitutive`` and the
                 rigid groups: ``simulate`` derives them (``_Derived``) at
-                the start, and after each edit only the fields that the
-                edited property touches (``_STALE``)
+                the start, and all of them again after any substep with
+                an edit
   per substep   everything that reads x, v, C or F
 
 ``simulate`` passes ``_Derived`` to ``stable_dt`` and ``step``.  These
@@ -60,7 +60,7 @@ rotation exp(dt [omega]x) about c, so the shape holds to round-off.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -306,11 +306,11 @@ class _Derived:
     """What a substep reads that changes at most once per schedule edit.
 
     bounds depends only on the grid, the ground and the wall modes, which
-    no edit changes, so it is derived once per run.  The rest comes from
-    the columns only ``ScheduleRuntime.apply`` writes (E, nu, rho, the
-    class, the gravity and wind scales, the scene's gravity and wind), so
-    ``simulate`` derives it at the start and, after each edit, again only
-    the fields that ``_STALE`` says the edited properties touched.
+    no edit changes, so it is derived once per run.  The other fields come
+    from the columns only ``ScheduleRuntime.apply`` writes (E, nu, rho,
+    the class, the gravity and wind scales, the scene's gravity and wind),
+    so ``simulate`` derives them at the start and all of them again after
+    any substep with an edit.
     """
 
     bounds: tuple  # _boundary_layers(state)
@@ -322,45 +322,21 @@ class _Derived:
     groups: list   # _rigid_groups(state)
 
 
-# how each _Derived field is derived from the state
-_DERIVATIONS = {
-    "bounds": lambda s: _boundary_layers(s),
-    "c_max": lambda s: float(
-        wave_speeds(s.young_modulus, s.poisson_ratio, s.density)[0]
-        [s.class_id != MaterialClass.RIGID].max(initial=0.0)),
-    "g_max": lambda s: (
-        np.linalg.norm(s.gravity) * np.abs(s.gravity_scale).max()
-        + np.linalg.norm(s.wind) * np.abs(s.wind_scale).max()),
-    "lame": lambda s: lame_parameters(s.young_modulus, s.poisson_ratio),
-    "g_eff": lambda s: (s.gravity[None, :] * s.gravity_scale[:, None]
-                        + s.wind[None, :] * s.wind_scale[:, None]),
-    "rows": lambda s: _class_rows(s.class_id),
-    "groups": lambda s: _rigid_groups(s),
-}
-# schedule property -> the _Derived fields an edit of it makes stale.  An
-# impulse makes none: it changes only v, which stable_dt reads live.
-_STALE = {
-    "young_modulus": ("c_max", "lame"),
-    "poisson_ratio": ("c_max", "lame"),
-    "density": ("c_max",),
-    "gravity": ("g_max", "g_eff"),
-    "wind": ("g_max", "g_eff"),
-    "gravity_scale": ("g_max", "g_eff"),
-    "wind_scale": ("g_max", "g_eff"),
-    "material_model": ("c_max", "rows", "groups"),
-    "velocity_impulse": (),
-}
-
-
-def _derive(state: SimulationState, derived: Optional[_Derived] = None,
-            edits=()) -> _Derived:
-    """Every field (derived None), or derived with the fields that the
-    edit records ``edits`` make stale derived again."""
-    if derived is None:
-        return _Derived(**{name: fn(state) for name, fn in _DERIVATIONS.items()})
-    stale = {name for rec in edits for name in _STALE[rec["property"]]}
-    return replace(derived, **{name: _DERIVATIONS[name](state)
-                               for name in stale}) if stale else derived
+def _derive(state: SimulationState, bounds=None) -> _Derived:
+    """Every field of ``_Derived``; bounds, when given, is kept."""
+    c_p, _ = wave_speeds(state.young_modulus, state.poisson_ratio,
+                         state.density)
+    return _Derived(
+        bounds=_boundary_layers(state) if bounds is None else bounds,
+        c_max=float(c_p[state.class_id != MaterialClass.RIGID]
+                    .max(initial=0.0)),
+        g_max=(np.linalg.norm(state.gravity) * np.abs(state.gravity_scale).max()
+               + np.linalg.norm(state.wind) * np.abs(state.wind_scale).max()),
+        lame=lame_parameters(state.young_modulus, state.poisson_ratio),
+        g_eff=(state.gravity[None, :] * state.gravity_scale[:, None]
+               + state.wind[None, :] * state.wind_scale[:, None]),
+        rows=_class_rows(state.class_id),
+        groups=_rigid_groups(state))
 
 
 def stable_dt(state: SimulationState, cfg: SimConfig,
@@ -767,7 +743,8 @@ def object_events(state: SimulationState, objects):
     contact_band = 1.5 * state.h
     for oid, rows in objects.items():
         y = state.x[rows, 1]
-        speed = np.sqrt((state.v[rows] ** 2).sum(axis=1))
+        with np.errstate(over="ignore"):  # inf, as in stable_dt
+            speed = np.sqrt((state.v[rows] ** 2).sum(axis=1))
         events[int(oid)] = {
             "min_height": float(y.min()),
             "max_speed": float(speed.max()),
@@ -783,10 +760,10 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
     is the empty schedule.  WorkBudget if the frame array would hold more
     than MAX_FRAME_VALUES values, NumericalError before a substep whose dt
     would not advance t (as when a speed's square overflows).
-    ``_Derived`` is derived at the start; after each substep whose
-    ``ScheduleRuntime.apply`` returns edits, only the fields those edits
-    touched are derived again, and dt is clamped again to the new bound,
-    since an impulse raises max |v| without touching any field.
+    ``_Derived`` is derived at the start and, but for its per-run
+    bounds, again after each substep whose ``ScheduleRuntime.apply``
+    returns edits; dt is then clamped again to the new bound, since an
+    edit can raise max c_p, g_max or (by an impulse) max |v|.
     """
     cfg.validate()
     runtime = ScheduleRuntime(schedule or InstructionSchedule())
@@ -806,7 +783,7 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
             edits = runtime.apply(state, state.t, dt)
             if edits:
                 edit_log.extend(edits)
-                derived = _derive(state, derived, edits)
+                derived = _derive(state, derived.bounds)
                 dt = min(dt, stable_dt(state, cfg, derived))
             t_before = state.t
             try:

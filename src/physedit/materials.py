@@ -155,11 +155,14 @@ def wave_speeds(e, nu, rho):
     c_s = sqrt(E / (2 rho (1 + nu)))
     """
     e, nu, rho = (np.asarray(a, dtype=np.float64) for a in (e, nu, rho))
-    if np.any(~np.isfinite(e)) or np.any(e <= 0):
-        raise DomainError("Young's modulus must be finite and > 0")
-    if np.any(~np.isfinite(nu)) or np.any(nu <= -1.0) or np.any(nu >= 0.5):
-        raise DomainError("Poisson's ratio must lie strictly in (-1, 0.5)")
-    if np.any(~np.isfinite(rho)) or np.any(rho <= 0):
+    # one range test over all three (NaN fails it); only on failure do the
+    # per-parameter checks run, to name the first bad parameter
+    if not ((e > 0) & (e < np.inf) & (nu > -1.0) & (nu < 0.5)
+            & (rho > 0) & (rho < np.inf)).all():
+        if np.any(~np.isfinite(e)) or np.any(e <= 0):
+            raise DomainError("Young's modulus must be finite and > 0")
+        if np.any(~np.isfinite(nu)) or np.any(nu <= -1.0) or np.any(nu >= 0.5):
+            raise DomainError("Poisson's ratio must lie strictly in (-1, 0.5)")
         raise DomainError("density must be finite and > 0")
     c_p = np.sqrt(e * (1.0 - nu) / (rho * (1.0 + nu) * (1.0 - 2.0 * nu)))
     c_s = np.sqrt(e / (2.0 * rho * (1.0 + nu)))

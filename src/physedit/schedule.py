@@ -120,15 +120,29 @@ def ramp_value(v_from, v_to, t_since_trigger, ramp_duration, scale="linear"):
     v_to = np.asarray(v_to, dtype=np.float64)
     if scale == "log" and (np.any(v_from <= 0) or np.any(v_to <= 0)):
         raise DomainError("log ramps need positive endpoints")
+    out = np.broadcast_to(
+        _ramp_at(_ramp_ends(v_from, v_to, scale), v_to, t_since_trigger,
+                 ramp_duration, scale),
+        np.broadcast_shapes(v_from.shape, v_to.shape))
+    return float(out) if out.ndim == 0 else out.copy()
+
+
+def _ramp_ends(v_from, v_to, scale):
+    """Copies of a ramp's endpoints in the space it interpolates in: their
+    logs on a log scale."""
+    ends = (np.array(v_from, dtype=np.float64), np.array(v_to, dtype=np.float64))
+    return (np.log(ends[0]), np.log(ends[1])) if scale == "log" else ends
+
+
+def _ramp_at(ends, v_to, t_since_trigger, ramp_duration, scale):
+    """``ramp_value`` without its checks, from the ``_ramp_ends`` ends."""
     if ramp_duration == 0:
-        out = np.broadcast_to(v_to, np.broadcast_shapes(v_from.shape, v_to.shape))
-        return float(out) if out.ndim == 0 else out.copy()
+        return v_to
     alpha = min(max(t_since_trigger / ramp_duration, 0.0), 1.0)
+    lo, hi = ends
     if scale == "linear":
-        out = v_from + alpha * (v_to - v_from)
-    else:
-        out = np.exp((1.0 - alpha) * np.log(v_from) + alpha * np.log(v_to))
-    return float(out) if out.ndim == 0 else out
+        return lo + alpha * (hi - lo)
+    return np.exp((1.0 - alpha) * lo + alpha * hi)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +408,11 @@ def compile_schedule(raw: str, state) -> InstructionSchedule:
 class ScheduleRuntime:
     """Mutable bookkeeping around an immutable schedule.
 
-    Per line it keeps when the line fired, whether it is done, and the
-    values its ramp started from.  ``t`` is the substep start time that
-    ``apply`` last applied; each time is applied once, so a second call at
-    that time changes nothing and records nothing.
+    Per line it keeps when the line fired, whether it is done, and its
+    ramp's ends (``_ramp_ends``), fixed when it first applies.  ``t`` is
+    the substep start time that ``apply`` last applied; each time is
+    applied once, so a second call at that time changes nothing and
+    records nothing.
 
     No edit changes object ids, parts or interior flags, so the particles
     each line selects and those of each object an event probes are found
@@ -502,10 +517,10 @@ class ScheduleRuntime:
             self.done[i] = True
             return None
         if self.baseline[i] is None:
-            self.baseline[i] = old.copy()
+            self.baseline[i] = _ramp_ends(old, iv.value, scale)
         t0 = self.fire_time[i]
-        new = ramp_value(self.baseline[i], iv.value, t - t0,
-                         iv.ramp_duration, scale)
+        new = _ramp_at(self.baseline[i], iv.value, t - t0, iv.ramp_duration,
+                       scale)
         new = np.broadcast_to(np.asarray(new, dtype=np.float64), old.shape)
         capped = False
         if scale == "log":

@@ -726,6 +726,18 @@ class TestNoAdvance:
             ", object 0: dt=0 does not advance t; "
             "the fastest, particle 0, moves at 1e+200 m/s")
 
+    def test_overflowing_speed_probed_by_an_event(self, tmp_path, capsys):
+        """The event probe squares the speed too; the overflow must not
+        print a warning ahead of the one JSON error record."""
+        scene = speeding_cube(tmp_path, (1e200, 0.0, 0.0),
+                              "on speed_above 1 set object 0 density 500")
+        with deadline(5):
+            code = cli.main(["simulate", str(scene), str(tmp_path / "out"),
+                             "--no-images"])
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert code == NumericalError.code == 32
+        assert json.loads(line)["error"] == "NumericalError"
+
     def test_dt_below_the_resolution_of_t(self):
         """t + dt == t with dt > 0 is refused alike."""
         st, cfg, _ = two_cube_state()

@@ -121,8 +121,16 @@ class TestValidateField:
     (lambda: wave_speeds(1e5, 0.3, 0.0), DomainError, "density"),
     (lambda: wave_speeds(1e5, 0.3, np.array([1e3, -1.0])), DomainError,
      "density"),
+    (lambda: wave_speeds(1e5, 0.5, 1e3), DomainError, "Poisson's ratio"),
+    (lambda: wave_speeds(1e5, -1.0, 1e3), DomainError, "Poisson's ratio"),
+    (lambda: wave_speeds(np.array([1e5, np.nan]), 0.3, 1e3), DomainError,
+     "Young's modulus"),
+    (lambda: wave_speeds(np.inf, 0.3, 1e3), DomainError, "Young's modulus"),
+    (lambda: wave_speeds(1e5, 0.3, np.inf), DomainError, "density"),
+    (lambda: wave_speeds(0.0, 0.3, np.nan), DomainError, "Young's modulus"),
 ], ids=["channels", "std", "negative_modulus", "zero_density",
-        "negative_density"])
+        "negative_density", "nu_half", "nu_minus_one", "nan_modulus",
+        "inf_modulus", "inf_density", "modulus_before_density"])
 def test_validators_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -342,6 +342,32 @@ class TestApply:
             t += dt
         assert np.allclose(state.young_modulus, 1e6, rtol=1e-9)
 
+    @pytest.mark.parametrize("duration", [0.0, 0.05])
+    @pytest.mark.parametrize("target, prop, value, scale", [
+        ("object 0", "young_modulus", 3e4, "log"),
+        ("object 0", "poisson_ratio", 0.35, "linear"),
+        ("scene", "gravity", (1.0, -5.0, 0.5), "linear")])
+    def test_ramp_writes_ramp_value(self, target, prop, value, scale,
+                                    duration):
+        """At every substep of a line, before, on and after its ramp, apply
+        writes what ramp_value gives from the line's start values, bit for
+        bit."""
+        state, _ = make_state(n=5)
+        column = getattr(state, prop)
+        column *= np.linspace(0.8, 1.2, column.size)
+        start = column.copy()
+        text = str(value).replace(" ", "")
+        rt = ScheduleRuntime(compile_schedule(
+            f"at t=0.01 set {target} {prop} {text} ramp {duration}\n"
+            "max_log_rate 1000", state))
+        dt = 0.0037
+        for k in range(25):
+            rt.apply(state, k * dt, dt)
+            expected = start if k * dt < 0.01 else ramp_value(
+                start, value, k * dt - 0.01, duration, scale)
+            assert np.array_equal(column, expected), k
+        assert rt.done == [True]
+
     def test_idempotent_at_same_time(self):
         state, _ = make_state()
         sched = compile_schedule(
@@ -705,36 +731,23 @@ def count_derivations(mp):
     return counts
 
 
-def test_stale_table_covers_every_property():
-    """Each schedule property names the derived fields its edits make
-    stale; no edit touches the per-run boundary layers."""
-    from dataclasses import fields
-    from physedit.schedule import _PROPS
-
-    assert set(engine._STALE) == set(_PROPS)
-    names = {f.name for f in fields(engine._Derived)}
-    assert names == set(engine._DERIVATIONS)
-    assert set().union(*map(set, engine._STALE.values())) == names - {"bounds"}
-
-
-def test_property_ramps_keep_class_rows_and_groups(monkeypatch):
-    """E and rho ramps derive max c_p again after each edit, and the Lame
-    parameters after each E edit, but never the class rows or the rigid
-    groups."""
+def test_every_edit_derives_everything_again(monkeypatch):
+    """Each derivation runs once at the start and once more after each
+    substep with an edit, whichever property the edit set."""
     state, cfg = _limiter_scene((MaterialClass.ELASTIC, MaterialClass.RIGID))
     schedule = compile_schedule(
         "at t=0 set object 0 young_modulus 3e3 ramp 0.03\n"
-        "at t=0.05 set object 0 density 500 ramp 0.02\n"
+        "at t=0.05 set scene gravity (0,-5,0) ramp 0.02\n"
+        "at t=0.06 impulse object 0 (0,0.5,0)\n"
+        "at t=0.07 set object 1 material_model liquid\n"
         "max_log_rate 50", state)
     counts = count_derivations(monkeypatch)
     edit_log = simulate(state, schedule, cfg).edit_log
+    assert {rec["property"] for rec in edit_log} == {
+        "young_modulus", "gravity", "velocity_impulse", "material_model"}
     edited = {rec["t"] for rec in edit_log}
-    e_edited = {rec["t"] for rec in edit_log
-                if rec["property"] == "young_modulus"}
-    assert len(e_edited) > 5 and edited > e_edited
-    assert counts == {"_class_rows": 1, "_rigid_groups": 1,
-                      "wave_speeds": 1 + len(edited),
-                      "lame_parameters": 1 + len(e_edited)}
+    assert len(edited) > 5
+    assert counts == dict.fromkeys(counts, 1 + len(edited))
 
 
 def test_material_switch_derives_class_rows_once(monkeypatch):
@@ -744,13 +757,12 @@ def test_material_switch_derives_class_rows_once(monkeypatch):
     counts = count_derivations(monkeypatch)
     (record,) = simulate(state, schedule, cfg).edit_log
     assert record["value"] == "LIQUID"
-    assert counts == {"_class_rows": 2, "_rigid_groups": 2, "wave_speeds": 2,
-                      "lame_parameters": 1}
+    assert counts == dict.fromkeys(counts, 2)
 
 
 def test_impulse_shortens_its_substep():
-    """An impulse derives nothing again, yet the substep it lands in takes
-    the shorter dt that its max |v| gives, as the uncached loop does."""
+    """The substep an impulse lands in takes the shorter dt that its max
+    |v| gives, as the uncached loop does."""
     text = "at t=0.02 impulse object 1 (1.5,0,0)"
     dts = []
     with pytest.MonkeyPatch.context() as mp:
@@ -765,7 +777,7 @@ def test_impulse_shortens_its_substep():
 
         mp.setattr(engine, "step", counted)
         simulate(state, schedule, cfg)
-    assert counts == dict.fromkeys(counts, 1)
+    assert counts == dict.fromkeys(counts, 2)
 
     hand, _ = _limiter_scene((MaterialClass.ELASTIC,) * 2)
     rt = ScheduleRuntime(schedule)
