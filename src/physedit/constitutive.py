@@ -110,8 +110,10 @@ def svd3(f):
     """
     f = np.asarray(f, dtype=np.float64)
     n = f.shape[0]
-    # cols[k] is column k of every F, (3, N)
-    cols = np.ascontiguousarray(f.transpose(2, 1, 0))
+    # g[i, k] is entry F_ik of every F as one contiguous row, with no copy
+    # when f is a component-major view; cols[k] is column k of every F, (3, N)
+    g = np.ascontiguousarray(f.transpose(1, 2, 0))
+    cols = [g[:, k] for k in range(3)]
     zero = np.zeros(n)
 
     # a[i][j] = (F^T F)_ij / tr(F^T F); a[i][j] and a[j][i] are the same array
@@ -223,30 +225,29 @@ def _drucker_prager_project(eps, mu, lam, friction_angle_deg):
 
 
 def _recompose(u, d, v):
-    """U diag(d) V^T, (N,3,3), from the (3, N) columns u[k], v[k] and d (N,3)."""
+    """U diag(d) V^T as (9, N) rows, out[3 a + b] its entry (a, b), from
+    the (3, N) columns u[k], v[k] and d (N,3)."""
     ud = [u[k] * d[:, k] for k in range(3)]
-    out = np.empty((d.shape[0], 3, 3))
-    entries = out.transpose(1, 2, 0)  # entry (a, b) of every matrix
+    out = np.empty((9, d.shape[0]))
     for a in range(3):
         for b in range(3):
-            entries[a, b] = (ud[0][a] * v[0][b] + ud[1][a] * v[1][b]
-                             + ud[2][a] * v[2][b])
+            out[3 * a + b] = (ud[0][a] * v[0][b] + ud[1][a] * v[1][b]
+                              + ud[2][a] * v[2][b])
     return out
 
 
 def _symmetric_recompose(u, d):
-    """U diag(d) U^T, (N,3,3), exactly symmetric.
+    """U diag(d) U^T as (9, N) rows, as in ``_recompose``, exactly symmetric.
 
     Entry (a, b) sums (d u_a) u_b over the columns, which in floating point
     differs from the sum of (d u_b) u_a, so each of the six unique entries
     is formed once and mirrored.
     """
     ud = [u[k] * d[:, k] for k in range(3)]
-    out = np.empty((d.shape[0], 3, 3))
-    entries = out.transpose(1, 2, 0)
+    out = np.empty((9, d.shape[0]))
     for a, b in _UPPER:
-        entries[a, b] = entries[b, a] = (ud[0][a] * u[0][b] + ud[1][a] * u[1][b]
-                                         + ud[2][a] * u[2][b])
+        out[3 * a + b] = out[3 * b + a] = (ud[0][a] * u[0][b] + ud[1][a] * u[1][b]
+                                           + ud[2][a] * u[2][b])
     return out
 
 
@@ -298,8 +299,9 @@ def _cofactor(a):
 
 
 def _elastic_kirchhoff(a, cof, j, mu, lam):
-    """Fixed-corotated Kirchhoff stress (N,3,3) of F given as a[3 i + k] =
-    F_ik, with its cofactors and determinants J > 0 from ``_cofactor``.
+    """Fixed-corotated Kirchhoff stress of F given as a[3 i + k] = F_ik,
+    with its cofactors and determinants J > 0 from ``_cofactor``, in the
+    same (9, N) layout.
 
     With b = F F^T, R F^T = sqrt(b), so tau = 2 mu (b - sqrt(b)) + lambda
     (J - 1) J I needs no rotation.  sqrt(b) is the closed form of Franca
@@ -348,7 +350,7 @@ def _elastic_kirchhoff(a, cof, j, mu, lam):
     sqrt_b[:3] += i1 * j * inv
     tau = 2.0 * mu * (b - sqrt_b)
     tau[:3] += lam * (j - 1.0) * j
-    return tau[_FULL].transpose(2, 0, 1)
+    return tau[_FULL.ravel()]
 
 
 def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
@@ -363,26 +365,31 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
     rows is ``_class_rows(class_id)`` and lame the per-particle
     ``lame_parameters(e, nu)``, which the engine keeps between the
     schedule edits that change them; without them they are derived here.
+
+    Every class works on F as (9, N) rows, flat[3 i + k] = F_ik: a free
+    view of a component-major f (an (N,3,3) view of a contiguous (3,3,N)
+    buffer, as the engine keeps it) and a copy of any other.  kirchhoff and
+    f_new are component-major, and the values do not depend on f's layout.
     """
     f = np.asarray(f, dtype=np.float64)
-    if not np.isfinite(f).all():
-        i = int(np.flatnonzero(~np.isfinite(f).all(axis=(1, 2)))[0])
+    n = f.shape[0]
+    flat = f.transpose(1, 2, 0).reshape(9, n)  # flat[3 i + k] is F_ik
+    if not np.isfinite(flat).all():
+        i = int(np.flatnonzero(~np.isfinite(flat).all(axis=0))[0])
         raise NumericalError(f"particle {i}: non-finite deformation gradient",
                              particle=i)
-    n = f.shape[0]
     elastic, mapped, liquid, at = (_class_rows(np.asarray(class_id))
                                    if rows is None else rows)
     mu_all, lam_all = lame_parameters(e, nu) if lame is None else lame
 
     # every class's J, and the determinant check, before any stress
-    flat = f.reshape(n, 9).T  # flat[3 i + k] is F_ik of every particle
     dets = []  # (rows, J) of each class that has particles
     if _size(elastic):
         a = flat[:, elastic]
         cof, j_elastic = _cofactor(a)
         dets.append((elastic, j_elastic))
     if _size(mapped):
-        u, sig, v = svd3(f[mapped])
+        u, sig, v = svd3(flat[:, mapped].reshape(3, 3, -1).transpose(2, 0, 1))
         dets.append((mapped, sig.prod(axis=1)))
     if _size(liquid):
         _, j_liquid = _cofactor(flat[:, liquid])
@@ -394,10 +401,10 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
             f"particle {i}: deformation gradient lost positive determinant",
             particle=i)
 
-    kirchhoff = np.zeros((n, 3, 3))
-    f_new = f.copy()  # ELASTIC and RIGID keep their F
+    tau = np.zeros((9, n))
+    f_new = flat.copy()  # ELASTIC and RIGID keep their F
     if _size(elastic):
-        kirchhoff[elastic] = _elastic_kirchhoff(
+        tau[:, elastic] = _elastic_kirchhoff(
             a, cof, j_elastic, mu_all[elastic], lam_all[elastic])
 
     if _size(mapped):
@@ -415,7 +422,7 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
         if snow.stop > snow.start:
             sig[snow] = np.clip(sig[snow], 1.0 - SNOW_THETA_C,
                                 1.0 + SNOW_THETA_S)
-        f_new[mapped] = _recompose(u, sig, v)
+        f_new[:, mapped] = _recompose(u, sig, v)
         j = sig.prod(axis=1)
 
         # principal Kirchhoff stresses; tau = U diag(d) U^T
@@ -424,13 +431,14 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
             # Hencky-strain stress pairs with the log-strain projection
             d[sand] = (2.0 * mu[sand, None] * eps_sand
                        + (lam[sand] * eps_sand.sum(axis=1))[:, None])
-        kirchhoff[mapped] = _symmetric_recompose(u, d)
+        tau[:, mapped] = _symmetric_recompose(u, d)
 
     if _size(liquid):
-        # fluids carry no rotation: F = J^(1/3) I, and tau = lam (J - 1) J I
-        lam_liquid = lam_all[liquid]
-        f_new[liquid] = np.cbrt(j_liquid)[:, None, None] * np.eye(3)
-        kirchhoff[liquid] = ((lam_liquid * (j_liquid - 1.0) * j_liquid)
-                             [:, None, None] * np.eye(3))
+        # fluids carry no rotation: F = J^(1/3) I, and tau = lam (J - 1) J I;
+        # rows 0, 4 and 8 are the diagonal
+        f_new[:, liquid] = 0.0
+        f_new[::4, liquid] = np.cbrt(j_liquid)
+        tau[::4, liquid] = lam_all[liquid] * (j_liquid - 1.0) * j_liquid
 
-    return kirchhoff, f_new
+    return (tau.reshape(3, 3, n).transpose(2, 0, 1),
+            f_new.reshape(3, 3, n).transpose(2, 0, 1))

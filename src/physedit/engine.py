@@ -20,11 +20,22 @@ Both transfers take all 27 stencil offsets o in {0,1,2}^3 at once, as
 (27, b) node indices and weights for blocks of b <= _BLOCK particles: the
 node offset is h (o - fx), so the affine term splits into h A o - h A fx
 and the APIC matrix into h (sum w v (x) o - v (x) fx), with the fx parts
-computed once.  Grid reductions run as per-node sums (np.bincount on a
-compact active box) in a fixed block and offset order, so results are
-bit-reproducible regardless of worker thread count.  Body forces
+computed once.  Each block's indices and weights are built once per
+substep: ``_p2g`` keeps them on the ``_Stencil`` and ``_g2p`` reads them
+back (``_couple_rigid`` builds its own, per rigid group).  Grid
+reductions run as per-node sums (np.bincount on a compact active box) in
+a fixed block and offset order, so results are bit-reproducible
+regardless of worker thread count.  Body forces
 (gravity, wind) enter through the particle momentum with per-particle
 scale factors so schedules can manipulate single objects.
+
+F, the APIC matrix C and tau are kept component-major: each is an
+(N, 3, 3) view (``.transpose(2, 0, 1)``) of a contiguous (3, 3, N)
+buffer, so entry (i, k) of every particle's matrix is one contiguous row.
+``build_state`` allocates F and C so, ``batch_constitutive`` reads F as
+(9, N) rows with no copy and returns tau and F so, and ``_p2g`` and
+``_g2p`` read and write them row by row.  A caller may assign C-ordered
+(N, 3, 3) arrays instead; the results are the same bits.
 
 A substep's inputs change at three rates, and each is derived at its own:
 
@@ -163,6 +174,9 @@ class SimulationState:
     # per particle
     x: np.ndarray
     v: np.ndarray
+    # (N, 3, 3) views of contiguous component-major (3, 3, N) buffers, so
+    # c_apic.transpose(1, 2, 0) and f.transpose(1, 2, 0) are free; step
+    # takes any (N, 3, 3) layout and stores them component-major again
     c_apic: np.ndarray
     f: np.ndarray
     mass: np.ndarray
@@ -249,9 +263,11 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
             raise DomainError("domain_hi must exceed domain_lo")
     dims = np.ceil((hi - lo) / h).astype(np.int64) + 1
 
+    f = np.zeros((3, 3, n_total))
+    f[0, 0] = f[1, 1] = f[2, 2] = 1.0
     state = SimulationState(
-        **cols, c_apic=np.zeros((n_total, 3, 3)),
-        f=np.tile(np.eye(3), (n_total, 1, 1)),
+        **cols, c_apic=np.zeros((3, 3, n_total)).transpose(2, 0, 1),
+        f=f.transpose(2, 0, 1),
         mass=cols["density"] * cols["vol0"],
         gravity_scale=np.ones(n_total),
         wind_scale=np.ones(n_total),
@@ -317,7 +333,7 @@ class _Derived:
     c_max: float   # largest non-RIGID P-wave speed
     g_max: float   # |gravity| max |gravity_scale| + |wind| max |wind_scale|
     lame: tuple    # per-particle (mu, lambda)
-    g_eff: np.ndarray  # (N, 3) per-particle body-force acceleration
+    g_eff: np.ndarray  # (3, N) per-particle body-force acceleration
     rows: tuple    # constitutive._class_rows(class_id)
     groups: list   # _rigid_groups(state)
 
@@ -333,8 +349,8 @@ def _derive(state: SimulationState, bounds=None) -> _Derived:
         g_max=(np.linalg.norm(state.gravity) * np.abs(state.gravity_scale).max()
                + np.linalg.norm(state.wind) * np.abs(state.wind_scale).max()),
         lame=lame_parameters(state.young_modulus, state.poisson_ratio),
-        g_eff=(state.gravity[None, :] * state.gravity_scale[:, None]
-               + state.wind[None, :] * state.wind_scale[:, None]),
+        g_eff=(state.gravity[:, None] * state.gravity_scale
+               + state.wind[:, None] * state.wind_scale),
         rows=_class_rows(state.class_id),
         groups=_rigid_groups(state))
 
@@ -392,13 +408,20 @@ def _apply_bc_slab(vel, axis, sign, layers, mode):
 
 @dataclass(frozen=True)
 class _Stencil:
-    """Quadratic B-spline stencil of every particle on the active grid box."""
+    """Quadratic B-spline stencil of every particle on the active grid box.
+
+    blocks holds (rows, idx, w) of each transfer block, ``block(rows)``
+    for rows = the next _BLOCK particles: ``_p2g`` builds them and
+    ``_g2p`` reads the same ones back, so each substep builds each block
+    once.
+    """
 
     fx: np.ndarray   # (3, N) position in cells relative to the base node
     w: np.ndarray    # (3 axes, 3 offsets, N) per-axis weights
     rel: np.ndarray  # (3, N) base node within the box
     lo: np.ndarray   # (3,) first node of the box
     sub: np.ndarray  # (3,) node counts of the box
+    blocks: list = dc_field(default_factory=list)
 
     def block(self, rows):
         """Flat node indices (27 b,) and weights (27, b) of particles ``rows``.
@@ -420,9 +443,9 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
 
     A node at offset o in {0,1,2}^3 sits at dpos = h (o - fx) from the
     particle, so the affine term A dpos = h A o - h A fx, and only h A o
-    changes with the offset.  g_eff is the (N, 3) body-force acceleration
+    changes with the offset.  g_eff is the (3, N) body-force acceleration
     of ``_Derived``.  Returns (stencil, grid_mass (n_sub,),
-    grid_mom (3, n_sub)).
+    grid_mom (3, n_sub)); the stencil keeps its blocks for ``_g2p``.
     """
     h = state.h
     gx = (state.x - state.origin) / h
@@ -435,19 +458,20 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
     n_sub = int(sub[0] * sub[1] * sub[2])
     stencil = _Stencil(fx, _bspline_weights(fx), (base - lo).T.copy(), lo, sub)
 
-    affine = (-dt * state.vol0 * 4.0 / (h * h))[:, None, None] * kirchhoff \
-        + state.mass[:, None, None] * state.c_apic
-    h_cols = h * affine.transpose(2, 1, 0).copy()  # h_cols[k] = h A e_k, (3, N)
-    mom_p = state.mass[:, None] * (state.v + dt * g_eff)
-    q_base = mom_p.T - (h_cols * fx[:, None, :]).sum(axis=0)
+    # h A, component-major: h_a[i, k] is h A_ik of every particle, (3, 3, N)
+    h_a = h * ((-dt * state.vol0 * 4.0 / (h * h)) * kirchhoff.transpose(1, 2, 0)
+               + state.mass * state.c_apic.transpose(1, 2, 0))
+    mom_p = state.mass * (state.v.T + dt * g_eff)
+    q_base = mom_p - (h_a * fx[None, :, :]).sum(axis=1)
 
     grid_mass = np.zeros(n_sub)
     grid_mom = np.zeros((3, n_sub))
     for start in range(0, state.n_particles, _BLOCK):
         rows = slice(start, start + _BLOCK)
         idx, w = stencil.block(rows)
+        stencil.blocks.append((rows, idx, w))
         # q[:, o] = w (q_base + h A o), (3 components, 27, b)
-        q = np.matmul(_OFFSETS_F, h_cols[:, :, rows].transpose(1, 0, 2))
+        q = np.matmul(_OFFSETS_F, h_a[:, :, rows])
         q += q_base[:, None, rows]
         q *= w
         grid_mass += np.bincount(idx, weights=(w * state.mass[rows]).ravel(),
@@ -671,27 +695,29 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
     """Gather velocity and the APIC matrix, then update F and positions.
 
     B = sum_o w v (x) dpos = h (sum_o w v (x) o - v (x) fx), and the
-    affine velocity is C = 4 B / h^2.  rigid pairs each rigid group with
-    its motion from ``_couple_rigid``, which ``_move_rigid`` applies.
+    affine velocity is C = 4 B / h^2.  The blocks are the ones ``_p2g``
+    kept on the stencil.  C and F = (I + dt C) F are formed
+    component-major, (3, 3, N), and stored as (N, 3, 3) views.  rigid
+    pairs each rigid group with its motion from ``_couple_rigid``, which
+    ``_move_rigid`` applies.
     """
     n = state.n_particles
     v = np.empty((3, n))
-    v_o = np.empty((3, 3, n))  # v_o[b] = sum_o w v o_b
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        idx, w = stencil.block(rows)
+    c = np.empty((3, 3, n))  # c[i, m] = sum_o w v_i o_m, then C_im
+    for rows, idx, w in stencil.blocks:
         wv = np.take(grid_v, idx, axis=1).reshape(3, *w.shape)
         wv *= w
         v[:, rows] = wv.sum(axis=1)
-        v_o[:, :, rows] = np.matmul(_OFFSETS_F.T, wv).transpose(1, 0, 2)
+        c[:, :, rows] = np.matmul(_OFFSETS_F.T, wv)
+    c -= v[:, None, :] * stencil.fx[None, :, :]
+    c *= 4.0 / state.h
 
     state.v = np.ascontiguousarray(v.T)
-    # C-contiguous, so the F update below and the next P2G read it in order
-    state.c_apic = np.multiply(
-        4.0 / state.h,
-        (v_o - v[None, :, :] * stencil.fx[:, None, :]).transpose(2, 1, 0),
-        out=np.empty((n, 3, 3)))
-    state.f = (np.eye(3)[None] + dt * state.c_apic) @ state.f
+    state.c_apic = c.transpose(2, 0, 1)
+    step_c = dt * c  # I + dt C; rows 0, 4 and 8 of (9, N) are the diagonal
+    step_c.reshape(9, n)[::4] += 1.0
+    state.f = np.einsum("ijn,jkn->ikn", step_c,
+                        state.f.transpose(1, 2, 0)).transpose(2, 0, 1)
     x = state.x + dt * state.v
     for group, (centroid, u) in rigid:
         x[group] = _move_rigid(state, dt, group, centroid, u)

@@ -29,6 +29,7 @@ from physedit.fieldio import write_field
 from physedit.fill import FillConfig, fill_field
 from physedit.materials import MaterialClass
 from physedit.scenes import cube_shell_positions, load_scene, uniform_field
+from physedit.schedule import ScheduleRuntime, compile_schedule
 
 
 def free_cfg(**kw):
@@ -538,9 +539,66 @@ class TestTransfers:
 
             grid_v = np.random.default_rng(n).standard_normal(grid_mom.shape)
             want_v, want_c = g2p_oracle(st, grid_v)
+            f_old = st.f.copy()
             _g2p(st, dt, stencil, grid_v, [])
         assert_close(st.v, want_v)
         assert_close(st.c_apic, want_c)
+        # F = (I + dt C) F_old, one particle at a time from the oracle's C
+        assert_close(st.f, np.stack([(np.eye(3) + dt * c) @ f
+                                     for c, f in zip(want_c, f_old)]))
+
+
+def layout_case(seed, n, shuffled, component_major):
+    """Two objects a few cells wide, with random v, C and F: object 0 holds
+    every class but RIGID (each class one contiguous run, or shuffled),
+    object 1 is ELASTIC and becomes the one RIGID group when its
+    ``material_model`` switch applies.  F and C are component-major, as
+    build_state allocates them, or C-ordered (N, 3, 3) copies."""
+    rng = np.random.default_rng(seed)
+    objects = [ObjectInit(field=particle_field(0.02 * rng.standard_normal((n, 3))),
+                          h_fill=0.01, translate=(0.03 * k, 0.0, 0.0))
+               for k in range(2)]
+    st = build_state(objects, free_cfg(), wind=tuple(rng.standard_normal(3)))
+    classes = np.sort(np.arange(n) % MaterialClass.RIGID)
+    if shuffled:
+        rng.shuffle(classes)
+    st.class_id[:n] = classes
+    st.young_modulus[:] = 10 ** rng.uniform(3, 6, 2 * n)
+    st.poisson_ratio[:] = rng.uniform(0.0, 0.45, 2 * n)
+    st.v[:] = rng.standard_normal((2 * n, 3))
+    st.c_apic[:] = 10 * rng.standard_normal((2 * n, 3, 3))
+    st.f[:] = np.eye(3) + 0.1 * rng.standard_normal((2 * n, 3, 3))
+    if not component_major:
+        st.f = np.ascontiguousarray(st.f)
+        st.c_apic = np.ascontiguousarray(st.c_apic)
+    return st
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), n=hst.integers(5, 40),
+       shuffled=hst.booleans())
+def test_layout_of_f_and_c_changes_no_bit(seed, n, shuffled):
+    """batch_constitutive and one step give the same bits whether F and C
+    come in as C-ordered (N, 3, 3) arrays or as component-major views, and
+    both leave F, C and tau component-major."""
+    out = []
+    for component_major in (False, True):
+        st = layout_case(seed, n, shuffled, component_major)
+        assert st.f.flags.c_contiguous != component_major
+        runtime = ScheduleRuntime(compile_schedule(
+            "at t=0 set object 1 material_model rigid once", st))
+        dt = stable_dt(st, free_cfg())
+        assert runtime.apply(st, 0.0, dt)  # writes F = I through st.f
+        assert len(_rigid_groups(st)) == 1
+        tau, f_new = batch_constitutive(st.f, st.class_id, st.young_modulus,
+                                        st.poisson_ratio)
+        step(st, dt)
+        arrays = (tau, f_new, st.x, st.v, st.c_apic, st.f)
+        for a in (tau, f_new, st.c_apic, st.f):
+            assert a.transpose(1, 2, 0).flags.c_contiguous
+        out.append(arrays)
+    for got, want in zip(*out):
+        assert np.array_equal(got, want)
 
 
 class TestSimulate:
