@@ -4,14 +4,19 @@ The solver needs only the Kirchhoff stress tau = P F^T (MLS-MPM, Hu et
 al. 2018), so that is what ``batch_constitutive`` returns, together with
 the updated F.  Each class does only its own work, on its own particles:
 a slice when they are one contiguous run, and an index array otherwise.
-The PLASTICINE, SAND and SNOW particles decompose F once,
+The particles whose return mapping may move F decompose it once,
 F = U diag(sigma) V^T with proper rotations U, V (``svd3``), and derive
 everything else from that single decomposition: J = sigma_1 sigma_2
 sigma_3, the projected gradient U diag(sigma') V^T of the return
 mappings, and tau = U diag(d) U^T for a vector d = p sigma of principal
-Kirchhoff stresses, where P = U diag(p) V^T.  ELASTIC needs no
-decomposition (below).  tau is formed exactly symmetric, which keeps
-angular momentum (Jiang et al. 2015).
+Kirchhoff stresses, where P = U diag(p) V^T.  Those are the SAND
+particles, and the PLASTICINE and SNOW particles that are not strictly
+inside their yield surfaces.  The rest need no decomposition: ELASTIC
+(below), and a PLASTICINE or SNOW particle inside its surface, whose
+return mapping leaves F as it is, so that its stress is the ELASTIC
+closed form of the same F.  The test runs on every call, from the
+eigenvalues of b = F F^T (``_inside_yield``).  tau is formed exactly
+symmetric, which keeps angular momentum (Jiang et al. 2015).
 
   Elastic     fixed corotated  P = 2 mu (F - R) + lambda (J - 1) J F^-T.
               R F^T = sqrt(b) with b = F F^T, so tau = 2 mu (b - sqrt(b))
@@ -24,12 +29,15 @@ angular momentum (Jiang et al. 2015).
               is reset to the isotropic J^(1/3) I so only volume change
               carries stress, tau = lambda (J - 1) J I
   Plasticine  corotated elasticity, von Mises return mapping on the
-              principal log strains, yield stress YIELD_STRESS = 1e4 Pa
+              principal log strains, yield stress YIELD_STRESS = 1e4 Pa;
+              inside the cylinder, the ELASTIC closed form
   Sand        Hencky elasticity with Drucker-Prager projection of the
               log strains (non-associative, cohesionless, friction angle
               FRICTION_ANGLE_DEG = 30 deg), d = 2 mu eps + lambda tr eps
   Snow        corotated with singular values clamped to [1 - SNOW_THETA_C,
               1 + SNOW_THETA_S], SNOW_THETA_C = 2.5e-2, SNOW_THETA_S = 7.5e-3
+              (Stomakhin et al. 2013); inside that box, the ELASTIC
+              closed form
 
 These four plasticity constants are module constants, the same for every
 particle of a class.
@@ -58,6 +66,11 @@ SNOW_THETA_C = 2.5e-2
 SNOW_THETA_S = 7.5e-3
 
 _SIGMA_FLOOR = 1e-6  # keeps log strains finite under extreme compression
+# a PLASTICINE or SNOW row keeps F and takes the ELASTIC closed form only
+# when it is inside its yield surface by this relative margin and its
+# sigma_min / sigma_max is at least _MIN_RATIO (``_inside_yield``)
+_MARGIN = 1e-6
+_MIN_RATIO = 1e-2
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # _FULL[a][b] is the position of entry (a, b) in a _UPPER-ordered list
@@ -287,6 +300,13 @@ def _class_rows(class_id):
             _selection(order[at[-1]:start[MaterialClass.RIGID]]), at - at[0])
 
 
+def _det(a):
+    """det F of F given as a[3 i + k] = F_ik, (9, N), with the bits of
+    ``_cofactor``'s determinant."""
+    g = a[_COF[:, :3]]
+    return (a[:3] * (g[0] * g[1] - g[2] * g[3])).sum(axis=0)
+
+
 def _cofactor(a):
     """Cofactor matrices and determinants of F given as a[3 i + k] = F_ik.
 
@@ -298,33 +318,22 @@ def _cofactor(a):
     return cof, (a[:3] * cof[:3]).sum(axis=0)
 
 
-def _elastic_kirchhoff(a, cof, j, mu, lam):
-    """Fixed-corotated Kirchhoff stress of F given as a[3 i + k] = F_ik,
-    with its cofactors and determinants J > 0 from ``_cofactor``, in the
-    same (9, N) layout.
-
-    With b = F F^T, R F^T = sqrt(b), so tau = 2 mu (b - sqrt(b)) + lambda
-    (J - 1) J I needs no rotation.  sqrt(b) is the closed form of Franca
-    1989 ("An algorithm to compute the square root of a 3x3 positive
-    definite matrix"): from the largest eigenvalue lambda_1 of b and the
-    invariants I2(b) = |cof F|^2 and J come the invariants i1, i2, i3 = J
-    of sqrt(b), and then by Cayley-Hamilton
-    sqrt(b) = (-b^2 + (i1^2 - i2) b + i1 i3 I) / (i1 i2 - i3).
-    lambda_1 comes from the trigonometric formula on the deviator of b,
-    formed entry by entry, which does not cancel near b = I as the
-    invariants would.  Taking the largest eigenvalue keeps
-    I2 - (J / s1)^2 = lambda_1 (lambda_2 + lambda_3) free of cancellation,
-    and at a double largest eigenvalue, where the formula's lambda_1 is
-    least accurate, i1 and i2 are stationary in it.  b and b^2 are
-    symmetric, so tau is exactly symmetric.
-    """
-    i2_b = (cof * cof).sum(axis=0)
+def _gram(a):
+    """Upper triangle of b = F F^T, (6, N) in _UPPER order, of F given as
+    a[3 i + k] = F_ik."""
     g = a[_GRAM]
-    b = (g[0] * g[1]).sum(axis=1)  # b's upper triangle, (6, N) in _UPPER order
-    g = b[_GRAM_SYM]
-    b_sq = (g[0] * g[1]).sum(axis=1)  # (b^2)_ab sums b_ak b_bk over k
+    return (g[0] * g[1]).sum(axis=1)
 
-    # largest eigenvalue of b, trigonometric formula on dev b = b - q I
+
+def _spectrum(b):
+    """q, 2 p and phi of the trigonometric formula for the eigenvalues of
+    symmetric b given as its (6, N) _UPPER-ordered entries: eigenvalue k,
+    largest first, is q + 2 p cos(phi + 2 pi k / 3).
+
+    The formula runs on the deviator b - q I with q = tr b / 3, formed
+    entry by entry, which does not cancel near b = I as the invariants
+    would.
+    """
     q = (b[0] + b[1] + b[2]) / 3.0
     d0, d1, d2 = b[0] - q, b[1] - q, b[2] - q
     b01, b02, b12 = b[3], b[4], b[5]
@@ -333,7 +342,30 @@ def _elastic_kirchhoff(a, cof, j, mu, lam):
     det_dev = (d0 * (d1 * d2 - b12 * b12) - b01 * (b01 * d2 - b12 * b02)
                + b02 * (b01 * b12 - d1 * b02))
     r = np.divide(det_dev, 2.0 * p * p * p, out=np.zeros_like(p), where=p > 0)
-    lam1 = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+    return q, 2.0 * p, np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+
+
+def _elastic_kirchhoff(b, lam1, cof, j, mu, lam):
+    """Fixed-corotated Kirchhoff stress, (9, N) rows, from b = F F^T
+    (``_gram``), its largest eigenvalue lambda_1 (``_spectrum``), and the
+    cofactors and determinants J > 0 of F from ``_cofactor``.
+
+    With b = F F^T, R F^T = sqrt(b), so tau = 2 mu (b - sqrt(b)) + lambda
+    (J - 1) J I needs no rotation.  sqrt(b) is the closed form of Franca
+    1989 ("An algorithm to compute the square root of a 3x3 positive
+    definite matrix"): from lambda_1 and the invariants I2(b) = |cof F|^2
+    and J come the invariants i1, i2, i3 = J of sqrt(b), and then by
+    Cayley-Hamilton
+    sqrt(b) = (-b^2 + (i1^2 - i2) b + i1 i3 I) / (i1 i2 - i3).
+    Taking the largest eigenvalue keeps
+    I2 - (J / s1)^2 = lambda_1 (lambda_2 + lambda_3) free of cancellation,
+    and at a double largest eigenvalue, where the formula's lambda_1 is
+    least accurate, i1 and i2 are stationary in it.  b and b^2 are
+    symmetric, so tau is exactly symmetric.
+    """
+    i2_b = (cof * cof).sum(axis=0)
+    g = b[_GRAM_SYM]
+    b_sq = (g[0] * g[1]).sum(axis=1)  # (b^2)_ab sums b_ak b_bk over k
 
     # invariants of sqrt(b) from s1 = sqrt(lambda_1), s2 s3 and s2 + s3
     s1 = np.sqrt(lam1)
@@ -346,11 +378,57 @@ def _elastic_kirchhoff(a, cof, j, mu, lam):
     # - b^2 then vanishes on b's largest eigenvector, which halves the
     # rounding that i1 i2 - i3 amplifies when s2 and s3 are small
     rest = s1 * s2_plus_s3 + s2_plus_s3 * s2_plus_s3 - s23
-    sqrt_b = (lam1 * b - b_sq + rest * b) * inv
-    sqrt_b[:3] += i1 * j * inv
-    tau = 2.0 * mu * (b - sqrt_b)
+    # sqrt(b) = (lambda_1 b - b^2 + rest b + i1 i3 I) / (i1 i2 - i3), and
+    # tau = 2 mu (b - sqrt(b)) + lambda (J - 1) J I, built in place in the
+    # order and so with the rounding of those expressions
+    tau = lam1 * b
+    tau -= b_sq
+    tau += rest * b
+    tau *= inv
+    tau[:3] += i1 * j * inv
+    np.subtract(b, tau, out=tau)
+    tau *= 2.0 * mu
     tau[:3] += lam * (j - 1.0) * j
     return tau[_FULL.ravel()]
+
+
+def _inside_yield(b, mu, n_plasticine):
+    """lambda_1 of each b = F F^T, and whether its row lies strictly inside
+    its yield surface, for PLASTICINE rows (the first n_plasticine, with
+    shear moduli mu) followed by SNOW rows.
+
+    From the eigenvalues lambda_1 >= lambda_2 >= lambda_3 of b, the
+    squared singular values of F (``_spectrum``, with lambda_2 = tr b -
+    lambda_1 - lambda_3), a PLASTICINE row is inside when the principal
+    log strains eps = log(max(lambda, _SIGMA_FLOOR^2)) / 2 have
+    |dev eps| < YIELD_STRESS / (2 mu) (1 - _MARGIN), and a SNOW row when
+    lambda_3 >= (1 - SNOW_THETA_C)^2 (1 + _MARGIN) and lambda_1 <=
+    (1 + SNOW_THETA_S)^2 (1 - _MARGIN): then its return mapping leaves F
+    as it is.  Either also needs sigma_min / sigma_max >= _MIN_RATIO,
+    where the ELASTIC closed form is accurate (``TestElastic``).  The
+    trigonometric eigenvalues are accurate to about eps |b| except near a
+    double eigenvalue, where arccos loses half the digits: lambda_2 and
+    lambda_3 can then be off by about 1e-8 p, with p = |dev b| / sqrt(6),
+    which stays far inside the 1e-6 relative margin.
+    """
+    q, two_p, phi = _spectrum(b)
+    lam1 = q + two_p * np.cos(phi)
+    lam3 = q + two_p * np.cos(phi + 2.0 * np.pi / 3.0)
+    lam2 = b[0] + b[1] + b[2] - lam1 - lam3
+    k = n_plasticine
+    # |dev eps|^2 = ((e1 - e2)^2 + (e2 - e3)^2 + (e1 - e3)^2) / 12 for
+    # e = 2 eps, each e_i = log(max(lambda_i, _SIGMA_FLOOR^2))
+    e = np.log(np.maximum(np.stack([lam1[:k], lam2[:k], lam3[:k]]),
+                          _SIGMA_FLOOR ** 2))
+    d12, d23 = e[0] - e[1], e[1] - e[2]
+    radius = YIELD_STRESS / (2.0 * mu) * (1.0 - _MARGIN)
+    inside = np.empty(lam1.size, dtype=bool)
+    inside[:k] = (d12 * d12 + d23 * d23 + (d12 + d23) * (d12 + d23)
+                  < 12.0 * radius * radius)
+    inside[k:] = ((lam3[k:] >= (1.0 - SNOW_THETA_C) ** 2 * (1.0 + _MARGIN))
+                  & (lam1[k:] <= (1.0 + SNOW_THETA_S) ** 2 * (1.0 - _MARGIN)))
+    inside &= lam3 >= _MIN_RATIO ** 2 * lam1
+    return lam1, inside
 
 
 def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
@@ -360,9 +438,12 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
     f_new (N,3,3)); the Kirchhoff stress is exactly symmetric.  Each class
     does only its own work, and a class with no particles does none:
     ELASTIC takes tau in closed form from b = F F^T
-    (``_elastic_kirchhoff``), ``svd3`` runs on the PLASTICINE, SAND and
-    SNOW particles only, LIQUID needs only det F, and RIGID is skipped.
-    rows is ``_class_rows(class_id)`` and lame the per-particle
+    (``_elastic_kirchhoff``); PLASTICINE and SNOW particles strictly
+    inside their yield surfaces (``_inside_yield``, evaluated on every
+    call) keep F and take the same closed form from the same b; ``svd3``
+    runs on the SAND particles and on the PLASTICINE and SNOW particles
+    that fail that test only; LIQUID needs only det F, and RIGID is
+    skipped.  rows is ``_class_rows(class_id)`` and lame the per-particle
     ``lame_parameters(e, nu)``, which the engine keeps between the
     schedule edits that change them; without them they are derived here.
 
@@ -383,16 +464,38 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
     mu_all, lam_all = lame_parameters(e, nu) if lame is None else lame
 
     # every class's J, and the determinant check, before any stress
-    dets = []  # (rows, J) of each class that has particles
+    dets = []  # (rows, J) of each group of particles
+    # the PLASTICINE and SNOW particles inside their yield surfaces keep F
+    # and take the ELASTIC closed form; svd3 decomposes the others of mapped
+    kept = decomposed = np.empty(0, dtype=np.intp)
     if _size(elastic):
         a = flat[:, elastic]
         cof, j_elastic = _cofactor(a)
         dets.append((elastic, j_elastic))
     if _size(mapped):
-        u, sig, v = svd3(flat[:, mapped].reshape(3, 3, -1).transpose(2, 0, 1))
-        dets.append((mapped, sig.prod(axis=1)))
+        m = np.arange(n)[mapped]  # the particle of each mapped row
+        candidates = np.concatenate([m[:at[1]], m[at[2]:]])
+        decompose = np.ones(at[3], dtype=bool)  # by position in mapped
+        if candidates.size:
+            a_kept = flat[:, candidates]
+            b_kept = _gram(a_kept)
+            lam1_kept, inside = _inside_yield(b_kept, mu_all[m[:at[1]]], at[1])
+            decompose[:at[1]] = ~inside[:at[1]]
+            decompose[at[2]:] = ~inside[at[1]:]
+            kept = candidates[inside]
+            if kept.size < candidates.size:
+                a_kept, b_kept = a_kept[:, inside], b_kept[:, inside]
+                lam1_kept = lam1_kept[inside]
+            cof_kept, j_kept = _cofactor(a_kept)
+            dets.append((kept, j_kept))
+        decomposed = np.flatnonzero(decompose)
+        if decomposed.size:
+            rows_decomposed = m[decomposed]
+            u, sig, v = svd3(flat[:, rows_decomposed].reshape(3, 3, -1)
+                             .transpose(2, 0, 1))
+            dets.append((rows_decomposed, sig.prod(axis=1)))
     if _size(liquid):
-        _, j_liquid = _cofactor(flat[:, liquid])
+        j_liquid = _det(flat[:, liquid])
         dets.append((liquid, j_liquid))
     if not all((j > 0).all() for _, j in dets):  # also catches NaN
         i = min(int(np.arange(n)[sel][~(j > 0)].min(initial=n))
@@ -402,14 +505,22 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
             particle=i)
 
     tau = np.zeros((9, n))
-    f_new = flat.copy()  # ELASTIC and RIGID keep their F
+    f_new = flat.copy()  # ELASTIC, RIGID and kept rows keep their F
     if _size(elastic):
+        b = _gram(a)
+        q, two_p, phi = _spectrum(b)
         tau[:, elastic] = _elastic_kirchhoff(
-            a, cof, j_elastic, mu_all[elastic], lam_all[elastic])
+            b, q + two_p * np.cos(phi), cof, j_elastic, mu_all[elastic],
+            lam_all[elastic])
 
-    if _size(mapped):
-        plasticine, sand, snow = (slice(at[k], at[k + 1]) for k in range(3))
-        mu, lam = mu_all[mapped], lam_all[mapped]
+    if kept.size:
+        tau[:, kept] = _elastic_kirchhoff(b_kept, lam1_kept, cof_kept, j_kept,
+                                          mu_all[kept], lam_all[kept])
+    if decomposed.size:
+        # each class's run among the decomposed rows
+        plasticine, sand, snow = (
+            slice(*np.searchsorted(decomposed, at[k:k + 2])) for k in range(3))
+        mu, lam = mu_all[rows_decomposed], lam_all[rows_decomposed]
         if plasticine.stop > plasticine.start:
             eps = np.log(np.maximum(sig[plasticine], _SIGMA_FLOOR))
             sig[plasticine] = np.exp(
@@ -422,7 +533,7 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
         if snow.stop > snow.start:
             sig[snow] = np.clip(sig[snow], 1.0 - SNOW_THETA_C,
                                 1.0 + SNOW_THETA_S)
-        f_new[:, mapped] = _recompose(u, sig, v)
+        f_new[:, rows_decomposed] = _recompose(u, sig, v)
         j = sig.prod(axis=1)
 
         # principal Kirchhoff stresses; tau = U diag(d) U^T
@@ -431,7 +542,7 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
             # Hencky-strain stress pairs with the log-strain projection
             d[sand] = (2.0 * mu[sand, None] * eps_sand
                        + (lam[sand] * eps_sand.sum(axis=1))[:, None])
-        tau[:, mapped] = _symmetric_recompose(u, d)
+        tau[:, rows_decomposed] = _symmetric_recompose(u, d)
 
     if _size(liquid):
         # fluids carry no rotation: F = J^(1/3) I, and tau = lam (J - 1) J I;

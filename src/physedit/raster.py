@@ -7,12 +7,13 @@ radius splat_radius covers it, with depth ties to the lower point index.
 ``rasterize_frame`` is array code with no loop over points.  Points off
 the image, behind the near plane or not finite are culled in floating
 point.  The rest are ranked once by (depth, index).  Each point is
-expanded into its (2*ceil(r)+1)^2 pixel stencil (no wider than the image)
-and masked by the disc.  A pixel keeps the lowest rank that hits it
-(``np.minimum.at``).  The points are expanded in rank order, in chunks of
-at most max(_CHUNK_CELLS, one stencil) cells, so extra memory is bounded
-by that for any point count; the stencil is clipped to the image, so a
-huge radius costs at most the image size.
+expanded into its (ceil(2r)+1)^2 pixel stencil (no wider than the image),
+which holds every pixel centre within r of it, and masked by the disc.
+A pixel keeps the lowest rank that hits it (``np.minimum.at``).  The
+points are expanded in rank order, in chunks of at most
+max(_CHUNK_CELLS, one stencil) cells, so extra memory is bounded by that
+for any point count; the stencil is clipped to the image, so a huge
+radius costs at most the image size.
 """
 
 from __future__ import annotations
@@ -128,21 +129,23 @@ def rasterize_frame(positions, cam: CameraSpec, object_id=None) -> RasterFrame:
     u, v = u[order], v[order]
     x0 = np.maximum(np.ceil(u - r), 0).astype(np.intp)
     y0 = np.maximum(np.ceil(v - r), 0).astype(np.intp)
-    span = 2 * np.ceil(r) + 1
+    # a disc of radius r spans an interval of length 2r per axis, which
+    # holds at most ceil(2r) + 1 pixel centres
+    span = np.ceil(2 * r) + 1
     ox, oy = np.arange(int(min(span, wd))), np.arange(int(min(span, h)))
+    cells = ox.size * oy.size
     best = np.full(h * wd, order.size)
-    step = max(1, _CHUNK_CELLS // (ox.size * oy.size))
+    step = max(1, _CHUNK_CELLS // cells)
     for lo in range(0, order.size, step):
         sl = np.arange(lo, min(lo + step, order.size))
         px = x0[sl, None] + ox
         py = y0[sl, None] + oy
         du2 = (px - u[sl, None]) ** 2
         dv2 = (py - v[sl, None]) ** 2
-        hit = ((dv2[:, :, None] + du2[:, None, :] <= r * r)
-               & (py < h)[:, :, None] & (px < wd)[:, None, :])
+        hit = np.flatnonzero((dv2[:, :, None] + du2[:, None, :] <= r * r)
+                             & (py < h)[:, :, None] & (px < wd)[:, None, :])
         cell = py[:, :, None] * wd + px[:, None, :]
-        rank = np.broadcast_to(sl[:, None, None], hit.shape)
-        np.minimum.at(best, cell[hit], rank[hit])
+        np.minimum.at(best, cell.ravel()[hit], lo + hit // cells)
     won = np.flatnonzero(best < order.size)
     depth = np.full((h, wd), np.inf)
     index = np.full((h, wd), -1, dtype=np.int32)

@@ -4,12 +4,20 @@ Everything here is written as plain scalar loops (or per-pixel loops, or
 per-node masks over a whole grid box, or per-offset loops over the 27
 nodes of a particle's stencil) so the library's vectorized kernels
 are checked against code that shares no implementation path with them.
+The exceptions are the two earlier forms of optimized kernels, kept so
+their replacements can be held to the same bits: ``return_map_oracle``
+(every return-mapped particle through ``svd3``) and
+``wide_stencil_raster_oracle`` (the (2 ceil(r) + 1)^2 pixel stencil).
 """
 
 import math
 from itertools import product
 
 import numpy as np
+
+from physedit import constitutive
+from physedit.materials import MaterialClass
+from physedit.raster import RasterFrame
 
 
 def lame_oracle(e, nu):
@@ -335,3 +343,85 @@ def g2p_oracle(state, grid_v):
         v += w[:, None] * v_node
         b_mat += w[:, None, None] * v_node[:, :, None] * dpos[:, None, :]
     return v, 4.0 / state.h ** 2 * b_mat
+
+
+def return_map_oracle(f, class_id, e, nu):
+    """tau and F (N, 3, 3) of PLASTICINE, SAND and SNOW rows, each row
+    decomposed by ``svd3`` and return-mapped, as ``batch_constitutive``
+    computed every such row before it gave the rows inside their yield
+    surfaces the ELASTIC closed form.  Rows are independent, so each row
+    has the bits it would have in any batch."""
+    c = constitutive
+    mu, lam = c.lame_parameters(np.asarray(e), np.asarray(nu))
+    u, sig, v = c.svd3(np.asarray(f, dtype=np.float64))
+    d = np.empty_like(sig)
+    for k, cls in enumerate(class_id):
+        s, mu_k, lam_k = sig[k:k + 1], mu[k:k + 1], lam[k:k + 1]
+        eps = np.log(np.maximum(s, c._SIGMA_FLOOR))
+        if cls == MaterialClass.SAND:
+            eps = c._drucker_prager_project(eps, mu_k, lam_k,
+                                            c.FRICTION_ANGLE_DEG)
+            sig[k] = np.exp(eps)[0]
+            d[k] = 2.0 * mu_k * eps[0] + lam_k * eps.sum()
+            continue
+        if cls == MaterialClass.PLASTICINE:
+            s = np.exp(c._von_mises_project(eps, mu_k, c.YIELD_STRESS))
+        else:
+            s = np.clip(s, 1.0 - c.SNOW_THETA_C, 1.0 + c.SNOW_THETA_S)
+        j = s.prod(axis=1)
+        sig[k] = s[0]
+        d[k] = (2.0 * mu_k[:, None] * (s - 1.0) * s
+                + (lam_k * (j - 1.0) * j)[:, None])[0]
+    return tuple(m.reshape(3, 3, -1).transpose(2, 0, 1)
+                 for m in (c._symmetric_recompose(u, d),
+                           c._recompose(u, sig, v)))
+
+
+def wide_stencil_raster_oracle(positions, cam):
+    """``raster.rasterize_frame`` as it expanded each point into a
+    (2 ceil(r) + 1)^2 pixel stencil and took the hits with two boolean
+    gathers, in one chunk; returns its RasterFrame."""
+    h, wd, r = cam.height, cam.width, cam.splat_radius
+    pos = np.asarray(positions, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_cam = pos @ cam.rotation.T + cam.translation
+        z = x_cam[:, 2]
+        u = cam.fx * x_cam[:, 0] / z + cam.cx
+        v = cam.fy * x_cam[:, 1] / z + cam.cy
+    ids = np.flatnonzero((z > 1e-9) & (u > -r - 1) & (u < wd + r)
+                         & (v > -r - 1) & (v < h + r))
+    order = ids[np.argsort(z[ids], kind="stable")]
+    u, v = u[order], v[order]
+    x0 = np.maximum(np.ceil(u - r), 0).astype(np.intp)
+    y0 = np.maximum(np.ceil(v - r), 0).astype(np.intp)
+    span = 2 * np.ceil(r) + 1
+    ox, oy = np.arange(int(min(span, wd))), np.arange(int(min(span, h)))
+    best = np.full(h * wd, order.size)
+    sl = np.arange(order.size)
+    px = x0[sl, None] + ox
+    py = y0[sl, None] + oy
+    du2 = (px - u[sl, None]) ** 2
+    dv2 = (py - v[sl, None]) ** 2
+    hit = ((dv2[:, :, None] + du2[:, None, :] <= r * r)
+           & (py < h)[:, :, None] & (px < wd)[:, None, :])
+    cell = py[:, :, None] * wd + px[:, None, :]
+    rank = np.broadcast_to(sl[:, None, None], hit.shape)
+    np.minimum.at(best, cell[hit], rank[hit])
+    won = np.flatnonzero(best < order.size)
+    depth = np.full((h, wd), np.inf)
+    index = np.full((h, wd), -1, dtype=np.int32)
+    index.flat[won] = order[best[won]]
+    depth.flat[won] = z[index.flat[won]]
+
+    occupied = index >= 0
+    image = np.zeros((h, wd), dtype=np.uint8)
+    if occupied.any():
+        z_lo = float(depth[occupied].min())
+        z_hi = float(depth[occupied].max())
+        if z_hi > z_lo:
+            t = np.clip((z_hi - depth[occupied]) / (z_hi - z_lo), 0.0, 1.0)
+            image[occupied] = (1 + np.round(254.0 * t)).astype(np.uint8)
+        else:
+            image[occupied] = 255
+    return RasterFrame(image=image, depth=depth, index=index,
+                       empty=not bool(occupied.any()))

@@ -8,6 +8,8 @@ from physedit.constitutive import (_class_rows, batch_constitutive,
 from physedit.errors import NumericalError
 from physedit.materials import MaterialClass
 
+from oracles import return_map_oracle
+
 
 def constitutive_stress(f, model, e, nu):
     """One particle through batch_constitutive: (piola 3x3, f_new 3x3).
@@ -382,6 +384,138 @@ def test_only_return_mapped_classes_decompose(monkeypatch, material):
     with pytest.raises(AssertionError, match="svd3 called"):
         batch_constitutive(f, np.array([material] * 7 + [MaterialClass.SAND]),
                            *args)
+
+
+# deviatoric unit vectors of the principal log strains
+DEV_BASIS = np.array([[2.0, -1.0, -1.0], [0.0, 1.0, -1.0]]) / \
+    np.array([[np.sqrt(6.0)], [np.sqrt(2.0)]])
+SNOW_BOX = (1.0 - constitutive.SNOW_THETA_C, 1.0 + constitutive.SNOW_THETA_S)
+
+
+def yield_surface_sigma(material, mu, side, rel, angle, mean, spread):
+    """Singular values at relative distance rel inside (side -1) or outside
+    (side +1) the yield surface: PLASTICINE's log strains at deviatoric
+    radius YIELD_STRESS / (2 mu) (1 + side rel) in the direction angle,
+    around the mean log strain mean; SNOW's largest or smallest (by the
+    sign of mean) at its bound times (1 + side min(rel, 0.02)) away from
+    the box, which keeps it on its side of the other bound, and the others
+    spread through the box."""
+    if material == MaterialClass.PLASTICINE:
+        radius = constitutive.YIELD_STRESS / (2.0 * mu) * (1.0 + side * rel)
+        return np.exp(mean + radius * (np.cos(angle) * DEV_BASIS[0]
+                                       + np.sin(angle) * DEV_BASIS[1]))
+    lo, hi = SNOW_BOX
+    rel = min(rel, 0.02)
+    sigma = lo + (hi - lo) * np.array([0.5, spread, 1.0 - spread])
+    sigma[0] = lo * (1.0 - side * rel) if mean < 0 else hi * (1.0 + side * rel)
+    return sigma
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(
+           st.sampled_from([MaterialClass.PLASTICINE, MaterialClass.SNOW]),
+           st.sampled_from([-1, 1]),
+           st.one_of(st.just(1e-5), st.floats(1e-5, 0.02),
+                     st.floats(1e-5, 0.9)),
+           st.floats(0.0, 2.0 * np.pi), st.floats(-0.02, 0.02),
+           st.floats(0.01, 0.99), st.floats(3.0, 7.0), st.floats(0.0, 0.45)),
+       min_size=1, max_size=10),
+       n_sand=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_inside_yield_keep_f_and_match_svd3_path(rows, n_sand, seed):
+    """PLASTICINE and SNOW rows drawn on both sides of the von Mises
+    cylinder and of the snow box, some within 1e-5 (relative) of them,
+    under random rotations and mixed with SAND rows in a shuffled batch;
+    E down to 1e3 Pa puts PLASTICINE rows with sigma_min / sigma_max
+    below 1e-2 inside the cylinder.
+    A row inside its surface (by more than the 1e-6 margin) with
+    sigma_min / sigma_max >= 1e-2 keeps F bit for bit, and its tau, the
+    ELASTIC closed form, matches the svd3 path of ``return_map_oracle`` to
+    1e-14 (lambda + 2 mu) where sigma_min / sigma_max >= 0.5 and within
+    ``TestElastic.test_accuracy_envelope``'s 1e-10 of |tau| below that.
+    Every other row has the svd3 path's tau and F bit for bit.
+
+    The pressure term lambda (J - 1) J carries the rounding of J, which
+    differs by a few ulp between the cofactor determinant and sigma_1
+    sigma_2 sigma_3, hence lambda + 2 mu rather than mu: over 8000 random
+    rows of these draws the largest difference was 1.4e-15 (lambda + 2 mu),
+    which is 1.5e-14 mu at nu = 0.45."""
+    rng = np.random.default_rng(seed)
+    material = [m for m, *_ in rows] + [MaterialClass.SAND] * n_sand
+    e = np.array([10.0 ** r[6] for r in rows]
+                 + list(10.0 ** rng.uniform(4, 7, n_sand)))
+    nu = np.array([r[7] for r in rows]
+                  + list(rng.uniform(0.0, 0.45, n_sand)))
+    mu, lam = lame_parameters(e, nu)
+    sigma = [yield_surface_sigma(m, mu_k, side, rel, angle, mean, spread)
+             for (m, side, rel, angle, mean, spread, _, _), mu_k
+             in zip(rows, mu)]
+    sigma += [np.exp(rng.uniform(-0.1, 0.1, 3)) for _ in range(n_sand)]
+    f = np.array([random_rotation(rng) @ np.diag(s) @ random_rotation(rng).T
+                  for s in sigma])
+    ratio = np.array([s.min() / s.max() for s in sigma])
+    gated = np.array([side < 0 for _, side, *_ in rows] + [False] * n_sand)
+    gated &= ratio >= 1e-2
+
+    perm = rng.permutation(len(f))
+    class_id = np.array(material)[perm]
+    tau, f_new = batch_constitutive(f[perm], class_id, e[perm], nu[perm])
+    tau_svd, f_svd = return_map_oracle(f[perm], class_id, e[perm], nu[perm])
+    for k, i in enumerate(perm):
+        if gated[i]:
+            assert f_new[k].tobytes() == f[i].tobytes()
+            err = np.abs(tau[k] - tau_svd[k]).max()
+            if ratio[i] >= 0.5:
+                assert err <= 1e-14 * (lam[i] + 2.0 * mu[i])
+            else:
+                assert err <= 1e-10 * np.abs(tau_svd[k]).max()
+        else:
+            assert tau[k].tobytes() == tau_svd[k].tobytes()
+            assert f_new[k].tobytes() == f_svd[k].tobytes()
+
+
+def test_only_yielding_rows_decompose(monkeypatch):
+    """svd3 never sees a PLASTICINE or SNOW row strictly inside its yield
+    surface.  With one row of each class pushed past its surface, it
+    receives exactly those two rows and every SAND row, in one call."""
+    received = []
+
+    def counting_svd3(f):
+        received.append(np.array(f))
+        return svd3(f)
+
+    monkeypatch.setattr(constitutive, "svd3", counting_svd3)
+    rng = np.random.default_rng(5)
+    e, nu = 1e5, 0.3
+    mu, _ = lame_parameters(e, nu)
+
+    def rotated(material, side):
+        sigma = yield_surface_sigma(
+            material, mu, side, 0.5 if side < 0 else 0.1,
+            rng.uniform(0, 2 * np.pi), rng.uniform(-0.02, 0.02),
+            rng.uniform(0, 1))
+        return random_rotation(rng) @ np.diag(sigma) @ random_rotation(rng).T
+
+    inside = [(m, rotated(m, -1)) for m in [MaterialClass.PLASTICINE] * 4
+              + [MaterialClass.SNOW] * 4]
+    pushed = [(MaterialClass.PLASTICINE, rotated(MaterialClass.PLASTICINE, 1)),
+              (MaterialClass.SNOW, rotated(MaterialClass.SNOW, 1))]
+    sand = [(MaterialClass.SAND, random_proper_f(rng)) for _ in range(3)]
+
+    def run(batch):
+        received.clear()
+        batch_constitutive(np.array([f for _, f in batch]),
+                           np.array([m for m, _ in batch]),
+                           np.full(len(batch), e), np.full(len(batch), nu))
+
+    run(inside)
+    assert received == []
+    run(inside[:2] + [pushed[1]] + sand[:2] + inside[2:] + [pushed[0]]
+        + sand[2:])
+    # the mapped rows run PLASTICINE, SAND, SNOW, each in index order
+    expected = [pushed[0][1]] + [f for _, f in sand] + [pushed[1][1]]
+    assert len(received) == 1
+    assert received[0].tobytes() == np.array(expected).tobytes()
 
 
 def test_errors_name_the_particle():

@@ -16,7 +16,7 @@ from physedit.trajectory import (Trajectory, compare_trajectories,
                                  export_trajectory, frame_bytes,
                                  parse_frame_bytes, read_trajectory,
                                  verify_trajectory)
-from oracles import pixel_oracle
+from oracles import pixel_oracle, wide_stencil_raster_oracle
 
 
 def make_traj(rng, frames=3, n=20):
@@ -522,6 +522,39 @@ class TestRaster:
         assert frame.index.dtype == np.int32
         assert np.array_equal(frame.index, index)
         assert frame.depth.tobytes() == depth.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(w=hst.integers(16, 28), h=hst.integers(16, 24),
+           r=hst.one_of(hst.floats(0.3, 40.0),
+                        hst.integers(1, 80).map(lambda k: k / 2),
+                        hst.integers(1, 80).map(
+                            lambda k: float(np.nextafter(k / 2, 0.0)))),
+           points=hst.lists(hst.tuples(
+               hst.integers(-100, 100), hst.integers(-100, 100),
+               hst.booleans(), hst.sampled_from([0.5, 1.0, 2.0, 4.0])),
+               min_size=1, max_size=30))
+    def test_narrow_stencil_matches_wide_stencil(self, w, h, r, points):
+        """Each point expands into ceil(2r) + 1 pixels per axis instead of
+        2 ceil(r) + 1: the pixel centres within r of u lie in an interval
+        of length 2r, which holds at most ceil(2r) + 1 integers, so every
+        buffer of the frame is the same as with the wider stencil.  Radii
+        run from 0.3 to 40 (past the image), with 2r an integer and 2r
+        just below one; u and v are half-integers from 3 pixels below 0
+        to 3 above each edge, or those plus a quarter of a pixel."""
+        cam = CameraSpec(fx=8.0, fy=8.0, cx=w / 2, cy=h / 2, width=w,
+                         height=h, splat_radius=r)
+        pts = []
+        for tu, tv, quarter, z in points:
+            u = -3.0 + (w + 6.0) * (tu + 100) / 200
+            v = -3.0 + (h + 6.0) * (tv + 100) / 200
+            u, v = np.round(2 * u) / 2 + 0.25 * quarter, np.round(2 * v) / 2
+            pts.append(((u - cam.cx) * z / 8, (v - cam.cy) * z / 8, z))
+        frame = rasterize_frame(np.array(pts), cam)
+        wide = wide_stencil_raster_oracle(np.array(pts), cam)
+        assert frame.index.tobytes() == wide.index.tobytes()
+        assert frame.depth.tobytes() == wide.depth.tobytes()
+        assert frame.image.tobytes() == wide.image.tobytes()
+        assert frame.empty == wide.empty
 
     def test_non_finite_and_far_points_dropped(self):
         rng = np.random.default_rng(11)
