@@ -2,21 +2,8 @@
 
 The solver needs only the Kirchhoff stress tau = P F^T (MLS-MPM, Hu et
 al. 2018), so that is what ``batch_constitutive`` returns, together with
-the updated F.  Each class does only its own work, on its own particles:
-a slice when they are one contiguous run, and an index array otherwise.
-The particles whose return mapping may move F decompose it once,
-F = U diag(sigma) V^T with proper rotations U, V (``svd3``), and derive
-everything else from that single decomposition: J = sigma_1 sigma_2
-sigma_3, the projected gradient U diag(sigma') V^T of the return
-mappings, and tau = U diag(d) U^T for a vector d = p sigma of principal
-Kirchhoff stresses, where P = U diag(p) V^T.  Those are the SAND
-particles, and the PLASTICINE and SNOW particles that are not strictly
-inside their yield surfaces.  The rest need no decomposition: ELASTIC
-(below), and a PLASTICINE or SNOW particle inside its surface, whose
-return mapping leaves F as it is, so that its stress is the ELASTIC
-closed form of the same F.  The test runs on every call, from the
-eigenvalues of b = F F^T (``_inside_yield``).  tau is formed exactly
-symmetric, which keeps angular momentum (Jiang et al. 2015).
+the updated F.  ``_class_rows`` gives each class one selection of its
+particles, and each class does only its own work on it:
 
   Elastic     fixed corotated  P = 2 mu (F - R) + lambda (J - 1) J F^-T.
               R F^T = sqrt(b) with b = F F^T, so tau = 2 mu (b - sqrt(b))
@@ -29,18 +16,28 @@ symmetric, which keeps angular momentum (Jiang et al. 2015).
               is reset to the isotropic J^(1/3) I so only volume change
               carries stress, tau = lambda (J - 1) J I
   Plasticine  corotated elasticity, von Mises return mapping on the
-              principal log strains, yield stress YIELD_STRESS = 1e4 Pa;
-              inside the cylinder, the ELASTIC closed form
+              principal log strains, yield stress YIELD_STRESS = 1e4 Pa
   Sand        Hencky elasticity with Drucker-Prager projection of the
               log strains (non-associative, cohesionless, friction angle
               FRICTION_ANGLE_DEG = 30 deg), d = 2 mu eps + lambda tr eps
   Snow        corotated with singular values clamped to [1 - SNOW_THETA_C,
               1 + SNOW_THETA_S], SNOW_THETA_C = 2.5e-2, SNOW_THETA_S = 7.5e-3
-              (Stomakhin et al. 2013); inside that box, the ELASTIC
-              closed form
+              (Stomakhin et al. 2013)
 
 These four plasticity constants are module constants, the same for every
 particle of a class.
+
+A PLASTICINE or SNOW particle strictly inside its yield surface, tested
+on every call from the eigenvalues of b (``_inside_yield``), has a return
+mapping that leaves F as it is, so it keeps F and takes the ELASTIC
+closed form of the same F.  The other PLASTICINE and SNOW particles and
+every SAND particle decompose F once, F = U diag(sigma) V^T with proper
+rotations U, V (``svd3``), and derive everything else from that single
+decomposition: J = sigma_1 sigma_2 sigma_3, the projected gradient
+U diag(sigma') V^T of the return mappings, and tau = U diag(d) U^T for a
+vector d = p sigma of principal Kirchhoff stresses, where
+P = U diag(p) V^T.  tau is formed exactly symmetric, which keeps angular
+momentum (Jiang et al. 2015).
 
 ``svd3`` runs its Jacobi sweeps on F^T F / tr(F^T F), whose entries lie
 in [-1, 1] at any scale of F, so each rotation is a plain sqrt of squares
@@ -280,24 +277,20 @@ def _size(rows):
 
 
 def _class_rows(class_id):
-    """The ELASTIC, return-mapped and LIQUID particles, and where each
-    return-mapped class begins among them.
+    """The particles of each MaterialClass, as a tuple indexed by class.
 
-    Returns (elastic, mapped, liquid, at).  mapped holds the PLASTICINE,
-    SAND and SNOW particles in that order, so class c is
-    mapped[at[c - PLASTICINE]:at[c - PLASTICINE + 1]]; every class keeps
-    index order.  Each of the three is a ``_selection``: a slice when its
-    particles form one contiguous ascending run, as in every scene whose
-    objects each hold one class, and an index array otherwise.  The
-    stable sort runs on int8 keys, for which numpy uses a radix sort.
+    Entry c is a ``_selection`` of the particles whose class is c, in
+    ascending index order: a slice when they form one contiguous run, as
+    in every scene whose objects each hold one class, and an index array
+    otherwise, empty when the class has no particles.  The stable sort
+    runs on int8 keys, for which numpy uses a radix sort.
     """
     order = np.argsort(class_id.astype(np.int8), kind="stable")
     start = np.zeros(len(MaterialClass) + 1, dtype=np.int64)
     np.cumsum(np.bincount(class_id, minlength=len(MaterialClass)),
               out=start[1:])
-    at = start[MaterialClass.PLASTICINE:MaterialClass.LIQUID + 1]
-    return (_selection(order[:at[0]]), _selection(order[at[0]:at[-1]]),
-            _selection(order[at[-1]:start[MaterialClass.RIGID]]), at - at[0])
+    return tuple(_selection(order[start[c]:start[c + 1]])
+                 for c in MaterialClass)
 
 
 def _det(a):
@@ -392,65 +385,65 @@ def _elastic_kirchhoff(b, lam1, cof, j, mu, lam):
     return tau[_FULL.ravel()]
 
 
-def _inside_yield(b, mu, n_plasticine):
-    """lambda_1 of each b = F F^T, and whether its row lies strictly inside
-    its yield surface, for PLASTICINE rows (the first n_plasticine, with
-    shear moduli mu) followed by SNOW rows.
+def _inside_yield(material, b, lam1, lam3, mu):
+    """Whether each PLASTICINE or SNOW row (material says which; mu its
+    shear moduli) lies strictly inside its yield surface, from b = F F^T
+    and the largest and smallest eigenvalues lambda_1 >= lambda_3 of b,
+    the squared singular values of F (``_spectrum``).
 
-    From the eigenvalues lambda_1 >= lambda_2 >= lambda_3 of b, the
-    squared singular values of F (``_spectrum``, with lambda_2 = tr b -
-    lambda_1 - lambda_3), a PLASTICINE row is inside when the principal
-    log strains eps = log(max(lambda, _SIGMA_FLOOR^2)) / 2 have
-    |dev eps| < YIELD_STRESS / (2 mu) (1 - _MARGIN), and a SNOW row when
-    lambda_3 >= (1 - SNOW_THETA_C)^2 (1 + _MARGIN) and lambda_1 <=
-    (1 + SNOW_THETA_S)^2 (1 - _MARGIN): then its return mapping leaves F
-    as it is.  Either also needs sigma_min / sigma_max >= _MIN_RATIO,
-    where the ELASTIC closed form is accurate (``TestElastic``).  The
-    trigonometric eigenvalues are accurate to about eps |b| except near a
-    double eigenvalue, where arccos loses half the digits: lambda_2 and
-    lambda_3 can then be off by about 1e-8 p, with p = |dev b| / sqrt(6),
-    which stays far inside the 1e-6 relative margin.
+    A PLASTICINE row is inside when the principal log strains
+    eps = log(max(lambda, _SIGMA_FLOOR^2)) / 2, with lambda_2 = tr b -
+    lambda_1 - lambda_3, have |dev eps| < YIELD_STRESS / (2 mu)
+    (1 - _MARGIN), and a SNOW row when lambda_3 >= (1 - SNOW_THETA_C)^2
+    (1 + _MARGIN) and lambda_1 <= (1 + SNOW_THETA_S)^2 (1 - _MARGIN):
+    then its return mapping leaves F as it is.  Either also needs
+    sigma_min / sigma_max >= _MIN_RATIO, where the ELASTIC closed form is
+    accurate (``TestElastic``).  The trigonometric eigenvalues are
+    accurate to about eps |b| except near a double eigenvalue, where
+    arccos loses half the digits: lambda_2 and lambda_3 can then be off by
+    about 1e-8 p, with p = |dev b| / sqrt(6), which stays far inside the
+    1e-6 relative margin.
     """
-    q, two_p, phi = _spectrum(b)
-    lam1 = q + two_p * np.cos(phi)
-    lam3 = q + two_p * np.cos(phi + 2.0 * np.pi / 3.0)
-    lam2 = b[0] + b[1] + b[2] - lam1 - lam3
-    k = n_plasticine
-    # |dev eps|^2 = ((e1 - e2)^2 + (e2 - e3)^2 + (e1 - e3)^2) / 12 for
-    # e = 2 eps, each e_i = log(max(lambda_i, _SIGMA_FLOOR^2))
-    e = np.log(np.maximum(np.stack([lam1[:k], lam2[:k], lam3[:k]]),
-                          _SIGMA_FLOOR ** 2))
-    d12, d23 = e[0] - e[1], e[1] - e[2]
-    radius = YIELD_STRESS / (2.0 * mu) * (1.0 - _MARGIN)
-    inside = np.empty(lam1.size, dtype=bool)
-    inside[:k] = (d12 * d12 + d23 * d23 + (d12 + d23) * (d12 + d23)
+    if material == MaterialClass.PLASTICINE:
+        lam2 = b[0] + b[1] + b[2] - lam1 - lam3
+        # |dev eps|^2 = ((e1 - e2)^2 + (e2 - e3)^2 + (e1 - e3)^2) / 12 for
+        # e = 2 eps, each e_i = log(max(lambda_i, _SIGMA_FLOOR^2))
+        e = np.log(np.maximum(np.stack([lam1, lam2, lam3]), _SIGMA_FLOOR ** 2))
+        d12, d23 = e[0] - e[1], e[1] - e[2]
+        radius = YIELD_STRESS / (2.0 * mu) * (1.0 - _MARGIN)
+        inside = (d12 * d12 + d23 * d23 + (d12 + d23) * (d12 + d23)
                   < 12.0 * radius * radius)
-    inside[k:] = ((lam3[k:] >= (1.0 - SNOW_THETA_C) ** 2 * (1.0 + _MARGIN))
-                  & (lam1[k:] <= (1.0 + SNOW_THETA_S) ** 2 * (1.0 - _MARGIN)))
-    inside &= lam3 >= _MIN_RATIO ** 2 * lam1
-    return lam1, inside
+    else:
+        inside = ((lam3 >= (1.0 - SNOW_THETA_C) ** 2 * (1.0 + _MARGIN))
+                  & (lam1 <= (1.0 + SNOW_THETA_S) ** 2 * (1.0 - _MARGIN)))
+    return inside & (lam3 >= _MIN_RATIO ** 2 * lam1)
 
 
 def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
     """Vectorized stress evaluation over a particle batch.
 
     f (N,3,3), class_id (N,), e (N,), nu (N,).  Returns (kirchhoff (N,3,3),
-    f_new (N,3,3)); the Kirchhoff stress is exactly symmetric.  Each class
-    does only its own work, and a class with no particles does none:
-    ELASTIC takes tau in closed form from b = F F^T
-    (``_elastic_kirchhoff``); PLASTICINE and SNOW particles strictly
-    inside their yield surfaces (``_inside_yield``, evaluated on every
-    call) keep F and take the same closed form from the same b; ``svd3``
-    runs on the SAND particles and on the PLASTICINE and SNOW particles
-    that fail that test only; LIQUID needs only det F, and RIGID is
-    skipped.  rows is ``_class_rows(class_id)`` and lame the per-particle
+    f_new (N,3,3)); the Kirchhoff stress is exactly symmetric.  rows is
+    ``_class_rows(class_id)`` and lame the per-particle
     ``lame_parameters(e, nu)``, which the engine keeps between the
     schedule edits that change them; without them they are derived here.
+
+    ELASTIC, PLASTICINE and SNOW take one closed-form path, a class at a
+    time: b = F F^T and its largest eigenvalue for every row, the yield
+    test for PLASTICINE and SNOW rows only, and ``_elastic_kirchhoff`` on
+    the rows kept.  ``svd3`` runs once, on the PLASTICINE rows that fail
+    the test, every SAND row and the SNOW rows that fail it, in that
+    order, and each class return-maps its own run of that batch.  LIQUID
+    needs only det F, and RIGID is skipped.  A class with no particles
+    does no work.  Every row's J is checked before any stress is formed: a
+    non-finite F or a J <= 0 raises ``NumericalError`` naming the lowest
+    such particle.
 
     Every class works on F as (9, N) rows, flat[3 i + k] = F_ik: a free
     view of a component-major f (an (N,3,3) view of a contiguous (3,3,N)
     buffer, as the engine keeps it) and a copy of any other.  kirchhoff and
-    f_new are component-major, and the values do not depend on f's layout.
+    f_new are component-major, and their values depend neither on f's
+    layout nor on whether a class is selected by a slice or an index array.
     """
     f = np.asarray(f, dtype=np.float64)
     n = f.shape[0]
@@ -459,90 +452,87 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
         i = int(np.flatnonzero(~np.isfinite(flat).all(axis=0))[0])
         raise NumericalError(f"particle {i}: non-finite deformation gradient",
                              particle=i)
-    elastic, mapped, liquid, at = (_class_rows(np.asarray(class_id))
-                                   if rows is None else rows)
+    rows = _class_rows(np.asarray(class_id)) if rows is None else rows
     mu_all, lam_all = lame_parameters(e, nu) if lame is None else lame
+    index = np.arange(n)
 
     # every class's J, and the determinant check, before any stress
     dets = []  # (rows, J) of each group of particles
-    # the PLASTICINE and SNOW particles inside their yield surfaces keep F
-    # and take the ELASTIC closed form; svd3 decomposes the others of mapped
-    kept = decomposed = np.empty(0, dtype=np.intp)
-    if _size(elastic):
-        a = flat[:, elastic]
-        cof, j_elastic = _cofactor(a)
-        dets.append((elastic, j_elastic))
-    if _size(mapped):
-        m = np.arange(n)[mapped]  # the particle of each mapped row
-        candidates = np.concatenate([m[:at[1]], m[at[2]:]])
-        decompose = np.ones(at[3], dtype=bool)  # by position in mapped
-        if candidates.size:
-            a_kept = flat[:, candidates]
-            b_kept = _gram(a_kept)
-            lam1_kept, inside = _inside_yield(b_kept, mu_all[m[:at[1]]], at[1])
-            decompose[:at[1]] = ~inside[:at[1]]
-            decompose[at[2]:] = ~inside[at[1]:]
-            kept = candidates[inside]
-            if kept.size < candidates.size:
-                a_kept, b_kept = a_kept[:, inside], b_kept[:, inside]
-                lam1_kept = lam1_kept[inside]
-            cof_kept, j_kept = _cofactor(a_kept)
-            dets.append((kept, j_kept))
-        decomposed = np.flatnonzero(decompose)
-        if decomposed.size:
-            rows_decomposed = m[decomposed]
-            u, sig, v = svd3(flat[:, rows_decomposed].reshape(3, 3, -1)
-                             .transpose(2, 0, 1))
-            dets.append((rows_decomposed, sig.prod(axis=1)))
+    closed = []  # (rows, b, lambda_1, cof, J) of each closed-form group
+    decompose = {}  # class: its particles that svd3 decomposes, in class order
+    for c in (MaterialClass.ELASTIC, MaterialClass.PLASTICINE,
+              MaterialClass.SAND, MaterialClass.SNOW):
+        sel = rows[c]
+        if not _size(sel):
+            continue
+        if c == MaterialClass.SAND:
+            decompose[c] = index[sel]
+            continue
+        a = flat[:, sel]
+        b = _gram(a)
+        q, two_p, phi = _spectrum(b)
+        lam1 = q + two_p * np.cos(phi)
+        if c != MaterialClass.ELASTIC:
+            lam3 = q + two_p * np.cos(phi + 2.0 * np.pi / 3.0)
+            inside = _inside_yield(c, b, lam1, lam3, mu_all[sel])
+            if not inside.all():
+                decompose[c] = index[sel][~inside]
+                if not inside.any():
+                    continue
+                sel = index[sel][inside]
+                a, b, lam1 = a[:, inside], b[:, inside], lam1[inside]
+        cof, j = _cofactor(a)
+        dets.append((sel, j))
+        closed.append((sel, b, lam1, cof, j))
+    if decompose:
+        decomposed = np.concatenate(list(decompose.values()))
+        u, sig, v = svd3(flat[:, decomposed].reshape(3, 3, -1)
+                         .transpose(2, 0, 1))
+        dets.append((decomposed, sig.prod(axis=1)))
+    liquid = rows[MaterialClass.LIQUID]
     if _size(liquid):
         j_liquid = _det(flat[:, liquid])
         dets.append((liquid, j_liquid))
     if not all((j > 0).all() for _, j in dets):  # also catches NaN
-        i = min(int(np.arange(n)[sel][~(j > 0)].min(initial=n))
-                for sel, j in dets)
+        i = min(int(index[sel][~(j > 0)].min(initial=n)) for sel, j in dets)
         raise NumericalError(
             f"particle {i}: deformation gradient lost positive determinant",
             particle=i)
 
     tau = np.zeros((9, n))
-    f_new = flat.copy()  # ELASTIC, RIGID and kept rows keep their F
-    if _size(elastic):
-        b = _gram(a)
-        q, two_p, phi = _spectrum(b)
-        tau[:, elastic] = _elastic_kirchhoff(
-            b, q + two_p * np.cos(phi), cof, j_elastic, mu_all[elastic],
-            lam_all[elastic])
+    f_new = flat.copy()  # ELASTIC, RIGID and closed-form rows keep their F
+    for sel, b, lam1, cof, j in closed:
+        tau[:, sel] = _elastic_kirchhoff(b, lam1, cof, j, mu_all[sel],
+                                         lam_all[sel])
 
-    if kept.size:
-        tau[:, kept] = _elastic_kirchhoff(b_kept, lam1_kept, cof_kept, j_kept,
-                                          mu_all[kept], lam_all[kept])
-    if decomposed.size:
-        # each class's run among the decomposed rows
-        plasticine, sand, snow = (
-            slice(*np.searchsorted(decomposed, at[k:k + 2])) for k in range(3))
-        mu, lam = mu_all[rows_decomposed], lam_all[rows_decomposed]
-        if plasticine.stop > plasticine.start:
-            eps = np.log(np.maximum(sig[plasticine], _SIGMA_FLOOR))
-            sig[plasticine] = np.exp(
-                _von_mises_project(eps, mu[plasticine], YIELD_STRESS))
-        if sand.stop > sand.start:
-            eps_sand = _drucker_prager_project(
-                np.log(np.maximum(sig[sand], _SIGMA_FLOOR)), mu[sand],
-                lam[sand], FRICTION_ANGLE_DEG)
-            sig[sand] = np.exp(eps_sand)
-        if snow.stop > snow.start:
-            sig[snow] = np.clip(sig[snow], 1.0 - SNOW_THETA_C,
-                                1.0 + SNOW_THETA_S)
-        f_new[:, rows_decomposed] = _recompose(u, sig, v)
-        j = sig.prod(axis=1)
-
-        # principal Kirchhoff stresses; tau = U diag(d) U^T
-        d = 2.0 * mu[:, None] * (sig - 1.0) * sig + (lam * (j - 1.0) * j)[:, None]
-        if sand.stop > sand.start:
-            # Hencky-strain stress pairs with the log-strain projection
-            d[sand] = (2.0 * mu[sand, None] * eps_sand
-                       + (lam[sand] * eps_sand.sum(axis=1))[:, None])
-        tau[:, rows_decomposed] = _symmetric_recompose(u, d)
+    if decompose:
+        d = np.empty_like(sig)  # principal Kirchhoff stresses
+        start = 0
+        for c, particles in decompose.items():
+            run = slice(start, start + particles.size)  # c's rows of sig
+            start = run.stop
+            mu, lam = mu_all[particles], lam_all[particles]
+            if c == MaterialClass.SAND:
+                eps = _drucker_prager_project(
+                    np.log(np.maximum(sig[run], _SIGMA_FLOOR)), mu, lam,
+                    FRICTION_ANGLE_DEG)
+                sig[run] = np.exp(eps)
+                # Hencky-strain stress pairs with the log-strain projection
+                d[run] = (2.0 * mu[:, None] * eps
+                          + (lam * eps.sum(axis=1))[:, None])
+                continue
+            if c == MaterialClass.PLASTICINE:
+                eps = np.log(np.maximum(sig[run], _SIGMA_FLOOR))
+                sig[run] = np.exp(_von_mises_project(eps, mu, YIELD_STRESS))
+            else:
+                sig[run] = np.clip(sig[run], 1.0 - SNOW_THETA_C,
+                                   1.0 + SNOW_THETA_S)
+            s = sig[run]
+            j = s.prod(axis=1)
+            d[run] = (2.0 * mu[:, None] * (s - 1.0) * s
+                      + (lam * (j - 1.0) * j)[:, None])
+        f_new[:, decomposed] = _recompose(u, sig, v)
+        tau[:, decomposed] = _symmetric_recompose(u, d)  # U diag(d) U^T
 
     if _size(liquid):
         # fluids carry no rotation: F = J^(1/3) I, and tau = lam (J - 1) J I;

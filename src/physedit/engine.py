@@ -334,7 +334,7 @@ class _Derived:
     g_max: float   # |gravity| max |gravity_scale| + |wind| max |wind_scale|
     lame: tuple    # per-particle (mu, lambda)
     g_eff: np.ndarray  # (3, N) per-particle body-force acceleration
-    rows: tuple    # constitutive._class_rows(class_id)
+    rows: tuple    # one selection per MaterialClass: _class_rows(class_id)
     groups: list   # _rigid_groups(state)
 
 

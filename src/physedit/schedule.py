@@ -528,7 +528,10 @@ class ScheduleRuntime:
             # application (log properties are per particle, so old is a copy)
             rate = self.schedule.max_log_rate * dt
             desired = new
-            new = np.clip(desired, old * 10.0 ** (-rate), old * 10.0 ** rate)
+            # past about 308 decades a rate cannot bind: its bounds are 0, inf
+            with np.errstate(over="ignore"):
+                lo, hi = np.float64(10.0) ** -rate, np.float64(10.0) ** rate
+            new = np.clip(desired, old * lo, old * hi)
             capped = bool(np.any(new != desired))
         if np.array_equal(new, old):
             if t - t0 >= iv.ramp_duration and not capped:

@@ -120,6 +120,21 @@ class TestSimulateCommand:
         assert (tmp_path / "t" / "images" / "frame_0000.pgm").exists()
         assert main(["verify", str(tmp_path / "t")]) == 0
 
+    def test_unbindable_log_rate_runs(self, tmp_path, capsys):
+        """A max_log_rate whose per-substep factor 10^(rate dt) is past the
+        largest float sets no bound: the run finishes and caps nothing."""
+        scene = build_scene("hollow_deflate", tmp_path / "src")
+        (scene.parent / "schedule.txt").write_text(
+            "max_log_rate 1e6\n"
+            "at t=0 set object 0 young_modulus 1e5 ramp 0.1\n")
+        out = tmp_path / "t"
+        rc = main(["simulate", str(scene), str(out), "--frames", "2",
+                   "--no-images"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        edits = json.loads((out / "edits.json").read_text())
+        assert edits and not any(rec["capped"] for rec in edits)
+
     def test_huge_frame_count_fails_fast(self, tmp_path, capsys):
         """A frame array far past the limit exits 34 before allocating."""
         out = tmp_path / "t"

@@ -589,7 +589,7 @@ def test_objectivity(material, perturbation, rotation_seed, log_e, nu):
 
 def as_index_arrays(rows, n):
     """_class_rows output with every class selection as an index array."""
-    return tuple(np.arange(n)[sel] for sel in rows[:3]) + rows[3:]
+    return tuple(np.arange(n)[sel] for sel in rows)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -608,8 +608,7 @@ def test_class_slices_match_index_arrays(counts, seed):
     f = np.array([random_proper_f(rng) for _ in range(n)])
     e, nu = 10.0 ** rng.uniform(4, 6, n), rng.uniform(0.0, 0.45, n)
     rows = _class_rows(class_id)
-    sizes = (counts[0], sum(counts[1:4]), counts[4])  # elastic, mapped, liquid
-    assert [isinstance(sel, slice) for sel in rows[:3]] == [k > 0 for k in sizes]
+    assert [isinstance(sel, slice) for sel in rows] == [k > 0 for k in counts]
     tau, f_new = batch_constitutive(f, class_id, e, nu)
 
     perm = rng.permutation(n)
@@ -630,3 +629,50 @@ def test_class_slices_match_index_arrays(counts, seed):
         with pytest.raises(NumericalError) as info:
             batch_constitutive(f, class_id, e, nu, rows=layout)
         assert info.value.particle == min(planted)
+
+
+# (class, count) runs with each class in at most one run, in any class
+# order, so that every class is contiguous or empty; and runs in any order
+# with repeats, so that a class may be split around others
+CONTIGUOUS_RUNS = st.permutations(list(MaterialClass)).flatmap(
+    lambda order: st.tuples(*(st.tuples(st.just(c), st.integers(0, 4))
+                              for c in order)))
+INTERLEAVED_RUNS = st.lists(st.tuples(st.sampled_from(list(MaterialClass)),
+                                      st.integers(0, 4)), max_size=10)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(runs=st.one_of(CONTIGUOUS_RUNS, INTERLEAVED_RUNS))
+def test_class_rows_select_each_class(runs):
+    """_class_rows gives one selection per class: entry c selects exactly
+    class c's particles in index order, and is a slice exactly when they
+    form one non-empty contiguous run."""
+    class_id = np.repeat(np.array([c for c, _ in runs], dtype=np.int64),
+                         np.array([k for _, k in runs], dtype=np.int64))
+    rows = _class_rows(class_id)
+    assert len(rows) == len(MaterialClass)
+    for c in MaterialClass:
+        want = np.flatnonzero(class_id == c)
+        assert np.array_equal(np.arange(class_id.size)[rows[c]], want)
+        one_run = want.size > 0 and want[-1] - want[0] == want.size - 1
+        assert isinstance(rows[c], slice) == one_run
+
+
+def test_absent_classes_cost_nothing(monkeypatch):
+    """An ELASTIC-only batch runs no yield test, no decomposition and no
+    LIQUID determinant; a batch of the five non-rigid classes, interleaved,
+    tests each of PLASTICINE and SNOW once and calls svd3 once."""
+    calls = dict.fromkeys(("_inside_yield", "svd3", "_det"), 0)
+    for name in calls:
+        def counted(*args, _inner=getattr(constitutive, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(constitutive, name, counted)
+    rng = np.random.default_rng(6)
+    f = np.array([random_proper_f(rng) for _ in range(15)])
+    args = (np.full(15, 1e5), np.full(15, 0.3))
+    batch_constitutive(f, np.full(15, MaterialClass.ELASTIC), *args)
+    assert calls == dict.fromkeys(calls, 0)
+    batch_constitutive(f, np.arange(15) % MaterialClass.RIGID, *args)
+    assert calls == {"_inside_yield": 2, "svd3": 1, "_det": 1}
