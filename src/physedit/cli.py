@@ -6,7 +6,8 @@ Subcommands:
   simulate  scene file (or bundled scene) -> trajectory dir + images
   analyze   labeled field + targets -> loss breakdown and gradient checks
   verify    trajectory dir -> integrity report
-  compare   two trajectory dirs -> largest centroid and AABB deviation
+  compare   two trajectory dirs -> largest centroid, AABB and particle
+            position deviation
 
 Flags override the scene file; no environment variable is read.  Every
 failure prints one machine-readable JSON error record on stderr and
@@ -308,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare",
-                       help="largest per-frame centroid and AABB deviation "
-                            "between two trajectory dirs")
+                       help="largest per-frame centroid, AABB and particle "
+                            "position deviation between two trajectory dirs")
     p.add_argument("run_a", metavar="RUN_A")
     p.add_argument("run_b", metavar="RUN_B")
     p.set_defaults(func=cmd_compare)

@@ -20,22 +20,25 @@ Both transfers take all 27 stencil offsets o in {0,1,2}^3 at once, as
 (27, b) node indices and weights for blocks of b <= _BLOCK particles: the
 node offset is h (o - fx), so the affine term splits into h A o - h A fx
 and the APIC matrix into h (sum w v (x) o - v (x) fx), with the fx parts
-computed once.  Each block's indices and weights are built once per
-substep: ``_p2g`` keeps them on the ``_Stencil`` and ``_g2p`` reads them
-back (``_couple_rigid`` builds its own, per rigid group).  Grid
-reductions run as per-node sums (np.bincount on a compact active box) in
-a fixed block and offset order, so results are bit-reproducible
-regardless of worker thread count.  Body forces
-(gravity, wind) enter through the particle momentum with per-particle
-scale factors so schedules can manipulate single objects.
+computed once.  Each block's indices (a flat base node per particle plus
+27 fixed steps) and weights are built once per substep: ``_p2g`` keeps
+them on the ``_Stencil`` and ``_g2p`` reads them back (``_couple_rigid``
+builds its own, per rigid group).  P2G adds mass and momentum into one
+(4, nodes) grid on a compact active box with one np.add.at per channel
+and block, so each node sums its terms in one chain, in block and offset
+order, and results are bit-reproducible regardless of worker thread
+count.  Body forces (gravity, wind) enter through the particle momentum
+with per-particle scale factors so schedules can manipulate single objects.
 
-F, the APIC matrix C and tau are kept component-major: each is an
-(N, 3, 3) view (``.transpose(2, 0, 1)``) of a contiguous (3, 3, N)
-buffer, so entry (i, k) of every particle's matrix is one contiguous row.
-``build_state`` allocates F and C so, ``batch_constitutive`` reads F as
-(9, N) rows with no copy and returns tau and F so, and ``_p2g`` and
-``_g2p`` read and write them row by row.  A caller may assign C-ordered
-(N, 3, 3) arrays instead; the results are the same bits.
+x, v, F, the APIC matrix C and tau are kept component-major: x and v are
+(N, 3) views (``.T``) of contiguous (3, N) buffers, F, C and tau (N, 3, 3)
+views (``.transpose(2, 0, 1)``) of contiguous (3, 3, N) ones, so each
+component of every particle is one contiguous row.  ``build_state``
+allocates x, v, F and C so, ``batch_constitutive`` reads F as (9, N) rows
+and returns tau and F so, and the transfers, ``stable_dt`` and
+``_check_inside`` read them row by row.  A caller may assign C-ordered
+arrays instead; the results are the same bits, and ``step`` stores them
+component-major again.
 
 A substep's inputs change at three rates, and each is derived at its own:
 
@@ -72,6 +75,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -171,12 +175,12 @@ class ObjectInit:
 
 @dataclass
 class SimulationState:
-    # per particle
+    # per particle; x and v are (N, 3) views of contiguous component-major
+    # (3, N) buffers, c_apic and f (N, 3, 3) views of (3, 3, N) ones, so
+    # x.T, v.T, c_apic.transpose(1, 2, 0) and f.transpose(1, 2, 0) are
+    # free; step takes any layout and stores them component-major again
     x: np.ndarray
     v: np.ndarray
-    # (N, 3, 3) views of contiguous component-major (3, 3, N) buffers, so
-    # c_apic.transpose(1, 2, 0) and f.transpose(1, 2, 0) are free; step
-    # takes any (N, 3, 3) layout and stores them component-major again
     c_apic: np.ndarray
     f: np.ndarray
     mass: np.ndarray
@@ -263,6 +267,8 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
             raise DomainError("domain_hi must exceed domain_lo")
     dims = np.ceil((hi - lo) / h).astype(np.int64) + 1
 
+    for key in ("x", "v"):
+        cols[key] = np.ascontiguousarray(cols[key].T).T
     f = np.zeros((3, 3, n_total))
     f[0, 0] = f[1, 1] = f[2, 2] = 1.0
     state = SimulationState(
@@ -283,15 +289,6 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
     return state
 
 
-def _column_extremes(a):
-    """(a.min(axis=0), a.max(axis=0)) of an (N, 3) array, one column at a
-    time: numpy's axis-0 reductions over the three strided columns are
-    several times slower, and min and max are exact either way."""
-    cols = (a[:, 0], a[:, 1], a[:, 2])
-    return (np.array([c.min() for c in cols]),
-            np.array([c.max() for c in cols]))
-
-
 def _check_inside(state: SimulationState, build=False):
     """GridOverflow (build) or ParticleEscape unless every particle keeps
     GRID_MARGIN cells from the grid faces.
@@ -299,10 +296,11 @@ def _check_inside(state: SimulationState, build=False):
     (x - origin) / h rounds monotonically in x, so testing the per-axis
     extremes of x gives the per-particle test's answer bit for bit; the
     per-particle pass runs only on failure, to name the lowest bad index.
+    The extremes are row reductions of the component-major x.T.
     """
-    lo, hi = _column_extremes(state.x)
-    lo = (lo - state.origin) / state.h
-    hi = (hi - state.origin) / state.h
+    xt = state.x.T
+    lo = (xt.min(axis=1) - state.origin) / state.h
+    hi = (xt.max(axis=1) - state.origin) / state.h
     if (lo >= GRID_MARGIN).all() and (hi <= (state.dims - 1) - GRID_MARGIN).all():
         return
     gx = (state.x - state.origin) / state.h
@@ -373,7 +371,7 @@ def stable_dt(state: SimulationState, cfg: SimConfig,
     if derived is None:
         derived = _derive(state)
     with np.errstate(over="ignore"):
-        v_max = float(np.sqrt((state.v ** 2).sum(axis=1).max(initial=0.0)))
+        v_max = float(np.sqrt((state.v.T ** 2).sum(axis=0).max(initial=0.0)))
     reach = cfg.cfl_number * state.h
     speed = derived.c_max + v_max
     dt = reach / speed if speed > 0 else np.inf
@@ -423,6 +421,16 @@ class _Stencil:
     sub: np.ndarray  # (3,) node counts of the box
     blocks: list = dc_field(default_factory=list)
 
+    @cached_property
+    def flat(self):
+        """(N,) flat index of each particle's base node in the box."""
+        return np.ravel_multi_index(self.rel, self.sub)
+
+    @cached_property
+    def steps(self):
+        """(27,) flat index step of each offset of _OFFSETS."""
+        return np.ravel_multi_index(_OFFSETS.T, self.sub)
+
     def block(self, rows):
         """Flat node indices (27 b,) and weights (27, b) of particles ``rows``.
 
@@ -431,10 +439,7 @@ class _Stencil:
         """
         wx, wy, wz = self.w[:, :, rows]
         w = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
-        rx, ry, rz = self.rel[:, rows]
-        _, s1, s2 = self.sub
-        steps = _OFFSETS @ np.array([s1 * s2, s2, 1])
-        idx = steps[:, None] + ((rx * s1 + ry) * s2 + rz)
+        idx = self.steps[:, None] + self.flat[rows]
         return idx.ravel(), w.reshape(27, -1)
 
 
@@ -444,19 +449,21 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
     A node at offset o in {0,1,2}^3 sits at dpos = h (o - fx) from the
     particle, so the affine term A dpos = h A o - h A fx, and only h A o
     changes with the offset.  g_eff is the (3, N) body-force acceleration
-    of ``_Derived``.  Returns (stencil, grid_mass (n_sub,),
-    grid_mom (3, n_sub)); the stencil keeps its blocks for ``_g2p``.
+    of ``_Derived``.  Mass and momentum go into one (4, n_sub) grid, one
+    ``np.add.at`` per channel and block, so each node sums its terms in
+    one chain, in block and offset order.  Returns (stencil, grid_mass
+    (n_sub,), grid_mom (3, n_sub)), views of that grid; the stencil keeps
+    its blocks for ``_g2p``.
     """
     h = state.h
-    gx = (state.x - state.origin) / h
+    gx = (state.x.T - state.origin[:, None]) / h  # (3, N)
     base = np.floor(gx - 0.5).astype(np.int64)
-    fx = np.ascontiguousarray((gx - base).T)  # so the weights' rows are too
+    fx = gx - base
 
     # compact active box
-    lo, hi = _column_extremes(base)
+    lo, hi = base.min(axis=1), base.max(axis=1)
     sub = hi + 3 - lo
-    n_sub = int(sub[0] * sub[1] * sub[2])
-    stencil = _Stencil(fx, _bspline_weights(fx), (base - lo).T.copy(), lo, sub)
+    stencil = _Stencil(fx, _bspline_weights(fx), base - lo[:, None], lo, sub)
 
     # h A, component-major: h_a[i, k] is h A_ik of every particle, (3, 3, N)
     h_a = h * ((-dt * state.vol0 * 4.0 / (h * h)) * kirchhoff.transpose(1, 2, 0)
@@ -464,22 +471,21 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
     mom_p = state.mass * (state.v.T + dt * g_eff)
     q_base = mom_p - (h_a * fx[None, :, :]).sum(axis=1)
 
-    grid_mass = np.zeros(n_sub)
-    grid_mom = np.zeros((3, n_sub))
+    grid = np.zeros((4, int(sub.prod())))
+    buf = np.empty(4 * 27 * _BLOCK)  # one block's products, reused
     for start in range(0, state.n_particles, _BLOCK):
         rows = slice(start, start + _BLOCK)
         idx, w = stencil.block(rows)
         stencil.blocks.append((rows, idx, w))
-        # q[:, o] = w (q_base + h A o), (3 components, 27, b)
-        q = np.matmul(_OFFSETS_F, h_a[:, :, rows])
-        q += q_base[:, None, rows]
+        # q[0, o] = w m and q[1:, o] = w (q_base + h A o), (4, 27, b)
+        q = buf[:4 * w.size].reshape(4, *w.shape)
+        q[0] = state.mass[rows]
+        np.matmul(_OFFSETS_F, h_a[:, :, rows], out=q[1:])
+        q[1:] += q_base[:, None, rows]
         q *= w
-        grid_mass += np.bincount(idx, weights=(w * state.mass[rows]).ravel(),
-                                 minlength=n_sub)
-        for axis in range(3):
-            grid_mom[axis] += np.bincount(idx, weights=q[axis].ravel(),
-                                          minlength=n_sub)
-    return stencil, grid_mass, grid_mom
+        for channel, terms in zip(grid, q):
+            np.add.at(channel, idx, terms.ravel())
+    return stencil, grid[0], grid[1:]
 
 
 def _boundary_layers(state: SimulationState):
@@ -712,13 +718,13 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
     c -= v[:, None, :] * stencil.fx[None, :, :]
     c *= 4.0 / state.h
 
-    state.v = np.ascontiguousarray(v.T)
+    state.v = v.T
     state.c_apic = c.transpose(2, 0, 1)
     step_c = dt * c  # I + dt C; rows 0, 4 and 8 of (9, N) are the diagonal
     step_c.reshape(9, n)[::4] += 1.0
     state.f = np.einsum("ijn,jkn->ikn", step_c,
                         state.f.transpose(1, 2, 0)).transpose(2, 0, 1)
-    x = state.x + dt * state.v
+    x = (state.x.T + dt * v).T
     for group, (centroid, u) in rigid:
         x[group] = _move_rigid(state, dt, group, centroid, u)
     state.x = x
@@ -797,7 +803,7 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
     n = state.n_particles
     check_size("simulate", cfg.frames * n * 3, MAX_FRAME_VALUES, "frame values")
     frames = np.empty((cfg.frames, n, 3), dtype=np.float32)
-    frames[0] = state.x.astype(np.float32)
+    frames[0] = state.x
     edit_log = []
     derived = _derive(state)
 
@@ -828,7 +834,7 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
                                 particle=exc.particle) from exc
             substep += 1
         state.t = target_t
-        frames[frame] = state.x.astype(np.float32)
+        frames[frame] = state.x
 
     return Trajectory.from_frames(frames, cfg.fps, state.object_id.copy(),
                                   edit_log=edit_log)

@@ -287,17 +287,23 @@ def verify_trajectory(in_dir) -> dict:
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> dict:
-    """Largest per-frame centroid and AABB deviation of b from a.
+    """Largest per-frame centroid, AABB and particle deviation of b from a.
 
     Deviations are the largest absolute coordinate difference, in metres,
-    over every frame and object.  IoError if the two runs differ in frame
-    count or object table.
+    over every frame and object (centroid, AABB) or particle (position).
+    IoError if the two runs differ in frame count, object table or the
+    object of any particle.
     """
     if a.n_frames != b.n_frames:
         raise IoError(f"frame counts differ: {a.n_frames} against {b.n_frames}")
     if not np.array_equal(a.object_table, b.object_table):
         raise IoError(f"object tables differ: {a.object_table.tolist()} "
                       f"against {b.object_table.tolist()}")
+    if not np.array_equal(a.object_id, b.object_id):
+        raise IoError(f"particle object ids differ ({a.n_particles} against "
+                      f"{b.n_particles} particles)")
+    position_dev = np.abs(a.positions.astype(np.float64) - b.positions).max()
     return {"frames": a.n_frames,
             "max_centroid_dev_m": float(np.abs(a.centroids - b.centroids).max()),
-            "max_aabb_dev_m": float(np.abs(a.aabbs - b.aabbs).max())}
+            "max_aabb_dev_m": float(np.abs(a.aabbs - b.aabbs).max()),
+            "max_position_dev_m": float(position_dev)}

@@ -611,7 +611,8 @@ class TestCompareCommand:
         rc = main(["compare", str(tmp_path / "a"), str(tmp_path / "b")])
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == {
-            "frames": 3, "max_centroid_dev_m": 0.0, "max_aabb_dev_m": 0.0}
+            "frames": 3, "max_centroid_dev_m": 0.0, "max_aabb_dev_m": 0.0,
+            "max_position_dev_m": 0.0}
         rc = main(["compare", str(tmp_path / "a"), str(tmp_path / "c")])
         assert rc == 50
         record = single_error_record(capsys)

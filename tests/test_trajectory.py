@@ -356,7 +356,8 @@ class TestCompare:
     def test_identical_runs(self):
         traj = make_traj(np.random.default_rng(14))
         assert compare_trajectories(traj, traj) == {
-            "frames": 3, "max_centroid_dev_m": 0.0, "max_aabb_dev_m": 0.0}
+            "frames": 3, "max_centroid_dev_m": 0.0, "max_aabb_dev_m": 0.0,
+            "max_position_dev_m": 0.0}
 
     def test_known_shift(self):
         rng = np.random.default_rng(15)
@@ -369,7 +370,24 @@ class TestCompare:
         a = Trajectory.from_frames(pos, 24.0, oid)
         b = Trajectory.from_frames(shifted, 24.0, oid)
         assert compare_trajectories(a, b) == {
-            "frames": 4, "max_centroid_dev_m": 0.125, "max_aabb_dev_m": 0.125}
+            "frames": 4, "max_centroid_dev_m": 0.125, "max_aabb_dev_m": 0.125,
+            "max_position_dev_m": 0.125}
+
+    def test_position_deviation_the_aggregates_miss(self):
+        """Two particles of one object that trade places in one frame leave
+        its centroid and AABB as they were; only the per-particle
+        deviation sees the move."""
+        rng = np.random.default_rng(17)
+        pos = rng.integers(-512, 512, size=(3, 12, 3)) / 1024.0
+        oid = np.repeat([0, 1], 6)
+        swapped = pos.copy()
+        swapped[1, [2, 4]] = pos[1, [4, 2]]
+        report = compare_trajectories(Trajectory.from_frames(pos, 24.0, oid),
+                                      Trajectory.from_frames(swapped, 24.0, oid))
+        assert report["max_centroid_dev_m"] == 0.0
+        assert report["max_aabb_dev_m"] == 0.0
+        assert report["max_position_dev_m"] == np.abs(pos[1, 2] - pos[1, 4]).max()
+        assert report["max_position_dev_m"] > 0
 
     def test_mismatch_io_error(self):
         rng = np.random.default_rng(16)
@@ -379,6 +397,12 @@ class TestCompare:
         other = Trajectory.from_frames(traj.positions, 24.0,
                                        traj.object_id + 1)
         with pytest.raises(IoError, match="object tables differ"):
+            compare_trajectories(traj, other)
+        moved = traj.object_id.copy()
+        moved[[0, -1]] = moved[[-1, 0]]
+        assert moved[0] != moved[-1]
+        other = Trajectory.from_frames(traj.positions, 24.0, moved)
+        with pytest.raises(IoError, match="particle object ids differ"):
             compare_trajectories(traj, other)
 
 
