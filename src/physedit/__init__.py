@@ -13,7 +13,7 @@ from .constitutive import batch_constitutive
 from .engine import (ObjectInit, SimConfig, SimulationState, build_state,
                      simulate, stable_dt, step)
 from .schedule import (InstructionSchedule, Intervention, ScheduleRuntime,
-                       Selector, Trigger, compile_schedule, ramp_value)
+                       Selector, Trigger, compile_schedule)
 from .trajectory import (Trajectory, export_trajectory, read_trajectory,
                          verify_trajectory)
 from .raster import CameraSpec, RasterFrame, rasterize_frame, write_pgm

@@ -20,7 +20,11 @@ Both transfers take all 27 stencil offsets o in {0,1,2}^3 at once, as
 (27, b) node indices and weights for blocks of b <= _BLOCK particles: the
 node offset is h (o - fx), so the affine term splits into h A o - h A fx
 and the APIC matrix into h (sum w v (x) o - v (x) fx), with the fx parts
-computed once.  Each block's indices (a flat base node per particle plus
+computed once.  Each transfer's one offset matmul per block also carries
+its per-particle constant: P2G multiplies [o, 1] (27 x 4) by (h A,
+q_base), with q_base = m (v + dt g_eff) - h A fx, and G2P multiplies
+[o; 1] (4 x 27) by the weighted node velocities, giving sum w v (x) o and
+v in one product.  Each block's indices (a flat base node per particle plus
 27 fixed steps) and weights are built once per substep: ``_p2g`` keeps
 them on the ``_Stencil`` and ``_g2p`` reads them back (``_couple_rigid``
 builds its own, per rigid group).  P2G adds mass and momentum into one
@@ -95,7 +99,10 @@ GRID_MARGIN = 3  # cells kept clear between particles and the grid faces
 # largest count as 0, so repeated or dependent contacts leave no spurious dof
 _RANK_RTOL = 1e-12
 _OFFSETS = np.array(list(np.ndindex(3, 3, 3)))  # (27, 3) (i, j, k), k fastest
-_OFFSETS_F = _OFFSETS.astype(np.float64)
+# rows o_x, o_y, o_z and 1 of the 27 offsets, (4, 27); P2G takes the
+# transpose [o, 1], whose unit stride along the offsets keeps a one-particle
+# block's matrix-vector product summing in the order of a larger block's
+_OFFSETS_1 = np.ascontiguousarray(np.vstack([_OFFSETS.T, np.ones(27)]))
 _BLOCK = 512  # particles per transfer block, the fastest of 256-1024 measured
 # simulate refuses a larger (frames, N, 3) frame array before allocating it.
 # A frame value costs 4 B there and 12 B more while Trajectory.from_frames
@@ -304,9 +311,7 @@ def _check_inside(state: SimulationState, build=False):
     if (lo >= GRID_MARGIN).all() and (hi <= (state.dims - 1) - GRID_MARGIN).all():
         return
     gx = (state.x - state.origin) / state.h
-    lo_ok = gx >= GRID_MARGIN
-    hi_ok = gx <= (state.dims - 1) - GRID_MARGIN
-    bad = ~(lo_ok & hi_ok).all(axis=1)
+    bad = ~((gx >= GRID_MARGIN) & (gx <= (state.dims - 1) - GRID_MARGIN)).all(axis=1)
     i = int(np.nonzero(bad)[0][0])
     msg = (f"particle {i} at {state.x[i]} outside grid margin "
            f"(origin {state.origin}, dims {state.dims}, h {state.h})")
@@ -449,7 +454,11 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
     A node at offset o in {0,1,2}^3 sits at dpos = h (o - fx) from the
     particle, so the affine term A dpos = h A o - h A fx, and only h A o
     changes with the offset.  g_eff is the (3, N) body-force acceleration
-    of ``_Derived``.  Mass and momentum go into one (4, n_sub) grid, one
+    of ``_Derived``.  Each block's momentum terms w (q_base + h A o), with
+    q_base = m (v + dt g_eff) - h A fx, come from one matmul of [o, 1]
+    (27 x 4) by (h A, q_base), (3, 4, b), and a scaling by w, with the
+    bits of adding q_base after the product [o] h A; its mass terms are
+    w m.  Mass and momentum go into one (4, n_sub) grid, one
     ``np.add.at`` per channel and block, so each node sums its terms in
     one chain, in block and offset order.  Returns (stencil, grid_mass
     (n_sub,), grid_mom (3, n_sub)), views of that grid; the stencil keeps
@@ -465,11 +474,14 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
     sub = hi + 3 - lo
     stencil = _Stencil(fx, _bspline_weights(fx), base - lo[:, None], lo, sub)
 
-    # h A, component-major: h_a[i, k] is h A_ik of every particle, (3, 3, N)
-    h_a = h * ((-dt * state.vol0 * 4.0 / (h * h)) * kirchhoff.transpose(1, 2, 0)
-               + state.mass * state.c_apic.transpose(1, 2, 0))
-    mom_p = state.mass * (state.v.T + dt * g_eff)
-    q_base = mom_p - (h_a * fx[None, :, :]).sum(axis=1)
+    # aff[i] = (h A_i0, h A_i1, h A_i2, q_base_i), component-major (3, 4, N),
+    # with q_base = m (v + dt g_eff) - h A fx, so [o, 1] aff[i] = q_base_i + h A o
+    aff = np.empty((3, 4, state.n_particles))
+    h_a, q_base = aff[:, :3], aff[:, 3]
+    h_a[...] = h * ((-dt * state.vol0 * 4.0 / (h * h)) * kirchhoff.transpose(1, 2, 0)
+                    + state.mass * state.c_apic.transpose(1, 2, 0))
+    np.subtract(state.mass * (state.v.T + dt * g_eff),
+                h_a[:, 0] * fx[0] + h_a[:, 1] * fx[1] + h_a[:, 2] * fx[2], out=q_base)
 
     grid = np.zeros((4, int(sub.prod())))
     buf = np.empty(4 * 27 * _BLOCK)  # one block's products, reused
@@ -479,10 +491,9 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
         stencil.blocks.append((rows, idx, w))
         # q[0, o] = w m and q[1:, o] = w (q_base + h A o), (4, 27, b)
         q = buf[:4 * w.size].reshape(4, *w.shape)
-        q[0] = state.mass[rows]
-        np.matmul(_OFFSETS_F, h_a[:, :, rows], out=q[1:])
-        q[1:] += q_base[:, None, rows]
-        q *= w
+        np.multiply(w, state.mass[rows], out=q[0])
+        np.matmul(_OFFSETS_1.T, aff[:, :, rows], out=q[1:])
+        q[1:] *= w
         for channel, terms in zip(grid, q):
             np.add.at(channel, idx, terms.ravel())
     return stencil, grid[0], grid[1:]
@@ -702,21 +713,25 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
 
     B = sum_o w v (x) dpos = h (sum_o w v (x) o - v (x) fx), and the
     affine velocity is C = 4 B / h^2.  The blocks are the ones ``_p2g``
-    kept on the stencil.  C and F = (I + dt C) F are formed
+    kept on the stencil; one matmul of [o; 1] (4 x 27) by each block's
+    weighted node velocities gives sum_o w v (x) o and v = sum_o w v
+    together.  C and F = (I + dt C) F are formed
     component-major, (3, 3, N), and stored as (N, 3, 3) views.  rigid
     pairs each rigid group with its motion from ``_couple_rigid``, which
     ``_move_rigid`` applies.
     """
     n = state.n_particles
-    v = np.empty((3, n))
-    c = np.empty((3, 3, n))  # c[i, m] = sum_o w v_i o_m, then C_im
+    sums = np.empty((3, 4, n))  # sums[i] = (sum_o w v_i o, sum_o w v_i)
     for rows, idx, w in stencil.blocks:
         wv = np.take(grid_v, idx, axis=1).reshape(3, *w.shape)
         wv *= w
-        v[:, rows] = wv.sum(axis=1)
-        c[:, :, rows] = np.matmul(_OFFSETS_F.T, wv)
-    c -= v[:, None, :] * stencil.fx[None, :, :]
+        np.matmul(_OFFSETS_1, wv, out=sums[:, :, rows])
+    v = sums[:, 3].copy()
+    # c[i, m] = v_i fx_m, then C_im, C-ordered whatever the layout of fx
+    c = np.multiply(v[:, None, :], stencil.fx, order="C")
+    np.subtract(sums[:, :3], c, out=c)
     c *= 4.0 / state.h
+    del sums  # before F's update, where a substep's memory peaks
 
     state.v = v.T
     state.c_apic = c.transpose(2, 0, 1)

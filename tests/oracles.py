@@ -4,10 +4,11 @@ Everything here is written as plain scalar loops (or per-pixel loops, or
 per-node masks over a whole grid box, or per-offset loops over the 27
 nodes of a particle's stencil) so the library's vectorized kernels
 are checked against code that shares no implementation path with them.
-The exceptions are the two earlier forms of optimized kernels, kept so
+The exceptions are the three earlier forms of optimized kernels, kept so
 their replacements can be held to the same bits: ``return_map_oracle``
-(every return-mapped particle through ``svd3``) and
-``wide_stencil_raster_oracle`` (the (2 ceil(r) + 1)^2 pixel stencil).
+(every return-mapped particle through ``svd3``),
+``wide_stencil_raster_oracle`` (the (2 ceil(r) + 1)^2 pixel stencil) and
+``unfused_p2g_oracle`` (P2G adding q_base after its offset matmul).
 """
 
 import math
@@ -327,6 +328,58 @@ def p2g_oracle(state, dt, kirchhoff):
         for a in range(3):
             np.add.at(grid_mom[a], idx, q[:, a])
     return lo, sub, grid_mass, grid_mom
+
+
+def ramp_oracle(v_from, v_to, t_since_trigger, ramp_duration, scale):
+    """A ramp's value in closed form: the target for duration 0, else with
+    a = clamp(t / duration, 0, 1), v_from + a (v_to - v_from) on a linear
+    scale and exp((1 - a) ln v_from + a ln v_to) on a log one."""
+    v_from = np.asarray(v_from, dtype=np.float64)
+    v_to = np.asarray(v_to, dtype=np.float64)
+    if ramp_duration == 0:
+        return np.broadcast_to(v_to, np.broadcast_shapes(v_from.shape,
+                                                         v_to.shape))
+    a = min(max(t_since_trigger / ramp_duration, 0.0), 1.0)
+    if scale == "linear":
+        return v_from + a * (v_to - v_from)
+    return np.exp((1.0 - a) * np.log(v_from) + a * np.log(v_to))
+
+
+def unfused_p2g_oracle(state, dt, kirchhoff, g_eff, block):
+    """Grid (4, n_sub) of mass and momentum summed as ``_p2g`` summed them
+    before its offset matmul carried each particle's constant term: per
+    block of ``block`` particles, q[0] = m and q[1:] = [o] h A + q_base,
+    then q *= w, added with one ``np.add.at`` per channel in block and
+    offset order.  Returns (lo, sub, grid)."""
+    h = state.h
+    gx = (state.x.T - state.origin[:, None]) / h  # (3, N)
+    base = np.floor(gx - 0.5).astype(np.int64)
+    fx = gx - base
+    lo = base.min(axis=1)
+    sub = base.max(axis=1) + 3 - lo
+    wts = np.stack([0.5 * (1.5 - fx) ** 2, 0.75 - (fx - 1.0) ** 2,
+                    0.5 * (fx - 0.5) ** 2], axis=1)  # (3 axes, 3 offsets, N)
+    offsets = np.array(list(product(range(3), repeat=3)))
+    flat = np.ravel_multi_index(base - lo[:, None], sub)
+    steps = np.ravel_multi_index(offsets.T, sub)
+    h_a = h * ((-dt * state.vol0 * 4.0 / (h * h)) * kirchhoff.transpose(1, 2, 0)
+               + state.mass * state.c_apic.transpose(1, 2, 0))
+    q_base = (state.mass * (state.v.T + dt * g_eff)
+              - (h_a * fx[None, :, :]).sum(axis=1))
+    grid = np.zeros((4, int(sub.prod())))
+    for start in range(0, flat.size, block):
+        rows = slice(start, start + block)
+        wx, wy, wz = wts[:, :, rows]
+        w = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).reshape(27, -1)
+        q = np.empty((4,) + w.shape)
+        q[0] = state.mass[rows]
+        np.matmul(offsets.astype(np.float64), h_a[:, :, rows], out=q[1:])
+        q[1:] += q_base[:, None, rows]
+        q *= w
+        idx = (steps[:, None] + flat[rows]).ravel()
+        for channel, terms in zip(grid, q):
+            np.add.at(channel, idx, terms.ravel())
+    return lo, sub, grid
 
 
 def g2p_oracle(state, grid_v):

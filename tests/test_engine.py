@@ -16,7 +16,7 @@ import physedit.engine as engine
 from physedit import cli, constitutive
 from oracles import (boundary_layers_oracle, contact_rows_oracle,
                      g2p_oracle, grid_update_oracle, p2g_oracle,
-                     rigid_fit_oracle)
+                     rigid_fit_oracle, unfused_p2g_oracle)
 from physedit.constitutive import batch_constitutive
 from physedit.engine import (_BC_MODES, _WALL_NAMES, GRID_MARGIN, ObjectInit,
                              SimConfig, _boundaries, _boundary_layers, _derive,
@@ -576,6 +576,56 @@ class TestTransfers:
         assert abs(grid_mass.sum() - st.mass.sum()) <= 8 * eps * st.mass.sum()
         assert np.abs(grid_mom.sum(axis=1) - mom_p.sum(axis=1)).max() \
             <= 4 * eps * scale
+
+    @pytest.mark.parametrize("n", [1, engine._BLOCK - 1, engine._BLOCK + 1,
+                                   3 * engine._BLOCK + 7])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=hst.data())
+    def test_p2g_fold_changes_no_bit(self, n, data):
+        """Carrying q_base in the offset matmul, [o, 1] (h A, q_base), and
+        forming w m in one product gives the grid the same bits as adding
+        q_base after [o] h A and then scaling all four channels by w, in
+        blocks of one particle too."""
+        st = data.draw(transfer_states(n))
+        dt = data.draw(hst.sampled_from([1e-5, 1e-3]))
+        kirchhoff, _ = batch_constitutive(st.f, st.class_id, st.young_modulus,
+                                          st.poisson_ratio)
+        g_eff = _derive(st).g_eff
+        stencil, grid_mass, grid_mom = _p2g(st, dt, kirchhoff, g_eff)
+        lo, sub, grid = unfused_p2g_oracle(st, dt, kirchhoff, g_eff,
+                                           engine._BLOCK)
+        assert np.array_equal(stencil.lo, lo)
+        assert np.array_equal(stencil.sub, sub)
+        assert np.array_equal(grid_mass, grid[0])
+        assert np.array_equal(grid_mom, grid[1:])
+
+    @pytest.mark.parametrize("n", [1, engine._BLOCK + 1])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(data=hst.data(), seed=hst.integers(0, 2 ** 32 - 1))
+    def test_g2p_reproduces_an_affine_grid_velocity(self, n, data, seed):
+        """A grid velocity a + B x_node gathers to v_p = a + B x_p and
+        C_p = B.  Quadratic B-splines reproduce linear fields, sum_o w
+        x_node = x_p, and APIC's D_p = sum_o w (x_node - x_p)(x_node -
+        x_p)^T = h^2/4 I (Jiang et al. 2015, "The affine particle-in-cell
+        method"), so C_p = (4 / h^2) B D_p = B.  C forms sum w v o - v fx
+        and scales it by 4 / h, so its rounding is relative to (4 / h)
+        max |v_node|: 240 states gave at most 5.1 eps of that (7.4e-13 of
+        max |B|) and 5.6e-15 of max |v_p| for v before the bounds were
+        set."""
+        st = data.draw(transfer_states(n))
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(3), rng.standard_normal((3, 3))
+        kirchhoff, _ = batch_constitutive(st.f, st.class_id, st.young_modulus,
+                                          st.poisson_ratio)
+        stencil, _, _ = _p2g(st, 1e-5, kirchhoff, _derive(st).g_eff)
+        nodes = np.indices(stencil.sub).reshape(3, -1) + stencil.lo[:, None]
+        grid_v = a[:, None] + b @ (st.origin[:, None] + st.h * nodes)
+        x_p = st.x.copy()
+        _g2p(st, 1e-5, stencil, grid_v, [])
+        assert_close(st.v, a + x_p @ b.T)
+        eps = np.finfo(float).eps
+        assert np.abs(st.c_apic - b).max() \
+            <= 16 * eps * 4.0 / st.h * np.abs(grid_v).max()
 
 
 def layout_case(seed, n, shuffled, component_major):

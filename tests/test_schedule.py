@@ -19,6 +19,7 @@ from physedit.schedule import (DEFAULT_MAX_LOG_RATE, InstructionSchedule,
                                ScheduleRuntime, compile_schedule, ramp_value)
 from physedit.fill import FillConfig, fill_field
 from physedit.scenes import cube_shell_positions, uniform_field
+from oracles import ramp_oracle
 
 
 def scene_map():
@@ -55,6 +56,14 @@ class TestRampValue:
             ramp_value(0.0, 10.0, 0.5, 1.0, scale="log")
         with pytest.raises(DomainError):
             ramp_value(1.0, -1.0, 0.5, 1.0, scale="log")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(v_from=hst.floats(1e-3, 1e6), v_to=hst.floats(1e-3, 1e6),
+           t=hst.floats(-1.0, 3.0), duration=hst.sampled_from([0.0, 0.5, 2.0]),
+           scale=hst.sampled_from(["linear", "log"]))
+    def test_matches_closed_form(self, v_from, v_to, t, duration, scale):
+        assert np.array_equal(ramp_value(v_from, v_to, t, duration, scale),
+                              ramp_oracle(v_from, v_to, t, duration, scale))
 
     def test_array_from_values(self):
         out = ramp_value(np.array([1.0, 100.0]), 10.0, 0.5, 1.0, scale="log")
@@ -350,8 +359,8 @@ class TestApply:
     def test_ramp_writes_ramp_value(self, target, prop, value, scale,
                                     duration):
         """At every substep of a line, before, on and after its ramp, apply
-        writes what ramp_value gives from the line's start values, bit for
-        bit."""
+        writes the closed-form ramp value from the line's start values, bit
+        for bit."""
         state, _ = make_state(n=5)
         column = getattr(state, prop)
         column *= np.linspace(0.8, 1.2, column.size)
@@ -363,7 +372,7 @@ class TestApply:
         dt = 0.0037
         for k in range(25):
             rt.apply(state, k * dt, dt)
-            expected = start if k * dt < 0.01 else ramp_value(
+            expected = start if k * dt < 0.01 else ramp_oracle(
                 start, value, k * dt - 0.01, duration, scale)
             assert np.array_equal(column, expected), k
         assert rt.done == [True]
