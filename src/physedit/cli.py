@@ -1,13 +1,5 @@
-"""Command-line entry point.
-
-Subcommands:
-
-  fill      surface field file -> solid field file
-  simulate  scene file (or bundled scene) -> trajectory dir + images
-  analyze   labeled field + targets -> loss breakdown and gradient checks
-  verify    trajectory dir -> integrity report
-  compare   two trajectory dirs -> largest centroid, AABB and particle
-            position deviation
+"""Command-line entry point: ``build_parser`` defines the subcommands
+fill, simulate, analyze, verify and compare.
 
 Flags override the scene file; no environment variable is read.  Every
 failure prints one machine-readable JSON error record on stderr and

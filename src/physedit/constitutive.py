@@ -5,10 +5,8 @@ al. 2018), so that is what ``batch_constitutive`` returns, together with
 the updated F.  ``_class_rows`` gives each class one selection of its
 particles, and each class does only its own work on it:
 
-  Elastic     fixed corotated  P = 2 mu (F - R) + lambda (J - 1) J F^-T.
-              R F^T = sqrt(b) with b = F F^T, so tau = 2 mu (b - sqrt(b))
-              + lambda (J - 1) J I, with sqrt(b) in closed form from b,
-              b^2 and the invariants of F (``_elastic_kirchhoff``)
+  Elastic     fixed corotated  P = 2 mu (F - R) + lambda (J - 1) J F^-T,
+              tau in closed form from b = F F^T (``_elastic_kirchhoff``)
   Rigid       skipped: tau = 0 and F unchanged.  The solver keeps a
               rigid particle's F = I (each rigid group moves as one
               rigid body), where the fixed-corotated stress is exactly 0
@@ -25,29 +23,8 @@ particles, and each class does only its own work on it:
               (Stomakhin et al. 2013)
 
 These four plasticity constants are module constants, the same for every
-particle of a class.
-
-A PLASTICINE or SNOW particle strictly inside its yield surface, tested
-on every call from the eigenvalues of b (``_inside_yield``), has a return
-mapping that leaves F as it is, so it keeps F and takes the ELASTIC
-closed form of the same F.  The other PLASTICINE and SNOW particles and
-every SAND particle decompose F once, F = U diag(sigma) V^T with proper
-rotations U, V (``svd3``), and derive everything else from that single
-decomposition: J = sigma_1 sigma_2 sigma_3, the projected gradient
-U diag(sigma') V^T of the return mappings, and tau = U diag(d) U^T for a
-vector d = p sigma of principal Kirchhoff stresses, where
-P = U diag(p) V^T.  tau is formed exactly symmetric, which keeps angular
-momentum (Jiang et al. 2015).
-
-``svd3`` runs its Jacobi sweeps on F^T F / tr(F^T F), whose entries lie
-in [-1, 1] at any scale of F, so each rotation is a plain sqrt of squares
-rather than the much slower overflow-safe np.hypot.  A particle stops
-rotating once every off-diagonal of that matrix satisfies
-|a_pq| <= 4 eps sqrt(a_pp a_qq), the relative test of Demmel & Veselic
-1992, "Jacobi's method is more accurate than QR", which keeps small
-singular values accurate relative to themselves; _JACOBI_SWEEPS is only
-a cap.  The test reads a particle's own entries alone, so each row of a
-batch comes out bit for bit as it does in a one-row call.
+particle of a class.  ``batch_constitutive`` says which particles take
+the ELASTIC closed form and which the one decomposition ``svd3``.
 """
 
 from __future__ import annotations
@@ -63,16 +40,14 @@ SNOW_THETA_C = 2.5e-2
 SNOW_THETA_S = 7.5e-3
 
 _SIGMA_FLOOR = 1e-6  # keeps log strains finite under extreme compression
-# a PLASTICINE or SNOW row keeps F and takes the ELASTIC closed form only
-# when it is inside its yield surface by this relative margin and its
-# sigma_min / sigma_max is at least _MIN_RATIO (``_inside_yield``)
+# the relative yield margin and least sigma_min / sigma_max of _inside_yield
 _MARGIN = 1e-6
 _MIN_RATIO = 1e-2
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _UPPER = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # _FULL[a][b] is the position of entry (a, b) in a _UPPER-ordered list
 _FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
-# F given as a flat (9, N) array, a[3 i + k] = F_ik: cofactor (i, k) is
+# flat F is a (9, N) array a, a[3 i + k] = F_ik: cofactor (i, k) is
 # F_(i+1)(k+1) F_(i+2)(k+2) - F_(i+1)(k+2) F_(i+2)(k+1), indices mod 3, and
 # (F F^T)_ab sums F_ak F_bk over k, for each (a, b) in _UPPER
 _COF = np.array([[3 * ((i + di) % 3) + (k + dk) % 3
@@ -84,7 +59,6 @@ _GRAM = np.array([[[3 * row[m] + k for k in range(3)] for row in _UPPER]
 _GRAM_SYM = _FULL[_GRAM // 3, _GRAM % 3]
 # Cyclic Jacobi on a 3x3 symmetric matrix converges quadratically; four
 # sweeps reach working precision (TestSvd3 checks reconstruction to 1e-13).
-# A cap: each particle stops rotating once its off-diagonals meet _OFF_TOL2.
 _JACOBI_SWEEPS = 4
 # An off-diagonal a_pq of the trace-normalized Gram matrix counts as zero when
 # |a_pq| <= 4 eps sqrt(a_pp a_qq) (Demmel & Veselic 1992): 4 eps bounds the
@@ -116,7 +90,10 @@ def svd3(f):
     cos = 1 / sqrt(1 + t^2), with |t| <= 1, cannot overflow at any scale
     of F; squares underflow only for entries below about 1e-154 of the
     trace, far under round-off.  So no np.hypot (several times the cost
-    of a sqrt) is needed.
+    of a sqrt) is needed.  A particle stops rotating once its
+    off-diagonals meet _OFF_TOL2, a test of its own entries alone, so each
+    row of a batch comes out bit for bit as in a one-row call;
+    _JACOBI_SWEEPS is only a cap.
     """
     f = np.asarray(f, dtype=np.float64)
     n = f.shape[0]
@@ -247,7 +224,8 @@ def _recompose(u, d, v):
 
 
 def _symmetric_recompose(u, d):
-    """U diag(d) U^T as (9, N) rows, as in ``_recompose``, exactly symmetric.
+    """U diag(d) U^T as (9, N) rows, as in ``_recompose``, exactly symmetric,
+    which keeps angular momentum (Jiang et al. 2015).
 
     Entry (a, b) sums (d u_a) u_b over the columns, which in floating point
     differs from the sum of (d u_b) u_a, so each of the six unique entries
@@ -280,10 +258,8 @@ def _class_rows(class_id):
     """The particles of each MaterialClass, as a tuple indexed by class.
 
     Entry c is a ``_selection`` of the particles whose class is c, in
-    ascending index order: a slice when they form one contiguous run, as
-    in every scene whose objects each hold one class, and an index array
-    otherwise, empty when the class has no particles.  The stable sort
-    runs on int8 keys, for which numpy uses a radix sort.
+    ascending index order.  The stable sort runs on int8 keys, for which
+    numpy uses a radix sort.
     """
     order = np.argsort(class_id.astype(np.int8), kind="stable")
     start = np.zeros(len(MaterialClass) + 1, dtype=np.int64)
@@ -294,26 +270,22 @@ def _class_rows(class_id):
 
 
 def _det(a):
-    """det F of F given as a[3 i + k] = F_ik, (9, N), with the bits of
-    ``_cofactor``'s determinant."""
+    """det F of flat F a, with the bits of ``_cofactor``'s determinant."""
     g = a[_COF[:, :3]]
     return (a[:3] * (g[0] * g[1] - g[2] * g[3])).sum(axis=0)
 
 
 def _cofactor(a):
-    """Cofactor matrices and determinants of F given as a[3 i + k] = F_ik.
-
-    a is (9, N); returns (cof (9, N) in the same layout, det F (N,)), with
-    det F = F_00 cof_00 + F_01 cof_01 + F_02 cof_02 in that order.
-    """
+    """Cofactor matrices and determinants of flat F a: (cof (9, N) in the
+    same layout, det F (N,)), det F = F_00 cof_00 + F_01 cof_01 + F_02 cof_02
+    in that order."""
     g = a[_COF]
     cof = g[0] * g[1] - g[2] * g[3]
     return cof, (a[:3] * cof[:3]).sum(axis=0)
 
 
 def _gram(a):
-    """Upper triangle of b = F F^T, (6, N) in _UPPER order, of F given as
-    a[3 i + k] = F_ik."""
+    """Upper triangle of b = F F^T, (6, N) in _UPPER order, of flat F a."""
     g = a[_GRAM]
     return (g[0] * g[1]).sum(axis=1)
 
@@ -371,9 +343,8 @@ def _elastic_kirchhoff(b, lam1, cof, j, mu, lam):
     # - b^2 then vanishes on b's largest eigenvector, which halves the
     # rounding that i1 i2 - i3 amplifies when s2 and s3 are small
     rest = s1 * s2_plus_s3 + s2_plus_s3 * s2_plus_s3 - s23
-    # sqrt(b) = (lambda_1 b - b^2 + rest b + i1 i3 I) / (i1 i2 - i3), and
-    # tau = 2 mu (b - sqrt(b)) + lambda (J - 1) J I, built in place in the
-    # order and so with the rounding of those expressions
+    # tau in place, in the order and so with the rounding of the formula,
+    # with sqrt(b) = (lambda_1 b - b^2 + rest b + i1 i3 I) / (i1 i2 - i3)
     tau = lam1 * b
     tau -= b_sq
     tau += rest * b
@@ -425,23 +396,23 @@ def batch_constitutive(f, class_id, e, nu, rows=None, lame=None):
     f (N,3,3), class_id (N,), e (N,), nu (N,).  Returns (kirchhoff (N,3,3),
     f_new (N,3,3)); the Kirchhoff stress is exactly symmetric.  rows is
     ``_class_rows(class_id)`` and lame the per-particle
-    ``lame_parameters(e, nu)``, which the engine keeps between the
-    schedule edits that change them; without them they are derived here.
+    ``lame_parameters(e, nu)``; each is derived here when not given.
 
     ELASTIC, PLASTICINE and SNOW take one closed-form path, a class at a
     time: b = F F^T and its largest eigenvalue for every row, the yield
     test for PLASTICINE and SNOW rows only, and ``_elastic_kirchhoff`` on
-    the rows kept.  ``svd3`` runs once, on the PLASTICINE rows that fail
-    the test, every SAND row and the SNOW rows that fail it, in that
-    order, and each class return-maps its own run of that batch.  LIQUID
-    needs only det F, and RIGID is skipped.  A class with no particles
-    does no work.  Every row's J is checked before any stress is formed: a
-    non-finite F or a J <= 0 raises ``NumericalError`` naming the lowest
-    such particle.
+    the rows kept, which keep F.  ``svd3`` runs once, on the PLASTICINE
+    rows that fail the test, every SAND row and the SNOW rows that fail
+    it, in that order, and each class return-maps its own run of that
+    batch: J = prod sigma, F = U diag(sigma') V^T and tau = U diag(d) U^T
+    for the principal Kirchhoff stresses d = p sigma, P = U diag(p) V^T.
+    LIQUID needs only det F, and RIGID is skipped.  A class with no
+    particles does no work.  Every row's J is checked before any stress is
+    formed: a non-finite F or a J <= 0 raises ``NumericalError`` naming
+    the lowest such particle.
 
     Every class works on F as (9, N) rows, flat[3 i + k] = F_ik: a free
-    view of a component-major f (an (N,3,3) view of a contiguous (3,3,N)
-    buffer, as the engine keeps it) and a copy of any other.  kirchhoff and
+    view of a component-major f and a copy of any other.  kirchhoff and
     f_new are component-major, and their values depend neither on f's
     layout nor on whether a class is selected by a slice or an index array.
     """

@@ -1,78 +1,21 @@
 """MLS-MPM solver over the six constitutive classes.
 
-One substep (``step``) takes each particle's Kirchhoff stress tau = P F^T
-and updated F from ``batch_constitutive``, which does only the work each
-particle's class needs, and then composes four named phases, the classic
-transfer with quadratic B-spline kernels and APIC affine velocities:
+``step`` advances one substep: it takes the Kirchhoff stress tau = P F^T
+and the updated F from ``batch_constitutive`` and then runs four phases,
+with quadratic B-spline kernels and APIC affine velocities:
 
-  _p2g          scatter mass and momentum (body forces folded in) plus the
-                fused MLS stress term -dt V0 (4 / h^2) tau to the
-                background grid
-  _grid_update  momentum -> velocity, damping, ground and wall boundary
-                conditions on slabs of whole node layers
-  _couple_rigid give the support nodes of each rigid group one rigid
-                motion, fitted to their momentum under the ground and
-                wall constraints
-  _g2p          gather velocity and the affine matrix, update F and
-                positions; rigid groups move by their fitted motion
+  _p2g          scatter mass and momentum, body forces and the MLS stress
+                term to the grid, building each block's ``_Stencil``
+  _grid_update  momentum -> velocity, damping, and the ground and walls
+                on whole node layers (``_boundary_layers``)
+  _couple_rigid give each rigid group's support nodes one fitted rigid
+                motion (``_rigid_groups``)
+  _g2p          gather velocity and the APIC matrix, update F and the
+                positions; rigid groups move rigidly (``_move_rigid``)
 
-Both transfers take all 27 stencil offsets o in {0,1,2}^3 at once, as
-(27, b) node indices and weights for blocks of b <= _BLOCK particles: the
-node offset is h (o - fx), so the affine term splits into h A o - h A fx
-and the APIC matrix into h (sum w v (x) o - v (x) fx), with the fx parts
-computed once.  Each transfer's one offset matmul per block also carries
-its per-particle constant: P2G multiplies [o, 1] (27 x 4) by (h A,
-q_base), with q_base = m (v + dt g_eff) - h A fx, and G2P multiplies
-[o; 1] (4 x 27) by the weighted node velocities, giving sum w v (x) o and
-v in one product.  Each block's indices (a flat base node per particle plus
-27 fixed steps) and weights are built once per substep: ``_p2g`` keeps
-them on the ``_Stencil`` and ``_g2p`` reads them back (``_couple_rigid``
-builds its own, per rigid group).  P2G adds mass and momentum into one
-(4, nodes) grid on a compact active box with one np.add.at per channel
-and block, so each node sums its terms in one chain, in block and offset
-order, and results are bit-reproducible regardless of worker thread
-count.  Body forces (gravity, wind) enter through the particle momentum
-with per-particle scale factors so schedules can manipulate single objects.
-
-x, v, F, the APIC matrix C and tau are kept component-major: x and v are
-(N, 3) views (``.T``) of contiguous (3, N) buffers, F, C and tau (N, 3, 3)
-views (``.transpose(2, 0, 1)``) of contiguous (3, 3, N) ones, so each
-component of every particle is one contiguous row.  ``build_state``
-allocates x, v, F and C so, ``batch_constitutive`` reads F as (9, N) rows
-and returns tau and F so, and the transfers, ``stable_dt`` and
-``_check_inside`` read them row by row.  A caller may assign C-ordered
-arrays instead; the results are the same bits, and ``step`` stores them
-component-major again.
-
-A substep's inputs change at three rates, and each is derived at its own:
-
-  per run       the node layers the ground and each wall constrain
-                (``_boundary_layers``), which each substep cuts to its
-                active box as slices; the particles each schedule line
-                selects and those of each object an event probes
-                (``ScheduleRuntime``)
-  per edit      the CFL bounds max c_p and g_max of ``stable_dt``, the
-                per-particle Lame parameters and body-force accelerations,
-                the class selections of ``batch_constitutive`` and the
-                rigid groups: ``simulate`` derives them (``_Derived``) at
-                the start, and all of them again after any substep with
-                an edit
-  per substep   everything that reads x, v, C or F
-
-``simulate`` passes ``_Derived`` to ``stable_dt`` and ``step``.  These
-public entry points and ``batch_constitutive`` derive what they are not
-given; the phases below them never do, and take each input in one form.
-
-A rigid group is the RIGID-class particles that share an object id and
-a part label; it carries no stress, and its F stays I.  Its motion
-V + omega x (x - c) is the mass-weighted least-squares fit to the grid
-velocities of its support nodes (every node in a member's stencil),
-which keeps their linear momentum and their angular momentum about
-their centroid c.  Other objects that share those nodes move with the
-group there, which is how the two exchange momentum (a simplified form
-of the two-way rigid coupling of Hu et al. 2018).  The group's
-particles take that motion exactly, and their positions advance by the
-rotation exp(dt [omega]x) about c, so the shape holds to round-off.
+``SimulationState`` fixes the particle layout, ``_Derived`` what each
+substep reads that changes only with a schedule edit, and ``simulate``
+steps from frame to frame at ``stable_dt``.
 """
 
 from __future__ import annotations
@@ -182,10 +125,10 @@ class ObjectInit:
 
 @dataclass
 class SimulationState:
-    # per particle; x and v are (N, 3) views of contiguous component-major
-    # (3, N) buffers, c_apic and f (N, 3, 3) views of (3, 3, N) ones, so
-    # x.T, v.T, c_apic.transpose(1, 2, 0) and f.transpose(1, 2, 0) are
-    # free; step takes any layout and stores them component-major again
+    # per particle; x and v are (N, 3) views of contiguous (3, N) buffers,
+    # c_apic and f (N, 3, 3) views of (3, 3, N) ones, so each component is
+    # one contiguous row; step takes any layout, with the same bits, and
+    # stores them component-major again
     x: np.ndarray
     v: np.ndarray
     c_apic: np.ndarray
@@ -303,7 +246,6 @@ def _check_inside(state: SimulationState, build=False):
     (x - origin) / h rounds monotonically in x, so testing the per-axis
     extremes of x gives the per-particle test's answer bit for bit; the
     per-particle pass runs only on failure, to name the lowest bad index.
-    The extremes are row reductions of the component-major x.T.
     """
     xt = state.x.T
     lo = (xt.min(axis=1) - state.origin) / state.h
@@ -329,7 +271,9 @@ class _Derived:
     from the columns only ``ScheduleRuntime.apply`` writes (E, nu, rho,
     the class, the gravity and wind scales, the scene's gravity and wind),
     so ``simulate`` derives them at the start and all of them again after
-    any substep with an edit.
+    any substep with an edit.  ``stable_dt``, ``step`` and
+    ``batch_constitutive`` derive what they are not given; the phases
+    below them never do.
     """
 
     bounds: tuple  # _boundary_layers(state)
@@ -365,13 +309,11 @@ def stable_dt(state: SimulationState, cfg: SimConfig,
     dt = cfl h / (max c_p + max |v|), with c_p over the non-RIGID
     particles only (rigid ones carry no stress), and at most
     sqrt(cfl h / g_max), the time a particle starting at rest takes to
-    fall cfl h / 2 under g_max = |gravity| max |gravity_scale| + |wind|
-    max |wind_scale|, which bounds every particle's body force; so a scene
-    where nothing deformable moves still gets a finite step.  Returns
+    fall cfl h / 2 under g_max (``_Derived``), which bounds every
+    particle's body force; so a scene where nothing deformable moves
+    still gets a finite step.  Returns
     inf when neither bound applies (no deformable particle, nothing
     moving and no body force); simulate then steps to the next frame.
-    max c_p and g_max come from ``derived``, which ``simulate`` keeps
-    between schedule edits; without it they are derived here.
     """
     if derived is None:
         derived = _derive(state)
@@ -437,11 +379,9 @@ class _Stencil:
         return np.ravel_multi_index(_OFFSETS.T, self.sub)
 
     def block(self, rows):
-        """Flat node indices (27 b,) and weights (27, b) of particles ``rows``.
-
-        Offset _OFFSETS[o] comes o-th, so every grid sum adds its terms in
-        the same order whatever the thread count.
-        """
+        """Flat node indices (27 b,) and weights (27, b) of particles
+        ``rows``, offset _OFFSETS[o] o-th: one base node per particle plus
+        the 27 fixed steps."""
         wx, wy, wz = self.w[:, :, rows]
         w = wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
         idx = self.steps[:, None] + self.flat[rows]
@@ -449,20 +389,18 @@ class _Stencil:
 
 
 def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
-    """Scatter mass and momentum, with the fused MLS stress term, to the grid.
+    """Scatter mass and momentum, with the fused MLS stress term
+    -dt V0 (4 / h^2) tau, to the grid.
 
-    A node at offset o in {0,1,2}^3 sits at dpos = h (o - fx) from the
-    particle, so the affine term A dpos = h A o - h A fx, and only h A o
-    changes with the offset.  g_eff is the (3, N) body-force acceleration
-    of ``_Derived``.  Each block's momentum terms w (q_base + h A o), with
-    q_base = m (v + dt g_eff) - h A fx, come from one matmul of [o, 1]
-    (27 x 4) by (h A, q_base), (3, 4, b), and a scaling by w, with the
-    bits of adding q_base after the product [o] h A; its mass terms are
-    w m.  Mass and momentum go into one (4, n_sub) grid, one
-    ``np.add.at`` per channel and block, so each node sums its terms in
-    one chain, in block and offset order.  Returns (stencil, grid_mass
-    (n_sub,), grid_mom (3, n_sub)), views of that grid; the stencil keeps
-    its blocks for ``_g2p``.
+    A node at offset o in {0,1,2}^3 sits at h (o - fx) from the particle,
+    so the affine term is h A o - h A fx.  Each block's momentum terms
+    w (q_base + h A o), with q_base = m (v + dt g_eff) - h A fx, come from
+    one matmul of [o, 1] (27 x 4) by (h A, q_base) and a scaling by w,
+    with the bits of adding q_base after [o] h A; its mass terms are w m.
+    Both go into one (4, n_sub) grid on the active box, one ``np.add.at``
+    per channel and block, so each node sums its terms in one chain, in
+    block and offset order, whatever the thread count.  Returns (stencil,
+    grid_mass (n_sub,), grid_mom (3, n_sub)), views of that grid.
     """
     h = state.h
     gx = (state.x.T - state.origin[:, None]) / h  # (3, N)
@@ -474,8 +412,7 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
     sub = hi + 3 - lo
     stencil = _Stencil(fx, _bspline_weights(fx), base - lo[:, None], lo, sub)
 
-    # aff[i] = (h A_i0, h A_i1, h A_i2, q_base_i), component-major (3, 4, N),
-    # with q_base = m (v + dt g_eff) - h A fx, so [o, 1] aff[i] = q_base_i + h A o
+    # aff[i] = (h A_i0, h A_i1, h A_i2, q_base_i), (3, 4, N)
     aff = np.empty((3, 4, state.n_particles))
     h_a, q_base = aff[:, :3], aff[:, 3]
     h_a[...] = h * ((-dt * state.vol0 * 4.0 / (h * h)) * kirchhoff.transpose(1, 2, 0)
@@ -489,7 +426,6 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
         rows = slice(start, start + _BLOCK)
         idx, w = stencil.block(rows)
         stencil.blocks.append((rows, idx, w))
-        # q[0, o] = w m and q[1:, o] = w (q_base + h A o), (4, 27, b)
         q = buf[:4 * w.size].reshape(4, *w.shape)
         np.multiply(w, state.mass[rows], out=q[0])
         np.matmul(_OFFSETS_1.T, aff[:, :, rows], out=q[1:])
@@ -509,8 +445,7 @@ def _boundary_layers(state: SimulationState):
     a lower face are a prefix of 0..dims-1, and those within the band of
     an upper face a suffix.  Bisecting on the same comparison of one
     layer's coordinate at a time gives each range's end exactly, in
-    O(log dims) work and no per-layer array; the grid, the ground and the
-    wall modes are fixed for a run, so ``_Derived`` keeps the result.
+    O(log dims) work and no per-layer array.
     """
     h = state.h
     ks = [range(n) for n in state.dims.tolist()]  # layer indices per axis
@@ -543,8 +478,7 @@ def _boundaries(stencil: _Stencil, bounds):
     """Yield (axis, inward sign, layers, mode) for each boundary that
     constrains a node layer of the active box, in ``_boundary_layers``
     order; layers is the slice of the box's node layers along axis that
-    it constrains.  bounds is ``_boundary_layers(state)``, which
-    ``_Derived`` keeps for a run.
+    it constrains, and bounds is ``_Derived.bounds``.
     """
     lo, sub = stencil.lo.tolist(), stencil.sub.tolist()
     for axis, sign, first, stop, mode in bounds:
@@ -573,7 +507,8 @@ def _grid_update(state: SimulationState, dt: float, stencil: _Stencil,
 
 
 def _rigid_groups(state: SimulationState):
-    """Particle indices of each rigid group, in (object id, part) order."""
+    """Particle indices of each rigid group, the RIGID particles of one
+    (object id, part), in that order."""
     rigid = np.flatnonzero(state.class_id == MaterialClass.RIGID)
     if rigid.size == 0:
         return []
@@ -649,7 +584,8 @@ def _couple_rigid(state: SimulationState, stencil: _Stencil, grid_mass,
     The support is every node in the stencil of one of the group's
     particles.  The fit weighs each node by its whole mass, so the group
     exchanges momentum with any object that shares those nodes, and that
-    object moves with the group there instead of through it.  A member
+    object moves with the group there instead of through it (a simplified
+    form of the two-way rigid coupling of Hu et al. 2018).  A member
     whose stencil meets a node layer that the ground or a wall constrains
     turns that boundary's mode into a constraint on the fit at the
     member (``_contact_rows``); one-sided rows join while any of them
@@ -663,7 +599,7 @@ def _couple_rigid(state: SimulationState, stencil: _Stencil, grid_mass,
     boundaries = list(_boundaries(stencil, bounds))
     motions = []
     for group in groups:
-        nodes = np.unique(stencil.block(group)[0])  # the group's support
+        nodes = np.unique(stencil.steps[:, None] + stencil.flat[group])
         layer = np.array(np.unravel_index(nodes, stencil.sub))
         x = (state.origin[:, None]
              + state.h * (stencil.lo[:, None] + layer)).T
@@ -712,13 +648,10 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
     """Gather velocity and the APIC matrix, then update F and positions.
 
     B = sum_o w v (x) dpos = h (sum_o w v (x) o - v (x) fx), and the
-    affine velocity is C = 4 B / h^2.  The blocks are the ones ``_p2g``
-    kept on the stencil; one matmul of [o; 1] (4 x 27) by each block's
-    weighted node velocities gives sum_o w v (x) o and v = sum_o w v
-    together.  C and F = (I + dt C) F are formed
-    component-major, (3, 3, N), and stored as (N, 3, 3) views.  rigid
-    pairs each rigid group with its motion from ``_couple_rigid``, which
-    ``_move_rigid`` applies.
+    affine velocity is C = 4 B / h^2.  One matmul of [o; 1] (4 x 27) by
+    the weighted node velocities of each of ``_p2g``'s blocks gives
+    sum_o w v (x) o and v = sum_o w v together.  rigid pairs each rigid
+    group with its motion from ``_couple_rigid``.
     """
     n = state.n_particles
     sums = np.empty((3, 4, n))  # sums[i] = (sum_o w v_i o, sum_o w v_i)
@@ -748,12 +681,7 @@ def _g2p(state: SimulationState, dt: float, stencil: _Stencil, grid_v, rigid):
 
 def step(state: SimulationState, dt: float,
          derived: Optional[_Derived] = None):
-    """Advance the state by one substep of size dt (<= stable_dt).
-
-    The boundary layers, Lame parameters, body forces, class rows and
-    rigid groups come from ``derived``, which ``simulate`` keeps between
-    schedule edits; without it they are derived here.
-    """
+    """Advance the state by one substep of size dt (<= stable_dt)."""
     if derived is None:
         derived = _derive(state)
     # the Kirchhoff stress tau = P F^T is the stress the MLS term of _p2g takes
@@ -806,11 +734,9 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
     Returns a Trajectory; deterministic for fixed inputs; schedule None
     is the empty schedule.  WorkBudget if the frame array would hold more
     than MAX_FRAME_VALUES values, NumericalError before a substep whose dt
-    would not advance t (as when a speed's square overflows).
-    ``_Derived`` is derived at the start and, but for its per-run
-    bounds, again after each substep whose ``ScheduleRuntime.apply``
-    returns edits; dt is then clamped again to the new bound, since an
-    edit can raise max c_p, g_max or (by an impulse) max |v|.
+    would not advance t (as when a speed's square overflows).  A substep
+    whose start applies edits takes dt again from the new ``stable_dt``,
+    since an edit can raise max c_p, g_max or (by an impulse) max |v|.
     """
     cfg.validate()
     runtime = ScheduleRuntime(schedule or InstructionSchedule())

@@ -163,7 +163,8 @@ def fill_interior(surface: MaterialField, cfg: FillConfig) -> np.ndarray:
     Candidates fall in three bands: strictly interior voxels pass,
     exterior-reachable voxels fail, and candidates inside the stamped
     shell are resolved against the local tangent plane of their nearest
-    surface sample (normals from PCA, oriented outward by the flood).
+    surface sample (normals from PCA, oriented outward by the flood),
+    found by ``cKDTree.query(k=1)``, with scipy's choice among ties.
     """
     from scipy.spatial import cKDTree
 

@@ -5,39 +5,15 @@ Four scalar terms and their weighted total:
 * task        -- Huber regression on normalized parameters plus class
                  cross-entropy, averaged over points
 * smoothness  -- discrete Dirichlet energy of the wave-speed fields
-                 (c_p, c_s) on a kNN graph; a field with part labels
-                 draws each point's neighbors from its own semantic part
-                 (a field without them is one part); neighbors rank by
-                 (squared distance, index), so ties go to the lower index
+                 (c_p, c_s) on a kNN graph within each semantic part
+                 (``_knn_graph``)
 * contrastive -- triplet hinge on L2-normalized log-(mu, K) embeddings
 * assignment  -- cross-entropy between the temperature-scaled softmax of
                  point-to-prompt logits and the prompt of each point's part
 
-Each gradient check has one builder per loss that validates its inputs
-once and computes the analytic gradient, which exists solely so central
-finite differences can verify the implementation; nothing here is
-trained.  The kNN graph depends only on positions and part labels, so
-the smoothness check builds it once and shares it between the analytic
-gradient and every central-difference probe.
-Cross-entropy uses the natural logarithm throughout.
-
-Each loss is the mean of a vector of terms: one per point (task,
-smoothness, assignment) or per triplet (contrastive).  A coordinate of
-input row i reaches only a few of them: the task and assignment terms
-of point i, the triplets that contain point i, and the smoothness
-energies of point i and of the points that have i as a neighbor.  A
-gradient check probes 2B coordinates at once (each coordinate moved to
-x_i + epsilon and to x_i - epsilon); every probe's row of terms starts
-as the terms at x, only the reached terms are re-evaluated, and the
-probe's loss is the row mean.  B is set so that the (2B, T) term matrix
-holds at most _BLOCK_VALUES values.  A re-evaluated term adds the same
-values in the same order as the full loss, and each row mean runs over a
-C-ordered last axis, so every probe's loss, and hence the gradient,
-equals the one-probe-at-a-time value bit for bit.  Inputs no probe moves
-(simplex rows, shapes, triplet indices, the prompt of each part) are
-validated once before the probes; the range checks on perturbed values
-(the Poisson ratio range of wave_speeds, the positive moduli of the
-contrastive embedding) run on every perturbed row of every block.
+Cross-entropy uses the natural logarithm throughout.  Nothing here is
+trained: ``finite_diff_check`` verifies each term's analytic gradient
+against central differences (``_Probe``, ``_central_diff``).
 """
 
 from __future__ import annotations
@@ -198,8 +174,8 @@ def _knn_graph(f: MaterialField, k):
     squared edge lengths d2 = ||x_dst - x_src||^2.
 
     Neighbors of a point come from its own part when the field has part
-    labels, ranked by fill.nearest_ranked: by (||x_j - x_i||^2, j), so
-    ties go to the lower index.  Edges run part by part (in label order),
+    labels (a field without them is one part), ranked by
+    fill.nearest_ranked.  Edges run part by part (in label order),
     point by point within a part, and by rank within a point.  Points
     with no candidate neighbor get a count of 0.  ShapeError if k < 1.
     """
@@ -483,7 +459,10 @@ def _central_diff(probe: _Probe, epsilon):
     A block of B probes moves coordinate i of x to x_i + epsilon (probes
     0..B-1) and to x_i - epsilon (probes B..2B-1).  Each probe's row of
     the (2B, T) term matrix starts as the terms at x, the terms its row
-    reaches are re-evaluated, and its loss is the row mean.
+    reaches are re-evaluated, and its loss is the row mean.  A
+    re-evaluated term adds the same values in the same order as the full
+    loss, and each row mean runs over a C-ordered last axis, so the
+    gradient equals the one-probe-at-a-time value bit for bit.
     """
     x = probe.x
     flat = x.reshape(-1)
@@ -523,9 +502,9 @@ def _own_row(n):
     return np.arange(n + 1), np.arange(n)
 
 
-# Each builder takes (inputs, validated weights, boundary) and validates
-# the inputs no probe moves once; the range checks on perturbed values run
-# inside its terms_at, on every block.
+# Each builder takes (inputs, validated weights, boundary), validates the
+# inputs no probe moves once and computes the analytic gradient; the range
+# checks on perturbed values run inside its terms_at, on every block.
 
 def _task_probe(inputs, w, boundary) -> _Probe:
     targets = inputs["targets"]

@@ -2,11 +2,10 @@
 
 A material field assigns each point of a cloud a constitutive class plus
 continuous parameters: Young's modulus E [Pa], Poisson's ratio nu, and
-density rho [kg/m^3].  ``validate_field`` checks a field's invariants and
-reports each broken rule once, with how many points break it and the
-first of them.  ``wave_speeds`` gives the longitudinal and shear wave
-speeds that bound the solver's time step; the Lame parameters the stress
-laws use come from ``constitutive.lame_parameters``.
+density rho [kg/m^3].  ``validate_field`` checks a field's invariants,
+and ``wave_speeds`` gives the longitudinal and shear wave speeds that
+bound the solver's time step; the Lame parameters the stress laws use
+come from ``constitutive.lame_parameters``.
 
 Functions accept scalars or numpy arrays and broadcast; derived values
 keep the input shape.

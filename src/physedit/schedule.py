@@ -1,20 +1,8 @@
-"""Temporal intervention schedules: parsing, ramps, and live application.
+"""Temporal intervention schedules: parsing (``compile_schedule``), ramps
+(``ramp_value``) and live application (``ScheduleRuntime``).
 
-Schedule files are line-oriented; one intervention per line:
-
-    at t=1.0 set object 0 young_modulus 1e3 ramp 0.5
-    on ground_contact set object 0 material_model liquid once
-    at t=0.4 set object 0 interior density 1 ramp 0.3
-    at t=2.0 set scene gravity (0,0,0)
-    at t=1.0 impulse object 1 (0,2,0)
-    clamp young_modulus 1e3 1e9
-    max_log_rate 2.0
-
-Scalar material properties ramp in log space (E, rho) or linearly (nu);
-per-substep changes of log-scaled properties are additionally capped at
-max_log_rate * dt (decades per second), so instant sets become rate-bound
-exponential approaches.  Velocity impulses and material-model switches
-are instantaneous and fire once.
+docs/schedule_grammar.md specifies the line grammar and its semantics:
+triggers, targets, ramps, the per-substep rate cap and the clamps.
 """
 
 from __future__ import annotations
@@ -328,7 +316,7 @@ def _parse_entry(p: _LineParser, line_no: int):
 
 
 def compile_schedule(raw: str, state) -> InstructionSchedule:
-    """Parse and validate a schedule; see the module docstring for the grammar.
+    """Parse and validate a schedule written in docs/schedule_grammar.md.
 
     Every object and part the schedule names must be in ``state`` (a
     SimulationState, or anything with its object_id and part columns).
@@ -358,14 +346,15 @@ def compile_schedule(raw: str, state) -> InstructionSchedule:
                                  line=line_no, column=col)
             if lo < d_lo or hi > d_hi:
                 raise ClampViolation(
-                    f"clamp for {prop} must stay inside the validity range "
-                    f"[{d_lo:g}, {d_hi:g}]")
+                    f"line {line_no}: clamp for {prop} must stay inside the "
+                    f"validity range [{d_lo:g}, {d_hi:g}]")
             clamps[prop] = (lo, hi)
         elif head == "max_log_rate":
             p.next()
             max_log_rate = p.expect_float("max_log_rate")
             if max_log_rate <= 0:
-                raise ParseError("max_log_rate must be positive", line=line_no)
+                raise ParseError("max_log_rate must be positive",
+                                 line=line_no, column=p.tokens[p.pos - 1][1])
             p.done()
         else:
             entries.append(_parse_entry(p, line_no))

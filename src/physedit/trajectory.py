@@ -1,22 +1,12 @@
 """Trajectory container, on-disk layout, and integrity verification.
 
-A trajectory directory holds:
-
-  frames/frame_NNNN.trjf   one binary file per frame
-  edits.json               the intervention edit log
-  manifest.json            frame list, hashes, shapes, provenance hashes
-
-Frame file layout (little-endian):
-
-  magic    4 bytes  b"TRJF"
-  version  uint32   currently 1
-  frame    uint32   frame index
-  n        uint64   point count
-  data     float32  n * 3 positions
-
-Positions are stored as float32; re-reading a directory reproduces them
-bit-exactly.  The manifest is canonical JSON (sorted keys), so identical
-runs produce byte-identical manifests.
+A trajectory directory holds frames/frame_NNNN.trjf (one binary file
+per frame: the ``_FRAME_HEADER`` record, then n * 3 float32 positions),
+edits.json (the intervention edit log) and manifest.json; their layout
+and rules are in docs/file_formats.md.  Positions are stored as float32,
+so re-reading a directory reproduces them bit-exactly, and the manifest
+is canonical JSON (sorted keys), so identical runs produce byte-identical
+manifests.
 """
 
 from __future__ import annotations

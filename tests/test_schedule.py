@@ -830,3 +830,46 @@ def test_probe_reads_only_pending_event_objects(monkeypatch):
     assert len(calls) > 3
     assert {tuple(keys) for _, keys in calls} == {(1,)}
     assert max(t for t, _ in calls) == fired
+
+
+_ERROR_LINES = [  # (a bad schedule line, the error it raises)
+    ("at", ParseError),
+    ("at t=abc set object 0 density 1000", ParseError),
+    ("at t=nan set object 0 density 1000", ParseError),
+    ("at t=0 set object x density 1000", ParseError),
+    ("at t=0 set scene gravity 1", ParseError),
+    ("at t=0 set scene gravity (0,1)", ParseError),
+    ("at t=0 set object 0 density 1000 extra", ParseError),
+    ("at t=-1 set object 0 density 1000", ParseError),
+    ("on explode set object 0 density 1000", ParseError),
+    ("when t=0 set object 0 density 1000", ParseError),
+    ("at t=0 set thing 0 density 1000", ParseError),
+    ("at t=0 set object 0 material_model goo", ParseError),
+    ("at t=0 put object 0 density 1000", ParseError),
+    ("at t=0 set object 0 color 1", ParseError),
+    ("at t=0 set object 0 density 1000 ramp -1", ParseError),
+    ("at t=0 set object 0 material_model liquid ramp 1", ParseError),
+    ("at t=0 set object 0 gravity (0,0,0)", ParseError),
+    ("at t=0 set scene density 1000", ParseError),
+    ("on ground_contact set scene gravity (0,1,0)", ParseError),
+    ("clamp gravity 0 1", ParseError),
+    ("clamp young_modulus 1e6 1e5", ParseError),
+    ("max_log_rate -1", ParseError),
+    ("clamp young_modulus 1 1e9", ClampViolation),
+    ("at t=0 set object 0 young_modulus 1e13", ClampViolation),
+    ("at t=0 set object 7 density 1000", UnknownTarget),
+    ("at t=0 set object 0 part 5 density 1000", UnknownTarget),
+    ("on ground_contact object 9 set scene gravity (0,1,0)", UnknownTarget),
+]
+
+
+@pytest.mark.parametrize("line, error", _ERROR_LINES)
+def test_every_schedule_error_names_its_line(line, error):
+    """Each kind of schedule error names the line it comes from, and a
+    ParseError also carries the column of a token on that line."""
+    with pytest.raises(error) as err:
+        compile_schedule(f"# a comment\n\n{line}", scene_map())
+    assert "line 3" in str(err.value)
+    if error is ParseError:
+        assert err.value.line == 3
+        assert 1 <= err.value.column <= len(line) + 1
