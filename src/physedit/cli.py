@@ -43,8 +43,7 @@ REPORTED_WEIGHTS = ("lambda_reg", "lambda_cls", "lambda_smooth", "lambda_con",
 
 
 def cmd_fill(args) -> int:
-    cfg = FillConfig(particle_spacing=args.spacing,
-                     voxel_resolution=args.resolution).validate()
+    cfg = FillConfig(particle_spacing=args.spacing).validate()
     surface = read_field(args.input)
     filled = fill_field(surface, cfg)
     write_field(filled, args.output)
@@ -130,7 +129,7 @@ _TARGET_VALUES = {
     "tau": float, "pred_probs": array_of(np.float64),
     "logits": array_of(np.float64), "triplets": array_of(np.int64),
     "n_triplets": _natural, "triplet_seed": _natural,
-    "bundle": instance_of(str, dict),
+    "bundle": instance_of(dict),
 }
 
 
@@ -178,11 +177,7 @@ def cmd_analyze(args) -> int:
         # soft-assign logits already carry the 1/tau scaling, and the
         # assignment loss must see exactly the distribution A was built
         # from, so no further scaling is applied here
-        bundle_doc = doc["bundle"]
-        if isinstance(bundle_doc, str):
-            bundle_doc = read_json(Path(targets_path).parent / bundle_doc,
-                                   "bundle")
-        logits = soft_assign(bundle_from_dict(bundle_doc)).logits
+        logits = soft_assign(bundle_from_dict(doc["bundle"])).logits
         assign_tau = 1.0
     else:
         raise DomainError("targets must supply either logits or a bundle")
@@ -259,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="output (filled) material field file")
     p.add_argument("--spacing", type=float, required=True,
                    help="interior particle spacing in meters")
-    p.add_argument("--resolution", type=int, default=None,
-                   help="voxel resolution per axis for the inside test "
-                        "(default: derived from the shell sampling density)")
     p.set_defaults(func=cmd_fill)
 
     p = sub.add_parser("simulate", help="run a scene and export a trajectory")

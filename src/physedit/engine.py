@@ -20,6 +20,7 @@ steps from frame to frame at ``stable_dt``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -36,7 +37,6 @@ from .schedule import InstructionSchedule, ScheduleRuntime
 from .trajectory import Trajectory
 
 _BC_MODES = ("sticky", "slip", "separate")
-_WALL_NAMES = ("x_min", "x_max", "y_max", "z_min", "z_max")  # y_min is the ground
 GRID_MARGIN = 3  # cells kept clear between particles and the grid faces
 # singular values of a rigid group's contact rows below this fraction of the
 # largest count as 0, so repeated or dependent contacts leave no spurious dof
@@ -52,22 +52,11 @@ _BLOCK = 512  # particles per transfer block, the fastest of 256-1024 measured
 # gathers each object's frames and copies them to float64 (tracemalloc gave
 # 13.8 B per added value on drop_cube), so the largest run peaks near 1.1 GB.
 MAX_FRAME_VALUES = 1 << 26
-
-
-def _normalize_wall_bc(wall_bc):
-    """Uniform string or per-wall mapping -> complete per-wall dict."""
-    if isinstance(wall_bc, str):
-        if wall_bc not in _BC_MODES:
-            raise DomainError(f"boundary modes must be one of {_BC_MODES}")
-        return {name: wall_bc for name in _WALL_NAMES}
-    walls = {name: "separate" for name in _WALL_NAMES}
-    for name, mode in dict(wall_bc).items():
-        if name not in _WALL_NAMES:
-            raise DomainError(f"unknown wall {name!r}; walls are {_WALL_NAMES}")
-        if mode not in _BC_MODES:
-            raise DomainError(f"boundary modes must be one of {_BC_MODES}")
-        walls[name] = mode
-    return walls
+# _p2g refuses an active box of more grid nodes before allocating its grid.
+# A node costs 57 B in a substep (the 4-channel grid, grid_v and its mass
+# mask; tracemalloc gave 57.0 B on boxes of 0.25M-2.9M nodes), so the
+# largest accepted box peaks near 0.96 GB.
+MAX_GRID_NODES = 1 << 24
 
 
 @dataclass
@@ -86,7 +75,7 @@ class SimConfig:
     domain_hi: Optional[tuple] = None
     ground_height: float = 0.0
     ground_bc: str = "sticky"
-    wall_bc: object = "separate"  # uniform mode or {wall name: mode}
+    wall_bc: str = "separate"  # the mode of every domain wall
     damping: float = 0.0
     seed: int = 0
 
@@ -104,9 +93,8 @@ class SimConfig:
             raise DomainError("fps must be positive")
         if self.frames < 1:
             raise DomainError("frames must be >= 1")
-        if self.ground_bc not in _BC_MODES:
+        if self.ground_bc not in _BC_MODES or self.wall_bc not in _BC_MODES:
             raise DomainError(f"boundary modes must be one of {_BC_MODES}")
-        _normalize_wall_bc(self.wall_bc)
         if self.damping < 0:
             raise DomainError("damping must be non-negative")
         return self
@@ -153,7 +141,7 @@ class SimulationState:
     wind: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
     ground_height: float = 0.0
     ground_bc: str = "sticky"
-    wall_bc: dict = dc_field(default_factory=lambda: _normalize_wall_bc("separate"))
+    wall_bc: str = "separate"
     damping: float = 0.0
     t: float = 0.0
 
@@ -232,7 +220,7 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
         gravity=np.array(gravity, dtype=np.float64),
         wind=np.array(wind, dtype=np.float64),
         ground_height=cfg.ground_height,
-        ground_bc=cfg.ground_bc, wall_bc=_normalize_wall_bc(cfg.wall_bc),
+        ground_bc=cfg.ground_bc, wall_bc=cfg.wall_bc,
         damping=cfg.damping,
     )
     _check_inside(state, build=True)
@@ -266,7 +254,7 @@ def _check_inside(state: SimulationState, build=False):
 class _Derived:
     """What a substep reads that changes at most once per schedule edit.
 
-    bounds depends only on the grid, the ground and the wall modes, which
+    bounds depends only on the grid, the ground and the wall mode, which
     no edit changes, so it is derived once per run.  The other fields come
     from the columns only ``ScheduleRuntime.apply`` writes (E, nu, rho,
     the class, the gravity and wind scales, the scene's gravity and wind),
@@ -420,7 +408,9 @@ def _p2g(state: SimulationState, dt: float, kirchhoff, g_eff):
     np.subtract(state.mass * (state.v.T + dt * g_eff),
                 h_a[:, 0] * fx[0] + h_a[:, 1] * fx[1] + h_a[:, 2] * fx[2], out=q_base)
 
-    grid = np.zeros((4, int(sub.prod())))
+    n_nodes = math.prod(sub.tolist())  # a Python int: no int64 wrap
+    check_size("simulate", n_nodes, MAX_GRID_NODES, "grid nodes")
+    grid = np.zeros((4, n_nodes))
     buf = np.empty(4 * 27 * _BLOCK)  # one block's products, reused
     for start in range(0, state.n_particles, _BLOCK):
         rows = slice(start, start + _BLOCK)
@@ -464,13 +454,10 @@ def _boundary_layers(state: SimulationState):
     # domain walls within the margin band
     top = state.origin + (state.dims - 1) * h
     band = GRID_MARGIN * h + 1e-12
-    walls = state.wall_bc
-    for axis, lo_name, hi_name in ((0, "x_min", "x_max"),
-                                   (1, None, "y_max"),
-                                   (2, "z_min", "z_max")):
-        if lo_name is not None:
-            layers.append(below(axis, state.origin[axis] + band, walls[lo_name]))
-        layers.append(above(axis, top[axis] - band, walls[hi_name]))
+    for axis in (0, 1, 2):
+        if axis != 1:
+            layers.append(below(axis, state.origin[axis] + band, state.wall_bc))
+        layers.append(above(axis, top[axis] - band, state.wall_bc))
     return tuple(layers)
 
 
@@ -733,7 +720,8 @@ def simulate(state: SimulationState, schedule, cfg: SimConfig):
 
     Returns a Trajectory; deterministic for fixed inputs; schedule None
     is the empty schedule.  WorkBudget if the frame array would hold more
-    than MAX_FRAME_VALUES values, NumericalError before a substep whose dt
+    than MAX_FRAME_VALUES values or a substep's active box more than
+    MAX_GRID_NODES nodes, NumericalError before a substep whose dt
     would not advance t (as when a speed's square overflows).  A substep
     whose start applies edits takes dt again from the new ``stable_dt``,
     since an edit can raise max c_p, g_max or (by an impulse) max |v|.

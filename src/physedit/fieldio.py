@@ -1,18 +1,13 @@
 """Material field serialization, and the package's file layer.
 
-Two equivalent on-disk forms:
-
-* ``.mfield`` -- little-endian binary container: the ``_HEADER`` record,
-  then each of ``_COLUMNS`` in order (docs/file_formats.md has the table).
-  Readers reject a file whose length differs from the size its header
-  implies.
-* ``.json`` -- the same columns, holding the stored values, as
-  human-readable structured text.
-
-``read_field``/``write_field`` dispatch on the file extension.  Every
-file access in the package goes through ``read_file``, ``write_file`` and
-``make_dir``, which turn an OSError into an IoError naming the path, and
-every JSON document it loads through ``read_json`` and ``convert_key(s)``.
+A field is stored as ``.mfield``, a little-endian binary container: the
+``_HEADER`` record, then each of ``_COLUMNS`` in order
+(docs/file_formats.md has the table).  ``read_field`` rejects a file
+whose magic is not ``MFLD`` or whose length differs from the size its
+header implies.  Every file access in the package goes through
+``read_file``, ``write_file`` and ``make_dir``, which turn an OSError
+into an IoError naming the path, and every JSON document it loads
+through ``read_json`` and ``convert_key(s)``.
 """
 
 from __future__ import annotations
@@ -32,8 +27,7 @@ _FLAG_PART_LABEL = 1
 # magic, version, point count, flags, normalization mean[3] then std[3]
 _HEADER = struct.Struct("<4sIQI6d")
 # (name, stored dtype, values per point) in file order; a field without
-# part labels stores no part_label column.  The JSON form holds the stored
-# values too, so both forms carry equal precision.
+# part labels stores no part_label column.
 _COLUMNS = (("positions", "<f4", 3), ("class_id", "<i4", 1),
             ("young_modulus", "<f8", 1), ("poisson_ratio", "<f8", 1),
             ("density", "<f8", 1), ("part_label", "<i4", 1),
@@ -107,7 +101,7 @@ def convert_keys(doc, converters, what, optional=()):
 def array_of(dtype, shape=None):
     """Converter of a JSON value to an array of ``dtype``; ValueError unless
     every value is a number, a whole one for an integer ``dtype``, and, with
-    ``shape``, unless the array has it (None matches any length)."""
+    ``shape``, unless the array has it."""
     def convert(value):
         raw = np.asarray(value)
         if raw.dtype.kind not in "biuf":
@@ -116,8 +110,7 @@ def array_of(dtype, shape=None):
             arr = raw.astype(dtype, copy=False)
         if arr.dtype.kind in "iu" and not np.array_equal(arr, raw):
             raise ValueError(f"expected whole numbers in {arr.dtype} range")
-        if shape is not None and (arr.ndim != len(shape) or any(
-                want not in (None, got) for got, want in zip(arr.shape, shape))):
+        if shape is not None and arr.shape != shape:
             raise ValueError(f"expected shape {shape}, got {arr.shape}")
         return arr
     return convert
@@ -144,7 +137,7 @@ def _stored(has_part: bool):
     return [col for col in _COLUMNS if has_part or col[0] != _OPTIONAL]
 
 
-def write_field_binary(f: MaterialField, path):
+def write_field(f: MaterialField, path):
     mean, std = f.normalization.as_arrays()
     has_part = f.part_label is not None
     header = _HEADER.pack(MAGIC, VERSION, f.n_points,
@@ -154,7 +147,7 @@ def write_field_binary(f: MaterialField, path):
         for name, dtype, _ in _stored(has_part)]), "field")
 
 
-def read_field_binary(path) -> MaterialField:
+def read_field(path) -> MaterialField:
     raw = read_file(path, "field")
     if raw[:4] != MAGIC:
         raise IoError(f"{path}: bad magic, not a material field container")
@@ -175,51 +168,3 @@ def read_field_binary(path) -> MaterialField:
         off += arr.nbytes
     return MaterialField(**cols, normalization=ParamNormalization(
         tuple(norm[:3]), tuple(norm[3:])))
-
-
-def field_to_dict(f: MaterialField) -> dict:
-    mean, std = f.normalization.as_arrays()
-    d = {"format": "material-field", "version": VERSION,
-         "norm_mean": mean.tolist(), "norm_std": std.tolist()}
-    for name, dtype, _ in _COLUMNS:
-        values = getattr(f, name)
-        d[name] = None if values is None else values.astype(dtype).tolist()
-    return d
-
-
-def field_from_dict(d: dict, what="material-field") -> MaterialField:
-    """The field a ``field_to_dict`` document holds; IoError naming ``what``
-    and the key if a column or constant is absent or cannot be converted."""
-    if d.get("format") != "material-field":
-        raise IoError(f"{what}: not a material-field document")
-    if d.get("version") != VERSION:
-        raise IoError(f"{what}: unsupported material-field version "
-                      f"{d.get('version')}")
-    converters = {name: array_of(dtype, (None,) if per == 1 else (None, per))
-                  for name, dtype, per in _COLUMNS}
-    cols = convert_keys(d, converters, what, (_OPTIONAL,))
-    norm = (tuple(convert_key(d, key, array_of("<f8", (3,)), what).tolist())
-            for key in ("norm_mean", "norm_std"))
-    return MaterialField(**cols, normalization=ParamNormalization(*norm))
-
-
-def write_field_json(f: MaterialField, path):
-    write_file(path, json.dumps(field_to_dict(f), indent=1) + "\n", "field")
-
-
-def read_field_json(path) -> MaterialField:
-    return field_from_dict(read_json(path, "field"), str(path))
-
-
-def write_field(f: MaterialField, path):
-    """Write ``f`` to ``path``; `.json` selects the text form."""
-    if str(path).endswith(".json"):
-        write_field_json(f, path)
-    else:
-        write_field_binary(f, path)
-
-
-def read_field(path) -> MaterialField:
-    if str(path).endswith(".json"):
-        return read_field_json(path)
-    return read_field_binary(path)

@@ -28,44 +28,29 @@ from .errors import (DegenerateGeometry, DomainError, LeakDetected, ShapeError,
 from .materials import FIELD_COLUMNS, MaterialField, validate_field
 
 LEAK_FRACTION = 0.95
-# fill refuses larger sizes before allocating.  At peak a voxel cell costs
-# about 100 B (masks, int32 labels, centres of interior cells) and a lattice
-# point about 250 B (meshgrid, voxel lookup, nearest-surface search, output
-# field); tracemalloc gave 100 and 231 B on a solid cube.  So the largest
-# accepted fill peaks near 1.7 GB in the voxel pass and 1.1 GB in the lattice.
-MAX_VOXEL_CELLS = 1 << 24
+# fill refuses more candidate lattice points before allocating: at peak a
+# point costs about 250 B (meshgrid, voxel lookup, nearest-surface search,
+# output field; tracemalloc gave 231 B on a solid cube), so the largest
+# accepted lattice peaks near 1.1 GB.  The voxel grid is at most 196^3
+# cells (``FillConfig.resolution3``), about 0.75 GB at 100 B per cell.
 MAX_LATTICE_POINTS = 1 << 22
 VOXEL_PAD = 2  # free voxels around the surface's bounding box, per side
 
 
 @dataclass(frozen=True)
 class FillConfig:
-    """Fill parameters.
-
-    particle_spacing   lattice spacing of interior particles [m]
-    voxel_resolution   voxels per axis for the inside test; None derives it
-                       from the shell sampling density so the 1-voxel
-                       stamps stay watertight
-    """
+    """Fill parameters: the lattice spacing of interior particles [m]."""
 
     particle_spacing: float
-    voxel_resolution: int | None = None
 
     def validate(self):
         if not (self.particle_spacing > 0):
             raise DomainError("particle_spacing must be positive")
-        if self.voxel_resolution is not None:
-            if self.voxel_resolution < 8:
-                raise DomainError("voxel_resolution must be >= 8 per axis")
-            # the padded grid, counted in Python ints before np.full; a
-            # derived resolution is at most 192 + 4 per axis, under the limit
-            check_size("fill", (int(self.voxel_resolution) + 2 * VOXEL_PAD) ** 3,
-                       MAX_VOXEL_CELLS, "voxel cells")
         return self
 
     def resolution3(self, points):
-        if self.voxel_resolution is not None:
-            return np.full(3, self.voxel_resolution, dtype=np.int64)
+        """Voxels per axis for the inside test, from the shell's sampling
+        density so the 1-voxel stamps stay watertight; 8 to 192."""
         from scipy.spatial import cKDTree
 
         extent = points.max(axis=0) - points.min(axis=0)

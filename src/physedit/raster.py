@@ -23,11 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_size
 from .fieldio import write_file
 
 _Z_NEAR = 1e-9
 _CHUNK_CELLS = 1 << 18  # stencil cells expanded at once
+# CameraSpec.validate refuses a larger width x height.  A pixel costs about
+# 22 B while a frame is rasterized and written (tracemalloc gave 22.1 B on a
+# 2048x2048 image), so the largest accepted frame peaks near 0.74 GB.
+MAX_IMAGE_PIXELS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class CameraSpec:
     """Pinhole camera: x_cam = rotation @ x_world + translation.
 
     fx, fy, cx, cy    intrinsics in pixels
-    width, height     image size, >= 16
+    width, height     image size, >= 16, at most MAX_IMAGE_PIXELS pixels
     splat_radius      point footprint in pixels
     color_mode        "depth" or "object_id"
     depth_range       optional fixed (z_lo, z_hi); default per-frame
@@ -66,6 +70,8 @@ class CameraSpec:
             raise DomainError("focal lengths must be positive")
         if self.width < 16 or self.height < 16:
             raise DomainError("image size must be at least 16x16")
+        check_size("rasterize", int(self.width) * int(self.height),
+                   MAX_IMAGE_PIXELS, "image pixels")
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise ShapeError("rotation must be 3x3 and translation length 3")
         for name in ("fx", "fy", "cx", "cy", "rotation", "translation",

@@ -175,7 +175,7 @@ _SIM_VALUES = {"h_grid": float, "cfl_number": float, "frames": whole,
                "fps": float, "domain_lo": _raw_vector,
                "domain_hi": _raw_vector, "ground_height": float,
                "ground_bc": instance_of(str),
-               "wall_bc": instance_of(str, dict), "damping": float,
+               "wall_bc": instance_of(str), "damping": float,
                "seed": whole}
 # camera key -> conversion, then the keys of either pose
 _CAMERA_VALUES = {"fx": float, "fy": float, "cx": float, "cy": float,

@@ -197,13 +197,12 @@ def grid_update_oracle(state, dt, lo, sub, grid_mass, grid_mom, margin):
               state.ground_bc)
     top = state.origin + (state.dims - 1) * h
     band = margin * h + 1e-12
-    for axis, lo_name, hi_name in ((0, "x_min", "x_max"), (1, None, "y_max"),
-                                   (2, "z_min", "z_max")):
-        if lo_name is not None:
+    for axis in (0, 1, 2):  # the ground stands for the y_min wall
+        if axis != 1:
             constrain(node_coord[:, axis] <= state.origin[axis] + band, axis, +1,
-                      state.wall_bc[lo_name])
+                      state.wall_bc)
         constrain(node_coord[:, axis] >= top[axis] - band, axis, -1,
-                  state.wall_bc[hi_name])
+                  state.wall_bc)
     return grid_v
 
 
@@ -219,13 +218,11 @@ def boundary_layers_oracle(state, lo, sub, margin):
     top = state.origin + (state.dims - 1) * h
     band = margin * h + 1e-12
     out = [(1, +1, coord[1] <= state.ground_height + 1e-12, state.ground_bc)]
-    for axis, lo_name, hi_name in ((0, "x_min", "x_max"), (1, None, "y_max"),
-                                   (2, "z_min", "z_max")):
-        if lo_name is not None:
+    for axis in (0, 1, 2):  # the ground stands for the y_min wall
+        if axis != 1:
             out.append((axis, +1, coord[axis] <= state.origin[axis] + band,
-                        state.wall_bc[lo_name]))
-        out.append((axis, -1, coord[axis] >= top[axis] - band,
-                    state.wall_bc[hi_name]))
+                        state.wall_bc))
+        out.append((axis, -1, coord[axis] >= top[axis] - band, state.wall_bc))
     return out
 
 

@@ -1,11 +1,12 @@
 """The examples in README.md and docs/schedule_grammar.md, read from those
-files and run as written."""
+files and run or parsed as written."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
+from physedit.cli import build_parser
 from physedit.engine import ObjectInit, SimConfig, build_state
 from physedit.fill import FillConfig, fill_field
 from physedit.materials import MaterialClass
@@ -27,6 +28,18 @@ def test_readme_library_example_runs():
         exec(compile(fenced_block("README.md", "Library example"),
                      "README.md", "exec"), {})
     assert re.fullmatch(r"\(24, \d+, 3\)\n", out.getvalue())
+
+
+def test_readme_cli_flags_exist():
+    """Every --flag of a README CLI line is an option of its subcommand."""
+    parsers = next(action.choices for action in build_parser()._actions
+                   if action.dest == "command")
+    lines = fenced_block("README.md", "CLI").splitlines()
+    for line in lines:
+        options = set(parsers[line.split()[1]]._option_string_actions)
+        for flag in re.findall(r"(?<!\S)\[?(--[\w-]+)", line.split("#")[0]):
+            assert flag in options, f"{flag} in {line!r}"
+    assert len(lines) == 7
 
 
 def test_schedule_grammar_examples_compile():

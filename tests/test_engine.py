@@ -18,8 +18,8 @@ from oracles import (boundary_layers_oracle, contact_rows_oracle,
                      g2p_oracle, grid_update_oracle, p2g_oracle,
                      rigid_fit_oracle, unfused_p2g_oracle)
 from physedit.constitutive import batch_constitutive
-from physedit.engine import (_BC_MODES, _WALL_NAMES, GRID_MARGIN, ObjectInit,
-                             SimConfig, _boundaries, _boundary_layers, _derive,
+from physedit.engine import (_BC_MODES, GRID_MARGIN, ObjectInit, SimConfig,
+                             _boundaries, _boundary_layers, _derive,
                              _contact_rows, _couple_rigid, _g2p, _grid_update,
                              _p2g, _rigid_groups, _Stencil, build_state,
                              object_events, simulate, stable_dt, step)
@@ -138,19 +138,11 @@ class TestConfig:
             free_cfg(**{key: value}).validate()
 
     @pytest.mark.parametrize("wall_bc", ["bouncy", {"floor": "slip"},
-                                         {"y_min": "slip"}, {"x_min": "bouncy"}])
+                                         {"y_min": "slip"}, {"x_min": "sticky"}])
     def test_invalid_wall_bc_rejected(self, wall_bc):
-        # y_min is the ground side, set by ground_bc, not a wall
-        with pytest.raises(DomainError):
+        # one mode holds for every wall: a per-wall mapping is no mode
+        with pytest.raises(DomainError, match="boundary modes must be one of"):
             free_cfg(wall_bc=wall_bc).validate()
-
-    def test_partial_wall_mapping_defaults_to_separate(self):
-        st = build_state([ObjectInit(field=particle_field([[0, 0, 0]]),
-                                     h_fill=0.05)],
-                         free_cfg(wall_bc={"x_min": "sticky"}))
-        assert st.wall_bc == {"x_min": "sticky", "x_max": "separate",
-                              "y_max": "separate", "z_min": "separate",
-                              "z_max": "separate"}
 
 
 class TestCheckInside:
@@ -336,9 +328,9 @@ def grid_cases(draw):
     ground = origin[1] + h * draw(hst.integers(-2, dims[1] + 1)) + draw(
         hst.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 0.5 * h]))
     damping = draw(hst.sampled_from([0.0, 3.0, 400.0]))
-    walls = {name: draw(hst.sampled_from(_BC_MODES)) for name in _WALL_NAMES}
     state, stencil = grid_box(h, origin, dims, lo, sub, ground,
-                              draw(hst.sampled_from(_BC_MODES)), walls, damping)
+                              draw(hst.sampled_from(_BC_MODES)),
+                              draw(hst.sampled_from(_BC_MODES)), damping)
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
     n_sub = int(np.prod(sub))
     mass = np.where(rng.random(n_sub) < 0.3, 0.0, rng.random(n_sub))
@@ -368,13 +360,11 @@ class TestGridUpdate:
     def test_boundary_modes(self, boundary, node, axis, sign, mode):
         # 12^3 nodes, h = 0.1: margin bands hold layers 0-3 and 8-11, so
         # layers 4-7 are free; the ground, when tested, holds layers 0-5
-        walls = {name: mode if name == boundary else "separate"
-                 for name in _WALL_NAMES}
         state, stencil = grid_box(0.1, (0, 0, 0), (12, 12, 12), (0, 0, 0),
                                   (12, 12, 12),
                                   0.5 if boundary == "ground" else -1.0,
                                   mode if boundary == "ground" else "sticky",
-                                  walls)
+                                  mode)
         away = list(node)
         away[(axis + 1) % 3] += 1  # a tangential neighbour in the same slab
         away, free = tuple(away), (6, 6, 6)
@@ -417,9 +407,9 @@ def boundary_cases(draw):
     lo = [draw(hst.integers(0, d - s)) for d, s in zip(dims, sub)]
     ground = origin[1] + h * draw(hst.integers(-2, dims[1] + 1)) + draw(
         hst.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 0.5 * h]))
-    walls = {name: draw(hst.sampled_from(_BC_MODES)) for name in _WALL_NAMES}
     return grid_box(h, origin, dims, lo, sub, ground,
-                    draw(hst.sampled_from(_BC_MODES)), walls)
+                    draw(hst.sampled_from(_BC_MODES)),
+                    draw(hst.sampled_from(_BC_MODES)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -467,7 +457,7 @@ def test_boundary_ranges_bounded_on_huge_domains(h, origin, dims, ground_layer,
     passes its boundary's comparison and the layer outside fails it."""
     state, _ = grid_box(h, origin, dims, (0, 0, 0), (1, 1, 1),
                         origin[1] + h * ground_layer + offset, "slip",
-                        dict.fromkeys(_WALL_NAMES, "sticky"))
+                        "sticky")
     tracemalloc.start()
     try:
         bounds = _boundary_layers(state)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from physedit.errors import IoError
-from physedit.fieldio import (field_from_dict, field_to_dict, read_field,
-                              read_field_binary, read_field_json, write_field,
-                              write_field_binary, write_field_json)
+from physedit.fieldio import read_field, write_field
 from physedit.materials import MaterialField, ParamNormalization
 
 
@@ -39,21 +37,8 @@ def assert_fields_equal(a, b):
 
 def test_binary_roundtrip(field, tmp_path):
     path = tmp_path / "f.mfield"
-    write_field_binary(field, path)
-    assert_fields_equal(field, read_field_binary(path))
-
-
-def test_json_roundtrip(field, tmp_path):
-    path = tmp_path / "f.json"
-    write_field_json(field, path)
-    assert_fields_equal(field, read_field_json(path))
-
-
-def test_extension_dispatch(field, tmp_path):
-    write_field(field, tmp_path / "a.mfield")
-    write_field(field, tmp_path / "a.json")
-    assert_fields_equal(read_field(tmp_path / "a.mfield"),
-                        read_field(tmp_path / "a.json"))
+    write_field(field, path)
+    assert_fields_equal(field, read_field(path))
 
 
 def test_optional_part_label(field, tmp_path):
@@ -81,11 +66,10 @@ def test_deterministic_bytes(field, tmp_path):
 @pytest.mark.parametrize("suffix, damage, message", [
     (".mfield", lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
      "unsupported container version 2"),
-    (".json", lambda raw: raw.replace(b'"material-field"', b'"scene"'),
-     "not a material-field document"),
-    (".json", lambda raw: raw.replace(b'"version": 1', b'"version": 2'),
-     "unsupported material-field version 2"),
-], ids=["container-version", "json-format", "json-version"])
+    # a field is binary whatever its name: a JSON document is not read
+    (".json", lambda raw: b'{"format": "material-field", "version": 1}\n',
+     "bad magic"),
+], ids=["container-version", "json-format"])
 def test_other_format_or_version_rejected(field, tmp_path, suffix, damage,
                                           message):
     path = tmp_path / f"f{suffix}"
@@ -96,16 +80,6 @@ def test_other_format_or_version_rejected(field, tmp_path, suffix, damage,
     with pytest.raises(IoError, match=message) as info:
         read_field(path)
     assert str(path) in str(info.value)
-
-
-@pytest.mark.parametrize("key", ["positions", "class_id", "young_modulus",
-                                 "poisson_ratio", "density", "interior_flag",
-                                 "norm_mean", "norm_std"])
-def test_missing_key_io_error(field, key):
-    doc = field_to_dict(field)
-    del doc[key]
-    with pytest.raises(IoError, match=f"missing required key '{key}'"):
-        field_from_dict(doc)
 
 
 @pytest.mark.parametrize("labels", [True, False], ids=["labeled", "bare"])

@@ -48,17 +48,20 @@ class TestFillInterior:
         assert abs(interior.shape[0] - expected) <= 0.05 * expected
 
     def test_open_surface_leak(self):
-        rng = np.random.default_rng(0)
-        pts = []
-        for axis, side in [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]:
-            p = rng.uniform(0, 1, size=(120, 3))
-            p[:, axis] = side
-            pts.append(p)
-        f = uniform_field(np.concatenate(pts), MaterialClass.ELASTIC,
+        # the 12 edges of a cube, 0.02 m apart: the derived voxels are
+        # fine, yet the edges bound no face
+        t = np.linspace(0.0, 2.4, 121)
+        edges = []
+        for axis in range(3):
+            for a, b in ((0, 0), (0, 2.4), (2.4, 0), (2.4, 2.4)):
+                edge = np.zeros((121, 3))
+                edge[:, axis] = t
+                edge[:, [k for k in range(3) if k != axis]] = a, b
+                edges.append(edge)
+        f = uniform_field(np.concatenate(edges), MaterialClass.ELASTIC,
                           1e5, 0.3, 1000.0)
-        with pytest.raises(LeakDetected):
-            fill_interior(f, FillConfig(particle_spacing=0.1,
-                                        voxel_resolution=64))
+        with pytest.raises(LeakDetected, match="the surface is open"):
+            fill_interior(f, FillConfig(particle_spacing=0.05))
 
     def test_grid_aligned_translation_invariance(self):
         f = cube_field()
@@ -109,8 +112,6 @@ class TestFillInterior:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             FillConfig(particle_spacing=0.0).validate()
-        with pytest.raises(DomainError):
-            FillConfig(particle_spacing=0.1, voxel_resolution=4).validate()
 
 
 class TestInheritProperties:

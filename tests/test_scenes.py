@@ -6,9 +6,8 @@ import pytest
 from physedit.cli import main
 from physedit.engine import build_state
 from physedit.errors import DomainError, IoError
-from physedit.scenes import (BUNDLED_SCENES, build_analyze_fixture, build_scene,
-                             cube_shell_positions, load_scene,
-                             sphere_shell_positions)
+from physedit.scenes import (BUNDLED_SCENES, build_scene, cube_shell_positions,
+                             load_scene, sphere_shell_positions)
 
 
 def test_scene_names():
@@ -52,19 +51,6 @@ def test_shell_builders():
     sph = sphere_shell_positions(2.0, 500, center=(1.0, 0.0, 0.0))
     radii = np.linalg.norm(sph - [1.0, 0.0, 0.0], axis=1)
     assert np.allclose(radii, 2.0, rtol=1e-12)
-
-
-def test_analyze_fixture_with_bundle_path(tmp_path, capsys):
-    field_path, targets_path = build_analyze_fixture(tmp_path)
-    doc = json.loads(targets_path.read_text())
-    # split the bundle out into its own fixture file
-    (tmp_path / "bundle.json").write_text(json.dumps(doc["bundle"]))
-    doc["bundle"] = "bundle.json"
-    targets_path.write_text(json.dumps(doc))
-    rc = main(["analyze", str(field_path), str(targets_path),
-               "--no-gradcheck"])
-    assert rc == 0
-    assert "assignment" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["fx", "fy", "cx", "cy", "width", "height",
