@@ -24,8 +24,8 @@ from .fieldio import (array_of, convert_keys, instance_of, make_dir,
                       read_field, read_file, read_json, whole, write_field,
                       write_file)
 from .fill import FillConfig, fill_field
-from .losses import (LossWeights, SupervisionTargets, finite_diff_check,
-                     sample_triplets, total_loss)
+from .losses import (LossWeights, SupervisionTargets, _knn_graph,
+                     finite_diff_check, sample_triplets, total_loss)
 from .materials import validate_field
 from .raster import rasterize_frame, write_pgm
 from .scenes import BUNDLED_SCENES, build_scene, build_analyze_fixture, load_scene
@@ -188,8 +188,11 @@ def cmd_analyze(args) -> int:
                                    doc["n_triplets"],
                                    seed=doc["triplet_seed"])
 
+    # one kNN graph for the smoothness loss and its gradient check
+    graph = _knn_graph(fld, weights.smooth_k)
     total, breakdown = total_loss(pred_probs, pred_params, fld, triplets,
-                                  logits, targets, weights, tau=assign_tau)
+                                  logits, targets, weights, tau=assign_tau,
+                                  graph=graph)
 
     lines = ["loss breakdown"]
     for key in ("task", "smoothness", "contrastive", "assignment", "total"):
@@ -203,7 +206,8 @@ def cmd_analyze(args) -> int:
         # one record for every check; each probe reads only its own keys
         inputs = {"pred_probs": pred_probs, "pred_params": pred_params,
                   "targets": targets, "weights": weights, "field": fld,
-                  "triplets": triplets, "logits": logits, "tau": assign_tau}
+                  "triplets": triplets, "logits": logits, "tau": assign_tau,
+                  "graph": graph}
         lines.append(f"gradient checks (threshold {GRADCHECK_THRESHOLD:g})")
         for name in ("task", "smoothness", "contrastive", "assignment"):
             err = finite_diff_check(name, inputs)

@@ -203,7 +203,13 @@ def build_state(objects, cfg: SimConfig, gravity=(0.0, -9.8, 0.0),
         hi = np.asarray(cfg.domain_hi, dtype=np.float64)
         if np.any(hi - lo <= 0):
             raise DomainError("domain_hi must exceed domain_lo")
-    dims = np.ceil((hi - lo) / h).astype(np.int64) + 1
+    # node counts as Python ints, from Python floats: a tiny h gives counts
+    # past int64, or an inf, which a numpy cast would wrap with a warning
+    spans = [(b - a) / h for a, b in zip(lo.tolist(), hi.tolist())]
+    nodes = [math.ceil(s) + 1 if s < math.inf else s for s in spans]
+    check_size("simulate", max(nodes), np.iinfo(np.int64).max,
+               "grid nodes on one axis")
+    dims = np.array(nodes, dtype=np.int64)
 
     for key in ("x", "v"):
         cols[key] = np.ascontiguousarray(cols[key].T).T

@@ -225,16 +225,18 @@ def _smoothness_terms(c_p, c_s, graph, eps):
     return per_point
 
 
-def smoothness_loss(f: MaterialField, w: LossWeights) -> float:
+def smoothness_loss(f: MaterialField, w: LossWeights, graph=None) -> float:
     """Mean over points of the wave-speed Dirichlet energy on the kNN graph.
 
     Per point i with neighbors N(i):
         (1/|N(i)|) sum_j [(c_p(j)-c_p(i))^2 + (c_s(j)-c_s(i))^2]
                          / (||x_j - x_i||^2 + eps)
     A point with no neighbor contributes 0.  smooth_eps may be 0 here,
-    for the exact energy of distinct positions.
+    for the exact energy of distinct positions.  graph is
+    ``_knn_graph(f, w.smooth_k)``, built here if not given.
     """
-    graph = _knn_graph(f, w.smooth_k)
+    if graph is None:
+        graph = _knn_graph(f, w.smooth_k)
     c_p, c_s = wave_speeds(f.young_modulus, f.poisson_ratio, f.density)
     return float(np.mean(_smoothness_terms(c_p, c_s, graph, w.smooth_eps)))
 
@@ -382,13 +384,13 @@ def assignment_loss(logits, targets: SupervisionTargets,
 
 def total_loss(pred_probs, pred_params, f: MaterialField, triplets, logits,
                targets: SupervisionTargets, w: LossWeights,
-               tau: float = DEFAULT_TAU):
-    """Weighted sum of the four terms.
+               tau: float = DEFAULT_TAU, graph=None):
+    """Weighted sum of the four terms; graph as in smoothness_loss.
 
     Returns (total, breakdown) where breakdown holds each unweighted term.
     """
     task = task_loss(pred_probs, pred_params, targets, w)
-    smooth = smoothness_loss(f, w)
+    smooth = smoothness_loss(f, w, graph)
     con = contrastive_loss(f, triplets, w)
     assign = assignment_loss(logits, targets, tau)
     total = (task + w.lambda_smooth * smooth + w.lambda_con * con
@@ -528,7 +530,9 @@ def _smoothness_probe(inputs, w, boundary) -> _Probe:
     n, eps = f.n_points, w.smooth_eps
     x = _field_params(f)
     # no probe moves a position or a label, so one graph serves them all
-    graph = _knn_graph(f, w.smooth_k)
+    graph = inputs.get("graph")
+    if graph is None:
+        graph = _knn_graph(f, w.smooth_k)
     src, dst, counts, d2 = graph
 
     # the gradient goes through the speeds of the field's own E, nu and rho
@@ -646,8 +650,9 @@ def finite_diff_check(loss_name: str, inputs: dict, epsilon: float = 1e-5) -> fl
     loss_name selects the probe:
       "task"        inputs: pred_probs, pred_params, targets[, weights]
                     (gradient w.r.t. pred_params)
-      "smoothness"  inputs: field[, weights]; the field's part labels, if
-                    any, restrict the neighbors
+      "smoothness"  inputs: field[, weights][, graph]; the field's part
+                    labels, if any, restrict the neighbors; graph as in
+                    smoothness_loss
       "contrastive" inputs: field, triplets[, weights]
       "assignment"  inputs: logits, targets[, tau]
     weights default to LossWeights(); DomainError or ShapeError if they

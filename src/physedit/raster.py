@@ -9,11 +9,17 @@ the image, behind the near plane or not finite are culled in floating
 point.  The rest are ranked once by (depth, index).  Each point is
 expanded into its (ceil(2r)+1)^2 pixel stencil (no wider than the image),
 which holds every pixel centre within r of it, and masked by the disc.
-A pixel keeps the lowest rank that hits it (``np.minimum.at``).  The
-points are expanded in rank order, in chunks of at most
-max(_CHUNK_CELLS, one stencil) cells, so extra memory is bounded by that
-for any point count; the stencil is clipped to the image, so a huge
-radius costs at most the image size.
+The stencil is laid out offset-major with the points last, so every
+broadcast runs along a chunk's points rather than along its few offsets.
+A chunk's hits so come in offset order, not rank order; that is harmless,
+since a pixel keeps the lowest rank that hits it (``np.minimum.at``)
+whatever order the hits arrive in.  The points are expanded in rank
+order, in chunks of at most max(_CHUNK_CELLS, one stencil) cells, so
+extra memory is bounded by that for any point count; the stencil is
+clipped to the image, so a huge radius costs at most the image size.
+The frame is finished from the won pixels alone: their points give the
+per-frame depth range, and image, index and depth are written at their
+flat indices.
 """
 
 from __future__ import annotations
@@ -143,40 +149,40 @@ def rasterize_frame(positions, cam: CameraSpec, object_id=None) -> RasterFrame:
     best = np.full(h * wd, order.size)
     step = max(1, _CHUNK_CELLS // cells)
     for lo in range(0, order.size, step):
-        sl = np.arange(lo, min(lo + step, order.size))
-        px = x0[sl, None] + ox
-        py = y0[sl, None] + oy
-        du2 = (px - u[sl, None]) ** 2
-        dv2 = (py - v[sl, None]) ** 2
-        hit = np.flatnonzero((dv2[:, :, None] + du2[:, None, :] <= r * r)
-                             & (py < h)[:, :, None] & (px < wd)[:, None, :])
-        cell = py[:, :, None] * wd + px[:, None, :]
-        np.minimum.at(best, cell.ravel()[hit], lo + hit // cells)
+        sl = slice(lo, min(lo + step, order.size))
+        m = sl.stop - lo
+        px = x0[sl] + ox[:, None]
+        py = y0[sl] + oy[:, None]
+        du2 = (px - u[sl]) ** 2
+        dv2 = (py - v[sl]) ** 2
+        hit = np.flatnonzero((dv2[:, None] + du2 <= r * r)
+                             & (py < h)[:, None] & (px < wd))
+        cell = py[:, None] * wd + px
+        np.minimum.at(best, cell.ravel()[hit], lo + hit % m)
     won = np.flatnonzero(best < order.size)
+    pts = order[best[won]]
+    zw = z[pts]
     depth = np.full((h, wd), np.inf)
     index = np.full((h, wd), -1, dtype=np.int32)
-    index.flat[won] = order[best[won]]
-    depth.flat[won] = z[index.flat[won]]
-
-    occupied = index >= 0
     image = np.zeros((h, wd), dtype=np.uint8)
-    if occupied.any():
+    depth.flat[won] = zw
+    index.flat[won] = pts
+    if won.size:
         if cam.color_mode == "depth":
             if cam.depth_range is not None:
                 z_lo, z_hi = cam.depth_range
             else:
-                z_lo = float(depth[occupied].min())
-                z_hi = float(depth[occupied].max())
+                z_lo, z_hi = float(zw.min()), float(zw.max())
             if z_hi > z_lo:
-                t = np.clip((z_hi - depth[occupied]) / (z_hi - z_lo), 0.0, 1.0)
-                image[occupied] = (1 + np.round(254.0 * t)).astype(np.uint8)
+                t = np.clip((z_hi - zw) / (z_hi - z_lo), 0.0, 1.0)
+                image.flat[won] = (1 + np.round(254.0 * t)).astype(np.uint8)
             else:
-                image[occupied] = 255
+                image.flat[won] = 255
         else:
             oid = np.asarray(object_id)
-            image[occupied] = (1 + (oid[index[occupied]] % 255)).astype(np.uint8)
+            image.flat[won] = (1 + (oid[pts] % 255)).astype(np.uint8)
     return RasterFrame(image=image, depth=depth, index=index,
-                       empty=not bool(occupied.any()))
+                       empty=not won.size)
 
 
 def write_pgm(image: np.ndarray, path):

@@ -427,10 +427,11 @@ def return_map_oracle(f, class_id, e, nu):
                            c._recompose(u, sig, v)))
 
 
-def wide_stencil_raster_oracle(positions, cam):
+def wide_stencil_raster_oracle(positions, cam, object_id=None):
     """``raster.rasterize_frame`` as it expanded each point into a
     (2 ceil(r) + 1)^2 pixel stencil and took the hits with two boolean
-    gathers, in one chunk; returns its RasterFrame."""
+    gathers, in one chunk, and colored the frame through a full-image
+    mask of the occupied pixels; returns its RasterFrame."""
     h, wd, r = cam.height, cam.width, cam.splat_radius
     pos = np.asarray(positions, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -465,9 +466,15 @@ def wide_stencil_raster_oracle(positions, cam):
 
     occupied = index >= 0
     image = np.zeros((h, wd), dtype=np.uint8)
-    if occupied.any():
-        z_lo = float(depth[occupied].min())
-        z_hi = float(depth[occupied].max())
+    if occupied.any() and cam.color_mode == "object_id":
+        oid = np.asarray(object_id)
+        image[occupied] = (1 + (oid[index[occupied]] % 255)).astype(np.uint8)
+    elif occupied.any():
+        if cam.depth_range is not None:
+            z_lo, z_hi = cam.depth_range
+        else:
+            z_lo = float(depth[occupied].min())
+            z_hi = float(depth[occupied].max())
         if z_hi > z_lo:
             t = np.clip((z_hi - depth[occupied]) / (z_hi - z_lo), 0.0, 1.0)
             image[occupied] = (1 + np.round(254.0 * t)).astype(np.uint8)

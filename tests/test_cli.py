@@ -5,13 +5,14 @@ import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import physedit
-from physedit import cli
+from physedit import cli, losses
 from physedit.cli import main
 from physedit.fieldio import read_field, write_field
 from physedit.fill import FillConfig, fill_field
@@ -141,12 +142,16 @@ class TestSimulateCommand:
         ({"width": 10 ** 6, "height": 10 ** 6}, {}, "image pixels"),
         ({}, {"h_grid": 1e-5}, "grid nodes"),
         ({}, {"h_grid": 1e-7}, "grid nodes"),
-    ], ids=["camera", "h_grid-1e-5", "h_grid-1e-7"])
+        ({}, {"h_grid": 1e-20}, "grid nodes on one axis"),
+        ({}, {"h_grid": 1e-300}, "grid nodes on one axis"),
+    ], ids=["camera", "h_grid-1e-5", "h_grid-1e-7", "h_grid-1e-20",
+            "h_grid-1e-300"])
     def test_oversized_image_or_grid_fails_fast(self, tmp_path, capsys,
                                                 camera, sim, what):
         """An image, or a substep's grid in the derived domain, far past its
-        limit exits 34 before simulating or allocating it; at h_grid 1e-7
-        the active box has more nodes than int64 holds."""
+        limit exits 34 with one record and no warning, before simulating or
+        allocating it; at h_grid 1e-7 the active box has more nodes than
+        int64 holds, and from 1e-20 the domain has more along one axis."""
         scene = build_scene("drop_cube", tmp_path / "src")
         doc = json.loads(scene.read_text())
         doc["camera"].update(camera)
@@ -155,7 +160,9 @@ class TestSimulateCommand:
         scene.write_text(json.dumps(doc))
         out = tmp_path / "o"
         start = time.perf_counter()
-        rc = main(["simulate", str(scene), str(out), "--frames", "2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", str(scene), str(out), "--frames", "2"])
         assert time.perf_counter() - start < 1.0
         record = single_error_record(capsys)
         assert (rc, record["error"]) == (34, "WorkBudget")
@@ -378,6 +385,27 @@ class TestAnalyzeCommand:
                       "lambda_assign 0.1"):
             assert token in out
         assert "pass" in out
+
+    def test_one_knn_graph_per_run(self, tmp_path, monkeypatch):
+        """The smoothness loss and its gradient check share one kNN graph,
+        and the report is byte-identical to one where each builds its own."""
+        calls = []
+        build = losses._knn_graph
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(losses, "_knn_graph", counted)
+        monkeypatch.setattr(cli, "_knn_graph", counted)
+        argv = ["analyze", "--fixture", str(tmp_path / "fix"), "--json"]
+        assert main(argv + [str(tmp_path / "shared.json")]) == 0
+        assert len(calls) == 1
+        monkeypatch.setattr(cli, "_knn_graph", lambda *args: None)
+        assert main(argv + [str(tmp_path / "own.json")]) == 0
+        assert len(calls) == 3
+        assert ((tmp_path / "shared.json").read_bytes()
+                == (tmp_path / "own.json").read_bytes())
 
     def test_json_report(self, tmp_path):
         fix = tmp_path / "fix"

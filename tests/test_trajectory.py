@@ -547,6 +547,26 @@ class TestRaster:
         assert np.array_equal(frame.index, index)
         assert frame.depth.tobytes() == depth.tobytes()
 
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=raster_cases())
+    def test_every_color_mode_matches_wide_stencil_bitwise(self, case):
+        """image, depth, index and empty equal the wide-stencil oracle's,
+        which colors through a full-image occupied mask, byte for byte in
+        per-frame depth, fixed depth_range and object_id modes; the fixed
+        range clips the z = 0.5 and z = 4 points and the ids pass 255."""
+        pts, cam, cells = case
+        ids = np.arange(len(pts)) * 37 % 600
+        for mode in (dict(), dict(depth_range=(0.75, 3.0)),
+                     dict(color_mode="object_id")):
+            mode_cam = dataclasses.replace(cam, **mode)
+            with mock.patch.object(raster, "_CHUNK_CELLS", cells):
+                frame = rasterize_frame(pts, mode_cam, object_id=ids)
+            want = wide_stencil_raster_oracle(pts, mode_cam, object_id=ids)
+            assert frame.image.tobytes() == want.image.tobytes()
+            assert frame.depth.tobytes() == want.depth.tobytes()
+            assert frame.index.tobytes() == want.index.tobytes()
+            assert frame.empty == want.empty
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(w=hst.integers(16, 28), h=hst.integers(16, 24),
            r=hst.one_of(hst.floats(0.3, 40.0),
